@@ -253,8 +253,9 @@ func sweepMain(ctx context.Context, c *config) error {
 	case c.traceFile != "" && c.partitions > 0:
 		// Partitioned decode needs the PALMIDX1 index; validate it (and
 		// report how many ranges the index supports) before sweeping.
-		// runOnce routes this mode through sweep.RunPartitioned, which
-		// owns the range decoders — newSource stays nil.
+		// runHierOnce routes this mode through
+		// sweep.RunPartitionedHierarchies, which owns the range decoders
+		// — newSource stays nil.
 		t, err := exp.OpenSeekableTrace(c.traceFile)
 		if err != nil {
 			return err
@@ -596,32 +597,29 @@ func openTraceFile(path, format string) (sweep.Source, error) {
 	return nil, usageError{fmt.Errorf("unknown trace format %q (want auto, raw or packed)", format)}
 }
 
-// runOnce opens a fresh source, sweeps it, and closes the source when it
-// owns resources (partitioned decoders hold goroutines and file handles).
-// Partitioned mode routes through sweep.RunPartitioned, so the engine's
-// own plan checks — OPT is incompatible with range decode — apply.
+// runOnce is runHierOnce for a configuration sweep: each configuration
+// sweeps as a one-level hierarchy and reports its only level.
 func runOnce(ctx context.Context, c *config, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.Result, error) {
-	if c.partitions > 0 {
-		t, err := exp.OpenSeekableTrace(c.traceFile)
-		if err != nil {
-			return nil, err
-		}
-		return sweep.RunPartitioned(ctx, cfgs, t, opts)
+	hs := make([]cache.Hierarchy, len(cfgs))
+	for i, cfg := range cfgs {
+		hs[i] = cache.Single(cfg)
 	}
-	src, err := newSource()
+	hrs, err := runHierOnce(ctx, c, hs, newSource, opts)
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.Run(ctx, cfgs, src, opts)
-	if cl, ok := src.(interface{ Close() error }); ok {
-		if cerr := cl.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	results := make([]cache.Result, len(hrs))
+	for i, hr := range hrs {
+		results[i] = hr.L1()
 	}
-	return results, err
+	return results, nil
 }
 
-// runHierOnce is runOnce for hierarchy sweeps.
+// runHierOnce opens a fresh source, sweeps it, and closes the source
+// when it owns resources (partitioned decoders hold goroutines and file
+// handles). Partitioned mode routes through
+// sweep.RunPartitionedHierarchies, so the engine's own plan checks — OPT
+// is incompatible with range decode — apply.
 func runHierOnce(ctx context.Context, c *config, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.HierarchyResult, error) {
 	if c.partitions > 0 {
 		t, err := exp.OpenSeekableTrace(c.traceFile)

@@ -452,16 +452,20 @@ func (c *Cache) AccessKind(addr uint32, kind uint8) bool {
 }
 
 // AccessAllKinded performs each (reference, kind) pair in order — the
-// kinded sweep engines' chunk entry point. kinds must be at least as
-// long as refs.
+// sweep engines' chunk entry point. kinds must be nil (an address-only
+// chunk) or at least as long as refs.
 func (c *Cache) AccessAllKinded(refs []uint32, kinds []uint8) {
+	if kinds == nil {
+		c.AccessAll(refs)
+		return
+	}
 	for i, addr := range refs {
 		c.AccessKind(addr, kinds[i])
 	}
 }
 
-// AccessAll performs each reference in order — the sweep engines' chunk
-// entry point, hoisting the per-call overhead out of the trace loop.
+// AccessAll performs each reference in order — the address-only chunk
+// loop, hoisting the per-call overhead out of the trace loop.
 func (c *Cache) AccessAll(refs []uint32) {
 	for _, addr := range refs {
 		c.Access(addr)

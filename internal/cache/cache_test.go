@@ -334,67 +334,6 @@ func TestRandomPolicyStillCaches(t *testing.T) {
 	}
 }
 
-func TestSampleTrace(t *testing.T) {
-	trace := make([]uint32, 100)
-	for i := range trace {
-		trace[i] = uint32(i)
-	}
-	s := SampleTrace(trace, 10, 50)
-	if len(s) != 20 {
-		t.Fatalf("sample = %d refs, want 20", len(s))
-	}
-	if s[0] != 0 || s[9] != 9 || s[10] != 50 || s[19] != 59 {
-		t.Errorf("chunk boundaries wrong: %v", s)
-	}
-	// Degenerate parameters return the full trace.
-	if got := SampleTrace(trace, 0, 50); len(got) != 100 {
-		t.Error("chunkLen 0 should pass through")
-	}
-	if got := SampleTrace(trace, 60, 50); len(got) != 100 {
-		t.Error("chunk >= period should pass through")
-	}
-}
-
-// TestSampledEstimateApproximatesFullSimulation: on a trace with stable
-// locality, the corrected sampled estimate lands near the full-trace miss
-// rate, and correction moves it below the cold-start-biased raw figure.
-func TestSampledEstimateApproximatesFullSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	trace := make([]uint32, 400_000)
-	addr := uint32(0)
-	for i := range trace {
-		if rng.Intn(5) == 0 {
-			addr = uint32(rng.Intn(1 << 18))
-		} else {
-			addr += uint32(rng.Intn(32))
-		}
-		trace[i] = addr
-	}
-	cfg := Config{SizeBytes: 8 << 10, LineBytes: 16, Ways: 2, Policy: LRU}
-	full, err := Simulate(cfg, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := EstimateMissRate(cfg, trace, 5000, 40000, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est.SampleRefs >= len(trace)/4 {
-		t.Fatalf("sample too large: %d of %d", est.SampleRefs, len(trace))
-	}
-	fullRate := full.MissRate()
-	if est.CorrectedMissRate > est.RawMissRate {
-		t.Errorf("correction increased the estimate: %f > %f",
-			est.CorrectedMissRate, est.RawMissRate)
-	}
-	// Within 25% relative of the true rate.
-	lo, hi := fullRate*0.75, fullRate*1.25
-	if est.CorrectedMissRate < lo || est.CorrectedMissRate > hi {
-		t.Errorf("corrected estimate %f outside [%f, %f] (full %f)",
-			est.CorrectedMissRate, lo, hi, fullRate)
-	}
-}
-
 // TestShiftHelpers checks IndexShift/TagShift across every paper
 // configuration: the shifts must reconstruct the configured geometry, and
 // decomposing an address with them must agree with the cache's own

@@ -144,8 +144,13 @@ func (d *DirectCache) AccessAll(refs []uint32) {
 	}
 }
 
-// AccessAllKinded performs each (reference, kind) pair in order.
+// AccessAllKinded performs each (reference, kind) pair in order; nil
+// kinds is an address-only chunk.
 func (d *DirectCache) AccessAllKinded(refs []uint32, kinds []uint8) {
+	if kinds == nil {
+		d.AccessAll(refs)
+		return
+	}
 	for i, addr := range refs {
 		d.access(addr, cache.IsWrite(kinds[i]))
 	}

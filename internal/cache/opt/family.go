@@ -101,14 +101,10 @@ func (f *Family) fill(refs []uint32, kinds []uint8) {
 }
 
 // AccessAll advances every variant over the chunk.
-func (f *Family) AccessAll(refs []uint32) {
-	f.fill(refs, nil)
-	for _, v := range f.variants {
-		v.run(f.buf, f.fbuf)
-	}
-}
+func (f *Family) AccessAll(refs []uint32) { f.AccessAllKinded(refs, nil) }
 
-// AccessAllKinded advances every variant over a kinded chunk.
+// AccessAllKinded advances every variant over a kinded chunk; nil kinds
+// is an address-only chunk.
 func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) {
 	f.fill(refs, kinds)
 	for _, v := range f.variants {

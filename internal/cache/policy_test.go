@@ -112,29 +112,86 @@ func TestKindedAccessPreservesMissCounters(t *testing.T) {
 	}
 }
 
-// TestWritebacksMatchTrafficWrapper cross-checks the new integrated
-// dirty-bit accounting against the pre-existing trafficCache wrapper,
-// which derives the same quantities by shadowing the victim choice.
-func TestWritebacksMatchTrafficWrapper(t *testing.T) {
-	refs, kinds := randKinded(60000, 77)
-	for _, pol := range []Policy{LRU, FIFO, PLRU} {
-		for _, geom := range [][3]int{{1024, 16, 1}, {4096, 16, 4}, {8192, 32, 8}} {
-			c := Config{SizeBytes: geom[0], LineBytes: geom[1], Ways: geom[2], Policy: pol, Write: WriteBack}
-			kinded, err := New(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kinded.AccessAllKinded(refs, kinds)
-			legacy, err := SimulateTraffic(Config{SizeBytes: geom[0], LineBytes: geom[1], Ways: geom[2], Policy: pol}, refs, kinds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := kinded.Result()
-			if got.Writebacks != legacy.Writebacks || got.Writes != legacy.Writes {
-				t.Errorf("%v: integrated (wb=%d w=%d) vs wrapper (wb=%d w=%d)",
-					c, got.Writebacks, got.Writes, legacy.Writebacks, legacy.Writes)
-			}
-		}
+// runKinded sweeps a kinded trace through a fresh cache of the given
+// configuration.
+func runKinded(t *testing.T, cfg Config, trace []uint32, kinds []uint8) Result {
+	t.Helper()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.AccessAllKinded(trace, kinds)
+	return c.Result()
+}
+
+// TestTrafficBasics walks one dirty eviction through write-back
+// accounting: read A, write A (dirty), read B, read C (evicts A).
+func TestTrafficBasics(t *testing.T) {
+	cfg := Config{SizeBytes: 32, LineBytes: 16, Ways: 2, Policy: LRU, Write: WriteBack}
+	trace := []uint32{0x000, 0x004, 0x100, 0x200}
+	kinds := []uint8{KindRead, KindWrite, KindRead, KindRead}
+	res := runKinded(t, cfg, trace, kinds)
+	if res.Writes != 1 {
+		t.Errorf("writes = %d", res.Writes)
+	}
+	if res.Misses != 3 {
+		t.Errorf("misses = %d, want 3 (A, B, C)", res.Misses)
+	}
+	if res.Writebacks != 1 {
+		t.Errorf("writebacks = %d, want 1 (dirty A evicted)", res.Writebacks)
+	}
+	if got := res.WriteTrafficBytes(); got != 16 {
+		t.Errorf("write-back traffic %d, want 16 (one line)", got)
+	}
+}
+
+// TestCleanEvictionNoWriteback: evicting lines that were only read
+// writes nothing back.
+func TestCleanEvictionNoWriteback(t *testing.T) {
+	cfg := Config{SizeBytes: 16, LineBytes: 16, Ways: 1, Policy: LRU, Write: WriteBack}
+	res := runKinded(t, cfg, []uint32{0x000, 0x100, 0x200}, []uint8{KindRead, KindRead, KindRead})
+	if res.Writebacks != 0 {
+		t.Errorf("writebacks = %d for read-only trace", res.Writebacks)
+	}
+}
+
+// TestWriteBackWinsForWriteHotLine: many writes to the same resident
+// line cost write-through one memory write each, write-back at most one
+// eventual writeback.
+func TestWriteBackWinsForWriteHotLine(t *testing.T) {
+	var trace []uint32
+	var kinds []uint8
+	for i := 0; i < 1000; i++ {
+		trace = append(trace, 0x40)
+		kinds = append(kinds, KindWrite)
+	}
+	cfg := Config{SizeBytes: 1024, LineBytes: 16, Ways: 1, Policy: LRU, Write: WriteThrough}
+	wt := runKinded(t, cfg, trace, kinds)
+	cfg.Write = WriteBack
+	wb := runKinded(t, cfg, trace, kinds)
+	if wb.WriteTrafficBytes() >= wt.WriteTrafficBytes() {
+		t.Errorf("WB %d >= WT %d on a write-hot line", wb.WriteTrafficBytes(), wt.WriteTrafficBytes())
+	}
+}
+
+// TestTrafficMatchesPlainSimulation: write-back accounting leaves the
+// base statistics of the kind-blind simulator untouched.
+func TestTrafficMatchesPlainSimulation(t *testing.T) {
+	cfg := Config{SizeBytes: 512, LineBytes: 16, Ways: 2, Policy: LRU}
+	var trace []uint32
+	var kinds []uint8
+	for i := 0; i < 5000; i++ {
+		trace = append(trace, uint32(i*13%2048))
+		kinds = append(kinds, KindRead)
+	}
+	plain, err := Simulate(cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Write = WriteBack
+	kinded := runKinded(t, cfg, trace, kinds)
+	if plain.Misses != kinded.Misses || plain.Accesses != kinded.Accesses {
+		t.Errorf("write-back accounting diverged: misses %d vs %d", kinded.Misses, plain.Misses)
 	}
 }
 

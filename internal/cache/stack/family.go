@@ -131,8 +131,13 @@ func (f *Family) AccessAll(refs []uint32) {
 	}
 }
 
-// AccessAllKinded advances every variant over a kinded chunk.
+// AccessAllKinded advances every variant over a kinded chunk; nil kinds
+// is an address-only chunk.
 func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) {
+	if kinds == nil {
+		f.AccessAll(refs)
+		return
+	}
 	buf := f.buf[:0]
 	hasDirty := len(f.dirtyVariants) > 0
 	for i, addr := range refs {

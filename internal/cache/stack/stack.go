@@ -51,12 +51,13 @@ import (
 	"palmsim/internal/cache"
 )
 
-// Unit is one independently advanceable simulation shard: a refinement
-// or a direct-simulation fallback cache. Units are mutually independent,
-// so a sweep engine may drive them from different goroutines as long as
-// each unit observes the full trace in order.
+// Unit is one independently advanceable simulation shard: a refinement,
+// a family, or a direct-simulation fallback cache. Units are mutually
+// independent, so a sweep engine may drive them from different
+// goroutines as long as each unit observes the full trace in order.
+// Nil kinds is an address-only chunk.
 type Unit interface {
-	AccessAll(refs []uint32)
+	AccessAllKinded(refs []uint32, kinds []uint8)
 }
 
 // refCfg ties a configuration served by a refinement back to its index
@@ -157,8 +158,13 @@ func (r *Refinement) AccessAll(refs []uint32) {
 // counting write references and — when a served configuration is
 // write-back — maintaining the per-entry wmax dirty bound alongside
 // every recency-list shift. Replacement behaves exactly as AccessAll
-// (write-allocate), so the depth histograms are kind-blind.
+// (write-allocate), so the depth histograms are kind-blind. Nil kinds
+// is an address-only chunk.
 func (r *Refinement) AccessAllKinded(refs []uint32, kinds []uint8) {
+	if kinds == nil {
+		r.AccessAll(refs)
+		return
+	}
 	depth := r.depth
 	track := r.wmax != nil
 	for i, addr := range refs {
@@ -432,14 +438,7 @@ func (e *Engine) Results() []cache.Result {
 // single-pass counterpart of cache.Sweep, and the reference entry point
 // the differential tests compare against it.
 func Sweep(cfgs []cache.Config, trace []uint32) ([]cache.Result, error) {
-	e, err := New(cfgs)
-	if err != nil {
-		return nil, err
-	}
-	for _, u := range e.Units() {
-		u.AccessAll(trace)
-	}
-	return e.Results(), nil
+	return SweepKinded(cfgs, trace, nil)
 }
 
 // SweepKinded is the kinded counterpart of Sweep: every unit sees the
@@ -450,14 +449,8 @@ func SweepKinded(cfgs []cache.Config, trace []uint32, kinds []uint8) ([]cache.Re
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range e.refinements {
-		r.AccessAllKinded(trace, kinds)
-	}
-	for _, f := range e.families {
-		f.AccessAllKinded(trace, kinds)
-	}
-	for _, f := range e.fallbacks {
-		f.c.AccessAllKinded(trace, kinds)
+	for _, u := range e.Units() {
+		u.AccessAllKinded(trace, kinds)
 	}
 	return e.Results(), nil
 }

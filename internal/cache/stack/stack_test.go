@@ -97,7 +97,7 @@ func TestSweepChunkedMatchesWhole(t *testing.T) {
 				hi = len(trace)
 			}
 			for _, u := range units {
-				u.AccessAll(trace[lo:hi])
+				u.AccessAllKinded(trace[lo:hi], nil)
 			}
 		}
 		assertIdentical(t, "chunked", e.Results(), want)

@@ -97,7 +97,10 @@ func EnergyStudy(ctx context.Context, s user.Session) ([]EnergyRow, error) {
 // --- Write-policy extension -------------------------------------------------
 
 // WritePolicyRow compares write-through and write-back memory traffic for
-// one configuration over a session's kind-aware trace.
+// one configuration over a session's kind-aware trace. Write-through
+// (no-write-allocate) fills a line per miss and sends every write to
+// memory as one 68000 word; write-back (write-allocate) fills a line per
+// miss and writes one back per dirty eviction.
 type WritePolicyRow struct {
 	Config            cache.Config
 	MissRate          float64
@@ -121,20 +124,29 @@ func WritePolicyStudy(ctx context.Context, s user.Session) ([]WritePolicyRow, er
 	if err != nil {
 		return nil, err
 	}
-	var out []WritePolicyRow
+	// One write-back sweep yields both policies' traffic: replacement is
+	// write-allocate either way, so misses, writes and dirty evictions
+	// all come from the same simulation.
+	var cfgs []cache.Config
 	for _, size := range []int{1 << 10, 4 << 10, 16 << 10, 64 << 10} {
 		for _, ways := range []int{1, 4} {
-			cfg := cache.Config{SizeBytes: size, LineBytes: 32, Ways: ways, Policy: cache.LRU}
-			res, err := cache.SimulateTraffic(cfg, pb.Trace, pb.TraceKinds)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, WritePolicyRow{
-				Config:            cfg,
-				MissRate:          res.MissRate(),
-				WriteThroughBytes: res.WriteThroughBytes(),
-				WriteBackBytes:    res.WriteBackBytes(),
-			})
+			cfgs = append(cfgs, cache.Config{SizeBytes: size, LineBytes: 32, Ways: ways, Policy: cache.LRU, Write: cache.WriteBack})
+		}
+	}
+	results, err := sweep.Run(ctx, cfgs, sweep.NewKindedSliceSource(pb.Trace, pb.TraceKinds), sweep.Options{})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]WritePolicyRow, len(results))
+	for i, r := range results {
+		line := uint64(r.Config.LineBytes)
+		cfg := r.Config
+		cfg.Write = cache.WriteIgnore // the row names the geometry both policies share
+		out[i] = WritePolicyRow{
+			Config:            cfg,
+			MissRate:          r.MissRate(),
+			WriteThroughBytes: r.Misses*line + r.Writes*2,
+			WriteBackBytes:    (r.Misses + r.Writebacks) * line,
 		}
 	}
 	return out, nil

@@ -485,6 +485,29 @@ func TestWritePolicyStudyShape(t *testing.T) {
 	if len(rows) != 8 {
 		t.Fatalf("%d rows", len(rows))
 	}
+	// Every row is pinned: the experiments table prints these values.
+	for i, want := range []struct {
+		size, ways       int
+		missRate         float64
+		wtBytes, wbBytes uint64
+	}{
+		{1024, 1, 0.063467858281046, 794244, 984352},
+		{1024, 4, 0.035083631179814743, 529188, 608128},
+		{4096, 1, 0.03981262229410898, 573348, 669568},
+		{4096, 4, 0.030899502085210938, 490116, 553408},
+		{16384, 1, 0.024299475356130727, 428484, 402976},
+		{16384, 4, 0.028182045597069397, 464740, 496608},
+		{65536, 1, 0.006322455511502072, 260612, 70528},
+		{65536, 4, 0.003125246301620536, 230756, 29216},
+	} {
+		r := rows[i]
+		cfg := cache.Config{SizeBytes: want.size, LineBytes: 32, Ways: want.ways, Policy: cache.LRU}
+		if r.Config != cfg || r.MissRate != want.missRate || r.WriteThroughBytes != want.wtBytes || r.WriteBackBytes != want.wbBytes {
+			t.Errorf("row %d = {%v %v %d %d}, want {%v %v %d %d}", i,
+				r.Config, r.MissRate, r.WriteThroughBytes, r.WriteBackBytes,
+				cfg, want.missRate, want.wtBytes, want.wbBytes)
+		}
+	}
 	var big *WritePolicyRow
 	for i := range rows {
 		if rows[i].Config.SizeBytes == 64<<10 && rows[i].Config.Ways == 4 {

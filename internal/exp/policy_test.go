@@ -63,7 +63,7 @@ func TestSessionTracePolicyDifferential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		got, err := sweep.RunTraceKinded(context.Background(), cfgs, trace, kinds,
+		got, err := sweep.Run(context.Background(), cfgs, sweep.NewKindedSliceSource(trace, kinds),
 			sweep.Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -11,7 +11,8 @@ import (
 )
 
 // SeekableTrace adapts an indexed packed trace to sweep.SeekableTrace,
-// enabling RunPartitioned over one on-disk (or in-memory) trace file.
+// enabling RunPartitionedHierarchies over one on-disk (or in-memory)
+// trace file.
 type SeekableTrace struct {
 	t *dtrace.IndexedTrace
 }

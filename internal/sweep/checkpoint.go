@@ -4,8 +4,8 @@
 //
 // Format (all little-endian):
 //
-//	"PALMCKP1"            8-byte magic
-//	uint64 configHash     FNV-1a over engine choice + configuration set
+//	"PALMCKP2"            8-byte magic
+//	uint64 hierarchyHash  FNV-1a over engine choice + hierarchy set
 //	uint64 refs           trace references consumed so far
 //	uint32 nunits         unit count
 //	nunits × {uint32 len, len bytes}   per-unit state blob
@@ -29,7 +29,10 @@ import (
 	"palmsim/internal/simerr"
 )
 
-const checkpointMagic = "PALMCKP1"
+// checkpointMagic names the sidecar format. PALMCKP1 sidecars hashed
+// configuration sweeps with a separate flat fingerprint; they fail the
+// magic check rather than resume under a hash they were not written with.
+const checkpointMagic = "PALMCKP2"
 
 // DefaultCheckpointEveryChunks is the save cadence when
 // Options.CheckpointEveryChunks is unset: with the default chunk size
@@ -74,11 +77,13 @@ func newCheckpointer(path string, every int, units []unit, hash uint64) (*checkp
 	return c, nil
 }
 
-// configHash fingerprints the engine choice and configuration set —
-// geometry, replacement policy, and write policy — so a sidecar written
-// by one sweep cannot silently resume another (a foreign-policy sidecar
-// is rejected even when the geometries coincide).
-func configHash(cfgs []cache.Config, eng Engine) uint64 {
+// hierarchyHash fingerprints the engine choice and hierarchy set — every
+// level's geometry, replacement policy and write policy plus the content
+// policy — so a sidecar written by one sweep cannot silently resume
+// another (a foreign-policy sidecar is rejected even when the geometries
+// coincide). It is the sidecar's only fingerprint: a configuration sweep
+// hashes as its one-level hierarchies.
+func hierarchyHash(hs []cache.Hierarchy, eng Engine) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	put := func(v uint64) {
@@ -86,13 +91,17 @@ func configHash(cfgs []cache.Config, eng Engine) uint64 {
 		h.Write(b[:])
 	}
 	put(uint64(eng))
-	put(uint64(len(cfgs)))
-	for _, cfg := range cfgs {
-		put(uint64(cfg.SizeBytes))
-		put(uint64(cfg.LineBytes))
-		put(uint64(cfg.Ways))
-		put(uint64(cfg.Policy))
-		put(uint64(cfg.Write))
+	put(uint64(len(hs)))
+	for _, hr := range hs {
+		put(uint64(hr.Content))
+		put(uint64(len(hr.Levels)))
+		for _, cfg := range hr.Levels {
+			put(uint64(cfg.SizeBytes))
+			put(uint64(cfg.LineBytes))
+			put(uint64(cfg.Ways))
+			put(uint64(cfg.Policy))
+			put(uint64(cfg.Write))
+		}
 	}
 	return h.Sum64()
 }

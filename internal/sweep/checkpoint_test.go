@@ -2,8 +2,10 @@ package sweep
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"testing"
@@ -194,14 +196,21 @@ func TestResumeRejectsCorruptSidecar(t *testing.T) {
 		t.Errorf("truncated: err = %v, want ErrBadCheckpoint", err)
 	}
 
-	// Wrong magic.
-	bad = append([]byte(nil), good...)
-	copy(bad, "NOTACKPT")
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := resume(); !errors.Is(err, simerr.ErrBadCheckpoint) {
-		t.Errorf("bad magic: err = %v, want ErrBadCheckpoint", err)
+	// Wrong magic, including the previous format's: a PALMCKP1 sidecar
+	// carries a fingerprint this sweep no longer computes, so it must be
+	// refused even with a checksum that matches its body.
+	for _, magic := range []string{"NOTACKPT", "PALMCKP1"} {
+		bad = append([]byte(nil), good[:len(good)-8]...)
+		copy(bad, magic)
+		sum := fnv.New64a()
+		sum.Write(bad)
+		bad = binary.LittleEndian.AppendUint64(bad, sum.Sum64())
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := resume(); !errors.Is(err, simerr.ErrBadCheckpoint) {
+			t.Errorf("magic %q: err = %v, want ErrBadCheckpoint", magic, err)
+		}
 	}
 }
 
@@ -378,23 +387,24 @@ func TestCheckpointResumeOptSweep(t *testing.T) {
 	}
 	want := directKindedOracle(t, cfgs, trace, nil)
 
+	hs := singles(cfgs)
 	for _, eng := range []Engine{EngineStack, EngineDirect} {
-		anns, err := opt.AnnotateAll(trace, optLineSizes(cfgs))
+		anns, err := opt.AnnotateAll(trace, hierOptLineSizes(hs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := build(cfgs, eng, anns)
+		p, err := buildHierarchies(hs, eng, anns)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const prefix = 13_312 // 13 chunks of 1024
 		for lo := 0; lo < prefix; lo += 1024 {
 			for _, u := range p.units {
-				u.AccessAll(trace[lo : lo+1024])
+				u.AccessAllKinded(trace[lo:lo+1024], nil)
 			}
 		}
 		path := filepath.Join(t.TempDir(), "opt.ckpt")
-		ck, err := newCheckpointer(path, 1, p.units, configHash(cfgs, eng))
+		ck, err := newCheckpointer(path, 1, p.units, hierarchyHash(hs, eng))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,5 +1,10 @@
-// Hierarchy sweeps: evaluating L1→L2 (and deeper) cache hierarchies
-// over one trace pass. The planner exploits the filtered-miss-stream
+// The sweep planner and run path. Every sweep is a hierarchy sweep —
+// a plain configuration sweep is a set of one-level hierarchies — so
+// this file holds the one planner (buildHierarchies) and the one run
+// entry point (RunHierarchies) behind every public sweep function.
+//
+// Multi-level sweeps evaluate L1→L2 (and deeper) cache hierarchies over
+// one trace pass. The planner exploits the filtered-miss-stream
 // structure: every multi-level non-inclusive hierarchy's lower levels
 // are a pure function of (L1 configuration, trace), so candidate
 // hierarchies sharing an L1 are grouped — the L1 simulates once per
@@ -20,13 +25,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"runtime"
 
 	"palmsim/internal/cache"
 	"palmsim/internal/cache/hier"
 	"palmsim/internal/cache/opt"
-	"palmsim/internal/simerr"
 )
 
 // hierarchiesNeedKinds reports whether any level of any hierarchy has a
@@ -59,32 +61,6 @@ func hierOptLineSizes(hs []cache.Hierarchy) []int {
 	return lines
 }
 
-// hierarchyHash fingerprints the engine choice and hierarchy set —
-// every level's five configuration fields plus the content policy — for
-// the checkpoint sidecar, in the same spirit as configHash.
-func hierarchyHash(hs []cache.Hierarchy, eng Engine) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
-	put(uint64(eng))
-	put(uint64(len(hs)))
-	for _, hr := range hs {
-		put(uint64(hr.Content))
-		put(uint64(len(hr.Levels)))
-		for _, cfg := range hr.Levels {
-			put(uint64(cfg.SizeBytes))
-			put(uint64(cfg.LineBytes))
-			put(uint64(cfg.Ways))
-			put(uint64(cfg.Policy))
-			put(uint64(cfg.Write))
-		}
-	}
-	return h.Sum64()
-}
-
 // sharedL1Unit is one shared-L1 group: the group's first level runs
 // once per chunk as a miss-stream filter, and the filtered stream
 // advances every inner unit — the single-level engines (or nested
@@ -93,19 +69,16 @@ func hierarchyHash(hs []cache.Hierarchy, eng Engine) uint64 {
 // groups, exactly like any other sweep unit.
 type sharedL1Unit struct {
 	stream *hier.MissStream
-	inner  *hierPlan
+	inner  *enginePlan
 }
 
-func (u *sharedL1Unit) AccessAll(refs []uint32) { u.feed(refs, nil) }
-
-func (u *sharedL1Unit) AccessAllKinded(refs []uint32, kinds []uint8) { u.feed(refs, kinds) }
-
-func (u *sharedL1Unit) feed(refs []uint32, kinds []uint8) {
+// AccessAllKinded filters the chunk through the L1 and feeds the miss
+// stream, which always carries kinds (write-back victims and
+// write-through stores are writes), to every inner unit.
+func (u *sharedL1Unit) AccessAllKinded(refs []uint32, kinds []uint8) {
 	frefs, fkinds := u.stream.Filter(refs, kinds)
-	// The filtered stream always carries kinds (write-back victims and
-	// write-through stores are writes); every engine unit is kinded.
-	for _, ku := range u.inner.kinded {
-		ku.AccessAllKinded(frefs, fkinds)
+	for _, iu := range u.inner.units {
+		iu.AccessAllKinded(frefs, fkinds)
 	}
 }
 
@@ -154,26 +127,28 @@ func (u *sharedL1Unit) RestoreState(b []byte) error {
 	return nil
 }
 
-// hierPlan is an instantiated hierarchy sweep: the same unit machinery
-// as enginePlan, with results collected per hierarchy.
-type hierPlan struct {
-	*enginePlan
-	collectH func() []cache.HierarchyResult
+// enginePlan is an instantiated sweep: its units, the hierarchy-order
+// result collector, and the structural summary.
+type enginePlan struct {
+	units   []unit
+	collect func() []cache.HierarchyResult
+	info    PlanInfo
 }
 
-// buildHierarchies instantiates units for a validated hierarchy set.
-// Single-level hierarchies pool into one ordinary configuration build
-// (so the paper sweep as 56 one-level hierarchies plans exactly as the
-// paper sweep). Multi-level non-inclusive hierarchies group by shared
-// first level under the stack engine; inclusive/exclusive hierarchies —
-// and every multi-level hierarchy under EngineDirect — get one fused
-// hier.Sim each. anns may be nil for planning.
-func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annotation) (*hierPlan, error) {
-	p := &hierPlan{enginePlan: &enginePlan{info: PlanInfo{
+// buildHierarchies is the sweep planner: it instantiates units for a
+// validated hierarchy set. Single-level hierarchies pool into one
+// buildLevel call (so the paper sweep as 56 one-level hierarchies plans
+// into the paper sweep's 20 stack units). Multi-level
+// non-inclusive hierarchies group by shared first level under the stack
+// engine; inclusive/exclusive hierarchies — and every multi-level
+// hierarchy under EngineDirect — get one fused hier.Sim each. anns may
+// be nil for planning.
+func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annotation) (*enginePlan, error) {
+	p := &enginePlan{info: PlanInfo{
 		Engine:     eng,
 		Configs:    len(hs),
 		NeedsKinds: hierarchiesNeedKinds(hs),
-	}}}
+	}}
 	results := make([]cache.HierarchyResult, len(hs))
 	var finishers []func()
 
@@ -221,19 +196,16 @@ func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annota
 	}
 
 	if len(singleCfgs) > 0 {
-		sub, err := build(singleCfgs, eng, anns)
+		units, collect, err := buildLevel(singleCfgs, eng, anns, &p.info)
 		if err != nil {
 			return nil, err
 		}
-		p.units = append(p.units, sub.units...)
-		p.info.FallbackConfigs += sub.info.FallbackConfigs
-		p.info.FamilyConfigs += sub.info.FamilyConfigs
-		p.info.OptConfigs += sub.info.OptConfigs
-		p.info.BuffersTrace = p.info.BuffersTrace || sub.info.BuffersTrace
+		p.units = append(p.units, units...)
 		idx := singleIdx
 		finishers = append(finishers, func() {
-			for j, r := range sub.collect() {
-				results[idx[j]] = cache.HierarchyResult{Hierarchy: hs[idx[j]], Levels: []cache.Result{r}}
+			levels := collect()
+			for j := range levels {
+				results[idx[j]] = cache.HierarchyResult{Hierarchy: hs[idx[j]], Levels: levels[j : j+1 : j+1]}
 			}
 		})
 	}
@@ -255,9 +227,6 @@ func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annota
 			if _, ok := iu.(stateful); !ok {
 				return nil, fmt.Errorf("sweep: shared-L1 inner unit %d (%T) is not checkpointable", i, iu)
 			}
-			if inner.kinded[i] == nil {
-				return nil, fmt.Errorf("sweep: shared-L1 inner unit %d (%T) cannot consume the kinded miss stream", i, iu)
-			}
 		}
 		u := &sharedL1Unit{stream: hier.NewMissStream(l1), inner: inner}
 		p.units = append(p.units, u)
@@ -268,7 +237,7 @@ func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annota
 		members := g.members
 		finishers = append(finishers, func() {
 			l1res := l1.Result()
-			for j, hr := range inner.collectH() {
+			for j, hr := range inner.collect() {
 				idx := members[j]
 				levels := append([]cache.Result{l1res}, hr.Levels...)
 				results[idx] = cache.HierarchyResult{Hierarchy: hs[idx], Levels: levels}
@@ -277,26 +246,11 @@ func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annota
 	}
 
 	p.info.Units = len(p.units)
-	p.kinded = make([]kindedUnit, len(p.units))
-	for i, u := range p.units {
-		if ku, ok := u.(kindedUnit); ok {
-			p.kinded[i] = ku
-		}
-	}
-	p.collectH = func() []cache.HierarchyResult {
+	p.collect = func() []cache.HierarchyResult {
 		for _, fin := range finishers {
 			fin()
 		}
 		return results
-	}
-	// enginePlan.collect flattens every level's counters in hierarchy
-	// order, which is what the sweep-wide obs aggregates sum over.
-	p.collect = func() []cache.Result {
-		var out []cache.Result
-		for _, hr := range p.collectH() {
-			out = append(out, hr.Levels...)
-		}
-		return out
 	}
 	return p, nil
 }
@@ -313,11 +267,10 @@ func PlanHierarchies(opts Options, hs []cache.Hierarchy) (PlanInfo, error) {
 }
 
 // RunHierarchies sweeps every hierarchy over the trace from src and
-// returns results in hierarchy order. Semantics mirror Run:
-// cancellation within one chunk, checkpoint/resume via the sidecar
-// (fingerprinted over the hierarchy set), deterministic results for any
-// worker count, and bit-identity of single-level hierarchies with the
-// plain configuration sweep.
+// returns results in hierarchy order: cancellation within one chunk,
+// checkpoint/resume via the sidecar (fingerprinted over the hierarchy
+// set), and deterministic results for any worker count. It is the one
+// run path; Run is this over one-level hierarchies.
 func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts Options) ([]cache.HierarchyResult, error) {
 	for _, h := range hs {
 		if err := h.Validate(); err != nil {
@@ -328,9 +281,13 @@ func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts 
 	if hierarchiesNeedKinds(hs) {
 		var ok bool
 		if ks, ok = src.(KindedSource); !ok {
-			return nil, fmt.Errorf("sweep: hierarchies use write policies but source %T carries no access kinds", src)
+			return nil, fmt.Errorf("sweep: write policies need a kinded source, but %T carries no access kinds", src)
 		}
 	}
+	// OPT needs the whole trace up front: the backward next-use pass
+	// cannot stream. Materialize once, annotate per line size, and swap
+	// in a slice source so the rest of the machinery — checkpointing,
+	// resume's skipRefs, the worker fan-out — runs unchanged.
 	var anns map[int]*opt.Annotation
 	if lines := hierOptLineSizes(hs); len(lines) > 0 {
 		trace, kinds, err := materialize(ctx, src, ks, opts.chunkRefs())
@@ -352,43 +309,12 @@ func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts 
 	if err != nil {
 		return nil, err
 	}
-	if err := runEngine(ctx, p.enginePlan, src, ks, opts, hierarchyHash(hs, opts.engine())); err != nil {
+	if err := runEngine(ctx, p, src, ks, opts, hierarchyHash(hs, opts.engine())); err != nil {
 		return nil, err
 	}
-	results := p.collectH()
-	registerResults(opts.Obs, p.collect())
+	results := p.collect()
+	registerResults(opts.Obs, results)
 	return results, nil
-}
-
-// RunTraceHierarchies is a convenience wrapper over an in-memory trace
-// with per-reference access kinds.
-func RunTraceHierarchies(ctx context.Context, hs []cache.Hierarchy, trace []uint32, kinds []uint8, opts Options) ([]cache.HierarchyResult, error) {
-	return RunHierarchies(ctx, hs, NewKindedSliceSource(trace, kinds), opts)
-}
-
-// RunPartitionedHierarchies sweeps hierarchies over an indexed trace
-// with partitioned decoding, mirroring RunPartitioned. OPT levels are
-// rejected up front: OPT buffers the whole trace for its backward
-// next-use pass, which defeats the point of partitioned decoding.
-func RunPartitionedHierarchies(ctx context.Context, hs []cache.Hierarchy, t SeekableTrace, opts Options) ([]cache.HierarchyResult, error) {
-	for _, h := range hs {
-		for _, cfg := range h.Levels {
-			if cfg.Policy == cache.OPT {
-				return nil, simerr.UnsupportedPlan("sweep: partitioned", h.String(),
-					fmt.Errorf("OPT buffers the whole trace for its backward next-use pass; run it unpartitioned"))
-			}
-		}
-	}
-	k := opts.Partitions
-	if k <= 0 {
-		k = runtime.GOMAXPROCS(0)
-	}
-	src, err := NewPartitionedSource(t, k, opts.chunkRefs())
-	if err != nil {
-		return nil, err
-	}
-	defer src.Close()
-	return RunHierarchies(ctx, hs, src, opts)
 }
 
 // DescribeHierarchies renders the hierarchy plan for logs and CLIs.
@@ -397,25 +323,5 @@ func DescribeHierarchies(opts Options, hs []cache.Hierarchy) string {
 	if err != nil {
 		return fmt.Sprintf("%s engine (invalid hierarchy set: %v)", opts.engine(), err)
 	}
-	s := fmt.Sprintf("%s engine: %d workers over %d units (%d hierarchies, max %d levels), %d refs/chunk",
-		info.Engine, opts.workers(info.Units), info.Units, info.Configs, info.MaxLevels, opts.chunkRefs())
-	if info.SharedL1Groups > 0 {
-		s += fmt.Sprintf(", %d shared-L1 groups", info.SharedL1Groups)
-	}
-	if info.FusedHierarchies > 0 {
-		s += fmt.Sprintf(", %d fused hierarchies", info.FusedHierarchies)
-	}
-	if info.FamilyConfigs > 0 {
-		s += fmt.Sprintf(", %d family configs", info.FamilyConfigs)
-	}
-	if info.FallbackConfigs > 0 {
-		s += fmt.Sprintf(", %d direct-fallback configs", info.FallbackConfigs)
-	}
-	if info.OptConfigs > 0 {
-		s += fmt.Sprintf(", %d OPT configs (trace buffered for annotation)", info.OptConfigs)
-	}
-	if info.NeedsKinds {
-		s += ", kinded"
-	}
-	return s
+	return describe(opts, info, fmt.Sprintf("%d hierarchies, max %d levels", info.Configs, info.MaxLevels))
 }

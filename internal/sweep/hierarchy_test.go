@@ -43,11 +43,7 @@ func fusedOracle(t testing.TB, hs []cache.Hierarchy, trace []uint32, kinds []uin
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kinds != nil {
-			sim.AccessAllKinded(trace, kinds)
-		} else {
-			sim.AccessAll(trace)
-		}
+		sim.AccessAllKinded(trace, kinds)
 		out[i] = sim.Results()
 	}
 	return out
@@ -94,7 +90,7 @@ func TestHierarchySweepMatchesFusedOracle(t *testing.T) {
 			for _, eng := range []Engine{EngineStack, EngineDirect} {
 				for _, workers := range []int{1, 4} {
 					name := fmt.Sprintf("%v/%v/%v/w%d", content, w, eng, workers)
-					got, err := RunTraceHierarchies(context.Background(), hs, trace, kinds,
+					got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds),
 						Options{Workers: workers, ChunkRefs: 8192, Engine: eng})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
@@ -114,7 +110,7 @@ func TestHierarchySweepPolicies(t *testing.T) {
 	for _, p := range []cache.Policy{cache.FIFO, cache.PLRU, cache.Random} {
 		hs := hierGrid(p, cache.WriteBack, cache.NonInclusive, []int{16})
 		want := fusedOracle(t, hs, trace, kinds)
-		got, err := RunTraceHierarchies(context.Background(), hs, trace, kinds,
+		got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds),
 			Options{Workers: 3, ChunkRefs: 4096})
 		if err != nil {
 			t.Fatalf("%v: %v", p, err)
@@ -142,11 +138,11 @@ func TestSingleLevelHierarchySweepMatchesRun(t *testing.T) {
 	for i, cfg := range cfgs {
 		hs[i] = cache.Single(cfg)
 	}
-	want, err := RunTraceKinded(context.Background(), cfgs, trace, kinds, Options{Workers: 2})
+	want, err := Run(context.Background(), cfgs, NewKindedSliceSource(trace, kinds), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTraceHierarchies(context.Background(), hs, trace, kinds, Options{Workers: 2})
+	got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +165,7 @@ func TestThreeLevelHierarchySweep(t *testing.T) {
 		hs = append(hs, cache.Hierarchy{Levels: []cache.Config{l1, l2, l3}})
 	}
 	want := fusedOracle(t, hs, trace, kinds)
-	got, err := RunTraceHierarchies(context.Background(), hs, trace, kinds, Options{Workers: 2})
+	got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +242,28 @@ func TestPlanHierarchies(t *testing.T) {
 	if _, err := PlanHierarchies(Options{}, []cache.Hierarchy{{}}); err == nil {
 		t.Error("empty hierarchy accepted")
 	}
+
+	// A plain configuration sweep is one level deep, through either
+	// planning entry point.
+	flat := []cache.Config{l1a, l1b}
+	for name, plan := range map[string]func() (PlanInfo, error){
+		"Plan":            func() (PlanInfo, error) { return Plan(Options{}, flat) },
+		"PlanHierarchies": func() (PlanInfo, error) { return PlanHierarchies(Options{}, singles(flat)) },
+	} {
+		info, err := plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.MaxLevels != 1 {
+			t.Errorf("%s: single-level MaxLevels = %d, want 1", name, info.MaxLevels)
+		}
+	}
 }
 
 // TestHierarchySweepCheckpointResume interrupts a hierarchy sweep
 // mid-trace, resumes from the sidecar, and requires results
 // bit-identical to an uninterrupted run — per-level state including the
-// shared L1 and its inner units round-tripping through PALMCKP1.
+// shared L1 and its inner units round-tripping through the sidecar.
 func TestHierarchySweepCheckpointResume(t *testing.T) {
 	trace, kinds := kindedFixedTrace(64_000)
 	hs := hierGrid(cache.LRU, cache.WriteBack, cache.NonInclusive, []int{8, 32})
@@ -260,7 +272,7 @@ func TestHierarchySweepCheckpointResume(t *testing.T) {
 		{SizeBytes: 8 << 10, LineBytes: 32, Ways: 4, Policy: cache.LRU, Write: cache.WriteBack},
 	}, Content: cache.Inclusive})
 
-	want, err := RunTraceHierarchies(context.Background(), hs, trace, kinds, Options{Workers: 2})
+	want, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +285,8 @@ func TestHierarchySweepCheckpointResume(t *testing.T) {
 	}
 	const prefix = 24_576
 	for lo := 0; lo < prefix; lo += 4096 {
-		for _, ku := range p.kinded {
-			ku.AccessAllKinded(trace[lo:lo+4096], kinds[lo:lo+4096])
+		for _, u := range p.units {
+			u.AccessAllKinded(trace[lo:lo+4096], kinds[lo:lo+4096])
 		}
 	}
 	path := filepath.Join(t.TempDir(), "hier.ckpt")
@@ -287,7 +299,7 @@ func TestHierarchySweepCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := RunTraceHierarchies(context.Background(), hs, trace, kinds, Options{
+	got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds), Options{
 		Workers: 2, ChunkRefs: 4096, CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
@@ -304,7 +316,7 @@ func TestHierarchySweepCheckpointResume(t *testing.T) {
 	if err := ck2.save(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunTraceHierarchies(context.Background(), hs[:len(hs)-1], trace, kinds, Options{
+	_, err = RunHierarchies(context.Background(), hs[:len(hs)-1], NewKindedSliceSource(trace, kinds), Options{
 		Workers: 2, CheckpointPath: path, Resume: true,
 	})
 	if !errors.Is(err, simerr.ErrBadCheckpoint) {

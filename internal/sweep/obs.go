@@ -94,23 +94,28 @@ func registerPlan(r *obs.Registry, info PlanInfo) {
 }
 
 // registerResults publishes sweep-wide cache aggregates (accesses, misses,
-// RAM/flash splits summed across configurations) as polled funcs. Funcs
-// rebind on re-registration, so a later sweep in the same process (e.g.
-// the cross-validation pass) supersedes the earlier one.
-func registerResults(r *obs.Registry, results []cache.Result) {
+// RAM/flash splits summed across every level of every hierarchy) as
+// polled funcs. Funcs rebind on re-registration, so a later sweep in the
+// same process (e.g. the cross-validation pass) supersedes the earlier
+// one.
+func registerResults(r *obs.Registry, results []cache.HierarchyResult) {
 	if r == nil {
 		return
 	}
+	var levels int
 	var acc, miss, ramRefs, flashRefs, ramMiss, flashMiss, writes, wbs uint64
-	for _, res := range results {
-		acc += res.Accesses
-		miss += res.Misses
-		ramRefs += res.RAMRefs
-		flashRefs += res.FlashRefs
-		ramMiss += res.RAMMisses
-		flashMiss += res.FlashMisses
-		writes += res.Writes
-		wbs += res.Writebacks
+	for _, hr := range results {
+		for _, res := range hr.Levels {
+			levels++
+			acc += res.Accesses
+			miss += res.Misses
+			ramRefs += res.RAMRefs
+			flashRefs += res.FlashRefs
+			ramMiss += res.RAMMisses
+			flashMiss += res.FlashMisses
+			writes += res.Writes
+			wbs += res.Writebacks
+		}
 	}
 	r.Func("cache.accesses", func() float64 { return float64(acc) })
 	r.Func("cache.misses", func() float64 { return float64(miss) })
@@ -120,5 +125,5 @@ func registerResults(r *obs.Registry, results []cache.Result) {
 	r.Func("cache.flash_misses", func() float64 { return float64(flashMiss) })
 	r.Func("cache.writes", func() float64 { return float64(writes) })
 	r.Func("cache.writebacks", func() float64 { return float64(wbs) })
-	r.Func("cache.configs", func() float64 { return float64(len(results)) })
+	r.Func("cache.configs", func() float64 { return float64(levels) })
 }

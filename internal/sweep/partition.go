@@ -76,8 +76,8 @@ type partition struct {
 // PartitionedSource decodes an indexed trace with K concurrent range
 // decoders and replays their output in strict global trace order, so it
 // satisfies the Source contract with exactly the byte-for-byte reference
-// sequence of a serial decode. Close must be called (Run does not close
-// sources); it is safe after errors and idempotent.
+// sequence of a serial decode. Close must be called (RunHierarchies does not
+// close sources); it is safe after errors and idempotent.
 type PartitionedSource struct {
 	parts []*partition
 	cur   int
@@ -219,21 +219,25 @@ func (s *PartitionedSource) Close() error {
 // Partitions returns how many ranges are being decoded concurrently.
 func (s *PartitionedSource) Partitions() int { return len(s.parts) }
 
-// RunPartitioned sweeps one indexed trace with opts.Partitions
-// concurrent range decoders feeding the ordinary engine. Results are
-// bit-identical to Run over a serial decode of the same trace — the
-// partitioning parallelizes decoding only. Checkpointing, resume and
-// cancellation behave exactly as in Run.
+// RunPartitionedHierarchies sweeps hierarchies over one indexed trace
+// with opts.Partitions concurrent range decoders feeding the ordinary
+// engine; a configuration sweep passes its configurations through
+// cache.Single. Results are bit-identical to RunHierarchies over a serial
+// decode of the same trace — the partitioning parallelizes decoding
+// only. Checkpointing, resume and cancellation behave exactly as in
+// RunHierarchies.
 //
-// OPT configurations are rejected with simerr.ErrUnsupportedPlan: OPT
+// OPT levels are rejected with simerr.ErrUnsupportedPlan: OPT
 // materializes the whole trace for its backward next-use pass, which
 // defeats the point of partitioned streaming decode. Run the OPT
-// configurations through Run instead.
-func RunPartitioned(ctx context.Context, cfgs []cache.Config, t SeekableTrace, opts Options) ([]cache.Result, error) {
-	for _, cfg := range cfgs {
-		if cfg.Policy == cache.OPT {
-			return nil, simerr.UnsupportedPlan("sweep: partitioned", cfg.String(),
-				fmt.Errorf("OPT buffers the whole trace for its backward next-use pass; run it unpartitioned"))
+// configurations unpartitioned instead.
+func RunPartitionedHierarchies(ctx context.Context, hs []cache.Hierarchy, t SeekableTrace, opts Options) ([]cache.HierarchyResult, error) {
+	for _, h := range hs {
+		for _, cfg := range h.Levels {
+			if cfg.Policy == cache.OPT {
+				return nil, simerr.UnsupportedPlan("sweep: partitioned", h.String(),
+					fmt.Errorf("OPT buffers the whole trace for its backward next-use pass; run it unpartitioned"))
+			}
 		}
 	}
 	k := opts.Partitions
@@ -245,5 +249,5 @@ func RunPartitioned(ctx context.Context, cfgs []cache.Config, t SeekableTrace, o
 		return nil, err
 	}
 	defer src.Close()
-	return Run(ctx, cfgs, src, opts)
+	return RunHierarchies(ctx, hs, src, opts)
 }

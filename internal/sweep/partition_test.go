@@ -90,6 +90,16 @@ func TestPartitionedSourceStreamsInOrder(t *testing.T) {
 	}
 }
 
+// runPartitioned sweeps configurations partitioned, as one-level
+// hierarchies.
+func runPartitioned(ctx context.Context, cfgs []cache.Config, t SeekableTrace, opts Options) ([]cache.Result, error) {
+	hrs, err := RunPartitionedHierarchies(ctx, singles(cfgs), t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return l1Results(hrs), nil
+}
+
 // TestRunPartitionedMatchesSerial is the acceptance gate: partitioned
 // sweeps at K ∈ {1,4,8} across engines and worker counts must equal the
 // serial cache.Sweep loop in every counter.
@@ -105,7 +115,7 @@ func TestRunPartitionedMatchesSerial(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, k := range []int{1, 4, 8} {
 				name := fmt.Sprintf("%s/workers=%d/partitions=%d", engine, workers, k)
-				got, err := RunPartitioned(context.Background(), cfgs, st,
+				got, err := runPartitioned(context.Background(), cfgs, st,
 					Options{Workers: workers, Engine: engine, Partitions: k})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -228,7 +238,7 @@ func TestRunPartitionedCheckpointResume(t *testing.T) {
 	}
 
 	opts.Resume = true
-	got, err := RunPartitioned(context.Background(), cfgs, st, opts)
+	got, err := runPartitioned(context.Background(), cfgs, st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

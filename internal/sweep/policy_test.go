@@ -75,7 +75,7 @@ func policyWriteGrid() []cache.Config {
 // kinds may be nil for an address-only trace.
 func directKindedOracle(t testing.TB, cfgs []cache.Config, trace []uint32, kinds []uint8) []cache.Result {
 	t.Helper()
-	anns, err := opt.AnnotateAll(trace, optLineSizes(cfgs))
+	anns, err := opt.AnnotateAll(trace, hierOptLineSizes(singles(cfgs)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,7 @@ func directKindedOracle(t testing.TB, cfgs []cache.Config, trace []uint32, kinds
 			if err != nil {
 				t.Fatal(err)
 			}
-			if kinds == nil {
-				d.AccessAll(trace)
-			} else {
-				d.AccessAllKinded(trace, kinds)
-			}
+			d.AccessAllKinded(trace, kinds)
 			out[i] = d.Result()
 			continue
 		}
@@ -98,11 +94,7 @@ func directKindedOracle(t testing.TB, cfgs []cache.Config, trace []uint32, kinds
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kinds == nil {
-			c.AccessAll(trace)
-		} else {
-			c.AccessAllKinded(trace, kinds)
-		}
+		c.AccessAllKinded(trace, kinds)
 		out[i] = c.Result()
 	}
 	return out
@@ -131,7 +123,7 @@ func TestPolicyEngineDifferential(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, chunk := range []int{0, 777} {
 				name := fmt.Sprintf("%s/workers=%d/chunk=%d", eng, workers, chunk)
-				got, err := RunTraceKinded(context.Background(), cfgs, trace, kinds,
+				got, err := Run(context.Background(), cfgs, NewKindedSliceSource(trace, kinds),
 					Options{Workers: workers, ChunkRefs: chunk, Engine: eng})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -203,7 +195,7 @@ func TestOptLowerBoundThroughSweep(t *testing.T) {
 // TestPartitionedOptSweep: OPT configurations are structurally
 // incompatible with partitioned decoding — OPT materializes the whole
 // trace, which defeats the partitioned streaming decode — so
-// RunPartitioned rejects them up front with simerr.ErrUnsupportedPlan
+// RunPartitionedHierarchies rejects them up front with simerr.ErrUnsupportedPlan
 // naming the offending configuration. The remaining (non-OPT)
 // configurations still sweep partitioned and match the serial oracle.
 func TestPartitionedOptSweep(t *testing.T) {
@@ -217,7 +209,7 @@ func TestPartitionedOptSweep(t *testing.T) {
 		lruCfgs = append(lruCfgs, g)
 	}
 
-	_, err := RunPartitioned(context.Background(), append(append([]cache.Config{}, optCfgs...), lruCfgs...), st,
+	_, err := runPartitioned(context.Background(), append(append([]cache.Config{}, optCfgs...), lruCfgs...), st,
 		Options{Workers: 2, Partitions: 4})
 	if !errors.Is(err, simerr.ErrUnsupportedPlan) {
 		t.Fatalf("partitioned OPT sweep: err = %v, want ErrUnsupportedPlan", err)
@@ -233,7 +225,7 @@ func TestPartitionedOptSweep(t *testing.T) {
 	// seekable trace still serves the remaining configurations.
 	want := directKindedOracle(t, lruCfgs, trace, nil)
 	for _, k := range []int{1, 4} {
-		got, err := RunPartitioned(context.Background(), lruCfgs, st,
+		got, err := runPartitioned(context.Background(), lruCfgs, st,
 			Options{Workers: 2, Partitions: k})
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +242,7 @@ func TestKindedPartitionedSweepRejected(t *testing.T) {
 	_, data := packFixed(t, 4096)
 	st := openSeekableBytes(t, data)
 	cfgs := []cache.Config{{SizeBytes: 4096, LineBytes: 16, Ways: 2, Write: cache.WriteBack}}
-	_, err := RunPartitioned(context.Background(), cfgs, st, Options{Workers: 1})
+	_, err := runPartitioned(context.Background(), cfgs, st, Options{Workers: 1})
 	if err == nil {
 		t.Fatal("kinded partitioned sweep accepted an address-only source")
 	}
@@ -370,7 +362,7 @@ func FuzzPolicyVsDirect(f *testing.F) {
 		want := directKindedOracle(t, cfgs, trace, oracleKinds)
 		workers := 1 + int(workersB)%4
 		for _, eng := range []Engine{EngineAuto, EngineDirect} {
-			got, err := RunTraceKinded(context.Background(), cfgs, trace, kinds,
+			got, err := Run(context.Background(), cfgs, NewKindedSliceSource(trace, kinds),
 				Options{Workers: workers, ChunkRefs: 64, Engine: eng})
 			if err != nil {
 				t.Fatal(err)

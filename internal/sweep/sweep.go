@@ -6,6 +6,11 @@
 // of workers, each worker drives its shard of units, and results are
 // collected in configuration order regardless of completion order.
 //
+// There is one sweep path. A single-level configuration is a one-level
+// cache.Hierarchy, so Run, RunTrace, Plan and Describe wrap their
+// configurations with cache.Single and go through the hierarchy planner
+// and run loop in hierarchy.go; only the result shape differs.
+//
 // Two engines provide the units. The direct engine simulates one
 // cache.Cache per configuration — 56 independent caches. The stack
 // engine (internal/cache/stack) exploits the LRU inclusion property to
@@ -14,20 +19,20 @@
 // serves FIFO and PLRU through single-pass per-line-size families, and
 // falls back to direct simulation only for Random (private PRNG state).
 // OPT (Belady) configurations are served by internal/cache/opt under
-// either engine: Run materializes the trace, computes the per-line-size
-// next-use annotation, and then streams the buffered trace through the
-// normal fan-out, so checkpointing, partitioning, and cancellation all
-// compose with OPT unchanged. Every unit still observes the full trace
-// in order, so both engines produce results bit-identical to the serial
-// cache.Sweep loop for any worker count — determinism is an invariant
-// here, not a best effort.
+// either engine: the run materializes the trace, computes the
+// per-line-size next-use annotation, and then streams the buffered trace
+// through the normal fan-out, so checkpointing, partitioning, and
+// cancellation all compose with OPT unchanged. Every unit still observes
+// the full trace in order, so both engines produce results bit-identical
+// to the serial cache.Sweep loop for any worker count — determinism is an
+// invariant here, not a best effort.
 //
 // Write-policy accounting needs to know which references are writes, so
 // when any configuration sets a write policy the sweep runs in kinded
-// mode: the source must implement KindedSource, chunks carry a parallel
-// kind byte per reference, and every unit consumes the kinded entry
-// point. Address-only sweeps are untouched — no kind buffers exist and
-// the hot paths are the same as before.
+// mode: the source must implement KindedSource and chunks carry a
+// parallel kind byte per reference. Every unit has the one entry point
+// AccessAllKinded, where nil kinds means an address-only chunk; the
+// single-level units then run their untouched address-only loops.
 package sweep
 
 import (
@@ -102,13 +107,10 @@ type KindedSliceSource struct {
 }
 
 // NewKindedSliceSource wraps an in-memory trace and its parallel kind
-// array; the streams are clamped to the shorter of the two.
+// array. NextChunk serves the whole trace whatever the kinds hold (nil
+// kinds suit an address-only sweep); NextChunkKinded fails with
+// simerr.ErrCorruptTrace once the kinds run out before the trace does.
 func NewKindedSliceSource(trace []uint32, kinds []uint8) *KindedSliceSource {
-	if len(kinds) < len(trace) {
-		trace = trace[:len(kinds)]
-	} else {
-		kinds = kinds[:len(trace)]
-	}
 	return &KindedSliceSource{trace: trace, kinds: kinds}
 }
 
@@ -125,9 +127,21 @@ func (s *KindedSliceSource) NextChunkKinded(refs []uint32, kinds []uint8) (int, 
 		refs = refs[:len(kinds)]
 	}
 	n := copy(refs, s.trace[s.pos:])
+	if err := s.checkKinds(s.pos + n); err != nil {
+		return 0, err
+	}
 	copy(kinds[:n], s.kinds[s.pos:s.pos+n])
 	s.pos += n
 	return n, nil
+}
+
+// checkKinds reports a kind array too short to cover references [0, end).
+func (s *KindedSliceSource) checkKinds(end int) error {
+	if end <= len(s.kinds) {
+		return nil
+	}
+	return simerr.CorruptTrace("sweep: kinded slice source", int64(len(s.kinds)),
+		fmt.Errorf("%d access kinds for a %d-reference trace", len(s.kinds), len(s.trace)))
 }
 
 // DefaultChunkRefs is the number of references per published chunk
@@ -184,8 +198,9 @@ type Options struct {
 	// (EngineAuto) selects the single-pass stack engine.
 	Engine Engine
 	// Partitions is the number of concurrent range decoders
-	// RunPartitioned opens over an indexed trace; zero or negative
-	// selects GOMAXPROCS. Ignored by Run, whose source is already built.
+	// RunPartitionedHierarchies opens over an indexed trace; zero or
+	// negative selects GOMAXPROCS. Ignored by Run and RunHierarchies,
+	// whose source is already built.
 	Partitions int
 	// Obs, when non-nil, receives sweep progress counters (chunks, refs,
 	// per-worker completions, queue depth) and post-run cache aggregates.
@@ -241,17 +256,12 @@ func (o Options) engine() Engine {
 }
 
 // unit is one independently advanceable simulation shard: a direct
-// cache.Cache, a stack-engine refinement or family, or an OPT family.
-// No unit is ever touched by two goroutines, and each observes the
-// complete trace in order.
+// cache.Cache, a stack-engine refinement or family, an OPT simulator or
+// family, a fused hierarchy, or a shared-L1 group. kinds is nil on
+// address-only sweeps and exactly parallel to refs on kinded ones. No
+// unit is ever touched by two goroutines, and each observes the complete
+// trace in order.
 type unit interface {
-	AccessAll(refs []uint32)
-}
-
-// kindedUnit is a unit that can consume (address, kind) chunks; every
-// engine unit implements it, which the kinded-mode check in Run
-// enforces once up front rather than per chunk.
-type kindedUnit interface {
 	AccessAllKinded(refs []uint32, kinds []uint8)
 }
 
@@ -263,7 +273,7 @@ type kindedUnit interface {
 type PlanInfo struct {
 	// Engine is the resolved engine (never EngineAuto).
 	Engine Engine
-	// Configs is the number of swept configurations.
+	// Configs is the number of swept configurations (or hierarchies).
 	Configs int
 	// Units is the number of independently advanceable shards.
 	Units int
@@ -281,12 +291,12 @@ type PlanInfo struct {
 	// NeedsKinds reports whether any configuration's write policy
 	// requires a kind-carrying source.
 	NeedsKinds bool
-	// BuffersTrace reports whether Run materializes the whole trace in
-	// memory first — required by OPT's backward next-use pass.
+	// BuffersTrace reports whether the run materializes the whole trace
+	// in memory first — required by OPT's backward next-use pass.
 	BuffersTrace bool
 
-	// Hierarchy-sweep structure (zero for single-level sweeps).
-	// SharedL1Groups counts groups of multi-level non-inclusive
+	// Multi-level structure. SharedL1Groups and FusedHierarchies are
+	// zero for single-level sweeps. SharedL1Groups counts groups of multi-level non-inclusive
 	// hierarchies whose identical first level is simulated once, its
 	// filtered miss stream fanned out to every candidate lower level.
 	SharedL1Groups int
@@ -300,49 +310,15 @@ type PlanInfo struct {
 	MaxLevels int
 }
 
-// enginePlan is an instantiated engine: its units, their kinded faces
-// (aligned with units; nil entries mean address-only), the
-// configuration-order result collector, and the structural summary.
-type enginePlan struct {
-	units   []unit
-	kinded  []kindedUnit
-	collect func() []cache.Result
-	info    PlanInfo
-}
-
-// needsKinds reports whether any configuration's write policy needs
-// per-reference access kinds.
-func needsKinds(cfgs []cache.Config) bool {
-	for _, cfg := range cfgs {
-		if cfg.Write != cache.WriteIgnore {
-			return true
-		}
-	}
-	return false
-}
-
-// optLineSizes returns the distinct line sizes of OPT configurations,
-// i.e. the annotations a run must compute.
-func optLineSizes(cfgs []cache.Config) []int {
-	seen := map[int]bool{}
-	var lines []int
-	for _, cfg := range cfgs {
-		if cfg.Policy == cache.OPT && !seen[cfg.LineBytes] {
-			seen[cfg.LineBytes] = true
-			lines = append(lines, cfg.LineBytes)
-		}
-	}
-	return lines
-}
-
-// build instantiates the selected engine's units and a collector that
-// assembles results in configuration order after the trace has drained.
-// OPT configurations are split out and served by internal/cache/opt
-// (per-config direct simulators under EngineDirect, per-line-size
-// families otherwise); anns may be nil for planning, in which case the
-// OPT units are constructed but must not be advanced.
-func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*enginePlan, error) {
-	p := &enginePlan{info: PlanInfo{Engine: eng, Configs: len(cfgs), NeedsKinds: needsKinds(cfgs)}}
+// buildLevel instantiates the units serving a pool of single-level
+// configurations and returns a collector that assembles their results in
+// cfgs order after the trace has drained. OPT configurations are split
+// out and served by internal/cache/opt (per-config direct simulators
+// under EngineDirect, per-line-size families otherwise); anns may be nil
+// for planning, in which case the OPT units are constructed but must not
+// be advanced. The pool's structure is added to info.
+func buildLevel(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation, info *PlanInfo) ([]unit, func() []cache.Result, error) {
+	var units []unit
 	var optIdx, restIdx []int
 	var optCfgs, restCfgs []cache.Config
 	for i, cfg := range cfgs {
@@ -354,8 +330,8 @@ func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*engi
 			restCfgs = append(restCfgs, cfg)
 		}
 	}
-	p.info.OptConfigs = len(optCfgs)
-	p.info.BuffersTrace = len(optCfgs) > 0
+	info.OptConfigs += len(optCfgs)
+	info.BuffersTrace = info.BuffersTrace || len(optCfgs) > 0
 
 	var collectRest, collectOpt func() []cache.Result
 	if eng == EngineDirect {
@@ -363,10 +339,10 @@ func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*engi
 		for i, cfg := range restCfgs {
 			c, err := cache.New(cfg)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			caches[i] = c
-			p.units = append(p.units, c)
+			units = append(units, c)
 		}
 		collectRest = func() []cache.Result {
 			out := make([]cache.Result, len(caches))
@@ -378,29 +354,25 @@ func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*engi
 	} else {
 		se, err := stack.New(restCfgs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, u := range se.Units() {
-			p.units = append(p.units, u)
+			units = append(units, u)
 		}
-		p.info.FallbackConfigs = se.FallbackConfigs()
-		p.info.FamilyConfigs = se.FamilyConfigs()
+		info.FallbackConfigs += se.FallbackConfigs()
+		info.FamilyConfigs += se.FamilyConfigs()
 		collectRest = se.Results
 	}
 	if len(optCfgs) > 0 {
 		if eng == EngineDirect {
 			directs := make([]*opt.DirectCache, len(optCfgs))
 			for i, cfg := range optCfgs {
-				var ann *opt.Annotation
-				if anns != nil {
-					ann = anns[cfg.LineBytes]
-				}
-				d, err := opt.NewDirect(cfg, ann)
+				d, err := opt.NewDirect(cfg, anns[cfg.LineBytes])
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				directs[i] = d
-				p.units = append(p.units, d)
+				units = append(units, d)
 			}
 			collectOpt = func() []cache.Result {
 				out := make([]cache.Result, len(directs))
@@ -412,22 +384,15 @@ func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*engi
 		} else {
 			oe, err := opt.NewEngine(optCfgs, anns)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			for _, f := range oe.Families() {
-				p.units = append(p.units, f)
+				units = append(units, f)
 			}
 			collectOpt = oe.Results
 		}
 	}
-	p.info.Units = len(p.units)
-	p.kinded = make([]kindedUnit, len(p.units))
-	for i, u := range p.units {
-		if ku, ok := u.(kindedUnit); ok {
-			p.kinded[i] = ku
-		}
-	}
-	p.collect = func() []cache.Result {
+	collect := func() []cache.Result {
 		out := make([]cache.Result, len(cfgs))
 		for j, r := range collectRest() {
 			out[restIdx[j]] = r
@@ -439,7 +404,19 @@ func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*engi
 		}
 		return out
 	}
-	return p, nil
+	return units, collect, nil
+}
+
+// singles wraps each configuration as a one-level hierarchy, as
+// cache.Single does, but cuts every level slice from one copy of cfgs so
+// a sweep pays one allocation for its levels, not one per configuration.
+func singles(cfgs []cache.Config) []cache.Hierarchy {
+	levels := append([]cache.Config(nil), cfgs...)
+	hs := make([]cache.Hierarchy, len(cfgs))
+	for i := range levels {
+		hs[i] = cache.Hierarchy{Levels: levels[i : i+1 : i+1]}
+	}
+	return hs
 }
 
 // Plan reports how a configuration set would be executed — engine,
@@ -448,11 +425,72 @@ func build(cfgs []cache.Config, eng Engine, anns map[int]*opt.Annotation) (*engi
 // without touching a trace. CLIs surface this so the stack engine's
 // per-config direct fallback is never a silent performance cliff.
 func Plan(opts Options, cfgs []cache.Config) (PlanInfo, error) {
-	p, err := build(cfgs, opts.engine(), nil)
+	return PlanHierarchies(opts, singles(cfgs))
+}
+
+// Run streams the trace from src through every configuration and returns
+// the results in configuration order. The context is polled at every
+// chunk boundary: cancelling it stops the sweep within one chunk, shuts
+// every worker down without leaking a goroutine, writes a final
+// checkpoint when checkpointing is enabled, and returns a
+// simerr.ErrCanceled error with the failing chunk attached. A nil ctx
+// never cancels. Run is RunHierarchies over one-level hierarchies.
+func Run(ctx context.Context, cfgs []cache.Config, src Source, opts Options) ([]cache.Result, error) {
+	hrs, err := RunHierarchies(ctx, singles(cfgs), src, opts)
 	if err != nil {
-		return PlanInfo{}, err
+		return nil, err
 	}
-	return p.info, nil
+	return l1Results(hrs), nil
+}
+
+// l1Results projects one-level hierarchy results onto their only level.
+func l1Results(hrs []cache.HierarchyResult) []cache.Result {
+	results := make([]cache.Result, len(hrs))
+	for i, hr := range hrs {
+		results[i] = hr.L1()
+	}
+	return results
+}
+
+// RunTrace is a convenience wrapper over an in-memory address-only
+// trace; sweep a kinded trace with Run over NewKindedSliceSource.
+func RunTrace(ctx context.Context, cfgs []cache.Config, trace []uint32, opts Options) ([]cache.Result, error) {
+	return Run(ctx, cfgs, NewSliceSource(trace), opts)
+}
+
+// Describe renders the engine configuration for logs and CLIs,
+// including any per-config direct fallbacks so they are never silent.
+func Describe(opts Options, cfgs []cache.Config) string {
+	info, err := Plan(opts, cfgs)
+	if err != nil {
+		return fmt.Sprintf("%s engine (invalid configuration: %v)", opts.engine(), err)
+	}
+	return describe(opts, info, fmt.Sprintf("%d configurations", info.Configs))
+}
+
+// describe renders a resolved plan; what names the swept set.
+func describe(opts Options, info PlanInfo, what string) string {
+	s := fmt.Sprintf("%s engine: %d workers over %d units (%s), %d refs/chunk",
+		info.Engine, opts.workers(info.Units), info.Units, what, opts.chunkRefs())
+	if info.SharedL1Groups > 0 {
+		s += fmt.Sprintf(", %d shared-L1 groups", info.SharedL1Groups)
+	}
+	if info.FusedHierarchies > 0 {
+		s += fmt.Sprintf(", %d fused hierarchies", info.FusedHierarchies)
+	}
+	if info.FamilyConfigs > 0 {
+		s += fmt.Sprintf(", %d family configs", info.FamilyConfigs)
+	}
+	if info.FallbackConfigs > 0 {
+		s += fmt.Sprintf(", %d direct-fallback configs", info.FallbackConfigs)
+	}
+	if info.OptConfigs > 0 {
+		s += fmt.Sprintf(", %d OPT configs (trace buffered for annotation)", info.OptConfigs)
+	}
+	if info.NeedsKinds {
+		s += ", kinded"
+	}
+	return s
 }
 
 // chunk is one block of references broadcast to every worker. kinds is
@@ -475,69 +513,23 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// Run streams the trace from src through every configuration and returns
-// the results in configuration order. The context is polled at every
-// chunk boundary: cancelling it stops the sweep within one chunk, shuts
-// every worker down without leaking a goroutine, writes a final
-// checkpoint when checkpointing is enabled, and returns a
-// simerr.ErrCanceled error with the failing chunk attached. A nil ctx
-// never cancels.
-func Run(ctx context.Context, cfgs []cache.Config, src Source, opts Options) ([]cache.Result, error) {
-	var ks KindedSource
-	if needsKinds(cfgs) {
-		var ok bool
-		if ks, ok = src.(KindedSource); !ok {
-			return nil, fmt.Errorf("sweep: configurations use write policies but source %T carries no access kinds", src)
-		}
+// nextChunk reads one chunk into buf — through the kinded face, filling
+// kbuf too, when ks is non-nil — and returns the filled prefixes. kinds
+// is nil on address-only reads.
+func nextChunk(src Source, ks KindedSource, buf []uint32, kbuf []uint8) (refs []uint32, kinds []uint8, err error) {
+	if ks == nil {
+		n, err := src.NextChunk(buf)
+		return buf[:n], nil, err
 	}
-	// OPT needs the whole trace up front: the backward next-use pass
-	// cannot stream. Materialize once, annotate per line size, and swap
-	// in a slice source so the rest of the machinery — checkpointing,
-	// resume's skipRefs, the worker fan-out — runs unchanged.
-	var anns map[int]*opt.Annotation
-	if lines := optLineSizes(cfgs); len(lines) > 0 {
-		trace, kinds, err := materialize(ctx, src, ks, opts.chunkRefs())
-		if err != nil {
-			return nil, err
-		}
-		anns, err = opt.AnnotateAll(trace, lines)
-		if err != nil {
-			return nil, err
-		}
-		if ks != nil {
-			kss := NewKindedSliceSource(trace, kinds)
-			src, ks = kss, kss
-		} else {
-			src = NewSliceSource(trace)
-		}
-	}
-	p, err := build(cfgs, opts.engine(), anns)
-	if err != nil {
-		return nil, err
-	}
-	if err := runEngine(ctx, p, src, ks, opts, configHash(cfgs, opts.engine())); err != nil {
-		return nil, err
-	}
-	results := p.collect()
-	registerResults(opts.Obs, results)
-	return results, nil
+	n, err := ks.NextChunkKinded(buf, kbuf)
+	return buf[:n], kbuf[:n], err
 }
 
-// runEngine drives an instantiated plan's units over the trace: the
-// kinded-capability check, checkpointer setup and resume skip, plan
-// observability, the serial or parallel fan-out, and sidecar removal on
-// success. It is shared by the configuration sweep (Run) and the
-// hierarchy sweep (RunHierarchies), which differ only in how units are
-// built and results collected; hash fingerprints whatever was built so
-// a sidecar never resumes a different sweep.
+// runEngine drives an instantiated plan's units over the trace:
+// checkpointer setup and resume skip, plan observability, the serial or
+// parallel fan-out, and sidecar removal on success. hash fingerprints
+// whatever was built so a sidecar never resumes a different sweep.
 func runEngine(ctx context.Context, p *enginePlan, src Source, ks KindedSource, opts Options, hash uint64) error {
-	if ks != nil {
-		for i, ku := range p.kinded {
-			if ku == nil {
-				return fmt.Errorf("sweep: unit %d (%T) cannot consume kinded chunks", i, p.units[i])
-			}
-		}
-	}
 	var ck *checkpointer
 	var err error
 	if opts.CheckpointPath != "" {
@@ -566,9 +558,9 @@ func runEngine(ctx context.Context, p *enginePlan, src Source, ks KindedSource, 
 	w := opts.workers(len(p.units))
 	m := newObsMetrics(opts.Obs, w, len(p.units))
 	if w == 1 {
-		err = runSerial(ctx, p, src, ks, opts.chunkRefs(), m, ck)
+		err = runSerial(ctx, p.units, src, ks, opts.chunkRefs(), m, ck)
 	} else {
-		err = runParallel(ctx, p, src, ks, w, opts.chunkRefs(), m, ck)
+		err = runParallel(ctx, p.units, src, ks, w, opts.chunkRefs(), m, ck)
 	}
 	if err != nil {
 		return err
@@ -589,7 +581,14 @@ func materialize(ctx context.Context, src Source, ks KindedSource, chunkRefs int
 		s.pos = len(s.trace)
 		return t, nil, nil
 	case *KindedSliceSource:
-		t, k := s.trace[s.pos:], s.kinds[s.pos:]
+		var k []uint8
+		if ks != nil {
+			if err := s.checkKinds(len(s.trace)); err != nil {
+				return nil, nil, err
+			}
+			k = s.kinds[s.pos:len(s.trace)]
+		}
+		t := s.trace[s.pos:]
 		s.pos = len(s.trace)
 		return t, k, nil
 	}
@@ -605,36 +604,17 @@ func materialize(ctx context.Context, src Source, ks KindedSource, chunkRefs int
 		if err := ctxErr(ctx); err != nil {
 			return nil, nil, simerr.CanceledChunk(ctx, "sweep: materialize", produced)
 		}
-		var n int
-		var err error
-		if ks != nil {
-			n, err = ks.NextChunkKinded(buf, kbuf)
-		} else {
-			n, err = src.NextChunk(buf)
-		}
+		refs, ckinds, err := nextChunk(src, ks, buf, kbuf)
 		if err != nil && err != io.EOF {
 			return nil, nil, err
 		}
-		trace = append(trace, buf[:n]...)
-		if ks != nil {
-			kinds = append(kinds, kbuf[:n]...)
-		}
+		trace = append(trace, refs...)
+		kinds = append(kinds, ckinds...)
 		produced++
-		if n == 0 || err == io.EOF {
+		if len(refs) == 0 || err == io.EOF {
 			return trace, kinds, nil
 		}
 	}
-}
-
-// RunTrace is a convenience wrapper over an in-memory trace.
-func RunTrace(ctx context.Context, cfgs []cache.Config, trace []uint32, opts Options) ([]cache.Result, error) {
-	return Run(ctx, cfgs, NewSliceSource(trace), opts)
-}
-
-// RunTraceKinded is a convenience wrapper over an in-memory trace with
-// per-reference access kinds.
-func RunTraceKinded(ctx context.Context, cfgs []cache.Config, trace []uint32, kinds []uint8, opts Options) ([]cache.Result, error) {
-	return Run(ctx, cfgs, NewKindedSliceSource(trace, kinds), opts)
 }
 
 // saveOnCancel writes a final checkpoint when a run stopped on
@@ -654,7 +634,7 @@ func saveOnCancel(ck *checkpointer, m *obsMetrics, runErr error) error {
 // runSerial is the workers=1 fallback: one goroutine, one chunk buffer,
 // the same chunked access pattern as the parallel path. A non-nil ks
 // selects kinded mode.
-func runSerial(ctx context.Context, p *enginePlan, src Source, ks KindedSource, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
+func runSerial(ctx context.Context, units []unit, src Source, ks KindedSource, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
 	buf := make([]uint32, chunkRefs)
 	var kbuf []uint8
 	if ks != nil {
@@ -669,30 +649,16 @@ func runSerial(ctx context.Context, p *enginePlan, src Source, ks KindedSource, 
 			}
 			return cerr
 		}
-		var n int
-		var err error
-		if ks != nil {
-			n, err = ks.NextChunkKinded(buf, kbuf)
-		} else {
-			n, err = src.NextChunk(buf)
-		}
+		refs, kinds, err := nextChunk(src, ks, buf, kbuf)
 		if err != nil && err != io.EOF {
 			return err
 		}
-		if n > 0 {
+		if n := len(refs); n > 0 {
 			m.produced(n)
-			refs := buf[:n]
-			if ks != nil {
-				kinds := kbuf[:n]
-				for _, u := range p.kinded {
-					u.AccessAllKinded(refs, kinds)
-				}
-			} else {
-				for _, u := range p.units {
-					u.AccessAll(refs)
-				}
+			for _, u := range units {
+				u.AccessAllKinded(refs, kinds)
 			}
-			m.workerDone(0, len(p.units))
+			m.workerDone(0, len(units))
 			m.retired()
 			produced++
 			if ck != nil {
@@ -705,7 +671,7 @@ func runSerial(ctx context.Context, p *enginePlan, src Source, ks KindedSource, 
 				}
 			}
 		}
-		if n == 0 || err == io.EOF {
+		if len(refs) == 0 || err == io.EOF {
 			return nil
 		}
 	}
@@ -718,10 +684,16 @@ func runSerial(ctx context.Context, p *enginePlan, src Source, ks KindedSource, 
 // error) it stops producing, closes the queues, and waits for the
 // workers to drain what was already published — bounded by
 // workers·queueDepth chunks — so no goroutine or pooled buffer leaks.
-func runParallel(ctx context.Context, p *enginePlan, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
-	units := p.units
+func runParallel(ctx context.Context, units []unit, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
 	pool := sync.Pool{New: func() any { return make([]uint32, chunkRefs) }}
 	kpool := sync.Pool{New: func() any { return make([]uint8, chunkRefs) }}
+	// release returns a chunk's buffers to their pools.
+	release := func(refs []uint32, kinds []uint8) {
+		pool.Put(refs[:cap(refs)])
+		if kinds != nil {
+			kpool.Put(kinds[:cap(kinds)])
+		}
+	}
 	queues := make([]chan *chunk, workers)
 	for w := range queues {
 		queues[w] = make(chan *chunk, queueDepth)
@@ -732,32 +704,20 @@ func runParallel(ctx context.Context, p *enginePlan, src Source, ks KindedSource
 	// checkpoint must wait out to observe quiescent units.
 	var workerWG, inflight sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo := w * len(units) / workers
-		hi := (w + 1) * len(units) / workers
-		shard := units[lo:hi]
-		kshard := p.kinded[lo:hi]
+		shard := units[w*len(units)/workers : (w+1)*len(units)/workers]
 		q := queues[w]
 		wid := w
 		workerWG.Add(1)
 		go func() {
 			defer workerWG.Done()
-			for ck := range q {
-				if ck.kinds != nil {
-					for _, u := range kshard {
-						u.AccessAllKinded(ck.refs, ck.kinds)
-					}
-				} else {
-					for _, u := range shard {
-						u.AccessAll(ck.refs)
-					}
+			for c := range q {
+				for _, u := range shard {
+					u.AccessAllKinded(c.refs, c.kinds)
 				}
 				m.workerDone(wid, len(shard))
-				if atomic.AddInt32(&ck.pending, -1) == 0 {
+				if atomic.AddInt32(&c.pending, -1) == 0 {
 					m.retired()
-					pool.Put(ck.refs[:cap(ck.refs)])
-					if ck.kinds != nil {
-						kpool.Put(ck.kinds[:cap(ck.kinds)])
-					}
+					release(c.refs, c.kinds)
 					inflight.Done()
 				}
 			}
@@ -773,42 +733,27 @@ func runParallel(ctx context.Context, p *enginePlan, src Source, ks KindedSource
 		}
 		buf := pool.Get().([]uint32)[:chunkRefs]
 		var kbuf []uint8
-		var n int
-		var err error
 		if ks != nil {
 			kbuf = kpool.Get().([]uint8)[:chunkRefs]
-			n, err = ks.NextChunkKinded(buf, kbuf)
-		} else {
-			n, err = src.NextChunk(buf)
 		}
+		refs, kinds, err := nextChunk(src, ks, buf, kbuf)
 		eof := err == io.EOF
 		if err != nil && !eof {
 			runErr = err
-			pool.Put(buf)
-			if kbuf != nil {
-				kpool.Put(kbuf)
-			}
+		}
+		if runErr != nil || len(refs) == 0 {
+			release(buf, kbuf)
 			break
 		}
-		if n == 0 {
-			pool.Put(buf)
-			if kbuf != nil {
-				kpool.Put(kbuf)
-			}
-			break
-		}
-		c := &chunk{refs: buf[:n], pending: int32(workers)}
-		if kbuf != nil {
-			c.kinds = kbuf[:n]
-		}
-		m.produced(n)
+		c := &chunk{refs: refs, kinds: kinds, pending: int32(workers)}
+		m.produced(len(refs))
 		inflight.Add(1)
 		for _, q := range queues {
 			q <- c
 		}
 		produced++
 		if ck != nil {
-			ck.consumed(n)
+			ck.consumed(len(refs))
 			if ck.due() {
 				inflight.Wait() // quiesce: every published chunk retired
 				if err := ck.save(); err != nil {
@@ -849,28 +794,4 @@ func drain(ctx context.Context, src Source, chunkRefs int) error {
 		}
 		produced++
 	}
-}
-
-// Describe renders the engine configuration for logs and CLIs,
-// including any per-config direct fallbacks so they are never silent.
-func Describe(opts Options, cfgs []cache.Config) string {
-	info, err := Plan(opts, cfgs)
-	if err != nil {
-		return fmt.Sprintf("%s engine (invalid configuration: %v)", opts.engine(), err)
-	}
-	s := fmt.Sprintf("%s engine: %d workers over %d units (%d configurations), %d refs/chunk",
-		info.Engine, opts.workers(info.Units), info.Units, info.Configs, opts.chunkRefs())
-	if info.FamilyConfigs > 0 {
-		s += fmt.Sprintf(", %d family configs", info.FamilyConfigs)
-	}
-	if info.FallbackConfigs > 0 {
-		s += fmt.Sprintf(", %d direct-fallback configs", info.FallbackConfigs)
-	}
-	if info.OptConfigs > 0 {
-		s += fmt.Sprintf(", %d OPT configs (trace buffered for annotation)", info.OptConfigs)
-	}
-	if info.NeedsKinds {
-		s += ", kinded"
-	}
-	return s
 }

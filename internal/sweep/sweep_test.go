@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 
 	"palmsim/internal/cache"
 	"palmsim/internal/dtrace"
+	"palmsim/internal/simerr"
 )
 
 // fixedTrace is a deterministic mixed RAM/flash address trace.
@@ -265,6 +267,49 @@ func TestSliceSourceChunking(t *testing.T) {
 	for i := range trace {
 		if got[i] != trace[i] {
 			t.Fatalf("ref %d diverged", i)
+		}
+	}
+}
+
+// TestKindedSliceSourceCoverage pins how a kinded slice source treats its
+// kind array: an address-only sweep reads the whole trace whatever the
+// kinds hold (nil kinds once made such a sweep see zero references), and
+// a kinded sweep whose kinds run out before the trace fails with
+// ErrCorruptTrace instead of silently sweeping a prefix. Both the
+// streaming path and OPT's materializing path are covered.
+func TestKindedSliceSourceCoverage(t *testing.T) {
+	trace, kinds := kindedFixedTrace(10_000)
+	for _, tc := range []struct {
+		name    string
+		kinds   []uint8
+		write   cache.WritePolicy
+		wantErr bool
+	}{
+		{"nil kinds, address-only", nil, cache.WriteIgnore, false},
+		{"short kinds, address-only", kinds[:100], cache.WriteIgnore, false},
+		{"full kinds, write-back", kinds, cache.WriteBack, false},
+		{"nil kinds, write-back", nil, cache.WriteBack, true},
+		{"short kinds, write-back", kinds[:9_000], cache.WriteBack, true},
+	} {
+		for _, pol := range []cache.Policy{cache.LRU, cache.OPT} {
+			cfgs := []cache.Config{{SizeBytes: 4096, LineBytes: 16, Ways: 2, Policy: pol, Write: tc.write}}
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("%s/%v/workers=%d", tc.name, pol, workers)
+				res, err := Run(context.Background(), cfgs, NewKindedSliceSource(trace, tc.kinds),
+					Options{Workers: workers, ChunkRefs: 1024})
+				if tc.wantErr {
+					if !errors.Is(err, simerr.ErrCorruptTrace) {
+						t.Errorf("%s: err = %v, want ErrCorruptTrace", name, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res[0].Accesses != uint64(len(trace)) {
+					t.Errorf("%s: swept %d references, want %d", name, res[0].Accesses, len(trace))
+				}
+			}
 		}
 	}
 }

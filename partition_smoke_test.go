@@ -30,6 +30,10 @@ func TestPartitionedSweepMatchesSerialOnSessionTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := cache.PaperSweep()
+	hs := make([]cache.Hierarchy, len(cfgs))
+	for i, cfg := range cfgs {
+		hs[i] = cache.Single(cfg)
+	}
 
 	// Serial reference: the plain streaming decode of the same bytes.
 	serialSrc, err := dtrace.NewPackedSource(bytes.NewReader(packed))
@@ -48,7 +52,7 @@ func TestPartitionedSweepMatchesSerialOnSessionTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sweep.RunPartitioned(nil, cfgs, st,
+			got, err := sweep.RunPartitionedHierarchies(nil, hs, st,
 				sweep.Options{Workers: workers, Partitions: k})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -57,9 +61,9 @@ func TestPartitionedSweepMatchesSerialOnSessionTrace(t *testing.T) {
 				t.Fatalf("%s: %d results, want %d", name, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
+				if got[i].L1() != want[i] {
 					t.Errorf("%s: %v diverged:\n got %+v\nwant %+v",
-						name, cfgs[i], got[i], want[i])
+						name, cfgs[i], got[i].L1(), want[i])
 				}
 			}
 		}
