@@ -8,8 +8,7 @@
 //	BenchmarkDesktopSweep       Figure 7  — desktop-trace sweep
 //	BenchmarkProfilingDispatch  ablation: ROM TrapDispatcher vs native
 //	BenchmarkReplacementPolicy  ablation: LRU vs FIFO vs Random
-//	BenchmarkEmulatorMIPS       raw table-interpreter speed
-//	BenchmarkBlockMIPS          superblock threaded-code engine speed
+//	BenchmarkSpecMIPS           default CPU engine speed
 package palmsim_test
 
 import (
@@ -440,20 +439,12 @@ func BenchmarkReplacementPolicy(b *testing.B) {
 	}
 }
 
-// mipsReplay is the shared body of the engine-speed benchmarks: full
-// replays under one dispatch engine, reported as emulated instructions
-// per second of host time.
-func mipsReplay(b *testing.B, dispatch string) {
-	col, _ := benchSetup(b)
-	mipsReplayOpts(b, col, palmsim.ReplayOptions{Profiling: true, Dispatch: dispatch}, false)
-}
-
-// mipsReplayOpts is the fully-parameterized engine-speed loop. With
-// release set, each replay's machine image is returned to emu's pool, so
-// every iteration after the first builds its machine on a recycled image —
-// the warm path batch drivers run on. Without it every machine pays the
-// cold 20 MB allocation, keeping the series comparable with pre-pool
-// baselines.
+// mipsReplayOpts is the engine-speed loop: full replays reported as
+// emulated instructions per second of host time. With release set, each
+// replay's machine image is returned to emu's pool, so every iteration
+// after the first builds its machine on a recycled image — the warm path
+// batch drivers run on. Without it every machine pays the cold 20 MB
+// allocation, keeping the series comparable with pre-pool baselines.
 func mipsReplayOpts(b *testing.B, col *palmsim.Collection, opt palmsim.ReplayOptions, release bool) {
 	b.ResetTimer()
 	var emulated uint64
@@ -473,22 +464,13 @@ func mipsReplayOpts(b *testing.B, col *palmsim.Collection, opt palmsim.ReplayOpt
 	}
 }
 
-// BenchmarkEmulatorMIPS measures the raw table interpreter: emulated
-// instructions per second of host time across a full replay. Pinned to
-// the table engine so the series stays comparable with the pre-block
-// baselines; BenchmarkBlockMIPS is the superblock engine on the same
-// workload, and their ratio is the block speedup EXPERIMENTS.md records.
-func BenchmarkEmulatorMIPS(b *testing.B) { mipsReplay(b, "table") }
-
-// BenchmarkBlockMIPS measures the unspecialized superblock threaded-code
-// engine on the same replay workload as BenchmarkEmulatorMIPS.
-func BenchmarkBlockMIPS(b *testing.B) { mipsReplay(b, "block") }
-
 // BenchmarkSpecMIPS measures the specialized superblock engine with block
-// chaining — the default dispatch since PR 8 — on the same workload; its
-// ratio over BenchmarkBlockMIPS is the specialization speedup
-// EXPERIMENTS.md records.
-func BenchmarkSpecMIPS(b *testing.B) { mipsReplay(b, "spec") }
+// chaining — the default dispatch — as emulated instructions per second of
+// host time across a full replay.
+func BenchmarkSpecMIPS(b *testing.B) {
+	col, _ := benchSetup(b)
+	mipsReplayOpts(b, col, palmsim.ReplayOptions{Profiling: true, Dispatch: "spec"}, false)
+}
 
 // BenchmarkSpecMIPSWarm is BenchmarkSpecMIPS with every replay's machine
 // image recycled through emu's pool: iterations after the first build
@@ -521,49 +503,23 @@ func busySetup(tb testing.TB) *palmsim.Collection {
 	return busyCol
 }
 
-// BenchmarkBusyMIPS is the per-rung engine comparison on the busy session:
-// block is the PR 7 baseline, spec-nochain isolates per-block handler
-// specialization, spec adds successor chaining. All three run warm
-// (pooled images) so the rungs differ only in the engine knob under test.
+// BenchmarkBusyMIPS is BenchmarkSpecMIPSWarm on the busy session: the
+// replay spends its time executing code rather than doze-skipping, so the
+// engine's own speed dominates.
 func BenchmarkBusyMIPS(b *testing.B) {
 	col := busySetup(b)
-	engines := []struct {
-		name, dispatch string
-		nochain        bool
-	}{
-		{"block", "block", false},
-		{"spec-nochain", "spec", true},
-		{"spec", "spec", false},
-	}
-	for _, eng := range engines {
-		b.Run(eng.name, func(b *testing.B) {
-			mipsReplayOpts(b, col,
-				palmsim.ReplayOptions{Profiling: true, Dispatch: eng.dispatch, NoChain: eng.nochain}, true)
-		})
-	}
+	b.Run("spec", func(b *testing.B) {
+		mipsReplayOpts(b, col, palmsim.ReplayOptions{Profiling: true, Dispatch: "spec"}, true)
+	})
 }
 
-// BenchmarkEmulatorMIPSObserved is the same replay with a live metrics
-// registry bound (the -metrics path). Most obs values are polled func
-// metrics, so the delta against BenchmarkEmulatorMIPS is the whole
-// metrics-enabled overhead; EXPERIMENTS.md records the measured numbers.
-// The metrics-disabled overhead is guarded separately: BenchmarkEmulatorMIPS
-// itself is gated against the committed baseline by CI's bench-smoke job.
-func BenchmarkEmulatorMIPSObserved(b *testing.B) {
+// BenchmarkSpecMIPSObserved is BenchmarkSpecMIPS's replay on the default
+// engine with a live metrics registry bound (the -metrics path). Most obs
+// values are polled func metrics, so the delta against BenchmarkSpecMIPS is
+// the whole metrics-enabled overhead. The metrics-disabled overhead is
+// guarded separately: BenchmarkSpecMIPS itself is gated against the
+// committed baseline by CI's bench-smoke job.
+func BenchmarkSpecMIPSObserved(b *testing.B) {
 	col, _ := benchSetup(b)
-	reg := obs.NewRegistry()
-	b.ResetTimer()
-	var emulated uint64
-	for i := 0; i < b.N; i++ {
-		pb, err := palmsim.Replay(context.Background(), col.Initial, col.Log,
-			palmsim.ReplayOptions{Profiling: true, Dispatch: "table", Obs: reg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		emulated += pb.Stats.Machine.Instructions
-	}
-	b.StopTimer()
-	if sec := b.Elapsed().Seconds(); sec > 0 {
-		b.ReportMetric(float64(emulated)/sec/1e6, "emulated-MIPS")
-	}
+	mipsReplayOpts(b, col, palmsim.ReplayOptions{Profiling: true, Obs: obs.NewRegistry()}, false)
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'EmulatorMIPS|CacheSweep' -count 3 . > new.txt
+//	go test -run '^$' -bench 'SpecMIPS|CacheSweep' -count 3 . > new.txt
 //	benchdelta -baseline .github/bench-baseline.txt -current new.txt
 //
 // With -max-regress 0.5, an ns/op regression beyond +50% on any benchmark

@@ -9,8 +9,8 @@ import (
 const sample = `goos: linux
 goarch: amd64
 pkg: palmsim
-BenchmarkEmulatorMIPS 	      10	  20000000 ns/op	        20.00 emulated-MIPS
-BenchmarkEmulatorMIPS 	      10	  24000000 ns/op	        18.00 emulated-MIPS
+BenchmarkSpecMIPS 	      10	  20000000 ns/op	        20.00 emulated-MIPS
+BenchmarkSpecMIPS 	      10	  24000000 ns/op	        18.00 emulated-MIPS
 BenchmarkCacheSweep/serial-8         	       2	 300000000 ns/op	   9.00 MB/s
 PASS
 ok  	palmsim	5.0s
@@ -21,9 +21,9 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mips, ok := got["EmulatorMIPS"]
+	mips, ok := got["SpecMIPS"]
 	if !ok {
-		t.Fatalf("EmulatorMIPS missing from %v", got)
+		t.Fatalf("SpecMIPS missing from %v", got)
 	}
 	if v := mips["ns/op"]; math.Abs(v-22e6) > 1 {
 		t.Errorf("ns/op mean = %v, want 22e6", v)
@@ -97,20 +97,20 @@ BenchmarkStackSweep/serial-8   3   90000000 ns/op   30.00 MB/s   520000 B/op   1
 
 func TestDeriveMIPS(t *testing.T) {
 	base := map[string]metrics{
-		"BlockMIPS":  {"ns/op": 20e6, "emulated-MIPS": 40},
+		"SpecMIPS":   {"ns/op": 20e6, "emulated-MIPS": 40},
 		"CacheSweep": {"ns/op": 300e6, "MB/s": 9},
 	}
 	cur := map[string]metrics{
-		"BlockMIPS":  {"ns/op": 10e6, "emulated-MIPS": 78},
+		"SpecMIPS":   {"ns/op": 10e6, "emulated-MIPS": 78},
 		"CacheSweep": {"ns/op": 300e6, "MB/s": 9},
 	}
 	deriveMIPS(base, cur)
 	// Halving ns/op doubles the derived MIPS regardless of the reported
 	// whole-run average.
-	if v := cur["BlockMIPS"][derivedMIPSUnit]; math.Abs(v-80) > 1e-9 {
+	if v := cur["SpecMIPS"][derivedMIPSUnit]; math.Abs(v-80) > 1e-9 {
 		t.Errorf("derived current MIPS = %v, want 80", v)
 	}
-	if v := base["BlockMIPS"][derivedMIPSUnit]; math.Abs(v-40) > 1e-9 {
+	if v := base["SpecMIPS"][derivedMIPSUnit]; math.Abs(v-40) > 1e-9 {
 		t.Errorf("derived baseline MIPS = %v, want 40", v)
 	}
 	// Benchmarks without emulated-MIPS gain no synthetic metric.

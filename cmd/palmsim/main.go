@@ -28,6 +28,7 @@ import (
 	"palmsim"
 	"palmsim/internal/dtrace"
 	"palmsim/internal/exp"
+	"palmsim/internal/m68k"
 	"palmsim/internal/obs"
 	"palmsim/internal/prof"
 	"palmsim/internal/simerr"
@@ -66,7 +67,7 @@ func main() {
 	flag.BoolVar(&c.screenshot, "screenshot", false, "write the final display as a PGM image (with -out)")
 	flag.BoolVar(&c.dinero, "dinero", false, "also write the trace in Dinero din format (with -out)")
 	flag.StringVar(&c.dispatch, "dispatch", "auto",
-		"replay CPU engine: auto, legacy, table, block or spec (auto picks the fastest verified engine)")
+		"replay CPU engine: auto, spec or legacy (auto is spec, the fast path; legacy is the reference interpreter)")
 	c.profiler = prof.AddFlags()
 	c.obsFlags = obs.AddFlags()
 	flag.Parse()
@@ -139,10 +140,8 @@ func pipeline(ctx context.Context, c *config) error {
 		return usageError{fmt.Errorf("session %d out of range 1-%d", c.sessionNum, len(sessions))}
 	}
 	s := sessions[c.sessionNum-1]
-	switch c.dispatch {
-	case "auto", "legacy", "table", "block", "spec":
-	default:
-		return usageError{fmt.Errorf("unknown dispatch %q (want auto, legacy, table, block or spec)", c.dispatch)}
+	if _, err := m68k.ParseDispatch(c.dispatch); err != nil {
+		return usageError{err}
 	}
 
 	fmt.Printf("collecting %s on the instrumented device...\n", s.Name)

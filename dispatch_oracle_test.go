@@ -1,13 +1,12 @@
-// Cross-engine replay oracle: the same recorded session replayed under
-// every CPU dispatch engine — the legacy nested switch, the pre-decoded
-// table, the superblock cache and the specialized/chaining spec engine
-// (also what "auto" resolves to) — must produce byte-identical reference
-// streams, identical activity logs and identical run statistics. This is
-// the end-to-end form of internal/m68k's differential tests: it exercises
-// the engines through the full machine (tick sync, interrupts, hacks,
-// trap dispatch, doze skipping) on a real session trace, so any
-// accounting or ordering drift the unit streams miss shows up here as a
-// stream diff.
+// Cross-engine replay oracle: the same recorded session replayed under the
+// legacy nested switch (the executable specification) and under the
+// default engine (the specialized superblock engine with chaining) must
+// produce byte-identical reference streams, identical activity logs and
+// identical run statistics. This is the end-to-end form of internal/m68k's
+// differential tests: it exercises both engines through the full machine
+// (tick sync, interrupts, hacks, trap dispatch, doze skipping) on a real
+// session trace, so any accounting or ordering drift the unit streams miss
+// shows up here as a stream diff.
 package palmsim
 
 import (
@@ -41,7 +40,7 @@ func TestDispatchEnginesProduceIdenticalReplays(t *testing.T) {
 			Dispatch:     dispatch,
 		})
 		if err != nil {
-			t.Fatalf("replay (%s): %v", dispatch, err)
+			t.Fatalf("replay (dispatch %q): %v", dispatch, err)
 		}
 		return pb
 	}
@@ -50,39 +49,36 @@ func TestDispatchEnginesProduceIdenticalReplays(t *testing.T) {
 	if len(ref.Trace) == 0 {
 		t.Fatal("legacy replay recorded no references; vacuous oracle")
 	}
-	// "auto" resolves to the spec engine; keeping both in the list means
-	// the default path is oracle-checked even if the auto mapping changes.
-	for _, dispatch := range []string{"table", "block", "spec", "auto"} {
-		got := replay(dispatch)
-		if got.Stats.Machine.Instructions != ref.Stats.Machine.Instructions {
-			t.Errorf("%s: %d instructions, legacy %d",
-				dispatch, got.Stats.Machine.Instructions, ref.Stats.Machine.Instructions)
+	// The empty spelling is the default engine, the one every caller that
+	// leaves Dispatch unset runs.
+	got := replay("")
+	if got.Stats.Machine.Instructions != ref.Stats.Machine.Instructions {
+		t.Errorf("default: %d instructions, legacy %d",
+			got.Stats.Machine.Instructions, ref.Stats.Machine.Instructions)
+	}
+	if got.Stats.Bus != ref.Stats.Bus {
+		t.Errorf("bus stats diverged:\ndefault: %+v\nlegacy: %+v", got.Stats.Bus, ref.Stats.Bus)
+	}
+	if len(got.Trace) != len(ref.Trace) {
+		t.Fatalf("default: %d trace refs, legacy %d", len(got.Trace), len(ref.Trace))
+	}
+	for i := range ref.Trace {
+		if got.Trace[i] != ref.Trace[i] || got.TraceKinds[i] != ref.TraceKinds[i] {
+			t.Fatalf("default: ref %d = %#x kind %d, legacy %#x kind %d",
+				i, got.Trace[i], got.TraceKinds[i], ref.Trace[i], ref.TraceKinds[i])
 		}
-		if got.Stats.Bus != ref.Stats.Bus {
-			t.Errorf("%s: bus stats diverged:\n%s: %+v\nlegacy: %+v",
-				dispatch, dispatch, got.Stats.Bus, ref.Stats.Bus)
+	}
+	if got.Log.Len() != ref.Log.Len() {
+		t.Fatalf("default: %d log records, legacy %d", got.Log.Len(), ref.Log.Len())
+	}
+	for i := range ref.Log.Records {
+		if got.Log.Records[i] != ref.Log.Records[i] {
+			t.Fatalf("default: log record %d = %+v, legacy %+v",
+				i, got.Log.Records[i], ref.Log.Records[i])
 		}
-		if len(got.Trace) != len(ref.Trace) {
-			t.Fatalf("%s: %d trace refs, legacy %d", dispatch, len(got.Trace), len(ref.Trace))
-		}
-		for i := range ref.Trace {
-			if got.Trace[i] != ref.Trace[i] || got.TraceKinds[i] != ref.TraceKinds[i] {
-				t.Fatalf("%s: ref %d = %#x kind %d, legacy %#x kind %d",
-					dispatch, i, got.Trace[i], got.TraceKinds[i], ref.Trace[i], ref.TraceKinds[i])
-			}
-		}
-		if got.Log.Len() != ref.Log.Len() {
-			t.Fatalf("%s: %d log records, legacy %d", dispatch, got.Log.Len(), ref.Log.Len())
-		}
-		for i := range ref.Log.Records {
-			if got.Log.Records[i] != ref.Log.Records[i] {
-				t.Fatalf("%s: log record %d = %+v, legacy %+v",
-					dispatch, i, got.Log.Records[i], ref.Log.Records[i])
-			}
-		}
-		if !bytes.Equal(got.Final.Marshal(), ref.Final.Marshal()) {
-			t.Errorf("%s: final device state diverged from legacy", dispatch)
-		}
+	}
+	if !bytes.Equal(got.Final.Marshal(), ref.Final.Marshal()) {
+		t.Errorf("default: final device state diverged from legacy")
 	}
 }
 
@@ -92,8 +88,10 @@ func TestReplayRejectsUnknownDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
-	_, err = Replay(context.Background(), col.Initial, col.Log, ReplayOptions{Dispatch: "jit"})
-	if err == nil {
-		t.Fatal("Replay accepted dispatch \"jit\"")
+	// block and table are not replay engines; they must fail like any typo.
+	for _, dispatch := range []string{"jit", "block", "table"} {
+		if _, err := Replay(context.Background(), col.Initial, col.Log, ReplayOptions{Dispatch: dispatch}); err == nil {
+			t.Errorf("Replay accepted dispatch %q", dispatch)
+		}
 	}
 }

@@ -101,17 +101,11 @@ type Options struct {
 	// CountOpcodes allocates the 65536-entry opcode histogram.
 	CountOpcodes bool
 
-	// Dispatch selects the CPU execution engine. DispatchAuto (the zero
-	// value) resolves to the specialized block engine, the fastest verified
-	// one; the legacy switch, plain table interpreter and unspecialized
-	// block engine remain selectable for cross-checking (see cmd/palmsim
-	// -dispatch).
+	// Dispatch selects the CPU execution engine. DispatchSpec (the zero
+	// value) is the specialized superblock engine, the fast path;
+	// DispatchLegacy runs the reference switch for cross-checking (see
+	// cmd/palmsim -dispatch).
 	Dispatch m68k.DispatchKind
-
-	// NoChain disables successor-link following in the spec engine. It
-	// exists for per-rung performance attribution (EXPERIMENTS.md PR 8);
-	// correctness does not depend on it.
-	NoChain bool
 }
 
 // DefaultOptions returns the configuration used for paper experiments.
@@ -154,22 +148,14 @@ func New(opts Options) (*Machine, error) {
 		m.CPU.OpcodeCount = make([]uint64, 65536)
 	}
 
-	switch opts.Dispatch {
-	case m68k.DispatchLegacy:
+	if opts.Dispatch == m68k.DispatchLegacy {
 		m.CPU.SetLegacyDispatch(true)
-	case m68k.DispatchTable:
-		// plain table interpreter: nothing to wire
-	default: // DispatchAuto, DispatchBlock, DispatchSpec
+	} else {
 		m.engine = m68k.NewBlockEngine(m.CPU, m.Bus.BlockBinding(m.HW.WakeRef()))
 		m.Bus.Watch = m.engine
 		// No tracer yet (SetTracer re-decides), so the inline data path
 		// is safe to enable from the start.
 		m.engine.SetFastData(true)
-		if opts.Dispatch != m68k.DispatchBlock {
-			// Auto resolves to the specialized engine.
-			m.engine.SetSpecialize(true)
-			m.engine.SetChaining(!opts.NoChain)
-		}
 	}
 
 	if err := m.Bus.LoadROM(0, img.Data); err != nil {
@@ -272,15 +258,6 @@ func (m *Machine) SetTracer(t bus.Tracer) {
 			})
 		}
 	}
-}
-
-// BlockStats returns the block engine's counters, or nil when another
-// dispatch engine is active.
-func (m *Machine) BlockStats() *m68k.BlockStats {
-	if m.engine == nil {
-		return nil
-	}
-	return &m.engine.Stats
 }
 
 // PendingInputs reports how many scheduled inputs have not been delivered.

@@ -1,23 +1,25 @@
-// Superblock-caching execution engine. The pre-decoded table interpreter
-// (table.go) still pays per instruction for the Step preamble (halt/IRQ/
-// stop/trace tests), an indirect bus call per instruction-stream word and
-// the generic EA machinery's fetches. The block engine removes those costs
+// Superblock-caching execution engine, the CPU's fast path. The table
+// interpreter (table.go) pays per instruction for the Step preamble (halt/
+// IRQ/stop/trace tests), an indirect bus call per instruction-stream word
+// and the generic EA machinery's fetches. The engine removes those costs
 // for straight-line code: it discovers a run of "block-safe" instructions
-// ending at a control transfer, decodes it once into a pre-bound array of
-// (handler, opEntry, opcode, pc) tuples — threaded code — and replays it
-// from a cache keyed by (PC, memory generation).
+// ending at a control transfer, specializes each one once (spec.go) into a
+// step function with its operands pre-resolved, and replays the block from
+// a cache keyed by (PC, memory generation).
 //
-// Correctness strategy: the block engine does NOT reimplement any
-// instruction. It calls the exact same opEntry handlers the table
-// interpreter calls, in the same order, with the CPU in the same state the
-// interpreter would present (PC past the opcode word). Instruction-stream
-// fetches are served from a direct "code window" over the region's byte
-// slice, with cycle/stat/trace accounting replayed per reference at the
-// original program point (CPU.fetchRef), so the emitted bus-reference
-// stream — order, addresses, sizes, kinds, regions — is bit-identical to
-// the interpreter's by construction. Anything the whitelist cannot prove
+// Correctness strategy: every instruction either runs a specialized step
+// function held bit-identical to the table handler by the differential
+// oracle (diff_test.go), or — through the generic adapter — the exact same
+// opEntry handler the table interpreter calls, with the CPU in the same
+// state the interpreter would present (PC past the opcode word).
+// Instruction-stream fetches are served from a direct "code window" over
+// the region's byte slice, with cycle/stat/trace accounting replayed per
+// reference at the original program point (CPU.fetchRef), so the emitted
+// bus-reference stream — order, addresses, sizes, kinds, regions — is
+// bit-identical to the interpreter's. Anything the whitelist cannot prove
 // straight-line and exception-free (bflags == 0 in table.go) ends the
-// block and executes through CPU.Step against live memory.
+// block and executes through CPU.Step, the table interpreter, against live
+// memory.
 //
 // Invalidation: blocks over watched (RAM) regions register page marks; any
 // watched write overlapping a marked page sweeps overlapping blocks from
@@ -29,14 +31,11 @@
 // (LoadROM, debugger pokes) bump a generation counter that lazily
 // invalidates every cached block at lookup.
 //
-// The spec engine (SetSpecialize) layers two more optimizations on the
-// same cache. Per-block specialization (spec.go) compiles each block's
-// instructions into specialized step functions with operands pre-resolved
-// at translation time. Block chaining patches a direct successor pointer
-// into a block after its first fall-through, so hot loops run
-// block-to-block without the cache lookup; links are validated against a
-// chain epoch that every invalidation path bumps (see execSpec), so a
-// severed or stale link simply degrades to a lookup, never to stale code.
+// Block chaining patches a direct successor pointer into a block after its
+// first fall-through, so hot loops run block-to-block without the cache
+// lookup; links are validated against a chain epoch that every
+// invalidation path bumps (see execSpec), so a severed or stale link
+// simply degrades to a lookup, never to stale code.
 package m68k
 
 import "fmt"
@@ -46,8 +45,8 @@ const (
 	blockTableSize = 1 << blockTableBits
 
 	// maxBlockOps bounds translation effort and the tick-sync drift a
-	// single block can accumulate past the machine's cycle limit (the
-	// exec loop re-checks the limit after every instruction anyway; the
+	// single block can accumulate past the machine's cycle limit
+	// (execSpec re-checks the limit after every instruction anyway; the
 	// cap just keeps pathological straight-line runs from translating
 	// forever).
 	maxBlockOps = 48
@@ -62,45 +61,24 @@ const (
 // DispatchKind selects the execution engine.
 type DispatchKind uint8
 
-// Dispatch engines. Auto resolves to the fastest verified engine (spec).
+// Dispatch engines. The zero value is the specialized superblock engine,
+// the fast path; DispatchLegacy is the nested-switch reference dispatcher
+// (CPU.SetLegacyDispatch), the executable specification.
 const (
-	DispatchAuto DispatchKind = iota
+	DispatchSpec DispatchKind = iota
 	DispatchLegacy
-	DispatchTable
-	DispatchBlock
-	DispatchSpec
 )
 
-// ParseDispatch maps the CLI spelling to a DispatchKind.
+// ParseDispatch maps the CLI spelling to a DispatchKind: "", "auto" and
+// "spec" select the fast path, "legacy" the reference.
 func ParseDispatch(s string) (DispatchKind, error) {
 	switch s {
-	case "", "auto":
-		return DispatchAuto, nil
+	case "", "auto", "spec":
+		return DispatchSpec, nil
 	case "legacy":
 		return DispatchLegacy, nil
-	case "table":
-		return DispatchTable, nil
-	case "block":
-		return DispatchBlock, nil
-	case "spec":
-		return DispatchSpec, nil
 	}
-	return DispatchAuto, fmt.Errorf("m68k: unknown dispatch engine %q (want legacy, table, block or spec)", s)
-}
-
-func (k DispatchKind) String() string {
-	switch k {
-	case DispatchLegacy:
-		return "legacy"
-	case DispatchTable:
-		return "table"
-	case DispatchBlock:
-		return "block"
-	case DispatchSpec:
-		return "spec"
-	default:
-		return "auto"
-	}
+	return DispatchSpec, fmt.Errorf("m68k: unknown dispatch engine %q (want auto, spec or legacy)", s)
 }
 
 // BlockRegion describes one directly addressable memory region to the
@@ -159,29 +137,18 @@ type BlockBinding struct {
 	WakeAt *uint32
 }
 
-// blockOp is one pre-decoded instruction of a translated block.
-type blockOp struct {
-	fn func(c *CPU, op uint16, e *opEntry)
-	e  *opEntry
-	op uint16
-	pc uint32
-}
-
 // block is a translated superblock: the instructions at [pc, end) under
-// memory generation gen. A "negative" block (ops == nil) records that pc is
-// not translatable (odd, unmapped, or starting with a non-whitelisted
-// opcode) so repeated lookups fall back to Step without re-deciding.
+// memory generation gen, specialized into sops. A "negative" block
+// (sops == nil) records that pc is not translatable (odd, unmapped, or
+// starting with a non-whitelisted opcode) so repeated lookups fall back to
+// Step without re-deciding.
 type block struct {
 	pc      uint32
 	end     uint32
 	gen     uint64
 	region  int8
 	watched bool
-	ops     []blockOp
-
-	// sops is the specialized form of ops, built only when the engine runs
-	// with specialization on (same length, same order).
-	sops []specOp
+	sops    []specOp
 
 	// succ/succEp: chained successor, patched by execSpec after the first
 	// fall-through from this block. The link is trusted only while succEp
@@ -205,7 +172,7 @@ type BlockStats struct {
 	Invalidations uint64 // blocks dropped by watched writes
 	Fallbacks     uint64 // quanta executed via CPU.Step (untranslatable PC)
 
-	// Spec-engine activity (zero unless specialization is on).
+	// Specialization and chaining activity.
 	SpecOps      uint64 // specialized (non-adapter) ops across translated blocks
 	SpecExec     uint64 // specialized op executions
 	AdapterExec  uint64 // generic-adapter op executions
@@ -233,11 +200,9 @@ type BlockEngine struct {
 	gen   uint64
 	table []*block
 
-	// spec/chain: run blocks through specialized step functions (spec.go)
-	// and follow/patch direct successor links. chainEp is the chain epoch:
-	// bumping it (on any invalidation or generation bump) atomically
+	// chain: follow/patch direct successor links. chainEp is the chain
+	// epoch: bumping it (on any invalidation or generation bump) atomically
 	// distrusts every successor link ever patched, without walking blocks.
-	spec    bool
 	chain   bool
 	chainEp uint64
 
@@ -299,7 +264,7 @@ func NewBlockEngine(c *CPU, bind BlockBinding) *BlockEngine {
 		e.wake = &e.zeroWake
 	}
 	c.fetchKind = norm(bind.Fetches)
-	c.fetchRefs = &e.dummy // rebound per block in exec
+	c.fetchRefs = &e.dummy // rebound per block in execSpec
 
 	e.fm = fastMem{
 		eng:     e,
@@ -345,22 +310,10 @@ func (e *BlockEngine) SetFetchTrace(f func(addr uint32, size Size)) {
 	e.c.fTrace = f
 }
 
-// SetSpecialize switches the engine between plain threaded-code execution
-// (false, the PR 7 behaviour) and specialized execution with block
-// chaining (true). Flip it only between runs: already-cached blocks keep
-// whichever form they were translated with, so the engine bumps the
-// generation to force retranslation.
-func (e *BlockEngine) SetSpecialize(on bool) {
-	if e.spec != on {
-		e.spec = on
-		e.BumpGeneration()
-	}
-}
-
-// SetChaining enables or disables successor-link following in the spec
-// engine. On by default; the off position exists for A/B attribution
-// (EXPERIMENTS.md) and debugging.
-func (e *BlockEngine) SetChaining(on bool) { e.chain = on }
+// setChaining enables or disables successor-link following. On by
+// default; the no-chain tests turn it off to isolate the specialized
+// handlers from the chain transition.
+func (e *BlockEngine) setChaining(on bool) { e.chain = on }
 
 // BumpGeneration invalidates every cached block lazily: lookups compare
 // generations, so stale blocks simply miss and retranslate. Called after
@@ -458,8 +411,7 @@ func (e *BlockEngine) translate(pc uint32) *block {
 	r := &e.bind.Regions[ri]
 	mem := r.Mem
 	off := uint64(pc - r.Base)
-	var ops []blockOp
-	for len(ops) < maxBlockOps {
+	for len(b.sops) < maxBlockOps {
 		if off+2 > uint64(len(mem)) {
 			break
 		}
@@ -472,31 +424,25 @@ func (e *BlockEngine) translate(pc uint32) *block {
 		if off+ilen > uint64(len(mem)) {
 			break
 		}
-		ops = append(ops, blockOp{fn: ent.fn, e: ent, op: op, pc: r.Base + uint32(off)})
+		b.sops = append(b.sops, specOp{})
+		s := &b.sops[len(b.sops)-1]
+		specialize(s, ent, op, r.Base+uint32(off), mem, r.Base)
+		if s.gfn == nil {
+			e.Stats.SpecOps++
+		}
 		off += ilen
 		if ent.bflags&bEnd != 0 {
 			break
 		}
 	}
-	if len(ops) == 0 {
+	if b.sops == nil {
 		return b
 	}
-	b.ops = ops
 	b.end = r.Base + uint32(off)
 	b.region = int8(ri)
 	b.watched = r.Watched
 	e.Stats.Translated++
-	e.Stats.TranslatedOps += uint64(len(ops))
-	if e.spec {
-		b.sops = make([]specOp, len(ops))
-		for i := range ops {
-			o := &ops[i]
-			specialize(&b.sops[i], o.e, o.op, o.pc, mem, r.Base)
-			if b.sops[i].gfn == nil {
-				e.Stats.SpecOps++
-			}
-		}
-	}
+	e.Stats.TranslatedOps += uint64(len(b.sops))
 	if b.watched {
 		e.addWatch(b)
 	}
@@ -522,84 +468,34 @@ func (e *BlockEngine) lookup(pc uint32) *block {
 	return nb
 }
 
-// exec runs a translated block until it ends or a break condition fires:
-// the cycle limit is reached, a mid-block invalidation stops it, the wake
-// timer is armed, or an unmasked interrupt becomes pending. Each
-// instruction replays exactly what the interpreter would do: PC advanced
-// past the opcode word, the opcode fetch accounted at its program point,
-// then the table handler.
-func (e *BlockEngine) exec(b *block, limit uint64) {
-	c := e.c
-	r := &e.bind.Regions[b.region]
-	c.code = r.Mem
-	c.codeBase = r.Base
-	c.fetchCost = r.Cost
-	c.fetchRefs = e.refs[b.region]
-	e.cur = b
-	e.stop = false
-	// Loop invariants hoisted: the fetch accounting targets and hooks
-	// cannot change while a block runs (SetTracer and rebinding happen
-	// only between machine quanta).
-	cost, refs, kind := c.fetchCost, c.fetchRefs, c.fetchKind
-	fTrace, opCount, onExec, wake := c.fTrace, c.OpcodeCount, c.OnExec, e.wake
-	// Opcode-fetch counters batch in a local and flush after the loop: the
-	// final sums are exact (handlers' own extension-word fetches RMW the
-	// same counters directly and addition commutes); only a mid-quantum
-	// metrics poll could see the lag, and obs snapshots are documented as
-	// approximate while the machine runs. Cycles cannot batch — the limit
-	// check needs it exact per instruction.
-	var n uint64
-	for i := range b.ops {
-		op := &b.ops[i]
-		// Same order as execOne: the opcode fetch (and its accounting,
-		// fetchRef inlined by hand) precedes the observation hooks, which
-		// precede the handler.
-		c.PC = op.pc + 2
-		c.Cycles += cost
-		n++
-		if fTrace != nil {
-			fTrace(op.pc, Word)
-		}
-		if opCount != nil {
-			opCount[op.op]++
-		}
-		if onExec != nil {
-			onExec(op.pc, op.op)
-		}
-		op.fn(c, op.op, op.e)
-		c.Instructions++
-		if c.Cycles >= limit || e.stop || *wake != 0 {
-			break
-		}
-		// No pending-IRQ check here: deliverability cannot change inside a
-		// block. Hardware asserts interrupts only between machine quanta
-		// (Dragonball.Sync/PushEvent), the only IRQ-related register a
-		// handler can reach mid-block (RegIntAck) deasserts, and no
-		// whitelisted handler writes the SR interrupt mask. RunUntil
-		// re-checks before the next quantum.
-	}
-	*refs += n
-	*kind += n
-	e.cur = nil
-	c.code = nil
-}
-
-// execSpec is exec's specialized twin: it steps a block's specOp array and,
-// when the block runs to its natural end with cycles to spare, continues
+// execSpec runs a translated block until it ends or a break condition
+// fires: the cycle limit is reached, a mid-block invalidation stops it, or
+// the wake timer is armed. Each instruction replays exactly what the
+// interpreter would do: the opcode fetch accounted at its program point,
+// then the specialized step function (or, through the generic adapter,
+// the table handler) with PC set past the opcode word. When the block
+// runs to its natural end with cycles to spare, execution continues
 // directly into the successor block instead of returning to RunUntil.
+//
+// No pending-IRQ check runs inside a block: deliverability cannot change
+// there. Hardware asserts interrupts only between machine quanta
+// (Dragonball.Sync/PushEvent), the only IRQ-related register a handler can
+// reach mid-block (RegIntAck) deasserts, and no whitelisted handler writes
+// the SR interrupt mask, halts or stops. RunUntil re-checks before the
+// next quantum.
 //
 // The chain transition is safe under exactly the conditions the outer loop
 // would re-establish anyway: the successor link is only followed when the
 // chain epoch is current (no invalidation or eviction of any watched block
 // since patching), the successor's pc equals the live PC, and its
-// generation is current. The per-instruction IRQ argument from exec holds
-// across the seam too — hardware asserts interrupts only between machine
-// quanta, and no whitelisted op changes the SR mask, halts or stops — so
-// nothing the interpreter would observe between two blocks is skipped.
-// Links are never patched toward a negative (untranslatable) block: the
-// loop breaks to RunUntil, which falls back to Step.
+// generation is current. The IRQ argument above holds across the seam
+// too, so nothing the interpreter would observe between two blocks is
+// skipped. Links are never patched toward a negative (untranslatable)
+// block: the loop breaks to RunUntil, which falls back to Step.
 func (e *BlockEngine) execSpec(b *block, limit uint64) {
 	c := e.c
+	// Loop invariants hoisted: the hooks cannot change while blocks run
+	// (SetTracer and rebinding happen only between machine quanta).
 	fTrace, opCount, onExec, wake := c.fTrace, c.OpcodeCount, c.OnExec, e.wake
 	for {
 		r := &e.bind.Regions[b.region]
@@ -611,8 +507,13 @@ func (e *BlockEngine) execSpec(b *block, limit uint64) {
 		e.stop = false
 		cost, refs, kind := c.fetchCost, c.fetchRefs, c.fetchKind
 		// n/gn batch the opcode-fetch counters, the retired-instruction
-		// count and the spec/adapter split, flushed after the loop (same
-		// exactness argument as exec: nothing inside a block reads them).
+		// count and the spec/adapter split, flushed after the loop. The
+		// final sums are exact: handlers' own extension-word fetches RMW the
+		// same counters directly and addition commutes, and nothing inside a
+		// block reads them; only a mid-quantum metrics poll could see the
+		// lag, and obs snapshots are documented as approximate while the
+		// machine runs. Cycles cannot batch — the limit check needs them
+		// exact per instruction.
 		var n, gn uint64
 		broke := false
 		if fTrace == nil && opCount == nil && onExec == nil {
@@ -637,6 +538,9 @@ func (e *BlockEngine) execSpec(b *block, limit uint64) {
 				n = uint64(len(b.sops))
 			}
 		} else {
+			// Same order as execOne: the opcode fetch (and its accounting,
+			// fetchRef inlined by hand) precedes the observation hooks,
+			// which precede the handler.
 			for i := range b.sops {
 				s := &b.sops[i]
 				c.PC = s.npc
@@ -714,12 +618,8 @@ func (e *BlockEngine) RunUntil(limit uint64) {
 		}
 		if c.sr&FlagT != 0 {
 			c.Step()
-		} else if b := e.lookup(c.PC); b.ops != nil {
-			if e.spec {
-				e.execSpec(b, limit)
-			} else {
-				e.exec(b, limit)
-			}
+		} else if b := e.lookup(c.PC); b.sops != nil {
+			e.execSpec(b, limit)
 		} else {
 			e.Stats.Fallbacks++
 			c.Step()

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// Block-engine unit tests: cache mechanics (translation, lookup, watch
-// marks), invalidation by self-modifying code, boundary-straddling writes,
-// generation bumps, and the exec-loop break conditions. The differential
+// Block-engine unit tests: cache mechanics (translation into specialized
+// ops, lookup, watch marks), invalidation by self-modifying code,
+// boundary-straddling writes, generation bumps, and the exec-loop break
+// conditions. The differential
 // tests (diff_test.go) prove bit-identity; these pin down the engine's
 // internal behavior so a regression fails with a named cause instead of a
 // stream divergence.
@@ -30,11 +31,11 @@ func TestBlockTranslateStraightLine(t *testing.T) {
 	)
 	eng := newTestEngine(c, b)
 	blk := eng.lookup(testCodeBase)
-	if blk.ops == nil {
+	if blk.sops == nil {
 		t.Fatalf("straight-line run did not translate")
 	}
-	if len(blk.ops) != 4 {
-		t.Fatalf("block has %d ops, want 4 (ends at RTS)", len(blk.ops))
+	if len(blk.sops) != 4 {
+		t.Fatalf("block has %d ops, want 4 (ends at RTS)", len(blk.sops))
 	}
 	if blk.end != testCodeBase+8 {
 		t.Fatalf("block end = %#x, want %#x", blk.end, testCodeBase+8)
@@ -54,7 +55,7 @@ func TestBlockTranslateNegative(t *testing.T) {
 	c, b := newTestCPU(0x4E4F) // TRAP #15: excluded from blocks
 	eng := newTestEngine(c, b)
 	blk := eng.lookup(testCodeBase)
-	if blk.ops != nil {
+	if blk.sops != nil {
 		t.Fatalf("TRAP head translated into a block")
 	}
 	if eng.lookup(testCodeBase) != blk {
@@ -64,10 +65,10 @@ func TestBlockTranslateNegative(t *testing.T) {
 		t.Fatalf("negative translation counted as Translated")
 	}
 	// Odd and out-of-region PCs are negative too.
-	if eng.lookup(testCodeBase+1).ops != nil {
+	if eng.lookup(testCodeBase+1).sops != nil {
 		t.Fatalf("odd PC translated")
 	}
-	if eng.lookup(0xF0000000).ops != nil {
+	if eng.lookup(0xF0000000).sops != nil {
 		t.Fatalf("out-of-region PC translated")
 	}
 }
@@ -87,25 +88,23 @@ func TestBlockSMCInvalidation(t *testing.T) {
 		0x4E75, // RTS
 	}
 
-	// One-shot quantum: the whole block runs in a single exec call, so the
-	// store must trip the mid-block stop and force retranslation of the
-	// tail — the interpreters see the new opcode because they fetch live.
-	cpus, buses, engs := diffQuad(words, 7)
-	milestoneCompare(t, cpus, buses, engs, 2, 10000)
-	if engs[0].Stats.Invalidations == 0 {
+	// One-shot quantum: the whole block runs in a single execSpec call, so
+	// the store must trip the mid-block stop and force retranslation of
+	// the tail — the interpreters see the new opcode because they fetch
+	// live.
+	cpus, buses, eng := diffTriple(words, 7)
+	milestoneCompare(t, cpus, buses, eng, 2, 10000)
+	if eng.Stats.Invalidations == 0 {
 		t.Fatalf("self-modifying store did not invalidate the block")
 	}
 	if got := cpus[2].D[1]; got != 0x42 {
-		t.Fatalf("block engine executed stale code: D1 = %#x, want 0x42", got)
-	}
-	if got := cpus[3].D[1]; got != 0x42 {
 		t.Fatalf("spec engine executed stale code: D1 = %#x, want 0x42", got)
 	}
 
-	// And per-instruction lockstep over a fresh quad for good measure.
-	cpus, buses, engs = diffQuad(words, 7)
-	lockstepCompare(t, cpus, buses, engs, 6)
-	if engs[0].Stats.Invalidations == 0 {
+	// And per-instruction lockstep over a fresh triple for good measure.
+	cpus, buses, eng = diffTriple(words, 7)
+	lockstepCompare(t, cpus, buses, eng, 6)
+	if eng.Stats.Invalidations == 0 {
 		t.Fatalf("lockstep run did not invalidate the block")
 	}
 }
@@ -122,7 +121,7 @@ func TestBlockStraddlingWriteInvalidation(t *testing.T) {
 	eng := newTestEngine(c, b)
 	b1 := eng.lookup(testCodeBase)
 	b2 := eng.lookup(testCodeBase + 4)
-	if b1.ops == nil || b2.ops == nil {
+	if b1.sops == nil || b2.sops == nil {
 		t.Fatalf("setup blocks did not translate")
 	}
 	// A long write covering [0x1002, 0x1006) touches the tail of block 1
@@ -159,7 +158,7 @@ func TestBlockGenerationBump(t *testing.T) {
 	c, b := newTestCPU(0x7001, 0x4E75) // MOVEQ #1,D0; RTS
 	eng := newTestEngine(c, b)
 	blk := eng.lookup(testCodeBase)
-	if blk.ops == nil {
+	if blk.sops == nil {
 		t.Fatalf("block did not translate")
 	}
 	// Rewrite the code underneath the cache the way a ROM reload would —
@@ -176,16 +175,24 @@ func TestBlockGenerationBump(t *testing.T) {
 	}
 }
 
-// TestBlockQuantumInvariance runs the same block-dense program under many
-// different cycle quanta and checks the final state and access stream are
-// independent of where the limits slice the blocks.
+// TestBlockQuantumInvariance checks that, with chaining off, the final
+// state and access stream are independent of where the cycle limits slice
+// the blocks. TestSpecQuantumInvariance runs the same program with chains.
 func TestBlockQuantumInvariance(t *testing.T) {
+	checkQuantumInvariance(t, false)
+}
+
+// checkQuantumInvariance runs the same block-dense program under many
+// different cycle quanta and compares every run with the quantum-1 run.
+func checkQuantumInvariance(t *testing.T, chaining bool) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	words := blockSafeStream(rng, 64)
 
 	run := func(quantum uint64) (*CPU, *testBus) {
 		c, b := newTestCPU(words...)
 		eng := newTestEngine(c, b)
+		eng.setChaining(chaining)
 		b.record = true
 		// Cap each limit at the shared horizon so every run, whatever its
 		// quantum, stops at the first instruction crossing 21000 cycles.
@@ -265,29 +272,26 @@ func TestBlockStatsAvgLen(t *testing.T) {
 	}
 }
 
-// TestParseDispatch covers the CLI mapping.
+// TestParseDispatch covers the CLI mapping: the fast-path spellings, the
+// reference, and names that are not replay engines (the table interpreter
+// is only the fast path's fallback), which must be rejected.
 func TestParseDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want DispatchKind
 		err  bool
 	}{
-		{"", DispatchAuto, false},
-		{"auto", DispatchAuto, false},
-		{"legacy", DispatchLegacy, false},
-		{"table", DispatchTable, false},
-		{"block", DispatchBlock, false},
+		{"", DispatchSpec, false},
+		{"auto", DispatchSpec, false},
 		{"spec", DispatchSpec, false},
-		{"jit", DispatchAuto, true},
+		{"legacy", DispatchLegacy, false},
+		{"table", DispatchSpec, true},
+		{"block", DispatchSpec, true},
+		{"jit", DispatchSpec, true},
 	} {
 		got, err := ParseDispatch(tc.in)
 		if (err != nil) != tc.err || got != tc.want {
 			t.Errorf("ParseDispatch(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
 		}
-	}
-	if DispatchBlock.String() != "block" || DispatchAuto.String() != "auto" ||
-		DispatchLegacy.String() != "legacy" || DispatchTable.String() != "table" ||
-		DispatchSpec.String() != "spec" {
-		t.Errorf("DispatchKind.String mapping wrong")
 	}
 }

@@ -84,6 +84,18 @@ const (
 // a recognizable parking address so tests can run "to completion".
 func newTestCPU(words ...uint16) (*CPU, *testBus) {
 	b := &testBus{}
+	return newTestCPUOn(b, words...), b
+}
+
+// newTestCPUOn is newTestCPU on a caller-owned bus. It first clears the
+// memory and the access recording, turns recording off and detaches the
+// write hook, so a loop over many programs can recycle one bus instead of
+// allocating 1 MiB per program.
+func newTestCPUOn(b *testBus, words ...uint16) *CPU {
+	clear(b.mem[:])
+	b.accesses = b.accesses[:0]
+	b.record = false
+	b.onWrite = nil
 	b.put32(0, testStackTop) // reset SSP
 	b.put32(4, testCodeBase) // reset PC
 	// Point every other vector at a parking loop too, so unexpected
@@ -101,7 +113,7 @@ func newTestCPU(words ...uint16) (*CPU, *testBus) {
 	b.put16(addr, 0x4E4F)
 	c := New(b)
 	c.Reset()
-	return c, b
+	return c
 }
 
 // runSteps steps the CPU n times.

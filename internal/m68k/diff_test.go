@@ -5,28 +5,33 @@ import (
 	"testing"
 )
 
-// Differential tests: four execution engines over identical recording
-// buses — the legacy nested-switch dispatcher (decode.go), the pre-decoded
-// dispatch table (table.go), the superblock engine (block.go) and the
-// specialized superblock engine (spec.go, chaining on) — must be
-// externally indistinguishable: same registers, flags, cycle counts,
-// instruction counts, halt state and, access for access, the same bus
-// traffic.
+// Differential tests: three execution engines over identical recording
+// buses — the legacy nested-switch dispatcher (decode.go, the executable
+// specification), the pre-decoded dispatch table (table.go, which the spec
+// engine falls back to) and the specialized superblock engine (block.go +
+// spec.go, chaining on) — must be externally indistinguishable: same
+// registers, flags, cycle counts, instruction counts, halt state and,
+// access for access, the same bus traffic.
 
-// diffQuad builds four CPUs on identical recording buses executing the
-// same code: [0] legacy switch, [1] table, [2] block engine, [3] spec
-// engine (both engines returned so tests can drive and inspect them).
-func diffQuad(words []uint16, seed int64) ([4]*CPU, [4]*testBus, [2]*BlockEngine) {
-	var cpus [4]*CPU
-	var buses [4]*testBus
-	for i := range cpus {
-		cpus[i], buses[i] = newTestCPU(words...)
+// diffTriple builds three CPUs on fresh recording buses executing the same
+// code: [0] legacy switch, [1] table, [2] spec engine (the engine is
+// returned so tests can drive and inspect it).
+func diffTriple(words []uint16, seed int64) ([3]*CPU, [3]*testBus, *BlockEngine) {
+	buses := [3]*testBus{{}, {}, {}}
+	cpus, eng := diffTripleOn(buses, words, seed)
+	return cpus, buses, eng
+}
+
+// diffTripleOn is diffTriple on caller-owned buses, which it resets first
+// (newTestCPUOn), so a loop over many programs can recycle three buses
+// instead of allocating 3 MiB per program.
+func diffTripleOn(buses [3]*testBus, words []uint16, seed int64) ([3]*CPU, *BlockEngine) {
+	var cpus [3]*CPU
+	for i, b := range buses {
+		cpus[i] = newTestCPUOn(b, words...)
 	}
 	cpus[0].SetLegacyDispatch(true)
-	var engs [2]*BlockEngine
-	engs[0] = newTestEngine(cpus[2], buses[2])
-	engs[1] = newTestEngine(cpus[3], buses[3])
-	engs[1].SetSpecialize(true)
+	eng := newTestEngine(cpus[2], buses[2])
 	rng := rand.New(rand.NewSource(seed))
 	for i := range cpus[0].D {
 		v := rng.Uint32()
@@ -45,7 +50,7 @@ func diffQuad(words []uint16, seed int64) ([4]*CPU, [4]*testBus, [2]*BlockEngine
 	for _, b := range buses {
 		b.record = true
 	}
-	return cpus, buses, engs
+	return cpus, eng
 }
 
 // newTestEngine binds a block engine to a testBus CPU: the whole test RAM
@@ -91,35 +96,32 @@ func compareEngines(t *testing.T, step int, name string, ref, got *CPU, rb, gb *
 	}
 }
 
-// lockstepCompare advances all four engines one instruction at a time and
-// fails on the first divergence. RunUntil with a limit already reached
+// lockstepCompare advances all three engines one instruction at a time
+// and fails on the first divergence. RunUntil with a limit already reached
 // executes exactly one Step-equivalent quantum, which is what makes
-// per-instruction lockstep possible against a block engine.
-func lockstepCompare(t *testing.T, cpus [4]*CPU, buses [4]*testBus, engs [2]*BlockEngine, steps int) {
+// per-instruction lockstep possible against the block engine.
+func lockstepCompare(t *testing.T, cpus [3]*CPU, buses [3]*testBus, eng *BlockEngine, steps int) {
 	t.Helper()
-	legacy, table, blk, spc := cpus[0], cpus[1], cpus[2], cpus[3]
+	legacy, table, spc := cpus[0], cpus[1], cpus[2]
 	for step := 0; step < steps; step++ {
 		legacy.Step()
 		table.Step()
-		engs[0].RunUntil(blk.Cycles + 1)
-		engs[1].RunUntil(spc.Cycles + 1)
+		eng.RunUntil(spc.Cycles + 1)
 		compareEngines(t, step, "table", legacy, table, buses[0], buses[1])
-		compareEngines(t, step, "block", legacy, blk, buses[0], buses[2])
-		compareEngines(t, step, "spec", legacy, spc, buses[0], buses[3])
+		compareEngines(t, step, "spec", legacy, spc, buses[0], buses[2])
 		if legacy.halted {
 			return
 		}
 	}
 }
 
-// milestoneCompare drives all four engines to shared cycle milestones —
-// the way emu.Machine drives the engines to tick boundaries — so whole
-// multi-instruction blocks (and, for the spec engine, whole chained block
-// sequences) execute between comparisons, including blocks cut short
-// mid-run by the cycle limit.
-func milestoneCompare(t *testing.T, cpus [4]*CPU, buses [4]*testBus, engs [2]*BlockEngine, rounds int, quantum uint64) {
+// milestoneCompare drives all three engines to shared cycle milestones —
+// the way emu.Machine drives the engine to tick boundaries — so whole
+// multi-instruction blocks and chained block sequences execute between
+// comparisons, including blocks cut short mid-run by the cycle limit.
+func milestoneCompare(t *testing.T, cpus [3]*CPU, buses [3]*testBus, eng *BlockEngine, rounds int, quantum uint64) {
 	t.Helper()
-	legacy, table, blk, spc := cpus[0], cpus[1], cpus[2], cpus[3]
+	legacy, table, spc := cpus[0], cpus[1], cpus[2]
 	for round := 0; round < rounds; round++ {
 		limit := legacy.Cycles + quantum
 		for legacy.Cycles < limit && !legacy.halted {
@@ -128,15 +130,11 @@ func milestoneCompare(t *testing.T, cpus [4]*CPU, buses [4]*testBus, engs [2]*Bl
 		for table.Cycles < limit && !table.halted {
 			table.Step()
 		}
-		for blk.Cycles < limit && !blk.halted {
-			engs[0].RunUntil(limit)
-		}
 		for spc.Cycles < limit && !spc.halted {
-			engs[1].RunUntil(limit)
+			eng.RunUntil(limit)
 		}
 		compareEngines(t, round, "table", legacy, table, buses[0], buses[1])
-		compareEngines(t, round, "block", legacy, blk, buses[0], buses[2])
-		compareEngines(t, round, "spec", legacy, spc, buses[0], buses[3])
+		compareEngines(t, round, "spec", legacy, spc, buses[0], buses[2])
 		if legacy.halted {
 			return
 		}
@@ -144,17 +142,20 @@ func milestoneCompare(t *testing.T, cpus [4]*CPU, buses [4]*testBus, engs [2]*Bl
 }
 
 // TestDifferentialOpcodeSweep runs every single opcode, with fixed
-// extension words, through all four engines in lockstep.
+// extension words, through all three engines in lockstep. The three buses
+// are recycled across opcodes: allocating 3 MiB per opcode dominated the
+// package's test time.
 func TestDifferentialOpcodeSweep(t *testing.T) {
+	buses := [3]*testBus{{}, {}, {}}
 	for op := 0; op < 0x10000; op++ {
 		words := []uint16{uint16(op), 0x0004, 0x0010, 0x0002}
-		cpus, buses, engs := diffQuad(words, int64(op))
-		lockstepCompare(t, cpus, buses, engs, 3)
+		cpus, eng := diffTripleOn(buses, words, int64(op))
+		lockstepCompare(t, cpus, buses, eng, 3)
 	}
 }
 
 // TestDifferentialRandomStreams runs seeded random instruction streams
-// through all four engines for many steps, letting exceptions, stack
+// through all three engines for many steps, letting exceptions, stack
 // traffic and EA side effects accumulate.
 func TestDifferentialRandomStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050405))
@@ -163,8 +164,8 @@ func TestDifferentialRandomStreams(t *testing.T) {
 		for i := range words {
 			words[i] = uint16(rng.Intn(0x10000))
 		}
-		cpus, buses, engs := diffQuad(words, int64(trial))
-		lockstepCompare(t, cpus, buses, engs, 400)
+		cpus, buses, eng := diffTriple(words, int64(trial))
+		lockstepCompare(t, cpus, buses, eng, 400)
 	}
 }
 
@@ -213,18 +214,18 @@ func blockSafeStream(rng *rand.Rand, n int) []uint16 {
 }
 
 // TestDifferentialBlockStreams runs block-dense instruction streams through
-// all four engines, comparing at coarse cycle milestones so real
+// all three engines, comparing at coarse cycle milestones so real
 // multi-instruction blocks (and mid-block cycle-limit breaks) execute
-// between checks, then re-runs a fresh quad in per-instruction lockstep.
+// between checks, then re-runs a fresh triple in per-instruction lockstep.
 func TestDifferentialBlockStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050406))
 	for trial := 0; trial < 100; trial++ {
 		words := blockSafeStream(rng, 80)
 		quantum := uint64(1 + rng.Intn(300))
-		cpus, buses, engs := diffQuad(words, int64(trial))
-		milestoneCompare(t, cpus, buses, engs, 50, quantum)
-		cpus, buses, engs = diffQuad(words, int64(trial))
-		lockstepCompare(t, cpus, buses, engs, 600)
+		cpus, buses, eng := diffTriple(words, int64(trial))
+		milestoneCompare(t, cpus, buses, eng, 50, quantum)
+		cpus, buses, eng = diffTriple(words, int64(trial))
+		lockstepCompare(t, cpus, buses, eng, 600)
 	}
 }
 
@@ -237,9 +238,9 @@ func TestDifferentialSpecNoChain(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		words := blockSafeStream(rng, 80)
 		quantum := uint64(1 + rng.Intn(300))
-		cpus, buses, engs := diffQuad(words, int64(trial))
-		engs[1].SetChaining(false)
-		milestoneCompare(t, cpus, buses, engs, 50, quantum)
+		cpus, buses, eng := diffTriple(words, int64(trial))
+		eng.setChaining(false)
+		milestoneCompare(t, cpus, buses, eng, 50, quantum)
 	}
 }
 
@@ -262,7 +263,6 @@ func TestDifferentialSpecFastLoop(t *testing.T) {
 			Regions: []BlockRegion{{Base: 0, Mem: gb.mem[:], Watched: true}},
 		})
 		gb.onWrite = eng.NoteWrite
-		eng.SetSpecialize(true)
 		seed := rand.New(rand.NewSource(int64(trial)))
 		for i := range ref.D {
 			v := seed.Uint32()
@@ -299,7 +299,7 @@ func TestDifferentialSpecFastLoop(t *testing.T) {
 }
 
 // FuzzDifferentialDispatch is the go-fuzz form: arbitrary bytes as code,
-// all four engines in per-instruction lockstep. CI runs this for a 10 s
+// all three engines in per-instruction lockstep. CI runs this for a 10 s
 // smoke per PR.
 func FuzzDifferentialDispatch(f *testing.F) {
 	f.Add([]byte{0x70, 0x05})                         // MOVEQ #5,D0
@@ -313,15 +313,15 @@ func FuzzDifferentialDispatch(f *testing.F) {
 		for i := 0; i+1 < len(code) && len(words) < 64; i += 2 {
 			words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
 		}
-		cpus, buses, engs := diffQuad(words, int64(len(code)))
-		lockstepCompare(t, cpus, buses, engs, 300)
+		cpus, buses, eng := diffTriple(words, int64(len(code)))
+		lockstepCompare(t, cpus, buses, eng, 300)
 	})
 }
 
-// FuzzBlockDifferential stresses the block engines specifically: arbitrary
-// code runs to fuzzer-chosen cycle milestones (whole blocks between
-// comparisons, mid-block limit breaks, invalidation by self-modifying
-// stores) and must match the legacy and table engines exactly.
+// FuzzBlockDifferential is the fuzz form of TestDifferentialBlockStreams:
+// arbitrary bytes as code, all three engines driven to fuzzer-chosen cycle
+// milestones, so whole blocks (and blocks cut short by the limit) run
+// between comparisons.
 func FuzzBlockDifferential(f *testing.F) {
 	f.Add([]byte{0x70, 0x05, 0x4E, 0x71, 0x4E, 0x71}, uint8(40))  // MOVEQ; NOP; NOP
 	f.Add([]byte{0x31, 0xFC, 0x4E, 0x71, 0x10, 0x06}, uint8(10))  // MOVE.W #NOP,$1006 (SMC)
@@ -333,8 +333,8 @@ func FuzzBlockDifferential(f *testing.F) {
 			words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
 		}
 		quantum := uint64(q)%311 + 1
-		cpus, buses, engs := diffQuad(words, int64(len(code)))
-		milestoneCompare(t, cpus, buses, engs, 40, quantum)
+		cpus, buses, eng := diffTriple(words, int64(len(code)))
+		milestoneCompare(t, cpus, buses, eng, 40, quantum)
 	})
 }
 
@@ -349,23 +349,24 @@ func FuzzSpecDifferential(f *testing.F) {
 	f.Add([]byte{0x51, 0xC8, 0xFF, 0xFE}, uint8(90))              // DBF D0,*-0
 	f.Add([]byte{0x61, 0x02, 0x4E, 0x71, 0x4E, 0x75}, uint8(120)) // BSR.S; NOP; RTS
 	f.Add([]byte{0x41, 0xFA, 0x00, 0x04, 0x20, 0x50}, uint8(60))  // LEA d16(PC),A0; MOVEA.L (A0),A0
+	f.Add([]byte{0x60, 0x02, 0x4E, 0x71, 0x4E, 0x75}, uint8(200)) // BRA.S; NOP; RTS
 	f.Fuzz(func(t *testing.T, code []byte, q uint8) {
 		words := make([]uint16, 0, 64)
 		for i := 0; i+1 < len(code) && len(words) < 64; i += 2 {
 			words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
 		}
 		quantum := uint64(q)%311 + 1
-		cpus, buses, engs := diffQuad(words, int64(len(code)))
-		legacy, spc := cpus[0], cpus[3]
+		cpus, buses, eng := diffTriple(words, int64(len(code)))
+		legacy, spc := cpus[0], cpus[2]
 		for round := 0; round < 40; round++ {
 			limit := legacy.Cycles + quantum
 			for legacy.Cycles < limit && !legacy.halted {
 				legacy.Step()
 			}
 			for spc.Cycles < limit && !spc.halted {
-				engs[1].RunUntil(limit)
+				eng.RunUntil(limit)
 			}
-			compareEngines(t, round, "spec", legacy, spc, buses[0], buses[3])
+			compareEngines(t, round, "spec", legacy, spc, buses[0], buses[2])
 			if legacy.halted {
 				return
 			}

@@ -10,8 +10,9 @@ import (
 // execute or raise a 68000 exception — the interpreter must never panic
 // and never hand back a zero-length instruction.
 func TestEveryOpcodeEitherExecutesOrTraps(t *testing.T) {
+	b := &testBus{}
 	for op := 0; op < 0x10000; op++ {
-		c, _ := newTestCPU(uint16(op), 0x0000, 0x0000, 0x0000)
+		c := newTestCPUOn(b, uint16(op), 0x0000, 0x0000, 0x0000)
 		// Give the registers harmless values so EAs resolve into RAM.
 		for i := range c.D {
 			c.D[i] = uint32(0x2000 + i*16)

@@ -349,7 +349,7 @@ func (c *CPU) write(addr uint32, size Size, v uint32) {
 // cycles, the region and kind counters, and the tracer. Fetch addresses are
 // always even inside a block (translation refuses odd PCs and instruction
 // lengths are multiples of two), so no odd-access check is needed. The body
-// is replicated inline in fetch16/fetch32 and BlockEngine.exec — the three
+// is replicated inline in fetch16/fetch32 and BlockEngine.execSpec — the
 // per-instruction hot paths — where the call overhead is measurable; keep
 // all four sites in sync.
 func (c *CPU) fetchRef(addr uint32, size Size) {

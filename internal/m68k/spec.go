@@ -1,10 +1,10 @@
 // Per-block handler specialization for the superblock engine ("spec"
-// dispatch). The block engine (block.go) already removed the dispatch
-// costs; the CPU profile says the remaining time sits inside the shared
-// table handlers — generic EA resolution (resolveEA's mode switch and a
-// windowed fetch16 per extension word), the operand struct threaded
-// through resolveEA/loadOp/storeOp, per-op eaTiming lookups, and flag
-// helper calls. This file moves that work to translation time.
+// dispatch). The superblock cache (block.go) removes the dispatch costs;
+// the rest of the time the table handlers would spend sits in generic EA
+// resolution (resolveEA's mode switch and a windowed fetch16 per extension
+// word), the operand struct threaded through resolveEA/loadOp/storeOp,
+// per-op eaTiming lookups, and flag helper calls. This file moves that
+// work to translation time.
 //
 // The specializer decodes each whitelisted instruction's operands once —
 // extension words are read directly from the region bytes, which the
@@ -610,7 +610,7 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 	if s.fn == nil {
 		// No specialized form (sfNone or an index addressing mode): run the
 		// pre-bound table handler with PC past the opcode word, exactly as
-		// the block engine's exec loop would.
+		// the table interpreter would.
 		s.fn = sGeneric
 		s.gfn = ent.fn
 		s.e = ent

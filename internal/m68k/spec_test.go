@@ -1,9 +1,6 @@
 package m68k
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // Spec-engine unit tests: specialization coverage, chain patch/follow
 // mechanics, and — the subtlest new failure mode — every path that must
@@ -28,7 +25,6 @@ func specLoopProgram() []uint16 {
 func TestSpecChainPatchAndFollow(t *testing.T) {
 	c, b := newTestCPU(specLoopProgram()...)
 	eng := newTestEngine(c, b)
-	eng.SetSpecialize(true)
 	// The loop retires in exactly 148 cycles (MOVEQ 4, 10 NOPs, 9 taken +
 	// 1 expired DBF); cap just past it so execution stops at the RTS and
 	// never chains into the zeroed memory beyond the program (which would
@@ -69,7 +65,6 @@ func chainAB(t *testing.T) (*CPU, *testBus, *BlockEngine) {
 		0x4E75, // RTS
 	)
 	eng := newTestEngine(c, b)
-	eng.SetSpecialize(true)
 	// BRA taken is 10 cycles: block A ends under the limit, so execSpec
 	// chains into B and stops right after the MOVEQ trips it.
 	eng.RunUntil(c.Cycles + 11)
@@ -145,7 +140,7 @@ func TestSpecChainSeveredByEviction(t *testing.T) {
 	// table indexes by pc>>1 mod 8192, so +0x4000 collides.
 	collide := uint32(testCodeBase + 4 + blockTableSize<<1)
 	asm(b, collide, 0x4E71, 0x4E75) // NOP; RTS
-	if eng.lookup(collide).ops == nil {
+	if eng.lookup(collide).sops == nil {
 		t.Fatalf("colliding block did not translate")
 	}
 	// B is out of the cache now; this write invalidates nothing (B's page
@@ -161,13 +156,13 @@ func TestSpecChainSeveredByEviction(t *testing.T) {
 	}
 }
 
-// TestSpecChainingDisabled checks the A/B attribution knob: with chaining
-// off the engine must still execute correctly and never patch or follow.
+// TestSpecChainingDisabled checks the no-chain position the differential
+// tests use: with chaining off the engine must still execute correctly and
+// never patch or follow.
 func TestSpecChainingDisabled(t *testing.T) {
 	c, b := newTestCPU(specLoopProgram()...)
 	eng := newTestEngine(c, b)
-	eng.SetSpecialize(true)
-	eng.SetChaining(false)
+	eng.setChaining(false)
 	eng.RunUntil(c.Cycles + 400)
 	if uint16(c.D[0]) != 0xFFFF {
 		t.Fatalf("loop did not complete with chaining off: D0 = %#x", c.D[0])
@@ -178,46 +173,11 @@ func TestSpecChainingDisabled(t *testing.T) {
 	}
 }
 
-// TestSpecQuantumInvariance mirrors TestBlockQuantumInvariance for the
-// spec engine: final state and access stream must be independent of how
-// cycle limits slice blocks and chains.
+// TestSpecQuantumInvariance runs the same block-dense program under many
+// different cycle quanta with chaining on: final state and access stream
+// must be independent of how cycle limits slice blocks and chains.
 func TestSpecQuantumInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	words := blockSafeStream(rng, 64)
-
-	run := func(quantum uint64) (*CPU, *testBus) {
-		c, b := newTestCPU(words...)
-		eng := newTestEngine(c, b)
-		eng.SetSpecialize(true)
-		b.record = true
-		for c.Cycles < 21000 && !c.halted {
-			limit := c.Cycles + quantum
-			if limit > 21000 {
-				limit = 21000
-			}
-			eng.RunUntil(limit)
-		}
-		return c, b
-	}
-
-	refC, refB := run(1)
-	for _, q := range []uint64{3, 17, 64, 331, 5000} {
-		gotC, gotB := run(q)
-		if refC.String() != gotC.String() || refC.Cycles != gotC.Cycles ||
-			refC.Instructions != gotC.Instructions {
-			t.Fatalf("quantum %d diverged:\nq=1: %v cycles=%d\nq=%d: %v cycles=%d",
-				q, refC, refC.Cycles, q, gotC, gotC.Cycles)
-		}
-		if len(refB.accesses) != len(gotB.accesses) {
-			t.Fatalf("quantum %d: %d accesses, want %d", q, len(gotB.accesses), len(refB.accesses))
-		}
-		for i := range refB.accesses {
-			if refB.accesses[i] != gotB.accesses[i] {
-				t.Fatalf("quantum %d: access %d = %+v, want %+v",
-					q, i, gotB.accesses[i], refB.accesses[i])
-			}
-		}
-	}
+	checkQuantumInvariance(t, true)
 }
 
 // TestSpecChainTwoWayFork: a conditional terminator alternating between
@@ -234,7 +194,6 @@ func TestSpecChainTwoWayFork(t *testing.T) {
 		0x4E75, // RTS
 	)
 	eng := newTestEngine(c, b)
-	eng.SetSpecialize(true)
 	// TST (4) + BEQ (8 untaken / 10 taken) stays under 15, so the fork
 	// chains; the target's MOVEQ (4) then trips the limit before its RTS.
 	run := func(d0 uint32) uint32 {

@@ -210,15 +210,11 @@ type ReplayOptions struct {
 	// benchmark uses — keeps replay on the uninstrumented path.
 	Obs *obs.Registry
 
-	// Dispatch selects the CPU execution engine: "" or "auto" (the
-	// fastest verified engine, currently spec), "legacy", "table",
-	// "block" or "spec" — so any engine can be cross-checked in the
-	// field.
+	// Dispatch selects the CPU execution engine: "", "auto" or "spec"
+	// (the specialized superblock engine, the fast path) or "legacy" (the
+	// reference interpreter), so the fast path can be cross-checked in
+	// the field.
 	Dispatch string
-
-	// NoChain disables block chaining in the spec engine, for per-rung
-	// performance attribution (EXPERIMENTS.md PR 8).
-	NoChain bool
 }
 
 // DefaultReplayOptions returns the configuration the paper's case study
@@ -303,7 +299,7 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 	if err != nil {
 		return nil, err
 	}
-	m, err := emu.New(emu.Options{Profiling: opt.Profiling, TraceNative: true, CountOpcodes: opt.CountOpcodes, Dispatch: dispatch, NoChain: opt.NoChain})
+	m, err := emu.New(emu.Options{Profiling: opt.Profiling, TraceNative: true, CountOpcodes: opt.CountOpcodes, Dispatch: dispatch})
 	if err != nil {
 		return nil, err
 	}
