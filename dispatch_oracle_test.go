@@ -6,7 +6,10 @@
 // differential tests: it exercises both engines through the full machine
 // (tick sync, interrupts, hacks, trap dispatch, doze skipping) on a real
 // session trace, so any accounting or ordering drift the unit streams miss
-// shows up here as a stream diff.
+// shows up here as a stream diff. The default engine runs twice: traced,
+// and untraced, where its inline data path (fastMem) takes RAM and flash
+// data references off the bus, so that path is checked against the bus
+// rule too.
 package palmsim
 
 import (
@@ -30,55 +33,64 @@ func TestDispatchEnginesProduceIdenticalReplays(t *testing.T) {
 		t.Fatal("gremlin session produced an empty activity log")
 	}
 
-	replay := func(dispatch string) *Playback {
+	replay := func(dispatch string, traced bool) *Playback {
 		t.Helper()
 		pb, err := Replay(context.Background(), col.Initial, col.Log, ReplayOptions{
 			Profiling:    true,
 			WithHacks:    true,
-			CollectTrace: true,
-			CollectKinds: true,
+			CollectTrace: traced,
+			CollectKinds: traced,
 			Dispatch:     dispatch,
 		})
 		if err != nil {
-			t.Fatalf("replay (dispatch %q): %v", dispatch, err)
+			t.Fatalf("replay (dispatch %q, traced %v): %v", dispatch, traced, err)
 		}
 		return pb
 	}
 
-	ref := replay("legacy")
+	ref := replay("legacy", true)
 	if len(ref.Trace) == 0 {
 		t.Fatal("legacy replay recorded no references; vacuous oracle")
 	}
 	// The empty spelling is the default engine, the one every caller that
 	// leaves Dispatch unset runs.
-	got := replay("")
-	if got.Stats.Machine.Instructions != ref.Stats.Machine.Instructions {
-		t.Errorf("default: %d instructions, legacy %d",
-			got.Stats.Machine.Instructions, ref.Stats.Machine.Instructions)
-	}
-	if got.Stats.Bus != ref.Stats.Bus {
-		t.Errorf("bus stats diverged:\ndefault: %+v\nlegacy: %+v", got.Stats.Bus, ref.Stats.Bus)
-	}
-	if len(got.Trace) != len(ref.Trace) {
-		t.Fatalf("default: %d trace refs, legacy %d", len(got.Trace), len(ref.Trace))
-	}
-	for i := range ref.Trace {
-		if got.Trace[i] != ref.Trace[i] || got.TraceKinds[i] != ref.TraceKinds[i] {
-			t.Fatalf("default: ref %d = %#x kind %d, legacy %#x kind %d",
-				i, got.Trace[i], got.TraceKinds[i], ref.Trace[i], ref.TraceKinds[i])
+	for _, leg := range []struct {
+		name   string
+		traced bool
+	}{{"default", true}, {"default untraced", false}} {
+		got := replay("", leg.traced)
+		if got.Stats.Machine != ref.Stats.Machine {
+			t.Errorf("%s: machine stats %+v, legacy %+v", leg.name, got.Stats.Machine, ref.Stats.Machine)
 		}
-	}
-	if got.Log.Len() != ref.Log.Len() {
-		t.Fatalf("default: %d log records, legacy %d", got.Log.Len(), ref.Log.Len())
-	}
-	for i := range ref.Log.Records {
-		if got.Log.Records[i] != ref.Log.Records[i] {
-			t.Fatalf("default: log record %d = %+v, legacy %+v",
-				i, got.Log.Records[i], ref.Log.Records[i])
+		if got.Stats.Bus != ref.Stats.Bus {
+			t.Errorf("%s: bus stats diverged:\n%s: %+v\nlegacy: %+v", leg.name, leg.name, got.Stats.Bus, ref.Stats.Bus)
 		}
-	}
-	if !bytes.Equal(got.Final.Marshal(), ref.Final.Marshal()) {
-		t.Errorf("default: final device state diverged from legacy")
+		if got.Stats.ElapsedSeconds != ref.Stats.ElapsedSeconds {
+			t.Errorf("%s: %v s elapsed, legacy %v s", leg.name, got.Stats.ElapsedSeconds, ref.Stats.ElapsedSeconds)
+		}
+		if leg.traced {
+			if len(got.Trace) != len(ref.Trace) {
+				t.Fatalf("%s: %d trace refs, legacy %d", leg.name, len(got.Trace), len(ref.Trace))
+			}
+			for i := range ref.Trace {
+				if got.Trace[i] != ref.Trace[i] || got.TraceKinds[i] != ref.TraceKinds[i] {
+					t.Fatalf("%s: ref %d = %#x kind %d, legacy %#x kind %d",
+						leg.name, i, got.Trace[i], got.TraceKinds[i], ref.Trace[i], ref.TraceKinds[i])
+				}
+			}
+		}
+		if got.Log.Len() != ref.Log.Len() {
+			t.Fatalf("%s: %d log records, legacy %d", leg.name, got.Log.Len(), ref.Log.Len())
+		}
+		for i := range ref.Log.Records {
+			if got.Log.Records[i] != ref.Log.Records[i] {
+				t.Fatalf("%s: log record %d = %+v, legacy %+v",
+					leg.name, i, got.Log.Records[i], ref.Log.Records[i])
+			}
+		}
+		if !bytes.Equal(got.Final.Marshal(), ref.Final.Marshal()) {
+			t.Errorf("%s: final device state diverged from legacy", leg.name)
+		}
 	}
 }
 

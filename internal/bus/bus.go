@@ -12,8 +12,9 @@
 // counts drive Table 1 of the paper (REF_RAM, REF_flash, average effective
 // memory access cycles) and the optional Tracer receives the full stream
 // for the cache case study. The Dragonball requires one cycle for RAM
-// accesses and three for flash accesses, which the bus charges through the
-// WaitStates hook so the CPU's cycle counter reflects memory latency.
+// accesses and three for flash accesses, which the bus charges to the
+// cycle counter bound with BindCycles so the CPU's clock reflects memory
+// latency.
 package bus
 
 import (
@@ -147,10 +148,6 @@ type Bus struct {
 	// Stats counts references by region and kind.
 	Stats Stats
 
-	// ChargeCycles, when non-nil, is called with the wait-state cost of
-	// each access so the machine clock reflects memory latency.
-	ChargeCycles func(cycles uint64)
-
 	// TraceNative controls whether Peek/Poke-style native OS accesses to
 	// record data are fed to the tracer (see ReadTraced/WriteTraced).
 	TraceNative bool
@@ -165,6 +162,12 @@ type Bus struct {
 	// every write path records which pages Reclaim must zero.
 	ramDirty   []byte
 	flashDirty []byte
+
+	// cycles receives each access's wait states: the counter bound by
+	// BindCycles, or sink on an unbound bus, so the hot path needs no nil
+	// test.
+	cycles *uint64
+	sink   uint64
 }
 
 // New creates a bus over a fresh memory image.
@@ -177,14 +180,21 @@ func New(device Device) *Bus {
 // lifecycle: after the machine is done, img.Reclaim() restores the
 // all-zero state for the next user.
 func NewFromImage(device Device, img *Image) *Bus {
-	return &Bus{
+	b := &Bus{
 		RAM:        img.ram,
 		Flash:      img.flash,
 		device:     device,
 		ramDirty:   img.ramDirty,
 		flashDirty: img.flashDirty,
 	}
+	b.cycles = &b.sink
+	return b
 }
+
+// BindCycles makes every counted access charge its wait states to
+// *cycles, normally the CPU's cycle counter, so the machine clock
+// reflects memory latency. cycles must not be nil.
+func (b *Bus) BindCycles(cycles *uint64) { b.cycles = cycles }
 
 // LoadROM copies an assembled image into flash at the given offset.
 func (b *Bus) LoadROM(offset uint32, data []byte) error {
@@ -203,61 +213,13 @@ func (b *Bus) LoadROM(offset uint32, data []byte) error {
 	return nil
 }
 
-// Read implements m68k.Bus.
+// Read implements m68k.Bus. It is the one implementation of the
+// per-reference rule: count the access by kind and region, charge its wait
+// states, report it to the Tracer, then perform it — so a tracer sees the
+// clock and counters that include its reference, and sees every reference
+// before its effect (device reads included).
 func (b *Bus) Read(addr uint32, size m68k.Size, kind m68k.Access) uint32 {
-	region := Classify(addr)
-	b.account(addr, size, kind, region)
-	switch region {
-	case RegionRAM:
-		return readBE(b.RAM, addr, size)
-	case RegionFlash:
-		return readBE(b.Flash, addr-ROMBase, size)
-	case RegionIO:
-		if b.device != nil {
-			return b.device.ReadReg(addr-IOBase, size)
-		}
-		return 0
-	default:
-		// Open bus: mimic a floating data bus with all-ones, which is
-		// loud enough to notice in tests without halting the machine.
-		return size.Mask()
-	}
-}
-
-// Write implements m68k.Bus.
-func (b *Bus) Write(addr uint32, size m68k.Size, v uint32) {
-	region := Classify(addr)
-	b.account(addr, size, m68k.Write, region)
-	switch region {
-	case RegionRAM:
-		if b.Watch != nil {
-			b.Watch.NoteWrite(addr, size)
-		}
-		markDirty(b.ramDirty, addr, size)
-		writeBE(b.RAM, addr, size, v)
-	case RegionFlash:
-		b.Stats.FlashWrites++ // ROM: discard
-	case RegionIO:
-		if b.device != nil {
-			b.device.WriteReg(addr-IOBase, size, v)
-		}
-	}
-}
-
-func (b *Bus) account(addr uint32, size m68k.Size, kind m68k.Access, region Region) {
-	if size != m68k.Byte && addr&1 != 0 {
-		b.Stats.OddAccesses++
-	}
-	switch region {
-	case RegionRAM:
-		b.Stats.RAMRefs++
-	case RegionFlash:
-		b.Stats.FlashRefs++
-	case RegionIO:
-		b.Stats.IORefs++
-	default:
-		b.Stats.OpenRefs++
-	}
+	b.charge(addr, size)
 	switch kind {
 	case m68k.Fetch:
 		b.Stats.Fetches++
@@ -266,17 +228,74 @@ func (b *Bus) account(addr uint32, size m68k.Size, kind m68k.Access, region Regi
 	default:
 		b.Stats.Writes++
 	}
-	if b.ChargeCycles != nil {
-		switch region {
-		case RegionRAM:
-			b.ChargeCycles(RAMCycles)
-		case RegionFlash:
-			b.ChargeCycles(FlashCycles)
+	if b.Tracer != nil {
+		b.trace(addr, size, kind)
+	}
+	switch {
+	case addr < RAMSize:
+		return readBE(b.RAM, addr, size)
+	case addr-ROMBase < ROMSize:
+		return readBE(b.Flash, addr-ROMBase, size)
+	case addr >= IOBase:
+		if b.device != nil {
+			return b.device.ReadReg(addr-IOBase, size)
+		}
+		return 0
+	}
+	// Open bus: mimic a floating data bus with all-ones, which is loud
+	// enough to notice in tests without halting the machine.
+	return size.Mask()
+}
+
+// Write implements m68k.Bus, following the same rule as Read.
+func (b *Bus) Write(addr uint32, size m68k.Size, v uint32) {
+	b.charge(addr, size)
+	b.Stats.Writes++
+	if b.Tracer != nil {
+		b.trace(addr, size, m68k.Write)
+	}
+	switch {
+	case addr < RAMSize:
+		if b.Watch != nil {
+			b.Watch.NoteWrite(addr, size)
+		}
+		markDirty(b.ramDirty, addr, size)
+		writeBE(b.RAM, addr, size, v)
+	case addr-ROMBase < ROMSize:
+		b.Stats.FlashWrites++ // ROM: discard
+	case addr >= IOBase:
+		if b.device != nil {
+			b.device.WriteReg(addr-IOBase, size, v)
 		}
 	}
-	if b.Tracer != nil {
-		b.Tracer.Ref(Ref{Addr: addr, Size: size, Kind: kind, Region: region})
+}
+
+// charge counts one access's misalignment and region and charges its wait
+// states. The region tests are Classify's, written as unsigned-wrap window
+// checks so RAM, the common case, costs one compare.
+func (b *Bus) charge(addr uint32, size m68k.Size) {
+	st := &b.Stats
+	if size != m68k.Byte && addr&1 != 0 {
+		st.OddAccesses++
 	}
+	switch {
+	case addr < RAMSize:
+		st.RAMRefs++
+		*b.cycles += RAMCycles
+	case addr-ROMBase < ROMSize:
+		st.FlashRefs++
+		*b.cycles += FlashCycles
+	case addr >= IOBase:
+		st.IORefs++
+	default:
+		st.OpenRefs++
+	}
+}
+
+// trace reports one reference to the Tracer, out of line so the untraced
+// path pays only the nil test.
+func (b *Bus) trace(addr uint32, size m68k.Size, kind m68k.Access) {
+	b.Tracer.Ref(Ref{Addr: addr, Size: size, Kind: kind, Region: Classify(addr)})
 }
 
 // Peek reads memory without tracing, accounting or device side effects —

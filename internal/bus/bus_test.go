@@ -13,15 +13,18 @@ type fakeDevice struct {
 	lastWrite uint32
 	lastVal   uint32
 	readVal   uint32
+	ops       int // reads + writes
 }
 
 func (d *fakeDevice) ReadReg(off uint32, size m68k.Size) uint32 {
 	d.lastRead = off
+	d.ops++
 	return d.readVal
 }
 
 func (d *fakeDevice) WriteReg(off uint32, size m68k.Size, v uint32) {
 	d.lastWrite, d.lastVal = off, v
+	d.ops++
 }
 
 func TestClassify(t *testing.T) {
@@ -135,11 +138,16 @@ func TestChargeCycles(t *testing.T) {
 	b := New(nil)
 	b.LoadROM(0, []byte{0, 0})
 	var charged uint64
-	b.ChargeCycles = func(c uint64) { charged += c }
-	b.Read(0x100, m68k.Word, m68k.Read)   // RAM: 1
-	b.Read(ROMBase, m68k.Word, m68k.Read) // flash: 3
-	if charged != RAMCycles+FlashCycles {
-		t.Errorf("charged %d cycles, want %d", charged, RAMCycles+FlashCycles)
+	b.BindCycles(&charged)
+	b.Read(0x100, m68k.Word, m68k.Read)      // RAM: 1
+	b.Read(ROMBase, m68k.Word, m68k.Read)    // flash: 3
+	b.Write(ROMBase, m68k.Word, 0)           // discarded flash write: 3
+	b.Read(IOBase, m68k.Word, m68k.Read)     // I/O: free
+	b.Read(0x08000000, m68k.Byte, m68k.Read) // open bus: free
+	b.TraceNative = true
+	b.WriteTraced(0x200, m68k.Byte, 1) // native, counted: 1
+	if want := uint64(2*RAMCycles + 2*FlashCycles); charged != want {
+		t.Errorf("charged %d cycles, want %d", charged, want)
 	}
 }
 

@@ -10,9 +10,9 @@ import "palmsim/internal/m68k"
 // a session — so emu can recycle images through a pool instead of leaning
 // on the allocator.
 //
-// Every mutation path marks the maps: the generic Bus.Write, both CPU
-// ports, Poke/PokeBytes, LoadROM, and the block engine's inline fast path
-// (which receives the same slices via BlockBinding.Regions[].Dirty).
+// Every mutation path marks the maps: Bus.Write, Poke/PokeBytes, LoadROM,
+// and the block engine's inline fast path (which receives the same slices
+// via BlockBinding.Regions[].Dirty).
 type Image struct {
 	ram   []byte
 	flash []byte

@@ -14,13 +14,14 @@ func TestImageReclaimRestoresZeroState(t *testing.T) {
 	b := NewFromImage(nil, img)
 
 	var cycles uint64
-	fast := b.Port(&cycles)
+	b.BindCycles(&cycles)
 
-	b.Write(0x000010, m68k.Long, 0xDEADBEEF) // generic path
-	fast.Write(0x010010, m68k.Word, 0x1234)  // fastPort
+	b.Write(0x000010, m68k.Long, 0xDEADBEEF) // untraced
 	b.Tracer = nullTracer{}
-	b.Port(&cycles).Write(0x020010, m68k.Byte, 0x56) // tracedPort
+	b.Write(0x010010, m68k.Word, 0x1234) // traced
 	b.Tracer = nil
+	b.TraceNative = true
+	b.WriteTraced(0x020010, m68k.Byte, 0x56)                    // native, counted
 	b.Poke(0x030010, m68k.Long, 0xCAFEBABE)                     // Poke RAM
 	b.PokeBytes(0x040010, []byte{1, 2, 3})                      // PokeBytes
 	b.Poke(ROMBase+0x10010, m68k.Word, 0xBEEF)                  // Poke flash

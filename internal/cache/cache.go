@@ -391,64 +391,12 @@ func (c *Cache) Access(addr uint32) bool {
 }
 
 // AccessKind performs one reference carrying its access kind (KindFetch,
-// KindRead, or KindWrite). Replacement behaves exactly as Access — every
-// write policy is write-allocate — so the hit/miss counters are
-// independent of the trace kinds; only the Writes/Writebacks accounting
-// differs.
+// KindRead, or KindWrite) and reports whether it hit: AccessKindEv
+// without the event. Replacement behaves exactly as Access — every write
+// policy is write-allocate — so the hit/miss counters are independent of
+// the trace kinds; only the Writes/Writebacks accounting differs.
 func (c *Cache) AccessKind(addr uint32, kind uint8) bool {
-	write := kind == KindWrite
-	if write {
-		c.res.Writes++
-	}
-	isFlash := addr-bus.ROMBase < bus.ROMSize
-	c.res.Accesses++
-	if isFlash {
-		c.res.FlashRefs++
-	} else {
-		c.res.RAMRefs++
-	}
-
-	line := addr >> c.lineShift
-	si := int(line & c.setMask)
-	base := si * c.ways
-	key := line + 1
-
-	set := c.lines[base : base+c.ways]
-	for w := range set {
-		if set[w] == key {
-			switch c.cfg.Policy {
-			case LRU:
-				c.promote(base, w)
-			case PLRU:
-				c.plru[si] = PLRUTouch(c.plru[si], c.ways, w)
-			}
-			if write && c.dirty != nil {
-				c.dirty[base+w] = true
-			}
-			return true
-		}
-	}
-
-	c.res.Misses++
-	if isFlash {
-		c.res.FlashMisses++
-	} else {
-		c.res.RAMMisses++
-	}
-	victim := c.victim(base, si)
-	if c.dirty != nil {
-		if set[victim] != 0 && c.dirty[base+victim] {
-			c.res.Writebacks++
-		}
-		c.dirty[base+victim] = write
-	}
-	set[victim] = key
-	if c.cfg.Policy == PLRU {
-		c.plru[si] = PLRUTouch(c.plru[si], c.ways, victim)
-	} else {
-		c.promote(base, victim)
-	}
-	return false
+	return c.AccessKindEv(addr, kind).Hit
 }
 
 // AccessAllKinded performs each (reference, kind) pair in order — the

@@ -274,8 +274,8 @@ type AccessEvent struct {
 	EvictedDirty bool   // the displaced line was dirty (WriteBack only)
 }
 
-// AccessKindEv performs one reference exactly as AccessKind — every
-// counter advances identically — and additionally reports what
+// AccessKindEv is the kinded access step: it performs one reference,
+// advancing the counters AccessKind reports, and additionally reports what
 // happened, so a hierarchy can turn misses and dirty victims into the
 // next level's reference stream.
 func (c *Cache) AccessKindEv(addr uint32, kind uint8) AccessEvent {

@@ -129,11 +129,7 @@ func New(opts Options) (*Machine, error) {
 	m.CPU = m68k.New(m.Bus)
 	m.HW.CyclesFn = func() uint64 { return m.CPU.Cycles }
 	m.HW.RaiseIRQ = m.CPU.SetIRQ
-	// The generic bus path (native OS accesses via ReadTraced/WriteTraced)
-	// charges wait states through the closure; the CPU itself runs on the
-	// pre-split port, which increments the cycle counter directly.
-	m.Bus.ChargeCycles = func(c uint64) { m.CPU.Cycles += c }
-	m.CPU.SetBus(m.Bus.Port(&m.CPU.Cycles))
+	m.Bus.BindCycles(&m.CPU.Cycles)
 
 	m.Store = storage.NewManager(m.Bus)
 	m.Store.ChargeCycles = func(c uint64) { m.CPU.Cycles += c }
@@ -240,14 +236,12 @@ func (m *Machine) Schedule(tick uint32, ev hw.InputEvent) error {
 	return nil
 }
 
-// SetTracer attaches (or detaches, with nil) a reference tracer and
-// re-selects the CPU's bus port so the traced/untraced fast path matches.
-// With the block engine active it also re-decides the engine's fast paths:
-// tracing disables the inline data path (it emits no Ref events) and routes
+// SetTracer attaches (or detaches, with nil) a reference tracer. With the
+// block engine active it also re-decides the engine's fast paths: tracing
+// disables the inline data path (it emits no Ref events) and routes
 // code-window fetches to the tracer so the reference stream stays complete.
 func (m *Machine) SetTracer(t bus.Tracer) {
 	m.Bus.Tracer = t
-	m.CPU.SetBus(m.Bus.Port(&m.CPU.Cycles))
 	if m.engine != nil {
 		m.engine.SetFastData(t == nil)
 		if t == nil {

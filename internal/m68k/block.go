@@ -119,7 +119,7 @@ const DirtyPageShift = 16
 
 // BlockBinding wires a BlockEngine to a concrete memory system: the
 // translatable regions plus the bus-level counters the engine's fast paths
-// must keep coherent with the ordinary bus ports.
+// must keep coherent with the ordinary bus path.
 type BlockBinding struct {
 	Regions []BlockRegion
 
@@ -326,7 +326,7 @@ func (e *BlockEngine) BumpGeneration() {
 
 // NoteWrite records a data write to the watched region. Callers must
 // invoke it for every mutation of watched memory that bypasses the
-// engine's own fast path (bus ports, Poke). The page-mark test keeps the
+// engine's own fast path (bus writes, Poke). The page-mark test keeps the
 // common case — data writes nowhere near cached code — to a couple of
 // loads.
 func (e *BlockEngine) NoteWrite(addr uint32, size Size) {
@@ -630,12 +630,12 @@ func (e *BlockEngine) RunUntil(limit uint64) {
 	}
 }
 
-// fastRegion / fastMem implement the inline data path: Bus-port semantics
-// (see bus.fastPort) for directly addressable regions without the
-// interface call, used only while tracing is off. Accounting order and
-// edge cases mirror the port exactly: odd-access check, kind counter,
-// region counter + wait states, then the access effect; accesses crossing
-// the end of a region's array are discarded whole, exactly like the bus
+// fastRegion / fastMem implement the inline data path: the semantics of
+// bus.Bus.Read/Write for directly addressable regions without the
+// interface call, used only while tracing is off. Accounting and edge
+// cases mirror the bus exactly: the odd-access, kind and region counters
+// and the wait states, then the access effect; accesses crossing the end
+// of a region's array are discarded whole, exactly like the bus
 // readBE/writeBE clamp.
 type fastRegion struct {
 	base    uint32

@@ -216,11 +216,6 @@ func New(bus Bus) *CPU {
 // Bus returns the bus the CPU is connected to.
 func (c *CPU) Bus() Bus { return c.bus }
 
-// SetBus reconnects the CPU to a different bus implementation. The
-// emulator uses this to swap in the traced or untraced bus fast path when
-// trace collection is toggled after construction.
-func (c *CPU) SetBus(b Bus) { c.bus = b }
-
 // SetLegacyDispatch selects the reference nested-switch dispatcher (true)
 // or the pre-decoded table (false, the default). The two are semantically
 // identical; the switch exists so the differential tests can compare them.

@@ -336,7 +336,7 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 	if opt.CollectTrace || opt.CollectKinds || opt.CollectTicks {
 		sink = &traceSink{want: opt.CollectKinds, m: m, mark: opt.CollectTicks}
 		if opt.SeekTick == 0 {
-			m.SetTracer(sink) // re-selects the CPU's traced bus port
+			m.SetTracer(sink)
 		}
 	}
 	var end uint32
