@@ -21,8 +21,6 @@
 package hier
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
 
 	"palmsim/internal/cache"
@@ -213,48 +211,21 @@ func (s *Sim) Results() cache.HierarchyResult {
 	return r
 }
 
-// AppendState serializes the simulator's complete mutable state: the
-// hierarchy counters followed by each level's blob, length-prefixed so
-// the encoding is self-delimiting. The hierarchy definition itself is
-// not encoded; the sweep checkpointer guards it with a fingerprint.
-func (s *Sim) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint64(b, s.backInval)
-	b = binary.LittleEndian.AppendUint64(b, s.backInvalDirty)
+// fields lists the simulator's mutable state in blob order: the
+// hierarchy counters, then each level as a nested, length-prefixed
+// cache blob. The hierarchy definition itself is not encoded; the sweep
+// checkpointer guards it with a fingerprint.
+func (s *Sim) fields() []any {
+	fs := []any{&s.backInval, &s.backInvalDirty}
 	for _, c := range s.levels {
-		blob := c.AppendState(nil)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-		b = append(b, blob...)
+		fs = append(fs, c)
 	}
-	return b
+	return fs
 }
+
+// AppendState serializes the simulator's complete mutable state onto b.
+func (s *Sim) AppendState(b []byte) []byte { return cache.AppendFields(b, s.fields()...) }
 
 // RestoreState loads state previously produced by AppendState for the
 // same hierarchy.
-func (s *Sim) RestoreState(b []byte) error {
-	if len(b) < 16 {
-		return fmt.Errorf("hier: state blob is %d bytes, want at least 16", len(b))
-	}
-	backInval := binary.LittleEndian.Uint64(b)
-	backInvalDirty := binary.LittleEndian.Uint64(b[8:])
-	b = b[16:]
-	for i, c := range s.levels {
-		if len(b) < 4 {
-			return fmt.Errorf("hier: state blob truncated before level %d", i+1)
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < n {
-			return fmt.Errorf("hier: level %d blob is %d bytes, want %d", i+1, len(b), n)
-		}
-		if err := c.RestoreState(b[:n]); err != nil {
-			return fmt.Errorf("hier: level %d: %w", i+1, err)
-		}
-		b = b[n:]
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("hier: %d trailing bytes in state blob", len(b))
-	}
-	s.backInval = backInval
-	s.backInvalDirty = backInvalDirty
-	return nil
-}
+func (s *Sim) RestoreState(b []byte) error { return cache.RestoreFields(b, s.fields()...) }

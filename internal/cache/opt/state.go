@@ -8,148 +8,33 @@
 // policies).
 package opt
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "palmsim/internal/cache"
 
-func appendCounters(b []byte, res *[8]uint64) []byte {
-	for _, v := range res {
-		b = binary.LittleEndian.AppendUint64(b, v)
+// fields lists the family's mutable state in blob order: the trace
+// position and shared counters, then each variant's state.
+func (f *Family) fields() []any {
+	fs := []any{&f.pos, &f.totRAM, &f.totFlash, &f.totWrites}
+	for _, v := range f.variants {
+		fs = append(fs, &v.res, v.lines, v.nu, v.dirty)
 	}
-	return b
-}
-
-func (v *variant) stateLen() int {
-	return 8*8 + 4*len(v.lines) + 4*len(v.nu) + len(v.dirty)
-}
-
-func (v *variant) appendState(b []byte) []byte {
-	b = appendCounters(b, &[8]uint64{
-		v.res.Accesses, v.res.Misses, v.res.RAMRefs, v.res.FlashRefs,
-		v.res.RAMMisses, v.res.FlashMisses, v.res.Writes, v.res.Writebacks,
-	})
-	for _, x := range v.lines {
-		b = binary.LittleEndian.AppendUint32(b, x)
-	}
-	for _, x := range v.nu {
-		b = binary.LittleEndian.AppendUint32(b, x)
-	}
-	for _, d := range v.dirty {
-		if d {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-func (v *variant) restoreState(b []byte) []byte {
-	for _, p := range []*uint64{
-		&v.res.Accesses, &v.res.Misses, &v.res.RAMRefs, &v.res.FlashRefs,
-		&v.res.RAMMisses, &v.res.FlashMisses, &v.res.Writes, &v.res.Writebacks,
-	} {
-		*p = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	for i := range v.lines {
-		v.lines[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	for i := range v.nu {
-		v.nu[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	for i := range v.dirty {
-		v.dirty[i] = b[i] != 0
-	}
-	return b[len(v.dirty):]
+	return fs
 }
 
 // AppendState serializes the family's mutable state onto b.
-func (f *Family) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, f.pos)
-	for _, x := range []uint64{f.totRAM, f.totFlash, f.totWrites} {
-		b = binary.LittleEndian.AppendUint64(b, x)
-	}
-	for _, v := range f.variants {
-		b = v.appendState(b)
-	}
-	return b
-}
+func (f *Family) AppendState(b []byte) []byte { return cache.AppendFields(b, f.fields()...) }
 
 // RestoreState loads state previously produced by AppendState for the
 // same configuration group.
-func (f *Family) RestoreState(b []byte) error {
-	want := 4 + 3*8
-	for _, v := range f.variants {
-		want += v.stateLen()
-	}
-	if len(b) != want {
-		return fmt.Errorf("opt: family state blob is %d bytes, want %d", len(b), want)
-	}
-	f.pos = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	for _, p := range []*uint64{&f.totRAM, &f.totFlash, &f.totWrites} {
-		*p = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	for _, v := range f.variants {
-		b = v.restoreState(b)
-	}
-	return nil
+func (f *Family) RestoreState(b []byte) error { return cache.RestoreFields(b, f.fields()...) }
+
+// fields lists the reference simulator's mutable state in blob order.
+func (d *DirectCache) fields() []any {
+	return []any{&d.pos, &d.res, d.lines, d.nu, d.dirty}
 }
 
 // AppendState serializes the reference simulator's mutable state onto b.
-func (d *DirectCache) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, d.pos)
-	b = appendCounters(b, &[8]uint64{
-		d.res.Accesses, d.res.Misses, d.res.RAMRefs, d.res.FlashRefs,
-		d.res.RAMMisses, d.res.FlashMisses, d.res.Writes, d.res.Writebacks,
-	})
-	for _, x := range d.lines {
-		b = binary.LittleEndian.AppendUint32(b, x)
-	}
-	for _, x := range d.nu {
-		b = binary.LittleEndian.AppendUint32(b, x)
-	}
-	for _, dd := range d.dirty {
-		if dd {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
+func (d *DirectCache) AppendState(b []byte) []byte { return cache.AppendFields(b, d.fields()...) }
 
 // RestoreState loads state previously produced by AppendState for the
 // same configuration.
-func (d *DirectCache) RestoreState(b []byte) error {
-	want := 4 + 8*8 + 4*len(d.lines) + 4*len(d.nu) + len(d.dirty)
-	if len(b) != want {
-		return fmt.Errorf("opt: direct state blob is %d bytes, want %d for %v", len(b), want, d.cfg)
-	}
-	d.pos = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	for _, p := range []*uint64{
-		&d.res.Accesses, &d.res.Misses, &d.res.RAMRefs, &d.res.FlashRefs,
-		&d.res.RAMMisses, &d.res.FlashMisses, &d.res.Writes, &d.res.Writebacks,
-	} {
-		*p = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	for i := range d.lines {
-		d.lines[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	for i := range d.nu {
-		d.nu[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	for i := range d.dirty {
-		d.dirty[i] = b[i] != 0
-	}
-	return nil
-}
+func (d *DirectCache) RestoreState(b []byte) error { return cache.RestoreFields(b, d.fields()...) }

@@ -8,151 +8,33 @@
 // and write policies), so the blob layouts need no internal framing.
 package stack
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "palmsim/internal/cache"
 
-// stateLen returns the exact encoded size for this refinement.
-func (r *Refinement) stateLen() int {
-	return 4*len(r.lists) + 8*len(r.histRAM) + 8*len(r.histFlash) + 8 +
-		len(r.wmax) + 8*len(r.wbHist)
+// fields lists the refinement's mutable state in blob order.
+func (r *Refinement) fields() []any {
+	return []any{r.lists, r.histRAM, r.histFlash, &r.writes, r.wmax, r.wbHist}
 }
 
 // AppendState serializes the refinement's mutable state onto b.
-func (r *Refinement) AppendState(b []byte) []byte {
-	for _, v := range r.lists {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	for _, v := range r.histRAM {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	for _, v := range r.histFlash {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	b = binary.LittleEndian.AppendUint64(b, r.writes)
-	b = append(b, r.wmax...)
-	for _, v := range r.wbHist {
-		b = binary.LittleEndian.AppendUint64(b, v)
-	}
-	return b
-}
+func (r *Refinement) AppendState(b []byte) []byte { return cache.AppendFields(b, r.fields()...) }
 
 // RestoreState loads state previously produced by AppendState for the
 // same geometry.
-func (r *Refinement) RestoreState(b []byte) error {
-	if len(b) != r.stateLen() {
-		return fmt.Errorf("stack: state blob is %d bytes, want %d for %dB/%d-set refinement",
-			len(b), r.stateLen(), r.lineBytes, r.sets)
-	}
-	for i := range r.lists {
-		r.lists[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	for i := range r.histRAM {
-		r.histRAM[i] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	for i := range r.histFlash {
-		r.histFlash[i] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	r.writes = binary.LittleEndian.Uint64(b)
-	b = b[8:]
-	copy(r.wmax, b)
-	b = b[len(r.wmax):]
-	for i := range r.wbHist {
-		r.wbHist[i] = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	return nil
-}
+func (r *Refinement) RestoreState(b []byte) error { return cache.RestoreFields(b, r.fields()...) }
 
-func (v *familyVariant) stateLen() int {
-	return 8*8 + 4 + 4*len(v.lines) + len(v.rr) + len(v.plru) + len(v.dirty)
-}
-
-func (v *familyVariant) appendState(b []byte) []byte {
-	for _, x := range []uint64{
-		v.res.Accesses, v.res.Misses, v.res.RAMRefs, v.res.FlashRefs,
-		v.res.RAMMisses, v.res.FlashMisses, v.res.Writes, v.res.Writebacks,
-	} {
-		b = binary.LittleEndian.AppendUint64(b, x)
+// fields lists the family's mutable state in blob order: the shared
+// shortcut keys and counters, then each variant's state.
+func (f *Family) fields() []any {
+	fs := []any{&f.last, &f.last2, &f.totRAM, &f.totFlash, &f.totWrites}
+	for _, v := range f.variants {
+		fs = append(fs, &v.res, &v.lastIdx, v.lines, v.rr, v.plru, v.dirty)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(v.lastIdx))
-	for _, x := range v.lines {
-		b = binary.LittleEndian.AppendUint32(b, x)
-	}
-	b = append(b, v.rr...)
-	b = append(b, v.plru...)
-	for _, d := range v.dirty {
-		if d {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-func (v *familyVariant) restoreState(b []byte) []byte {
-	for _, p := range []*uint64{
-		&v.res.Accesses, &v.res.Misses, &v.res.RAMRefs, &v.res.FlashRefs,
-		&v.res.RAMMisses, &v.res.FlashMisses, &v.res.Writes, &v.res.Writebacks,
-	} {
-		*p = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	v.lastIdx = int32(binary.LittleEndian.Uint32(b))
-	b = b[4:]
-	for i := range v.lines {
-		v.lines[i] = binary.LittleEndian.Uint32(b)
-		b = b[4:]
-	}
-	copy(v.rr, b)
-	b = b[len(v.rr):]
-	copy(v.plru, b)
-	b = b[len(v.plru):]
-	for i := range v.dirty {
-		v.dirty[i] = b[i] != 0
-	}
-	return b[len(v.dirty):]
+	return fs
 }
 
 // AppendState serializes the family's mutable state onto b.
-func (f *Family) AppendState(b []byte) []byte {
-	b = binary.LittleEndian.AppendUint32(b, f.last)
-	b = binary.LittleEndian.AppendUint32(b, f.last2)
-	for _, x := range []uint64{f.totRAM, f.totFlash, f.totWrites} {
-		b = binary.LittleEndian.AppendUint64(b, x)
-	}
-	for _, v := range f.variants {
-		b = v.appendState(b)
-	}
-	return b
-}
+func (f *Family) AppendState(b []byte) []byte { return cache.AppendFields(b, f.fields()...) }
 
 // RestoreState loads state previously produced by AppendState for the
 // same configuration group.
-func (f *Family) RestoreState(b []byte) error {
-	want := 4 + 4 + 3*8
-	for _, v := range f.variants {
-		want += v.stateLen()
-	}
-	if len(b) != want {
-		return fmt.Errorf("stack: family state blob is %d bytes, want %d for %s/%dB family",
-			len(b), want, f.policy, f.lineBytes)
-	}
-	f.last = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	f.last2 = binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	for _, p := range []*uint64{&f.totRAM, &f.totFlash, &f.totWrites} {
-		*p = binary.LittleEndian.Uint64(b)
-		b = b[8:]
-	}
-	for _, v := range f.variants {
-		b = v.restoreState(b)
-	}
-	return nil
-}
+func (f *Family) RestoreState(b []byte) error { return cache.RestoreFields(b, f.fields()...) }

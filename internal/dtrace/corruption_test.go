@@ -8,8 +8,11 @@ package dtrace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
+
+	"palmsim/internal/simerr"
 )
 
 // craftRecord encodes one reference record (and its escape byte, when the
@@ -33,8 +36,8 @@ func craftBlock(count uint64, records ...[]byte) []byte {
 }
 
 // corruptPackedCases enumerates the malformed packed traces. Each input
-// must be rejected by UnpackTrace and by PackedSource; wantErr is a
-// substring of the expected error text.
+// must be rejected by UnpackTrace and by PackedSource, and must not open
+// as an indexed trace; wantErr is a substring of UnpackTrace's error.
 func corruptPackedCases() []struct {
 	name    string
 	data    []byte
@@ -66,8 +69,28 @@ func corruptPackedCases() []struct {
 	// shorter-but-valid trace. The flip lands in the totalRefs field
 	// (bytes -32..-24 from the end), which the checksum covers.
 	idxTrace, _ := PackTraceIndexed([]uint32{0x100, 0x102, 0x104, 0x200}, nil, nil)
-	idxFlipped := append([]byte(nil), idxTrace...)
-	idxFlipped[len(idxFlipped)-25] ^= 0xFF
+	patched := func(at int, b byte) []byte {
+		out := append([]byte(nil), idxTrace...)
+		out[len(out)+at] ^= b
+		return out
+	}
+
+	// Forged footers over idxTrace's blocks. The footer-offset field is
+	// outside the checksum, so it is patched in place; a forged entry or
+	// total is re-encoded with appendFooter, so the checksum still
+	// matches and only the structural checks can reject it.
+	footOff := binary.LittleEndian.Uint64(idxTrace[len(idxTrace)-16:])
+	withFootOff := func(off uint64) []byte {
+		out := append([]byte(nil), idxTrace...)
+		binary.LittleEndian.PutUint64(out[len(out)-16:], off)
+		return out
+	}
+	idx, _ := parseIndexFooter(idxTrace[footOff:], footOff, 4, true)
+	reindexed := func(e IndexEntry, total uint64) []byte {
+		return appendFooter(append([]byte(nil), idxTrace[:footOff]...), []IndexEntry{e}, total, footOff)
+	}
+	offHead := idx.Entries[0]
+	offHead.Offset++
 
 	return []struct {
 		name    string
@@ -142,13 +165,43 @@ func corruptPackedCases() []struct {
 		},
 		{
 			name:    "corrupt index footer checksum",
-			data:    idxFlipped,
+			data:    patched(-25, 0xFF),
 			wantErr: "checksum",
 		},
 		{
 			name:    "garbage after valid index footer",
 			data:    append(append([]byte(nil), idxTrace...), 'x'),
 			wantErr: "index footer",
+		},
+		{
+			name:    "index footer without trailing magic",
+			data:    patched(-1, 0xFF),
+			wantErr: "trailing magic",
+		},
+		{
+			name:    "index footer shorter than its fixed part",
+			data:    mk(craftBlock(1, rec1), endMarker, []byte(IndexMagic), []byte{1, 2, 3}),
+			wantErr: "truncated index footer",
+		},
+		{
+			name:    "index footer offset beyond the trace",
+			data:    withFootOff(1 << 40),
+			wantErr: "index footer claims offset",
+		},
+		{
+			name:    "index footer offset inside the blocks",
+			data:    withFootOff(uint64(len(PackedMagic)) + 1),
+			wantErr: "index footer claims offset",
+		},
+		{
+			name:    "index entry 0 off the trace head",
+			data:    reindexed(offHead, idx.TotalRefs),
+			wantErr: "index entry 0",
+		},
+		{
+			name:    "index total disagrees with the trace",
+			data:    reindexed(idx.Entries[0], 0),
+			wantErr: "index claims 0 references",
 		},
 	}
 }
@@ -161,6 +214,11 @@ func TestPackedCorruptionTable(t *testing.T) {
 				t.Errorf("UnpackTrace accepted corrupt input")
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("UnpackTrace error %q does not mention %q", err, tc.wantErr)
+			}
+			// Tail-probing index open: either no footer at the end, or a
+			// corrupt one.
+			if _, err := OpenIndexedBytes(tc.data); !errors.Is(err, ErrNoIndex) && !errors.Is(err, simerr.ErrCorruptTrace) {
+				t.Errorf("OpenIndexedBytes: err = %v, want ErrNoIndex or ErrCorruptTrace", err)
 			}
 			// Streaming decoder: the header may already be rejected; past
 			// that, some NextChunk call must error before clean EOF.

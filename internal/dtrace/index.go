@@ -340,7 +340,7 @@ func (t *IndexedTrace) SplitPoints(k int) []uint64 {
 // exactly n references and then reports a clean end of trace. The
 // returned source owns its reader; callers Close it when done.
 func (t *IndexedTrace) OpenRange(startRef, n uint64) (*PackedSource, error) {
-	if startRef+n > t.idx.TotalRefs {
+	if startRef > t.idx.TotalRefs || n > t.idx.TotalRefs-startRef {
 		return nil, simerr.CorruptTrace("dtrace: seek", int64(startRef),
 			fmt.Errorf("range [%d, %d) beyond %d total refs", startRef, startRef+n, t.idx.TotalRefs))
 	}

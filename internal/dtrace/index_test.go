@@ -7,6 +7,9 @@ package dtrace
 import (
 	"bytes"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -155,6 +158,18 @@ func TestIndexlessTraceHasNoIndex(t *testing.T) {
 	if _, err := OpenIndexedBytes(empty); !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("OpenIndexedBytes on empty trace: %v, want ErrNoIndex", err)
 	}
+
+	// The file open path reports the same, and a missing file as such.
+	path := filepath.Join(t.TempDir(), "plain.ptrace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenIndexedTrace(path); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("OpenIndexedTrace on index-less file: %v, want ErrNoIndex", err)
+	}
+	if _, err := OpenIndexedTrace(path + ".missing"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenIndexedTrace on a missing file: %v, want fs.ErrNotExist", err)
+	}
 }
 
 // TestSeekRefBitIdentical: resuming from every block boundary — and from
@@ -229,36 +244,85 @@ func TestOpenRangePartitionsConcatenate(t *testing.T) {
 }
 
 // TestSeekTickBlockGranular: SeekTick lands on the last indexed boundary
-// at or before the requested tick and resumes bit-identically.
+// at or before the requested tick and resumes bit-identically, kinds
+// included, from memory and from a file (whose ranged sources own, and
+// close, their own handle).
 func TestSeekTickBlockGranular(t *testing.T) {
 	addrs, kinds := packedTestTrace(4*blockRefs, 23)
 	tickEvery := 512 // tick t starts at ref t*512
 	data := packIndexed(t, addrs, kinds, tickEvery)
-	it, err := OpenIndexedBytes(data)
+	path := filepath.Join(t.TempDir(), "seek.ptrace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromBytes, err := OpenIndexedBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tick := range []uint64{0, 1, 7, 8, 9, 20, 1 << 40} {
-		src, startRef, startTick, err := it.SeekTick(tick)
-		if err != nil {
-			t.Fatalf("SeekTick(%d): %v", tick, err)
-		}
-		if startTick > tick && startRef != 0 {
-			t.Fatalf("SeekTick(%d) landed after the request: ref %d tick %d", tick, startRef, startTick)
-		}
-		if startRef != uint64(it.Index().Entries[it.Index().FindTick(tick)].StartRef) {
-			t.Fatalf("SeekTick(%d) ref %d disagrees with FindTick", tick, startRef)
-		}
-		got := drainRange(t, src)
-		want := addrs[startRef:]
-		if len(got) != len(want) {
-			t.Fatalf("SeekTick(%d): %d refs, want %d", tick, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("SeekTick(%d): ref %d diverged", tick, startRef+uint64(i))
+	fromFile, err := OpenIndexedTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range []*IndexedTrace{fromBytes, fromFile} {
+		for _, tick := range []uint64{0, 1, 7, 8, 9, 20, 1 << 40} {
+			src, startRef, startTick, err := it.SeekTick(tick)
+			if err != nil {
+				t.Fatalf("SeekTick(%d): %v", tick, err)
+			}
+			if startTick > tick && startRef != 0 {
+				t.Fatalf("SeekTick(%d) landed after the request: ref %d tick %d", tick, startRef, startTick)
+			}
+			if startRef != uint64(it.Index().Entries[it.Index().FindTick(tick)].StartRef) {
+				t.Fatalf("SeekTick(%d) ref %d disagrees with FindTick", tick, startRef)
+			}
+			var gotAddrs []uint32
+			var gotKinds []uint8
+			buf, kbuf := make([]uint32, 1009), make([]uint8, 1009)
+			for {
+				n, err := src.NextChunkKinded(buf, kbuf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+				gotAddrs = append(gotAddrs, buf[:n]...)
+				gotKinds = append(gotKinds, kbuf[:n]...)
+			}
+			if err := src.Close(); err != nil {
+				t.Fatalf("SeekTick(%d): Close: %v", tick, err)
+			}
+			if len(gotAddrs) != len(addrs)-int(startRef) {
+				t.Fatalf("SeekTick(%d): %d refs, want %d", tick, len(gotAddrs), len(addrs)-int(startRef))
+			}
+			for i := range gotAddrs {
+				if gotAddrs[i] != addrs[startRef+uint64(i)] || gotKinds[i] != kinds[startRef+uint64(i)] {
+					t.Fatalf("SeekTick(%d): ref %d diverged", tick, startRef+uint64(i))
+				}
 			}
 		}
+	}
+
+	// Every seek reopens the file, so once it is gone seeking fails.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := fromFile.SeekTick(8); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("SeekTick on a removed file: err = %v, want fs.ErrNotExist", err)
+	}
+
+	// An empty indexed trace has no boundary to land on: SeekTick
+	// returns an empty source at ref 0.
+	empty, err := OpenIndexedBytes(packIndexed(t, nil, nil, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, startRef, _, err := empty.SeekTick(5)
+	if err != nil || startRef != 0 {
+		t.Fatalf("SeekTick on an empty trace: ref %d, err %v", startRef, err)
+	}
+	if got := drainRange(t, src); len(got) != 0 {
+		t.Errorf("SeekTick on an empty trace decoded %d refs", len(got))
 	}
 }
 

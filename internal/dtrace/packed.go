@@ -225,16 +225,6 @@ func (p *PackedWriter) flushBlock() error {
 	return nil
 }
 
-// WriteAddrs appends a run of references with kind 0.
-func (p *PackedWriter) WriteAddrs(addrs []uint32) error {
-	for _, a := range addrs {
-		if err := p.WriteRef(a, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Refs returns how many references have been written.
 func (p *PackedWriter) Refs() uint64 { return p.refs }
 
@@ -343,10 +333,6 @@ func newPackedSourceAt(r io.Reader, e IndexEntry, limit uint64, closer io.Closer
 	src.st.prevStride = e.PrevStride
 	return src
 }
-
-// Refs returns how many references have been decoded so far (for ranged
-// sources, the absolute ordinal within the whole trace).
-func (s *PackedSource) Refs() uint64 { return s.refs }
 
 // Close releases the underlying reader when the source owns one; plain
 // NewPackedSource streams and in-memory ranges make it a no-op.

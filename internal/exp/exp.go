@@ -5,6 +5,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 
@@ -17,6 +18,7 @@ import (
 	"palmsim/internal/hw"
 	"palmsim/internal/m68k"
 	"palmsim/internal/palmos"
+	"palmsim/internal/simerr"
 	"palmsim/internal/sweep"
 	"palmsim/internal/user"
 )
@@ -241,14 +243,16 @@ func MarshalTrace(trace []uint32) []byte {
 	return out
 }
 
-// UnmarshalTrace parses a serialized reference trace.
+// UnmarshalTrace parses a serialized reference trace. A bad header or a
+// body shorter than the header claims fails with simerr.ErrCorruptTrace.
 func UnmarshalTrace(data []byte) ([]uint32, error) {
 	if len(data) < 12 || string(data[:8]) != "PALMTRC1" {
-		return nil, fmt.Errorf("exp: not a trace file")
+		return nil, simerr.CorruptTrace("exp: unmarshal", 0, fmt.Errorf("not a trace file"))
 	}
 	n := int(data[8])<<24 | int(data[9])<<16 | int(data[10])<<8 | int(data[11])
 	if len(data) < 12+4*n {
-		return nil, fmt.Errorf("exp: truncated trace (%d refs claimed)", n)
+		return nil, simerr.CorruptTrace("exp: unmarshal", int64((len(data)-12)/4),
+			fmt.Errorf("truncated trace (%d refs claimed)", n))
 	}
 	out := make([]uint32, n)
 	for i := range out {
@@ -384,52 +388,22 @@ func TightLoop(ctx context.Context, prefill, iterations int) (*TightLoopResult, 
 	}, nil
 }
 
-// UnmarshalDinero parses a din-format trace back into addresses and kinds.
+// UnmarshalDinero parses a din-format trace back into addresses and
+// kinds. A malformed line fails with simerr.ErrCorruptTrace.
 func UnmarshalDinero(data []byte) (trace []uint32, kinds []uint8, err error) {
-	i := 0
-	line := 0
-	for i < len(data) {
-		line++
-		// label
-		if i+2 > len(data) || data[i+1] != ' ' {
-			return nil, nil, fmt.Errorf("exp: din line %d malformed", line)
+	for len(data) > 0 {
+		raw := data
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			raw, data = data[:i+1], data[i+1:]
+		} else {
+			data = nil
 		}
-		var kind m68k.Access
-		switch data[i] {
-		case '0':
-			kind = m68k.Read
-		case '1':
-			kind = m68k.Write
-		case '2':
-			kind = m68k.Fetch
-		default:
-			return nil, nil, fmt.Errorf("exp: din line %d has label %q", line, data[i])
-		}
-		i += 2
-		var addr uint32
-		start := i
-		for i < len(data) && data[i] != '\n' {
-			c := data[i]
-			switch {
-			case c >= '0' && c <= '9':
-				addr = addr<<4 | uint32(c-'0')
-			case c >= 'a' && c <= 'f':
-				addr = addr<<4 | uint32(c-'a'+10)
-			case c >= 'A' && c <= 'F':
-				addr = addr<<4 | uint32(c-'A'+10)
-			default:
-				return nil, nil, fmt.Errorf("exp: din line %d has bad address", line)
-			}
-			i++
-		}
-		if i == start {
-			return nil, nil, fmt.Errorf("exp: din line %d missing address", line)
-		}
-		if i < len(data) {
-			i++ // consume newline
+		addr, kind, err := parseDinLine(raw, len(trace)+1)
+		if err != nil {
+			return nil, nil, simerr.CorruptTrace("exp: unmarshal", int64(len(trace)), err)
 		}
 		trace = append(trace, addr)
-		kinds = append(kinds, uint8(kind))
+		kinds = append(kinds, kind)
 	}
 	return trace, kinds, nil
 }

@@ -2,12 +2,14 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"palmsim/internal/cache"
 	"palmsim/internal/m68k"
 	"palmsim/internal/sim"
+	"palmsim/internal/simerr"
 	"palmsim/internal/user"
 )
 
@@ -463,12 +465,12 @@ func TestDineroRoundTrip(t *testing.T) {
 			t.Errorf("entry %d: %#x/%d vs %#x/%d", i, gotTrace[i], gotKinds[i], trace[i], kinds[i])
 		}
 	}
-	// Garbage rejected.
-	if _, _, err := UnmarshalDinero([]byte("9 zz\n")); err == nil {
-		t.Error("bad label accepted")
-	}
-	if _, _, err := UnmarshalDinero([]byte("0 xyz\n")); err == nil {
-		t.Error("bad address accepted")
+	// Garbage rejected, including a ninth hex digit that would shift a
+	// nonzero nibble out of the word.
+	for _, bad := range []string{"9 zz\n", "0 xyz\n", "0 123456789\n", "2 1000\n1 fffffffff", "0\n"} {
+		if _, _, err := UnmarshalDinero([]byte(bad)); !errors.Is(err, simerr.ErrCorruptTrace) {
+			t.Errorf("%q: err = %v, want ErrCorruptTrace", bad, err)
+		}
 	}
 }
 

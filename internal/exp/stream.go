@@ -160,7 +160,7 @@ func (d *DineroSource) next(buf []uint32, kinds []uint8) (int, error) {
 		d.line++
 		addr, kind, perr := parseDinLine(raw, d.line)
 		if perr != nil {
-			return 0, perr
+			return 0, simerr.CorruptTrace("exp: read", int64(d.line-1), perr)
 		}
 		buf[n] = addr
 		if kinds != nil {
@@ -173,13 +173,14 @@ func (d *DineroSource) next(buf []uint32, kinds []uint8) (int, error) {
 }
 
 // parseDinLine decodes one "<label> <hexaddr>" line (trailing newline
-// optional), mirroring UnmarshalDinero's validation and label mapping.
+// optional) for both din readers. Leading zeros are legal; a digit that
+// would shift a nonzero nibble out of 32 bits is not.
 func parseDinLine(raw []byte, line int) (uint32, uint8, error) {
 	if len(raw) > 0 && raw[len(raw)-1] == '\n' {
 		raw = raw[:len(raw)-1]
 	}
 	if len(raw) < 3 || raw[1] != ' ' {
-		return 0, 0, fmt.Errorf("exp: din line %d malformed", line)
+		return 0, 0, fmt.Errorf("din line %d malformed", line)
 	}
 	var kind uint8
 	switch raw[0] {
@@ -190,20 +191,25 @@ func parseDinLine(raw []byte, line int) (uint32, uint8, error) {
 	case '2':
 		kind = uint8(m68k.Fetch)
 	default:
-		return 0, 0, fmt.Errorf("exp: din line %d has label %q", line, raw[0])
+		return 0, 0, fmt.Errorf("din line %d has label %q", line, raw[0])
 	}
 	var addr uint32
 	for _, c := range raw[2:] {
+		var nib uint32
 		switch {
 		case c >= '0' && c <= '9':
-			addr = addr<<4 | uint32(c-'0')
+			nib = uint32(c - '0')
 		case c >= 'a' && c <= 'f':
-			addr = addr<<4 | uint32(c-'a'+10)
+			nib = uint32(c - 'a' + 10)
 		case c >= 'A' && c <= 'F':
-			addr = addr<<4 | uint32(c-'A'+10)
+			nib = uint32(c - 'A' + 10)
 		default:
-			return 0, 0, fmt.Errorf("exp: din line %d has bad address", line)
+			return 0, 0, fmt.Errorf("din line %d has bad address", line)
 		}
+		if addr>>28 != 0 {
+			return 0, 0, fmt.Errorf("din line %d: address %q overflows 32 bits", line, raw[2:])
+		}
+		addr = addr<<4 | nib
 	}
 	return addr, kind, nil
 }

@@ -2,12 +2,14 @@ package exp
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"palmsim/internal/dtrace"
 	"palmsim/internal/m68k"
+	"palmsim/internal/simerr"
 )
 
 func testTrace(n int) []uint32 {
@@ -55,10 +57,11 @@ func TestTraceSourceStreamsMarshalled(t *testing.T) {
 	}
 }
 
-// TestTraceSourceRejectsGarbage covers the header and truncation errors.
+// TestTraceSourceRejectsGarbage covers the header and truncation errors
+// of both raw readers, which must be ErrCorruptTrace.
 func TestTraceSourceRejectsGarbage(t *testing.T) {
-	if _, err := NewTraceSource(strings.NewReader("not a trace")); err == nil {
-		t.Error("bad header accepted")
+	if _, err := NewTraceSource(strings.NewReader("not a trace")); !errors.Is(err, simerr.ErrCorruptTrace) {
+		t.Errorf("bad header: err = %v, want ErrCorruptTrace", err)
 	}
 	data := MarshalTrace(testTrace(100))
 	ts, err := NewTraceSource(bytes.NewReader(data[:len(data)-10]))
@@ -66,8 +69,16 @@ func TestTraceSourceRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]uint32, 256)
-	if _, err := ts.NextChunk(buf); err == nil {
-		t.Error("truncated trace streamed without error")
+	if _, err := ts.NextChunk(buf); !errors.Is(err, simerr.ErrCorruptTrace) {
+		t.Errorf("truncated trace: err = %v, want ErrCorruptTrace", err)
+	}
+	for _, bad := range [][]byte{[]byte("not a trace"), data[:len(data)-10]} {
+		if _, err := UnmarshalTrace(bad); !errors.Is(err, simerr.ErrCorruptTrace) {
+			t.Errorf("UnmarshalTrace(%d bytes): err = %v, want ErrCorruptTrace", len(bad), err)
+		}
+	}
+	if got, err := UnmarshalTrace(data); err != nil || len(got) != 100 {
+		t.Errorf("UnmarshalTrace(valid): %d refs, err %v", len(got), err)
 	}
 }
 
@@ -168,12 +179,24 @@ func TestDineroSourceStreamsMarshalled(t *testing.T) {
 	}
 }
 
-// TestDineroSourceRejectsGarbage mirrors UnmarshalDinero's validation.
+// TestDineroSourceRejectsGarbage mirrors UnmarshalDinero's validation:
+// every malformed line, including an address wider than 32 bits, fails
+// with ErrCorruptTrace.
 func TestDineroSourceRejectsGarbage(t *testing.T) {
-	for _, bad := range []string{"9 zz\n", "0 xyz\n", "0\n"} {
+	for _, bad := range []string{
+		"9 zz\n", "0 xyz\n", "0\n",
+		"0 123456789\n", "2 1000\n1 fffffffff\n", "0 \n", "1 12 34\n",
+	} {
 		ds := NewDineroSource(strings.NewReader(bad))
-		if _, err := ds.NextChunk(make([]uint32, 4)); err == nil {
-			t.Errorf("%q accepted", bad)
+		_, err := ds.NextChunk(make([]uint32, 4))
+		if !errors.Is(err, simerr.ErrCorruptTrace) {
+			t.Errorf("%q: err = %v, want ErrCorruptTrace", bad, err)
 		}
+	}
+	// Leading zeros do not count against the 32-bit width.
+	ds := NewDineroSource(strings.NewReader("0 00000000deadbeef\n"))
+	buf := make([]uint32, 1)
+	if n, err := ds.NextChunk(buf); err != nil || n != 1 || buf[0] != 0xdeadbeef {
+		t.Errorf("zero-padded address: n=%d err=%v ref=%#x", n, err, buf[0])
 	}
 }

@@ -154,30 +154,6 @@ func (a *specEA) calc(c *CPU) uint32 {
 	}
 }
 
-// storeTo resolves a memory destination and writes v (already masked to
-// size) — the MOVE-destination pattern, where resolve and store happen
-// back to back.
-func (a *specEA) storeTo(c *CPU, size Size, v uint32) {
-	switch a.kind {
-	case seInd:
-		c.write(c.A[a.reg], size, v)
-	case sePost:
-		p := c.A[a.reg]
-		c.A[a.reg] = p + uint32(a.step)
-		c.write(p, size, v)
-	case sePre:
-		p := c.A[a.reg] - uint32(a.step)
-		c.A[a.reg] = p
-		c.write(p, size, v)
-	case seDisp:
-		c.fetchRef(a.faddr, Word)
-		c.write(c.A[a.reg]+a.val, size, v)
-	default: // seAbs
-		c.fetchRef(a.faddr, Size(a.fsz))
-		c.write(a.val, size, v)
-	}
-}
-
 // specOp is one pre-decoded instruction of a specialized block. The exec
 // loop (BlockEngine.execSpec) accounts the opcode fetch, sets PC to npc
 // and calls fn; everything else the instruction needs was computed at
@@ -268,7 +244,7 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 		}
 		s.src, s.dst = src, dst
 		// MOVE to memory dominates the profile; pick a per-destination-kind
-		// variant so the hot path skips storeTo's dispatch switch, and for
+		// variant so the hot path has no destination dispatch switch, and for
 		// the hottest source kinds (register moves, and the (An)+ -> (An)+
 		// copy-loop shape) fold the source load in as well.
 		switch dst.kind {
@@ -712,10 +688,10 @@ func sMoveToDn(c *CPU, s *specOp) {
 	c.Cycles += s.cyc
 }
 
-// The sMoveToMem* variants are storeTo's cases unrolled per destination
-// kind (chosen at specialization time): same fetch replay, same
-// address-register side effects, same flag fuse, minus the per-execution
-// dispatch switch. moveFlags is the shared MOVE condition-code tail.
+// The sMoveToMem* variants each store to one destination kind (chosen at
+// specialization time), replaying that kind's extension-word fetch and
+// address-register side effect inline, so no dispatch switch runs per
+// execution. moveFlags is the shared MOVE condition-code tail.
 func moveFlags(c *CPU, s *specOp, v uint32) {
 	sr := c.sr &^ (FlagN | FlagZ | FlagV | FlagC)
 	if v&s.msb != 0 {
@@ -803,7 +779,8 @@ func sMoveDnToMemDisp(c *CPU, s *specOp) {
 
 // The (An)+ -> (An)+ copy-loop shape. Source side effect lands before
 // the read and before the destination register is sampled, exactly like
-// load followed by storeTo (same-register MOVE (A0)+,(A0)+ included).
+// load followed by the (An)+ store (same-register MOVE (A0)+,(A0)+
+// included).
 func sMovePostToMemPost(c *CPU, s *specOp) {
 	sp := c.A[s.src.reg]
 	c.A[s.src.reg] = sp + uint32(s.src.step)

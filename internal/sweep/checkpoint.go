@@ -46,18 +46,10 @@ func (o Options) checkpointEvery() int {
 	return o.CheckpointEveryChunks
 }
 
-// stateful is the checkpointable face of a unit. Every unit kind — the
-// direct cache.Cache, the stack engine's Refinement and Family, and the
-// OPT direct simulator and Family — implements it.
-type stateful interface {
-	AppendState(b []byte) []byte
-	RestoreState(b []byte) error
-}
-
 type checkpointer struct {
 	path  string
 	every int
-	units []stateful
+	units []any // every unit, each a cache.Stateful field of the sidecar
 	hash  uint64
 	refs  uint64 // references consumed, including any resumed prefix
 	since int    // chunks consumed since the last save
@@ -65,14 +57,12 @@ type checkpointer struct {
 
 func newCheckpointer(path string, every int, units []unit, hash uint64) (*checkpointer, error) {
 	c := &checkpointer{path: path, every: every, hash: hash}
-	c.units = make([]stateful, len(units))
 	for i, u := range units {
-		s, ok := u.(stateful)
-		if !ok {
+		if _, ok := u.(cache.Stateful); !ok {
 			return nil, simerr.New(simerr.ErrBadCheckpoint, "sweep: checkpoint",
 				fmt.Errorf("unit %d (%T) is not checkpointable", i, u))
 		}
-		c.units[i] = s
+		c.units = append(c.units, u)
 	}
 	return c, nil
 }
@@ -123,12 +113,7 @@ func (c *checkpointer) save() error {
 	buf = binary.LittleEndian.AppendUint64(buf, c.hash)
 	buf = binary.LittleEndian.AppendUint64(buf, c.refs)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.units)))
-	for _, u := range c.units {
-		at := len(buf)
-		buf = binary.LittleEndian.AppendUint32(buf, 0)
-		buf = u.AppendState(buf)
-		binary.LittleEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
-	}
+	buf = cache.AppendFields(buf, c.units...)
 	sum := fnv.New64a()
 	sum.Write(buf)
 	buf = binary.LittleEndian.AppendUint64(buf, sum.Sum64())
@@ -181,23 +166,8 @@ func (c *checkpointer) load() (skip uint64, found bool, err error) {
 	if n := binary.LittleEndian.Uint32(b); int(n) != len(c.units) {
 		return 0, false, bad("sidecar has %d units, sweep has %d", n, len(c.units))
 	}
-	b = b[4:]
-	for i, u := range c.units {
-		if len(b) < 4 {
-			return 0, false, bad("sidecar truncated before unit %d", i)
-		}
-		bl := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < bl {
-			return 0, false, bad("unit %d blob truncated: have %d bytes, want %d", i, len(b), bl)
-		}
-		if err := u.RestoreState(b[:bl]); err != nil {
-			return 0, false, simerr.New(simerr.ErrBadCheckpoint, "sweep: resume", err)
-		}
-		b = b[bl:]
-	}
-	if len(b) != 0 {
-		return 0, false, bad("%d trailing bytes after last unit", len(b))
+	if err := cache.RestoreFields(b[4:], c.units...); err != nil {
+		return 0, false, simerr.New(simerr.ErrBadCheckpoint, "sweep: resume", err)
 	}
 	c.refs = refs
 	return refs, true, nil

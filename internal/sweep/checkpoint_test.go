@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -12,6 +15,7 @@ import (
 
 	"palmsim/internal/cache"
 	"palmsim/internal/cache/opt"
+	"palmsim/internal/dtrace"
 	"palmsim/internal/simerr"
 )
 
@@ -473,4 +477,160 @@ func TestResumeRejectsForeignPolicySidecar(t *testing.T) {
 	if err := resume(geoms); err != nil {
 		t.Errorf("original config set failed to resume: %v", err)
 	}
+}
+
+// everyUnitKind returns the units of a stack-engine and a direct-engine
+// plan that between them hold each checkpointable unit kind once:
+// hier.Sim (an inclusive L1→L2), stack.Refinement (LRU), stack.Family
+// (FIFO), cache.Cache (Random, the stack engine's fallback), opt.Family,
+// sharedL1Unit (a non-inclusive PLRU L1→L2) and opt.DirectCache. Every
+// level is small and write-back, so FIFO pointers, PLRU bits, dirty
+// bits, wmax and writeback histograms are all part of the state. anns
+// may be nil when no reference is fed.
+func everyUnitKind(t testing.TB, anns map[int]*opt.Annotation) []unit {
+	t.Helper()
+	wb := func(size, ways int, pol cache.Policy) cache.Config {
+		return cache.Config{SizeBytes: size, LineBytes: 16, Ways: ways, Policy: pol, Write: cache.WriteBack}
+	}
+	var units []unit
+	for _, p := range []struct {
+		eng Engine
+		hs  []cache.Hierarchy
+	}{
+		{EngineStack, []cache.Hierarchy{
+			{Levels: []cache.Config{wb(32, 2, cache.LRU), wb(64, 2, cache.LRU)}, Content: cache.Inclusive},
+			{Levels: []cache.Config{wb(32, 2, cache.LRU)}},
+			{Levels: []cache.Config{wb(32, 2, cache.FIFO)}},
+			{Levels: []cache.Config{wb(32, 2, cache.Random)}},
+			{Levels: []cache.Config{wb(32, 2, cache.OPT)}},
+			{Levels: []cache.Config{wb(32, 2, cache.PLRU), wb(64, 2, cache.LRU)}},
+		}},
+		{EngineDirect, singles([]cache.Config{wb(32, 2, cache.OPT)})},
+	} {
+		plan, err := buildHierarchies(p.hs, p.eng, anns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units = append(units, plan.units...)
+	}
+	kinds := map[string]bool{}
+	for _, u := range units {
+		kinds[fmt.Sprintf("%T", u)] = true
+	}
+	if len(units) != 7 || len(kinds) != 7 {
+		t.Fatalf("plan has %d units of %d kinds, want 7 of 7: %v", len(units), len(kinds), kinds)
+	}
+	return units
+}
+
+// everyUnitKindHash stands in for the configuration fingerprint of
+// everyUnitKind's two plans, which no single sweep would produce.
+const everyUnitKindHash = 0x15
+
+// partialSidecar feeds the first half of a fixed dtrace.Generate trace,
+// with kinds cycling fetch/read/write, through everyUnitKind's units and
+// returns the sidecar the checkpointer saves for them.
+func partialSidecar(t testing.TB) []byte {
+	t.Helper()
+	cfg := dtrace.DefaultConfig()
+	cfg.Refs = 4096
+	trace := dtrace.Generate(cfg)
+	kinds := make([]uint8, len(trace))
+	for i := range kinds {
+		kinds[i] = uint8(i % 3)
+	}
+	anns, err := opt.AnnotateAll(trace, []int{16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := everyUnitKind(t, anns)
+	half := len(trace) / 2
+	for _, u := range units {
+		u.AccessAllKinded(trace[:half], kinds[:half])
+	}
+	path := filepath.Join(t.TempDir(), "partial.ckpt")
+	ck, err := newCheckpointer(path, 1, units, everyUnitKindHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.consumed(half)
+	if err := ck.save(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// pinnedSidecarSHA256 is the SHA-256 of partialSidecar's bytes. A change
+// to it changes the PALMCKP2 format, which needs a new magic so sidecars
+// already on disk are refused rather than misread.
+const pinnedSidecarSHA256 = "4bda15114461011be1d1a5e2dd19854608291b79f1720b71fb7477a96776265a"
+
+// TestSidecarFormatPinned holds the PALMCKP2 encoding of every unit kind
+// to its committed bytes.
+func TestSidecarFormatPinned(t *testing.T) {
+	sum := sha256.Sum256(partialSidecar(t))
+	if got := hex.EncodeToString(sum[:]); got != pinnedSidecarSHA256 {
+		t.Errorf("sidecar SHA-256 = %s, want %s", got, pinnedSidecarSHA256)
+	}
+}
+
+// FuzzCheckpointLoad hands sidecar bodies, each sealed with a fresh
+// checksum so it gets past the checksum to the unit decoders, to the
+// checkpointer of a plan holding every unit kind. A body is a real
+// partial sweep's sidecar with cut bytes at offset at replaced by patch:
+// small inputs then reach every field, keeping minimization cheap, and
+// a large cut makes patch the whole body. load must accept or fail with
+// ErrBadCheckpoint, never panic; an accepted sidecar must save, load
+// again and save the same bytes.
+func FuzzCheckpointLoad(f *testing.F) {
+	seed := partialSidecar(f)
+	base := seed[:len(seed)-8]
+	f.Add(uint16(0), uint16(0), []byte(nil))
+	f.Add(uint16(0), uint16(len(base)), []byte(checkpointMagic))
+	path := filepath.Join(f.TempDir(), "fuzz.ckpt")
+	f.Fuzz(func(t *testing.T, at, cut uint16, patch []byte) {
+		lo := min(int(at), len(base))
+		hi := min(lo+int(cut), len(base))
+		body := append(append(append([]byte(nil), base[:lo]...), patch...), base[hi:]...)
+		sum := fnv.New64a()
+		sum.Write(body)
+		if err := os.WriteFile(path, binary.LittleEndian.AppendUint64(body, sum.Sum64()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loadSave := func() ([]byte, error) {
+			ck, err := newCheckpointer(path, 1, everyUnitKind(t, nil), everyUnitKindHash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := ck.load(); err != nil {
+				return nil, err
+			}
+			if err := ck.save(); err != nil {
+				t.Fatal(err)
+			}
+			saved, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return saved, nil
+		}
+		first, err := loadSave()
+		if err != nil {
+			if !errors.Is(err, simerr.ErrBadCheckpoint) {
+				t.Fatalf("load: err = %v, want ErrBadCheckpoint", err)
+			}
+			return
+		}
+		second, err := loadSave()
+		if err != nil {
+			t.Fatalf("reloading a saved sidecar: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("second save differs from the first (%d vs %d bytes)", len(second), len(first))
+		}
+	})
 }

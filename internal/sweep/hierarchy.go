@@ -23,7 +23,6 @@ package sweep
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 
 	"palmsim/internal/cache"
@@ -82,50 +81,21 @@ func (u *sharedL1Unit) AccessAllKinded(refs []uint32, kinds []uint8) {
 	}
 }
 
-// AppendState serializes the L1's state followed by every inner unit's,
-// each length-prefixed.
-func (u *sharedL1Unit) AppendState(b []byte) []byte {
-	blob := u.stream.Cache().AppendState(nil)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-	b = append(b, blob...)
+// fields lists the group's state in blob order: the L1's, then every
+// inner unit's, each as a nested, length-prefixed blob.
+func (u *sharedL1Unit) fields() []any {
+	fs := []any{u.stream.Cache()}
 	for _, iu := range u.inner.units {
-		blob = iu.(stateful).AppendState(nil)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
-		b = append(b, blob...)
+		fs = append(fs, iu)
 	}
-	return b
+	return fs
 }
 
+// AppendState serializes the group's state onto b.
+func (u *sharedL1Unit) AppendState(b []byte) []byte { return cache.AppendFields(b, u.fields()...) }
+
 // RestoreState loads state previously produced by AppendState.
-func (u *sharedL1Unit) RestoreState(b []byte) error {
-	restore := func(s stateful, what string) error {
-		if len(b) < 4 {
-			return fmt.Errorf("sweep: shared-L1 state truncated before %s", what)
-		}
-		n := int(binary.LittleEndian.Uint32(b))
-		b = b[4:]
-		if len(b) < n {
-			return fmt.Errorf("sweep: shared-L1 %s blob is %d bytes, want %d", what, len(b), n)
-		}
-		if err := s.RestoreState(b[:n]); err != nil {
-			return err
-		}
-		b = b[n:]
-		return nil
-	}
-	if err := restore(u.stream.Cache(), "L1"); err != nil {
-		return err
-	}
-	for i, iu := range u.inner.units {
-		if err := restore(iu.(stateful), fmt.Sprintf("inner unit %d", i)); err != nil {
-			return err
-		}
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("sweep: %d trailing bytes in shared-L1 state", len(b))
-	}
-	return nil
-}
+func (u *sharedL1Unit) RestoreState(b []byte) error { return cache.RestoreFields(b, u.fields()...) }
 
 // enginePlan is an instantiated sweep: its units, the hierarchy-order
 // result collector, and the structural summary.
@@ -224,7 +194,7 @@ func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annota
 			return nil, err
 		}
 		for i, iu := range inner.units {
-			if _, ok := iu.(stateful); !ok {
+			if _, ok := iu.(cache.Stateful); !ok {
 				return nil, fmt.Errorf("sweep: shared-L1 inner unit %d (%T) is not checkpointable", i, iu)
 			}
 		}
