@@ -103,7 +103,8 @@ type Options struct {
 
 	// Dispatch selects the CPU execution engine. DispatchSpec (the zero
 	// value) is the specialized superblock engine, the fast path;
-	// DispatchLegacy runs the reference switch for cross-checking (see
+	// DispatchLegacy builds no block engine, so every instruction runs
+	// through CPU.Step's reference switch, for cross-checking (see
 	// cmd/palmsim -dispatch).
 	Dispatch m68k.DispatchKind
 }
@@ -144,9 +145,7 @@ func New(opts Options) (*Machine, error) {
 		m.CPU.OpcodeCount = make([]uint64, 65536)
 	}
 
-	if opts.Dispatch == m68k.DispatchLegacy {
-		m.CPU.SetLegacyDispatch(true)
-	} else {
+	if opts.Dispatch != m68k.DispatchLegacy {
 		m.engine = m68k.NewBlockEngine(m.CPU, m.Bus.BlockBinding(m.HW.WakeRef()))
 		m.Bus.Watch = m.engine
 		// No tracer yet (SetTracer re-decides), so the inline data path

@@ -1,25 +1,25 @@
-// Superblock-caching execution engine, the CPU's fast path. The table
-// interpreter (table.go) pays per instruction for the Step preamble (halt/
-// IRQ/stop/trace tests), an indirect bus call per instruction-stream word
-// and the generic EA machinery's fetches. The engine removes those costs
-// for straight-line code: it discovers a run of "block-safe" instructions
-// ending at a control transfer, specializes each one once (spec.go) into a
-// step function with its operands pre-resolved, and replays the block from
-// a cache keyed by (PC, memory generation).
+// Superblock-caching execution engine, the CPU's fast path. The legacy
+// interpreter (decode.go, ops_*.go) pays per instruction for the Step
+// preamble (halt/IRQ/stop/trace tests), the nested decode switch, an
+// indirect bus call per instruction-stream word and the generic EA
+// machinery's fetches. The engine removes those costs for straight-line
+// code: it discovers a run of "block-safe" instructions ending at a
+// control transfer, using the annotations in table.go, specializes each
+// one once (spec.go) into a step function with its operands pre-resolved,
+// and replays the block from a cache keyed by (PC, memory generation).
 //
 // Correctness strategy: every instruction either runs a specialized step
-// function held bit-identical to the table handler by the differential
-// oracle (diff_test.go), or — through the generic adapter — the exact same
-// opEntry handler the table interpreter calls, with the CPU in the same
-// state the interpreter would present (PC past the opcode word).
-// Instruction-stream fetches are served from a direct "code window" over
-// the region's byte slice, with cycle/stat/trace accounting replayed per
-// reference at the original program point (CPU.fetchRef), so the emitted
-// bus-reference stream — order, addresses, sizes, kinds, regions — is
-// bit-identical to the interpreter's. Anything the whitelist cannot prove
-// straight-line and exception-free (bflags == 0 in table.go) ends the
-// block and executes through CPU.Step, the table interpreter, against live
-// memory.
+// function held bit-identical to the legacy interpreter by the
+// differential oracle (diff_test.go), or — through the generic adapter —
+// the legacy dispatch itself, with the CPU in the same state CPU.Step
+// would present (PC past the opcode word). Instruction-stream fetches are
+// served from a direct "code window" over the region's byte slice, with
+// cycle/stat/trace accounting replayed per reference at the original
+// program point (CPU.fetchRef), so the emitted bus-reference stream —
+// order, addresses, sizes, kinds, regions — is bit-identical to the
+// interpreter's. Anything the whitelist cannot prove straight-line and
+// exception-free (bflags == 0 in table.go) ends the block and executes
+// through CPU.Step against live memory.
 //
 // Invalidation: blocks over watched (RAM) regions register page marks; any
 // watched write overlapping a marked page sweeps overlapping blocks from
@@ -62,8 +62,8 @@ const (
 type DispatchKind uint8
 
 // Dispatch engines. The zero value is the specialized superblock engine,
-// the fast path; DispatchLegacy is the nested-switch reference dispatcher
-// (CPU.SetLegacyDispatch), the executable specification.
+// the fast path; DispatchLegacy runs CPU.Step alone, the nested-switch
+// interpreter that is the executable specification, with no block engine.
 const (
 	DispatchSpec DispatchKind = iota
 	DispatchLegacy
@@ -427,7 +427,7 @@ func (e *BlockEngine) translate(pc uint32) *block {
 		b.sops = append(b.sops, specOp{})
 		s := &b.sops[len(b.sops)-1]
 		specialize(s, ent, op, r.Base+uint32(off), mem, r.Base)
-		if s.gfn == nil {
+		if s.gad == 0 {
 			e.Stats.SpecOps++
 		}
 		off += ilen
@@ -473,7 +473,7 @@ func (e *BlockEngine) lookup(pc uint32) *block {
 // the wake timer is armed. Each instruction replays exactly what the
 // interpreter would do: the opcode fetch accounted at its program point,
 // then the specialized step function (or, through the generic adapter,
-// the table handler) with PC set past the opcode word. When the block
+// the legacy dispatch) with PC set past the opcode word. When the block
 // runs to its natural end with cycles to spare, execution continues
 // directly into the successor block instead of returning to RunUntil.
 //

@@ -90,19 +90,19 @@ func TestBlockSMCInvalidation(t *testing.T) {
 
 	// One-shot quantum: the whole block runs in a single execSpec call, so
 	// the store must trip the mid-block stop and force retranslation of
-	// the tail — the interpreters see the new opcode because they fetch
+	// the tail — the interpreter sees the new opcode because it fetches
 	// live.
-	cpus, buses, eng := diffTriple(words, 7)
+	cpus, buses, eng := diffPair(words, 7)
 	milestoneCompare(t, cpus, buses, eng, 2, 10000)
 	if eng.Stats.Invalidations == 0 {
 		t.Fatalf("self-modifying store did not invalidate the block")
 	}
-	if got := cpus[2].D[1]; got != 0x42 {
+	if got := cpus[1].D[1]; got != 0x42 {
 		t.Fatalf("spec engine executed stale code: D1 = %#x, want 0x42", got)
 	}
 
-	// And per-instruction lockstep over a fresh triple for good measure.
-	cpus, buses, eng = diffTriple(words, 7)
+	// And per-instruction lockstep over a fresh pair for good measure.
+	cpus, buses, eng = diffPair(words, 7)
 	lockstepCompare(t, cpus, buses, eng, 6)
 	if eng.Stats.Invalidations == 0 {
 		t.Fatalf("lockstep run did not invalidate the block")
@@ -273,8 +273,8 @@ func TestBlockStatsAvgLen(t *testing.T) {
 }
 
 // TestParseDispatch covers the CLI mapping: the fast-path spellings, the
-// reference, and names that are not replay engines (the table interpreter
-// is only the fast path's fallback), which must be rejected.
+// reference, and names that are not replay engines (retired engine names
+// among them), which must be rejected.
 func TestParseDispatch(t *testing.T) {
 	for _, tc := range []struct {
 		in   string

@@ -5,33 +5,33 @@ import (
 	"testing"
 )
 
-// Differential tests: three execution engines over identical recording
-// buses — the legacy nested-switch dispatcher (decode.go, the executable
-// specification), the pre-decoded dispatch table (table.go, which the spec
-// engine falls back to) and the specialized superblock engine (block.go +
-// spec.go, chaining on) — must be externally indistinguishable: same
-// registers, flags, cycle counts, instruction counts, halt state and,
-// access for access, the same bus traffic.
+// Differential tests: the legacy nested-switch interpreter (decode.go and
+// ops_*.go, which CPU.Step runs: the executable specification) and the
+// specialized superblock engine (block.go + spec.go) over identical
+// recording buses must be externally indistinguishable: same registers,
+// flags, cycle counts, instruction counts, halt state and, access for
+// access, the same bus traffic. The engine also trusts table.go's
+// annotations to find block boundaries and instruction lengths;
+// checkAnnotation holds those against the legacy interpreter directly.
 
-// diffTriple builds three CPUs on fresh recording buses executing the same
-// code: [0] legacy switch, [1] table, [2] spec engine (the engine is
+// diffPair builds two CPUs on fresh recording buses executing the same
+// code: [0] runs CPU.Step (legacy), [1] the spec engine (the engine is
 // returned so tests can drive and inspect it).
-func diffTriple(words []uint16, seed int64) ([3]*CPU, [3]*testBus, *BlockEngine) {
-	buses := [3]*testBus{{}, {}, {}}
-	cpus, eng := diffTripleOn(buses, words, seed)
+func diffPair(words []uint16, seed int64) ([2]*CPU, [2]*testBus, *BlockEngine) {
+	buses := [2]*testBus{{}, {}}
+	cpus, eng := diffPairOn(buses, words, seed)
 	return cpus, buses, eng
 }
 
-// diffTripleOn is diffTriple on caller-owned buses, which it resets first
-// (newTestCPUOn), so a loop over many programs can recycle three buses
-// instead of allocating 3 MiB per program.
-func diffTripleOn(buses [3]*testBus, words []uint16, seed int64) ([3]*CPU, *BlockEngine) {
-	var cpus [3]*CPU
+// diffPairOn is diffPair on caller-owned buses, which it resets first
+// (newTestCPUOn), so a loop over many programs can recycle two buses
+// instead of allocating 2 MiB per program.
+func diffPairOn(buses [2]*testBus, words []uint16, seed int64) ([2]*CPU, *BlockEngine) {
+	var cpus [2]*CPU
 	for i, b := range buses {
 		cpus[i] = newTestCPUOn(b, words...)
 	}
-	cpus[0].SetLegacyDispatch(true)
-	eng := newTestEngine(cpus[2], buses[2])
+	eng := newTestEngine(cpus[1], buses[1])
 	rng := rand.New(rand.NewSource(seed))
 	for i := range cpus[0].D {
 		v := rng.Uint32()
@@ -70,9 +70,9 @@ func newTestEngine(c *CPU, b *testBus) *BlockEngine {
 	return eng
 }
 
-// compareEngines fails on the first divergence between the reference CPU
-// (legacy) and another engine's CPU, including the recorded bus streams.
-func compareEngines(t *testing.T, step int, name string, ref, got *CPU, rb, gb *testBus) {
+// compareEngines fails on the first divergence between the legacy CPU and
+// the spec engine's CPU, including the recorded bus streams.
+func compareEngines(t *testing.T, step int, ref, got *CPU, rb, gb *testBus) {
 	t.Helper()
 	if ref.PC != got.PC || ref.sr != got.sr ||
 		ref.Cycles != got.Cycles ||
@@ -80,83 +80,113 @@ func compareEngines(t *testing.T, step int, name string, ref, got *CPU, rb, gb *
 		ref.osp != got.osp ||
 		ref.stopped != got.stopped || ref.halted != got.halted ||
 		ref.D != got.D || ref.A != got.A {
-		t.Fatalf("%s state diverged at step %d:\nlegacy: %v stopped=%v halted=%v cycles=%d instr=%d\n%s: %v stopped=%v halted=%v cycles=%d instr=%d",
-			name, step, ref, ref.stopped, ref.halted, ref.Cycles, ref.Instructions,
-			name, got, got.stopped, got.halted, got.Cycles, got.Instructions)
+		t.Fatalf("spec state diverged at step %d:\nlegacy: %v stopped=%v halted=%v cycles=%d instr=%d\nspec: %v stopped=%v halted=%v cycles=%d instr=%d",
+			step, ref, ref.stopped, ref.halted, ref.Cycles, ref.Instructions,
+			got, got.stopped, got.halted, got.Cycles, got.Instructions)
 	}
 	if len(rb.accesses) != len(gb.accesses) {
-		t.Fatalf("%s bus trace length diverged at step %d: legacy %d accesses, %s %d\nPC=%#x",
-			name, step, len(rb.accesses), name, len(gb.accesses), ref.PC)
+		t.Fatalf("spec bus trace length diverged at step %d: legacy %d accesses, spec %d\nPC=%#x",
+			step, len(rb.accesses), len(gb.accesses), ref.PC)
 	}
 	for i := range rb.accesses {
 		if rb.accesses[i] != gb.accesses[i] {
-			t.Fatalf("%s bus access %d diverged at step %d: legacy %+v, %s %+v",
-				name, i, step, rb.accesses[i], name, gb.accesses[i])
+			t.Fatalf("spec bus access %d diverged at step %d: legacy %+v, spec %+v",
+				i, step, rb.accesses[i], gb.accesses[i])
 		}
 	}
 }
 
-// lockstepCompare advances all three engines one instruction at a time
-// and fails on the first divergence. RunUntil with a limit already reached
+// lockstepCompare advances both engines one instruction at a time and
+// fails on the first divergence. RunUntil with a limit already reached
 // executes exactly one Step-equivalent quantum, which is what makes
 // per-instruction lockstep possible against the block engine.
-func lockstepCompare(t *testing.T, cpus [3]*CPU, buses [3]*testBus, eng *BlockEngine, steps int) {
+func lockstepCompare(t *testing.T, cpus [2]*CPU, buses [2]*testBus, eng *BlockEngine, steps int) {
 	t.Helper()
-	legacy, table, spc := cpus[0], cpus[1], cpus[2]
+	legacy, spc := cpus[0], cpus[1]
 	for step := 0; step < steps; step++ {
 		legacy.Step()
-		table.Step()
 		eng.RunUntil(spc.Cycles + 1)
-		compareEngines(t, step, "table", legacy, table, buses[0], buses[1])
-		compareEngines(t, step, "spec", legacy, spc, buses[0], buses[2])
+		compareEngines(t, step, legacy, spc, buses[0], buses[1])
 		if legacy.halted {
 			return
 		}
 	}
 }
 
-// milestoneCompare drives all three engines to shared cycle milestones —
-// the way emu.Machine drives the engine to tick boundaries — so whole
+// milestoneCompare drives both engines to shared cycle milestones — the
+// way emu.Machine drives the engine to tick boundaries — so whole
 // multi-instruction blocks and chained block sequences execute between
 // comparisons, including blocks cut short mid-run by the cycle limit.
-func milestoneCompare(t *testing.T, cpus [3]*CPU, buses [3]*testBus, eng *BlockEngine, rounds int, quantum uint64) {
+func milestoneCompare(t *testing.T, cpus [2]*CPU, buses [2]*testBus, eng *BlockEngine, rounds int, quantum uint64) {
 	t.Helper()
-	legacy, table, spc := cpus[0], cpus[1], cpus[2]
+	legacy, spc := cpus[0], cpus[1]
 	for round := 0; round < rounds; round++ {
 		limit := legacy.Cycles + quantum
 		for legacy.Cycles < limit && !legacy.halted {
 			legacy.Step()
 		}
-		for table.Cycles < limit && !table.halted {
-			table.Step()
-		}
 		for spc.Cycles < limit && !spc.halted {
 			eng.RunUntil(limit)
 		}
-		compareEngines(t, round, "table", legacy, table, buses[0], buses[1])
-		compareEngines(t, round, "spec", legacy, spc, buses[0], buses[2])
+		compareEngines(t, round, legacy, spc, buses[0], buses[1])
 		if legacy.halted {
 			return
 		}
 	}
 }
 
+// checkAnnotation holds table.go's annotation of op against the legacy
+// interpreter: one Step of op, followed by the extension words ext, in
+// user mode, where any exception sets S. A bSafe or bEnd opcode must raise
+// no exception, halt or stop; a bSafe opcode must also advance PC by
+// exactly 2 + 2·extw, the length the translator steps over. b is reset
+// first (newTestCPUOn). Unannotated opcodes promise nothing.
+func checkAnnotation(t *testing.T, b *testBus, op uint16, ext []uint16) {
+	t.Helper()
+	opTableOnce.Do(buildOpTable)
+	ent := &opTable[op]
+	if ent.bflags == 0 {
+		return
+	}
+	c := newTestCPUOn(b, append([]uint16{op}, ext...)...)
+	c.SetSR(0) // user mode, A7 is now the user stack pointer
+	for i := range c.D {
+		c.D[i] = uint32(0x2000 + i*16)
+	}
+	for i := range c.A {
+		c.A[i] = uint32(0x3000 + i*32)
+	}
+	pc := c.PC
+	c.Step()
+	if c.sr&FlagS != 0 || c.halted || c.stopped {
+		t.Fatalf("opcode %04X (bflags %d) with ext %04X: exception, halt or stop (PC=%#x SR=%#x halted=%v stopped=%v)",
+			op, ent.bflags, ext, c.PC, c.sr, c.halted, c.stopped)
+	}
+	if want := pc + 2 + 2*uint32(ent.extw); ent.bflags&bSafe != 0 && c.PC != want {
+		t.Fatalf("opcode %04X with ext %04X: PC advanced to %#x, extw %d says %#x",
+			op, ext, c.PC, ent.extw, want)
+	}
+}
+
 // TestDifferentialOpcodeSweep runs every single opcode, with fixed
-// extension words, through all three engines in lockstep. The three buses
-// are recycled across opcodes: allocating 3 MiB per opcode dominated the
-// package's test time.
+// extension words, through both engines in lockstep, and first holds the
+// opcode's annotation to its contract (checkAnnotation) with the same
+// words. The two buses are recycled across opcodes: allocating a bus per
+// opcode dominated the package's test time.
 func TestDifferentialOpcodeSweep(t *testing.T) {
-	buses := [3]*testBus{{}, {}, {}}
+	buses := [2]*testBus{{}, {}}
+	ext := []uint16{0x0004, 0x0010, 0x0002}
 	for op := 0; op < 0x10000; op++ {
-		words := []uint16{uint16(op), 0x0004, 0x0010, 0x0002}
-		cpus, eng := diffTripleOn(buses, words, int64(op))
+		checkAnnotation(t, buses[0], uint16(op), ext)
+		words := append([]uint16{uint16(op)}, ext...)
+		cpus, eng := diffPairOn(buses, words, int64(op))
 		lockstepCompare(t, cpus, buses, eng, 3)
 	}
 }
 
 // TestDifferentialRandomStreams runs seeded random instruction streams
-// through all three engines for many steps, letting exceptions, stack
-// traffic and EA side effects accumulate.
+// through both engines for many steps, letting exceptions, stack traffic
+// and EA side effects accumulate.
 func TestDifferentialRandomStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050405))
 	for trial := 0; trial < 200; trial++ {
@@ -164,7 +194,7 @@ func TestDifferentialRandomStreams(t *testing.T) {
 		for i := range words {
 			words[i] = uint16(rng.Intn(0x10000))
 		}
-		cpus, buses, eng := diffTriple(words, int64(trial))
+		cpus, buses, eng := diffPair(words, int64(trial))
 		lockstepCompare(t, cpus, buses, eng, 400)
 	}
 }
@@ -214,17 +244,17 @@ func blockSafeStream(rng *rand.Rand, n int) []uint16 {
 }
 
 // TestDifferentialBlockStreams runs block-dense instruction streams through
-// all three engines, comparing at coarse cycle milestones so real
+// both engines, comparing at coarse cycle milestones so real
 // multi-instruction blocks (and mid-block cycle-limit breaks) execute
-// between checks, then re-runs a fresh triple in per-instruction lockstep.
+// between checks, then re-runs a fresh pair in per-instruction lockstep.
 func TestDifferentialBlockStreams(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050406))
 	for trial := 0; trial < 100; trial++ {
 		words := blockSafeStream(rng, 80)
 		quantum := uint64(1 + rng.Intn(300))
-		cpus, buses, eng := diffTriple(words, int64(trial))
+		cpus, buses, eng := diffPair(words, int64(trial))
 		milestoneCompare(t, cpus, buses, eng, 50, quantum)
-		cpus, buses, eng = diffTriple(words, int64(trial))
+		cpus, buses, eng = diffPair(words, int64(trial))
 		lockstepCompare(t, cpus, buses, eng, 600)
 	}
 }
@@ -238,7 +268,7 @@ func TestDifferentialSpecNoChain(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		words := blockSafeStream(rng, 80)
 		quantum := uint64(1 + rng.Intn(300))
-		cpus, buses, eng := diffTriple(words, int64(trial))
+		cpus, buses, eng := diffPair(words, int64(trial))
 		eng.setChaining(false)
 		milestoneCompare(t, cpus, buses, eng, 50, quantum)
 	}
@@ -257,7 +287,6 @@ func TestDifferentialSpecFastLoop(t *testing.T) {
 		words := blockSafeStream(rng, 80)
 		quantum := uint64(1 + rng.Intn(300))
 		ref, _ := newTestCPU(words...)
-		ref.SetLegacyDispatch(true)
 		got, gb := newTestCPU(words...)
 		eng := NewBlockEngine(got, BlockBinding{
 			Regions: []BlockRegion{{Base: 0, Mem: gb.mem[:], Watched: true}},
@@ -298,51 +327,51 @@ func TestDifferentialSpecFastLoop(t *testing.T) {
 	}
 }
 
-// FuzzDifferentialDispatch is the go-fuzz form: arbitrary bytes as code,
-// all three engines in per-instruction lockstep. CI runs this for a 10 s
-// smoke per PR.
+// FuzzDifferentialDispatch fuzzes the annotations the translator trusts:
+// an opcode plus up to five fuzzed extension words go through
+// checkAnnotation (words the instruction reads beyond them are the test
+// program's TRAP #15 terminator, then cleared RAM). A wrong bflags or
+// extw on any opcode the fuzzer reaches fails here before it can misalign
+// a translated block. CI runs this for a 10 s smoke per PR.
 func FuzzDifferentialDispatch(f *testing.F) {
-	f.Add([]byte{0x70, 0x05})                         // MOVEQ #5,D0
-	f.Add([]byte{0x30, 0xBC, 0x12, 0x34})             // MOVE.W #$1234,(A0)
-	f.Add([]byte{0xD0, 0x79, 0x00, 0x00, 0x20, 0x00}) // ADD.W $2000,D0
-	f.Add([]byte{0xE2, 0x48, 0x4E, 0x75})             // LSR.W #1,D0; RTS
-	f.Add([]byte{0x13, 0xC1, 0x00, 0x00, 0x30, 0x00}) // MOVE.B D1,$3000
-	f.Add([]byte{0x4A, 0xFC, 0xFF, 0xFF})             // ILLEGAL, line-F
-	f.Fuzz(func(t *testing.T, code []byte) {
-		words := make([]uint16, 0, 64)
-		for i := 0; i+1 < len(code) && len(words) < 64; i += 2 {
-			words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
+	f.Add(uint16(0x7005), []byte{})                          // MOVEQ #5,D0
+	f.Add(uint16(0x30BC), []byte{0x12, 0x34})                // MOVE.W #$1234,(A0)
+	f.Add(uint16(0xD079), []byte{0x00, 0x00, 0x20, 0x00})    // ADD.W $2000.L,D0
+	f.Add(uint16(0xE248), []byte{})                          // LSR.W #1,D0
+	f.Add(uint16(0x13C1), []byte{0x00, 0x00, 0x30, 0x00})    // MOVE.B D1,$3000.L
+	f.Add(uint16(0x4AFC), []byte{0xFF, 0xFF})                // ILLEGAL (unannotated)
+	f.Add(uint16(0x6000), []byte{0x00, 0x10})                // BRA.W
+	f.Add(uint16(0x23F0), []byte{0x10, 0x04, 0, 1, 0, 0x20}) // MOVE.L 4(A0,D1.W),$10020.L
+	// Inputs run one at a time, and checkAnnotation resets the bus.
+	b := &testBus{}
+	f.Fuzz(func(t *testing.T, op uint16, code []byte) {
+		ext := make([]uint16, 0, 5)
+		for i := 0; i+1 < len(code) && len(ext) < 5; i += 2 {
+			ext = append(ext, uint16(code[i])<<8|uint16(code[i+1]))
 		}
-		cpus, buses, eng := diffTriple(words, int64(len(code)))
-		lockstepCompare(t, cpus, buses, eng, 300)
+		checkAnnotation(t, b, op, ext)
 	})
 }
 
-// FuzzBlockDifferential is the fuzz form of TestDifferentialBlockStreams:
-// arbitrary bytes as code, all three engines driven to fuzzer-chosen cycle
-// milestones, so whole blocks (and blocks cut short by the limit) run
-// between comparisons.
+// FuzzBlockDifferential drives both engines, with chaining off, to
+// fuzzer-chosen cycle milestones over arbitrary bytes as code, so whole
+// blocks (and blocks cut short by the limit) run between comparisons with
+// every block transition going through the cache lookup.
+// FuzzSpecDifferential is the same with chaining on.
 func FuzzBlockDifferential(f *testing.F) {
 	f.Add([]byte{0x70, 0x05, 0x4E, 0x71, 0x4E, 0x71}, uint8(40))  // MOVEQ; NOP; NOP
 	f.Add([]byte{0x31, 0xFC, 0x4E, 0x71, 0x10, 0x06}, uint8(10))  // MOVE.W #NOP,$1006 (SMC)
 	f.Add([]byte{0x51, 0xC8, 0xFF, 0xFE}, uint8(90))              // DBF D0,*-0
 	f.Add([]byte{0x60, 0x02, 0x4E, 0x71, 0x4E, 0x75}, uint8(200)) // BRA.S; NOP; RTS
 	f.Fuzz(func(t *testing.T, code []byte, q uint8) {
-		words := make([]uint16, 0, 64)
-		for i := 0; i+1 < len(code) && len(words) < 64; i += 2 {
-			words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
-		}
-		quantum := uint64(q)%311 + 1
-		cpus, buses, eng := diffTriple(words, int64(len(code)))
-		milestoneCompare(t, cpus, buses, eng, 40, quantum)
+		fuzzMilestones(t, code, q, false)
 	})
 }
 
 // FuzzSpecDifferential aims the fuzzer at the spec engine's unique
 // machinery — specialized handlers, the generic-adapter seam and chain
-// patching/severing — by interleaving fuzzer code with SMC-prone stores
-// and comparing only legacy vs spec at fuzzer-chosen milestones, leaving
-// the whole cycle budget to the engine under test.
+// patching/severing (its seeds include SMC-prone stores and call/return
+// pairs) — driving both engines, chaining on, to fuzzer-chosen milestones.
 func FuzzSpecDifferential(f *testing.F) {
 	f.Add([]byte{0x70, 0x05, 0x4E, 0x71, 0x4E, 0x71}, uint8(40))  // MOVEQ; NOP; NOP
 	f.Add([]byte{0x31, 0xFC, 0x4E, 0x71, 0x10, 0x06}, uint8(10))  // MOVE.W #NOP,$1006 (SMC)
@@ -351,25 +380,18 @@ func FuzzSpecDifferential(f *testing.F) {
 	f.Add([]byte{0x41, 0xFA, 0x00, 0x04, 0x20, 0x50}, uint8(60))  // LEA d16(PC),A0; MOVEA.L (A0),A0
 	f.Add([]byte{0x60, 0x02, 0x4E, 0x71, 0x4E, 0x75}, uint8(200)) // BRA.S; NOP; RTS
 	f.Fuzz(func(t *testing.T, code []byte, q uint8) {
-		words := make([]uint16, 0, 64)
-		for i := 0; i+1 < len(code) && len(words) < 64; i += 2 {
-			words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
-		}
-		quantum := uint64(q)%311 + 1
-		cpus, buses, eng := diffTriple(words, int64(len(code)))
-		legacy, spc := cpus[0], cpus[2]
-		for round := 0; round < 40; round++ {
-			limit := legacy.Cycles + quantum
-			for legacy.Cycles < limit && !legacy.halted {
-				legacy.Step()
-			}
-			for spc.Cycles < limit && !spc.halted {
-				eng.RunUntil(limit)
-			}
-			compareEngines(t, round, "spec", legacy, spc, buses[0], buses[2])
-			if legacy.halted {
-				return
-			}
-		}
+		fuzzMilestones(t, code, q, true)
 	})
+}
+
+// fuzzMilestones is the body of the two milestone fuzzers: code (up to 64
+// words) runs on a fresh pair and is compared every q%311+1 cycles.
+func fuzzMilestones(t *testing.T, code []byte, q uint8, chaining bool) {
+	words := make([]uint16, 0, 64)
+	for i := 0; i+1 < len(code) && len(words) < 64; i += 2 {
+		words = append(words, uint16(code[i])<<8|uint16(code[i+1]))
+	}
+	cpus, buses, eng := diffPair(words, int64(len(code)))
+	eng.setChaining(chaining)
+	milestoneCompare(t, cpus, buses, eng, 40, uint64(q)%311+1)
 }

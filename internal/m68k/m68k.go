@@ -184,10 +184,6 @@ type CPU struct {
 	// table corruption). It halts the CPU.
 	err error
 
-	// legacy selects the reference nested-switch dispatcher instead of
-	// the pre-decoded table; the differential tests run both.
-	legacy bool
-
 	// Block-execution state (block.go). While a BlockEngine runs a
 	// translated block, code/codeBase expose the block's bytes so fetch16
 	// and fetch32 read the instruction stream directly instead of calling
@@ -209,17 +205,11 @@ type CPU struct {
 
 // New returns a CPU connected to bus. Call Reset to begin execution.
 func New(bus Bus) *CPU {
-	opTableOnce.Do(buildOpTable)
 	return &CPU{bus: bus}
 }
 
 // Bus returns the bus the CPU is connected to.
 func (c *CPU) Bus() Bus { return c.bus }
-
-// SetLegacyDispatch selects the reference nested-switch dispatcher (true)
-// or the pre-decoded table (false, the default). The two are semantically
-// identical; the switch exists so the differential tests can compare them.
-func (c *CPU) SetLegacyDispatch(on bool) { c.legacy = on }
 
 // Err returns the fault that halted the CPU, if any.
 func (c *CPU) Err() error { return c.err }
@@ -507,12 +497,7 @@ func (c *CPU) execOne() {
 	if c.OnExec != nil {
 		c.OnExec(pc, opcode)
 	}
-	if c.legacy {
-		c.dispatch(opcode)
-		return
-	}
-	e := &opTable[opcode]
-	e.fn(c, opcode, e)
+	c.dispatch(opcode)
 }
 
 // illegalOp raises the illegal-instruction exception, rewinding PC to the

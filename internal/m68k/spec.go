@@ -1,6 +1,6 @@
 // Per-block handler specialization for the superblock engine ("spec"
 // dispatch). The superblock cache (block.go) removes the dispatch costs;
-// the rest of the time the table handlers would spend sits in generic EA
+// the rest of the time the interpreter would spend sits in generic EA
 // resolution (resolveEA's mode switch and a windowed fetch16 per extension
 // word), the operand struct threaded through resolveEA/loadOp/storeOp,
 // per-op eaTiming lookups, and flag helper calls. This file moves that
@@ -26,12 +26,12 @@
 // pattern with precomputed mask/msb constants. Anything without a
 // specialized form — or using an index addressing mode, whose extension
 // word names a runtime register — executes through a generic adapter that
-// calls the pre-bound table handler with PC positioned exactly as the
-// interpreter would (past the opcode word), so coverage is never lost.
+// runs the legacy interpreter's dispatch with PC positioned exactly as
+// CPU.Step would (past the opcode word), so coverage is never lost.
 package m68k
 
-// Specialization families (opEntry.sfam), tagged in table.go at the same
-// sites that bind the handler. sfNone means "no specialized form".
+// Specialization families (opEntry.sfam), tagged in table.go beside the
+// other annotations. sfNone means "no specialized form".
 const (
 	sfNone uint8 = iota
 	sfMOVEQ
@@ -157,18 +157,18 @@ func (a *specEA) calc(c *CPU) uint32 {
 // specOp is one pre-decoded instruction of a specialized block. The exec
 // loop (BlockEngine.execSpec) accounts the opcode fetch, sets PC to npc
 // and calls fn; everything else the instruction needs was computed at
-// translation time. Generic (non-specialized) ops carry gfn/e and npc =
-// pc+2 so the table handler runs with the CPU positioned exactly as the
-// interpreter would have it.
+// translation time. Generic (non-specialized) ops carry npc = pc+2 so the
+// legacy dispatch runs with the CPU positioned exactly as CPU.Step would
+// have it.
 //
 // Field order is deliberate: everything the hook-free exec loop and the
 // specialized handlers touch per instruction (fn, operands, npc, flag
 // constants, size, rn/x, the adapter flag and the cycle charge) packs
-// into the first 64 bytes — one cache line per op — while pc/op/gfn/e,
-// which only the hook loop and the rare generic adapters read, sit in
-// the cold tail. Branch handlers that replay their displacement-word
-// fetch take the address from src.faddr (src is otherwise unused there)
-// so they stay on the hot line too.
+// into the first 64 bytes — one cache line per op — while pc/op, which
+// only the hook loop and the rare generic adapters read, sit in the cold
+// tail. Branch handlers that replay their displacement-word fetch take
+// the address from src.faddr (src is otherwise unused there) so they stay
+// on the hot line too.
 type specOp struct {
 	fn  func(c *CPU, s *specOp)
 	src specEA
@@ -186,10 +186,8 @@ type specOp struct {
 	cyc uint64 // precomputed fixed cycle charge
 
 	// Cold tail: hook loop and generic adapters only.
-	pc  uint32 // address of the opcode word
-	op  uint16
-	gfn func(c *CPU, op uint16, e *opEntry)
-	e   *opEntry
+	pc uint32 // address of the opcode word
+	op uint16
 }
 
 // specialize fills s for the instruction (ent, op) at pc, reading
@@ -585,11 +583,9 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 
 	if s.fn == nil {
 		// No specialized form (sfNone or an index addressing mode): run the
-		// pre-bound table handler with PC past the opcode word, exactly as
-		// the table interpreter would.
+		// legacy dispatch with PC past the opcode word, exactly as CPU.Step
+		// would.
 		s.fn = sGeneric
-		s.gfn = ent.fn
-		s.e = ent
 		s.gad = 1
 		s.npc = pc + 2
 	}
@@ -654,11 +650,11 @@ func decodeSpecEA(mode, reg int, size Size, mem []byte, base, ext uint32) (specE
 }
 
 // ---------------------------------------------------------------------------
-// Specialized step functions. Each mirrors its table.go counterpart with
-// operands pre-resolved and fixed cycles pre-summed; dynamic cycle terms
-// (branch taken/not, shift counts) stay in the handler.
+// Specialized step functions. Each mirrors its legacy counterpart
+// (ops_*.go) with operands pre-resolved and fixed cycles pre-summed;
+// dynamic cycle terms (branch taken/not, shift counts) stay in the handler.
 
-func sGeneric(c *CPU, s *specOp) { s.gfn(c, s.op, s.e) }
+func sGeneric(c *CPU, s *specOp) { c.dispatch(s.op) }
 
 func sMOVEQ(c *CPU, s *specOp) {
 	v := s.imm

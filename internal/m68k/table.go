@@ -2,52 +2,42 @@ package m68k
 
 import "sync"
 
-// Pre-decoded dispatch table. The 68000's 16-bit opcode space is small
+// Translator annotation table. The 68000's 16-bit opcode space is small
 // enough to decode once: buildOpTable walks all 65536 opcodes through the
-// same decision tree as the legacy nested-switch dispatcher (decode.go) and
-// records, per opcode, the leaf handler plus the pre-extracted size,
-// EA-mode, EA-register and data-register fields. Step() then becomes
-// fetch → table index → indirect call, with no per-instruction field
-// extraction, no opSize() decode and no validEA() string scan on the hot
-// paths: opcodes whose EA class is invalid are bound directly to the
-// illegal-instruction handler at build time.
+// same decision tree as the legacy nested-switch interpreter (decode.go),
+// which is the CPU's one executable semantics, and records per opcode what
+// the superblock translator (block.go, spec.go) needs to know without
+// executing anything: the pre-extracted size, EA-mode, EA-register and
+// register fields, a family-specific field, whether the opcode may sit in a
+// block (bflags), how many extension words it carries (extw) and which
+// specialized form the spec engine builds for it (sfam). Nothing here runs:
+// CPU.Step executes through the legacy switch, and so does the spec
+// engine's generic adapter for any block op without a specialized form.
 //
-// Handlers fall into two groups:
-//
-//   - specialized handlers (the hot majority: MOVE, MOVEQ, Bcc, ADD/SUB/
-//     AND/OR/CMP, ADDQ/SUBQ, Scc/DBcc, LEA, TST, CLR, JSR/JMP/RTS, shifts)
-//     replicate the legacy semantics with validity and field extraction
-//     hoisted into the build;
-//   - fallback adapters (BCD, MOVEP, DIV/MUL, MOVEM, system control, the
-//     CCR/SR immediate forms) re-enter the legacy leaf functions, so cold
-//     paths share one implementation with the reference dispatcher.
-//
-// The legacy dispatcher is kept (CPU.SetLegacyDispatch) as the reference
-// implementation for the differential harness in diff_test.go, which
-// asserts that both dispatchers produce identical registers, flags, cycle
-// counts and bus traffic over random instruction streams.
+// The annotations are claims about the legacy interpreter, and
+// TestDifferentialOpcodeSweep and FuzzDifferentialDispatch (diff_test.go)
+// check them: a bSafe or bEnd opcode raises no exception, halt or stop, and
+// a bSafe opcode advances PC by exactly 2 + 2·extw.
 
 // opEntry is the compact pre-decoded form of one opcode.
 type opEntry struct {
-	fn   func(c *CPU, op uint16, e *opEntry)
 	size Size  // operand size, when the instruction has one
 	mode uint8 // EA mode field (bits 3-5)
 	reg  uint8 // EA register field (bits 0-2)
 	rn   uint8 // data/address register or count field (bits 9-11)
-	x    uint8 // handler-specific: condition code, ALU op, quick value...
+	x    uint8 // family-specific: condition code, ALU op, quick value...
 
-	// Block-translation annotations (block.go). bflags classifies the
-	// opcode for superblock discovery; extw is the statically known count
-	// of extension words, so the translator can find the next instruction
-	// without a second decoder that could drift from this table.
+	// bflags classifies the opcode for superblock discovery; extw is the
+	// statically known count of extension words, so the translator can find
+	// the next instruction without a second decoder that could drift from
+	// this table.
 	bflags uint8
 	extw   uint8
 
 	// sfam names the specialization family (spec.go) for the spec engine's
-	// per-block handler selection. It is tagged here, at the same sites that
-	// assign fn, so the specializer never re-derives the decode tree. Zero
-	// (sfNone) means "no specialized form": the spec engine wraps the table
-	// handler in a generic adapter.
+	// per-block handler selection, so the specializer never re-derives the
+	// decode tree. Zero (sfNone) means "no specialized form": the spec
+	// engine runs the op through its generic adapter.
 	sfam uint8
 }
 
@@ -65,7 +55,6 @@ const (
 	aluAnd
 	aluAdd
 	aluSub
-	aluEor
 )
 
 // Shift encoding in opEntry.x: bit 0 = left, bits 1-2 = type
@@ -109,8 +98,9 @@ func immExtWords(size Size) uint8 {
 	return 1
 }
 
-// buildOpTable fills the dispatch table; called once, at first CPU
-// construction (the table is immutable afterwards and shared by all CPUs).
+// buildOpTable fills the annotation table; called once, when the first
+// block engine is built (the table is immutable afterwards and shared by
+// all engines).
 func buildOpTable() {
 	for op := 0; op < 0x10000; op++ {
 		opTable[op] = buildEntry(uint16(op))
@@ -118,11 +108,11 @@ func buildOpTable() {
 }
 
 // buildEntry decodes one opcode into its table entry. The decision tree
-// mirrors dispatch() and the group handlers exactly; every condition here
-// is a pure function of the opcode bits.
+// follows dispatch() and the group handlers; every condition here is a
+// pure function of the opcode bits. Line-A and line-F (0xA, 0xF) carry no
+// annotation.
 func buildEntry(op uint16) opEntry {
 	e := opEntry{
-		fn:   opIllegal,
 		mode: uint8(op >> 3 & 7),
 		reg:  uint8(op & 7),
 		rn:   uint8(op >> 9 & 7),
@@ -145,12 +135,9 @@ func buildEntry(op uint16) opEntry {
 		buildGroup5(op, &e, mode, reg)
 	case 0x6:
 		e.x = uint8(op >> 8 & 0xF)
+		e.sfam = sfBcc
 		if e.x == 1 {
-			e.fn = opBSR
 			e.sfam = sfBSR
-		} else {
-			e.fn = opBcc
-			e.sfam = sfBcc
 		}
 		e.bflags = bEnd
 		if op&0x00FF == 0 {
@@ -158,7 +145,6 @@ func buildEntry(op uint16) opEntry {
 		}
 	case 0x7:
 		if op&0x0100 == 0 {
-			e.fn = opMOVEQ
 			e.bflags = bSafe
 			e.sfam = sfMOVEQ
 		}
@@ -166,8 +152,6 @@ func buildEntry(op uint16) opEntry {
 		buildGroup8C(op, &e, mode, reg, false)
 	case 0x9:
 		buildAddSub(op, &e, mode, reg, aluSub)
-	case 0xA:
-		e.fn = opLineA
 	case 0xB:
 		buildGroupB(op, &e, mode, reg)
 	case 0xC:
@@ -176,76 +160,38 @@ func buildEntry(op uint16) opEntry {
 		buildAddSub(op, &e, mode, reg, aluAdd)
 	case 0xE:
 		buildShift(op, &e, mode, reg)
-	default: // 0xF
-		e.fn = opLineF
 	}
 	return e
 }
 
+// buildGroup0 annotates the ALU-immediate forms. Dynamic and static bit
+// ops and MOVEP stay unannotated, as do the to-CCR/to-SR forms, whose
+// immediate EA fails the "dm" class.
 func buildGroup0(op uint16, e *opEntry, mode, reg int) {
-	if op&0x0100 != 0 { // dynamic bit ops or MOVEP
-		if mode == ModeAddrReg {
-			e.fn = opMOVEP
-		} else {
-			e.fn = opBitOpDyn
-		}
+	if op&0x0100 != 0 {
+		return // dynamic bit ops or MOVEP
+	}
+	sel := op >> 9 & 7
+	if sel == 4 || sel == 7 {
+		return // static bit ops, unassigned
+	}
+	size, ok := opSize(op >> 6 & 3)
+	if !ok || !validEA(mode, reg, "dm") {
 		return
 	}
-	switch op >> 9 & 7 {
-	case 0, 1, 5: // ORI / ANDI / EORI
-		switch op >> 9 & 7 {
-		case 0:
-			e.x = aluOr
-		case 1:
-			e.x = aluAnd
-		default:
-			e.x = aluEor
-		}
-		size, ok := opSize(op >> 6 & 3)
-		if !ok {
-			return // illegal
-		}
-		e.size = size
-		if mode == ModeOther && reg == RegImmediate {
-			// The to-CCR/to-SR forms (and the illegal long form) keep
-			// their runtime checks; they are rare.
-			e.fn = opGroup0
-			return
-		}
-		if validEA(mode, reg, "dm") {
-			e.fn = opImmLogic
-			e.bflags = bSafe
-			e.extw = immExtWords(size) + eaExtWords(mode, reg, size)
-		}
-	case 2, 3: // SUBI / ADDI
-		if op>>9&7 == 3 {
-			e.x = aluAdd
-		} else {
-			e.x = aluSub
-		}
-		size, ok := opSize(op >> 6 & 3)
-		if !ok || !validEA(mode, reg, "dm") {
-			return
-		}
-		e.size = size
-		e.fn = opImmArith
-		e.bflags = bSafe
-		e.extw = immExtWords(size) + eaExtWords(mode, reg, size)
+	e.size = size
+	e.bflags = bSafe
+	e.extw = immExtWords(size) + eaExtWords(mode, reg, size)
+	switch sel {
+	case 2: // SUBI
+		e.x = aluSub
 		e.sfam = sfImmArith
-	case 4: // static bit ops: the extension word is fetched before the
-		// EA is validated, so even invalid forms go through the legacy
-		// path to keep the bus traffic identical.
-		e.fn = opGroup0
+	case 3: // ADDI
+		e.x = aluAdd
+		e.sfam = sfImmArith
 	case 6: // CMPI
-		size, ok := opSize(op >> 6 & 3)
-		if !ok || !validEA(mode, reg, "dm") {
-			return
-		}
-		e.size = size
-		e.fn = opCMPI
-		e.bflags = bSafe
-		e.extw = immExtWords(size) + eaExtWords(mode, reg, size)
 		e.sfam = sfCMPI
+	default: // ORI / ANDI / EORI: no specialized form
 	}
 }
 
@@ -259,160 +205,108 @@ func buildMove(op uint16, e *opEntry, size Size) {
 		return
 	}
 	if dstMode == ModeAddrReg {
-		if size != Byte {
-			e.fn = opMOVEA
+		if size != Byte { // MOVEA.B is illegal
 			e.bflags = bSafe
 			e.extw = eaExtWords(srcMode, srcReg, size)
 			e.sfam = sfMOVEA
-		} else {
-			// MOVEA.B: the legacy path resolves and loads the source
-			// (post-inc/pre-dec side effects, extension-word fetches)
-			// before noticing the destination is illegal.
-			e.fn = opMoveBadDst
 		}
 		return
 	}
 	if !validEA(dstMode, int(e.rn), "dm") {
-		e.fn = opMoveBadDst // same: source side effects precede the trap
 		return
 	}
 	e.bflags = bSafe
 	e.extw = eaExtWords(srcMode, srcReg, size) + eaExtWords(dstMode, int(e.rn), size)
+	e.sfam = sfMoveToMem
 	if dstMode == ModeDataReg {
-		e.fn = opMoveToDn
 		e.sfam = sfMoveToDn
-	} else {
-		e.fn = opMoveToMem
-		e.sfam = sfMoveToMem
 	}
 }
 
 func buildShift(op uint16, e *opEntry, mode, reg int) {
 	if op&0x00C0 == 0x00C0 { // memory form: <op> <ea> (word, by 1)
 		if validEA(mode, reg, "m") {
-			e.x = uint8(op>>9&3)<<1 | uint8(op>>8&1)
-			e.fn = opShiftMem
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, Word)
 		}
 		return
 	}
-	size, ok := opSize(op >> 6 & 3)
-	if !ok {
-		return
-	}
-	e.size = size
+	e.size, _ = opSize(op >> 6 & 3) // size 3 is the memory form above
 	e.x = uint8(op>>3&3)<<1 | uint8(op>>8&1)
 	if op&0x0020 != 0 {
 		e.x |= shiftCountInReg
 	}
-	e.fn = opShiftReg
 	e.bflags = bSafe
 	e.sfam = sfShiftReg
 }
 
+// buildGroup4 lists only the group-4 forms the translator handles; every
+// other encoding (traps, RTE/RTR, the SR/CCR/USP moves, RESET/STOP, MOVEM,
+// CHK, NBCD, TAS, NEGX/NEG/NOT) matches no case and stays unannotated. No
+// listed pattern covers an unlisted instruction except TST's, whose size-3
+// encodings (TAS, ILLEGAL) fail opSize.
 func buildGroup4(op uint16, e *opEntry, mode, reg int) {
-	// Mirrors execGroup4's case chain; anything not specialized falls back
-	// to the legacy switch so the two dispatchers share one implementation.
 	switch {
 	case op&0xF1C0 == 0x41C0: // LEA
 		if controlEA(mode, reg) {
-			e.fn = opLEA
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, Long)
 			e.sfam = sfLEA
 		}
-	case op == 0x4AFC: // ILLEGAL
-		e.fn = opIllegal
-	case op&0xFFF0 == 0x4E40: // TRAP #v
-		e.fn = opGroup4
 	case op&0xFFF8 == 0x4E50: // LINK
-		e.fn = opLINK
 		e.bflags = bSafe
 		e.extw = 1
 	case op&0xFFF8 == 0x4E58: // UNLK
-		e.fn = opUNLK
 		e.bflags = bSafe
-	case op&0xFFF8 == 0x4E60 || op&0xFFF8 == 0x4E68: // MOVE USP
-		e.fn = opGroup4
-	case op == 0x4E70 || op == 0x4E72: // RESET / STOP
-		e.fn = opGroup4
 	case op == 0x4E71: // NOP
-		e.fn = opNOP
 		e.bflags = bSafe
 		e.sfam = sfNOP
-	case op == 0x4E73: // RTE
-		e.fn = opRTE // not block-safe: privilege check raises an exception
 	case op == 0x4E75: // RTS
-		e.fn = opRTS
 		e.bflags = bEnd
 		e.sfam = sfRTS
-	case op == 0x4E76 || op == 0x4E77: // TRAPV / RTR
-		e.fn = opGroup4
 	case op&0xFFC0 == 0x4E80: // JSR
 		if controlEA(mode, reg) {
-			e.fn = opJSR
 			e.bflags = bEnd
 			e.extw = eaExtWords(mode, reg, Long)
 			e.sfam = sfJSR
 		}
 	case op&0xFFC0 == 0x4EC0: // JMP
 		if controlEA(mode, reg) {
-			e.fn = opJMP
 			e.bflags = bEnd
 			e.extw = eaExtWords(mode, reg, Long)
 			e.sfam = sfJMP
 		}
-	case op&0xFFC0 == 0x40C0 || op&0xFFC0 == 0x44C0 || op&0xFFC0 == 0x46C0:
-		e.fn = opGroup4 // MOVE SR,<ea> / MOVE <ea>,CCR / MOVE <ea>,SR
-	case op&0xFFC0 == 0x4800: // NBCD
-		e.fn = opGroup4
 	case op&0xFFF8 == 0x4840: // SWAP
-		e.fn = opSWAP
 		e.bflags = bSafe
 		e.sfam = sfSWAP
 	case op&0xFFC0 == 0x4840: // PEA
 		if controlEA(mode, reg) {
-			e.fn = opPEA
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, Long)
 			e.sfam = sfPEA
 		}
 	case op&0xFFB8 == 0x4880 && mode == ModeDataReg: // EXT
-		if op&0x0040 == 0 {
-			e.fn = opEXTW
-			e.sfam = sfEXTW
-		} else {
-			e.fn = opEXTL
+		e.sfam = sfEXTW
+		if op&0x0040 != 0 {
 			e.sfam = sfEXTL
 		}
 		e.bflags = bSafe
-	case op&0xFB80 == 0x4880: // MOVEM
-		e.fn = opMOVEM
-	case op&0xFFC0 == 0x4AC0: // TAS
-		e.fn = opGroup4
 	case op&0xFF00 == 0x4A00: // TST
 		size, ok := opSize(op >> 6 & 3)
 		if ok && validEA(mode, reg, "dm") {
 			e.size = size
-			e.fn = opTST
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
 			e.sfam = sfTST
 		}
-	case op&0xFF00 == 0x4000 || op&0xFF00 == 0x4400 || op&0xFF00 == 0x4600:
-		e.fn = opGroup4 // NEGX / NEG / NOT
 	case op&0xFF00 == 0x4200: // CLR
 		size, ok := opSize(op >> 6 & 3)
 		if ok && validEA(mode, reg, "dm") {
 			e.size = size
-			e.fn = opCLR
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
 			e.sfam = sfCLR
 		}
-	case op&0xF1C0 == 0x4180: // CHK
-		e.fn = opGroup4
 	}
 }
 
@@ -420,7 +314,6 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 	if op&0x00C0 == 0x00C0 { // Scc / DBcc
 		e.x = uint8(op >> 8 & 0xF)
 		if mode == ModeAddrReg {
-			e.fn = opDBcc
 			e.bflags = bEnd
 			e.extw = 1
 			e.sfam = sfDBcc
@@ -428,20 +321,14 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 		}
 		if validEA(mode, reg, "dm") {
 			if mode == ModeDataReg {
-				e.fn = opSccDn
 				e.sfam = sfSccDn
-			} else {
-				e.fn = opSccMem
 			}
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, Byte)
 		}
 		return
 	}
-	size, ok := opSize(op >> 6 & 3)
-	if !ok {
-		return
-	}
+	size, _ := opSize(op >> 6 & 3) // size 3 is Scc/DBcc above
 	e.size = size
 	q := uint8(op >> 9 & 7)
 	if q == 0 {
@@ -453,12 +340,9 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 		if size == Byte {
 			return
 		}
+		e.sfam = sfADDQA
 		if isSub {
-			e.fn = opSUBQA
 			e.sfam = sfSUBQA
-		} else {
-			e.fn = opADDQA
-			e.sfam = sfADDQA
 		}
 		e.bflags = bSafe
 		return
@@ -466,12 +350,9 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 	if !validEA(mode, reg, "dm") {
 		return
 	}
+	e.sfam = sfADDQ
 	if isSub {
-		e.fn = opSUBQ
 		e.sfam = sfSUBQ
-	} else {
-		e.fn = opADDQ
-		e.sfam = sfADDQ
 	}
 	e.bflags = bSafe
 	e.extw = eaExtWords(mode, reg, size)
@@ -480,41 +361,21 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 // buildGroup8C covers groups 0x8 (OR/DIV/SBCD) and 0xC (AND/MUL/ABCD/EXG).
 func buildGroup8C(op uint16, e *opEntry, mode, reg int, isC bool) {
 	switch {
-	case op&0x01C0 == 0x00C0: // DIVU / MULU
-		if isC {
-			e.fn = opMULU
-		} else {
-			e.fn = opDIVU
-		}
-	case op&0x01C0 == 0x01C0: // DIVS / MULS
-		if isC {
-			e.fn = opMULS
-		} else {
-			e.fn = opDIVS
-		}
-	case op&0x01F0 == 0x0100: // SBCD / ABCD
-		if isC {
-			e.fn = opABCD
-		} else {
-			e.fn = opSBCD
-		}
+	case op&0x00C0 == 0x00C0, op&0x01F0 == 0x0100:
+		// DIV/MUL and SBCD/ABCD: no annotation.
 	case isC && op&0x01F8 == 0x0140:
-		e.fn = opEXGDD
 		e.bflags = bSafe
 		e.sfam = sfEXGDD
 	case isC && op&0x01F8 == 0x0148:
-		e.fn = opEXGAA
 		e.bflags = bSafe
 		e.sfam = sfEXGAA
 	case isC && op&0x01F8 == 0x0188:
-		e.fn = opEXGDA
 		e.bflags = bSafe
 		e.sfam = sfEXGDA
 	default: // OR / AND
+		e.x = aluOr
 		if isC {
 			e.x = aluAnd
-		} else {
-			e.x = aluOr
 		}
 		buildDnEA(op, e, mode, reg)
 	}
@@ -530,17 +391,11 @@ func buildAddSub(op uint16, e *opEntry, mode, reg int, alu uint8) {
 			if op&0x0100 != 0 {
 				e.size = Long
 			}
-			e.fn = opAddrOp
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, e.size)
 			e.sfam = sfAddrOp
 		}
-	case op&0x0130 == 0x0100: // ADDX / SUBX
-		if alu == aluAdd {
-			e.fn = opADDX
-		} else {
-			e.fn = opSUBX
-		}
+	case op&0x0130 == 0x0100: // ADDX / SUBX: no annotation
 	default:
 		buildDnEA(op, e, mode, reg)
 	}
@@ -555,7 +410,6 @@ func buildDnEA(op uint16, e *opEntry, mode, reg int) {
 	e.size = size
 	if op&0x0100 != 0 { // <ea> destination
 		if validEA(mode, reg, "m") {
-			e.fn = opDnEAToEA
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
 			e.sfam = sfDnEAToEA
@@ -567,7 +421,6 @@ func buildDnEA(op uint16, e *opEntry, mode, reg int) {
 		class = "dampi"
 	}
 	if validEA(mode, reg, class) {
-		e.fn = opDnEAToDn
 		e.bflags = bSafe
 		e.extw = eaExtWords(mode, reg, size)
 		e.sfam = sfDnEAToDn
@@ -582,7 +435,6 @@ func buildGroupB(op uint16, e *opEntry, mode, reg int) {
 			if op&0x0100 != 0 {
 				e.size = Long
 			}
-			e.fn = opCMPA
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, e.size)
 			e.sfam = sfCMPA
@@ -595,534 +447,19 @@ func buildGroupB(op uint16, e *opEntry, mode, reg int) {
 		}
 		if validEA(mode, reg, class) {
 			e.size = size
-			e.fn = opCMP
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
 			e.sfam = sfCMP
 		}
 	case op&0x0038 == 0x0008: // CMPM
-		size, ok := opSize(op >> 6 & 3)
-		if ok {
-			e.size = size
-			e.fn = opCMPM
-			e.bflags = bSafe
-		}
+		e.size, _ = opSize(op >> 6 & 3)
+		e.bflags = bSafe
 	default: // EOR
 		size, ok := opSize(op >> 6 & 3)
 		if ok && validEA(mode, reg, "dm") {
 			e.size = size
-			e.fn = opEORToEA
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Fallback adapters: re-enter the legacy leaf implementations.
-
-func opIllegal(c *CPU, _ uint16, _ *opEntry) { c.illegalOp() }
-func opLineA(c *CPU, op uint16, _ *opEntry)  { c.execLineA(op) }
-func opLineF(c *CPU, op uint16, _ *opEntry)  { c.execLineF(op) }
-func opGroup0(c *CPU, op uint16, _ *opEntry) { c.execGroup0(op) }
-func opGroup4(c *CPU, op uint16, _ *opEntry) { c.execGroup4(op) }
-func opMOVEP(c *CPU, op uint16, _ *opEntry)  { c.execMovep(op) }
-func opMOVEM(c *CPU, op uint16, _ *opEntry)  { c.execMovem(op) }
-func opDIVU(c *CPU, op uint16, _ *opEntry)   { c.execDiv(op, false) }
-func opDIVS(c *CPU, op uint16, _ *opEntry)   { c.execDiv(op, true) }
-func opMULU(c *CPU, op uint16, _ *opEntry)   { c.execMul(op, false) }
-func opMULS(c *CPU, op uint16, _ *opEntry)   { c.execMul(op, true) }
-func opSBCD(c *CPU, op uint16, _ *opEntry)   { c.execAbcdSbcd(op, false) }
-func opABCD(c *CPU, op uint16, _ *opEntry)   { c.execAbcdSbcd(op, true) }
-func opADDX(c *CPU, op uint16, _ *opEntry)   { c.execAddSubX(op, true) }
-func opSUBX(c *CPU, op uint16, _ *opEntry)   { c.execAddSubX(op, false) }
-
-// opBitOpDyn keeps the legacy path for dynamic bit ops but skips the two
-// outer dispatch levels.
-func opBitOpDyn(c *CPU, op uint16, e *opEntry) {
-	c.execBitOp(int(op>>6&3), int(e.mode), int(e.reg), c.D[e.rn])
-}
-
-// ---------------------------------------------------------------------------
-// Specialized handlers. Validity was established at build time; each body
-// otherwise mirrors its legacy counterpart, including cycle accounting.
-
-func opMOVEQ(c *CPU, op uint16, e *opEntry) {
-	v := uint32(int32(int8(op)))
-	c.D[e.rn] = v
-	c.setNZ(v, Long)
-	c.Cycles += 4
-}
-
-func opMOVEA(c *CPU, _ uint16, e *opEntry) {
-	src := c.resolveEA(int(e.mode), int(e.reg), e.size)
-	v := c.loadOp(src, e.size)
-	c.A[e.rn] = signExtend(v, e.size)
-	c.Cycles += 4
-	c.eaTiming(int(e.mode), int(e.reg), e.size)
-}
-
-func opMoveToDn(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	src := c.resolveEA(int(e.mode), int(e.reg), size)
-	v := c.loadOp(src, size)
-	c.D[e.rn] = c.D[e.rn]&^size.Mask() | v&size.Mask()
-	c.setNZ(v, size)
-	c.Cycles += 4
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opMoveToMem(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	src := c.resolveEA(int(e.mode), int(e.reg), size)
-	v := c.loadOp(src, size)
-	dst := c.resolveEA(int(e.x), int(e.rn), size)
-	c.storeOp(dst, size, v)
-	c.setNZ(v, size)
-	c.Cycles += 8
-	if size == Long {
-		c.Cycles += 4
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opBcc(c *CPU, op uint16, e *opEntry) {
-	disp := uint32(int32(int8(op)))
-	base := c.PC
-	if disp == 0 {
-		disp = uint32(int32(int16(c.fetch16())))
-	}
-	if c.testCond(int(e.x)) {
-		c.PC = base + disp
-		c.Cycles += 10
-	} else {
-		c.Cycles += 8
-	}
-}
-
-func opBSR(c *CPU, op uint16, _ *opEntry) {
-	disp := uint32(int32(int8(op)))
-	base := c.PC
-	if disp == 0 {
-		disp = uint32(int32(int16(c.fetch16())))
-	}
-	c.push32(c.PC)
-	c.PC = base + disp
-	c.Cycles += 18
-}
-
-func opDBcc(c *CPU, _ uint16, e *opEntry) {
-	disp := uint32(int32(int16(c.fetch16())))
-	base := c.PC - 2
-	if c.testCond(int(e.x)) {
-		c.Cycles += 12
-		return
-	}
-	cnt := uint16(c.D[e.reg]) - 1
-	c.D[e.reg] = c.D[e.reg]&0xFFFF0000 | uint32(cnt)
-	if cnt != 0xFFFF {
-		c.PC = base + disp
-		c.Cycles += 10
-	} else {
-		c.Cycles += 14
-	}
-}
-
-func opSccDn(c *CPU, _ uint16, e *opEntry) {
-	var v uint32
-	if c.testCond(int(e.x)) {
-		v = 0xFF
-	}
-	c.D[e.reg] = c.D[e.reg]&^uint32(0xFF) | v
-	c.Cycles += 4
-}
-
-func opSccMem(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), Byte)
-	var v uint32
-	if c.testCond(int(e.x)) {
-		v = 0xFF
-	}
-	c.storeOp(dst, Byte, v)
-	c.Cycles += 8
-	c.eaTiming(int(e.mode), int(e.reg), Byte)
-}
-
-func opADDQA(c *CPU, _ uint16, e *opEntry) {
-	c.A[e.reg] += uint32(e.x)
-	c.Cycles += 8
-}
-
-func opSUBQA(c *CPU, _ uint16, e *opEntry) {
-	c.A[e.reg] -= uint32(e.x)
-	c.Cycles += 8
-}
-
-func opADDQ(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	q := uint32(e.x)
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	d := c.loadOp(dst, size)
-	res := d + q
-	c.addFlags(q, d, res, size)
-	c.storeOp(dst, size, res)
-	c.Cycles += 4
-	if dst.kind == eaMemory {
-		c.Cycles += 4
-	}
-	if size == Long {
-		c.Cycles += 4
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opSUBQ(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	q := uint32(e.x)
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	d := c.loadOp(dst, size)
-	res := d - q
-	c.subFlags(q, d, res, size)
-	c.storeOp(dst, size, res)
-	c.Cycles += 4
-	if dst.kind == eaMemory {
-		c.Cycles += 4
-	}
-	if size == Long {
-		c.Cycles += 4
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opLEA(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), Long)
-	c.A[e.rn] = dst.addr
-	c.Cycles += 4
-}
-
-func opTST(c *CPU, _ uint16, e *opEntry) {
-	src := c.resolveEA(int(e.mode), int(e.reg), e.size)
-	c.setNZ(c.loadOp(src, e.size), e.size)
-	c.Cycles += 4
-	c.eaTiming(int(e.mode), int(e.reg), e.size)
-}
-
-func opCLR(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), e.size)
-	c.storeOp(dst, e.size, 0)
-	c.setNZ(0, e.size)
-	c.Cycles += 4
-	if dst.kind == eaMemory {
-		c.Cycles += 4
-	}
-	c.eaTiming(int(e.mode), int(e.reg), e.size)
-}
-
-func opJSR(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), Long)
-	c.push32(c.PC)
-	c.PC = dst.addr
-	c.Cycles += 16
-}
-
-func opJMP(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), Long)
-	c.PC = dst.addr
-	c.Cycles += 8
-}
-
-func opRTS(c *CPU, _ uint16, _ *opEntry) {
-	c.PC = c.pop32()
-	c.Cycles += 16
-}
-
-func opRTE(c *CPU, _ uint16, _ *opEntry) {
-	if !c.Supervisor() {
-		c.privilegeViolation()
-		return
-	}
-	sr := c.pop16()
-	pc := c.pop32()
-	c.SetSR(sr)
-	c.PC = pc
-	c.Cycles += 20
-}
-
-func opNOP(c *CPU, _ uint16, _ *opEntry) { c.Cycles += 4 }
-
-func opLINK(c *CPU, _ uint16, e *opEntry) {
-	d := uint32(int32(int16(c.fetch16())))
-	c.push32(c.A[e.reg])
-	c.A[e.reg] = c.A[7]
-	c.A[7] += d
-	c.Cycles += 16
-}
-
-func opUNLK(c *CPU, _ uint16, e *opEntry) {
-	c.A[7] = c.A[e.reg]
-	c.A[e.reg] = c.pop32()
-	c.Cycles += 12
-}
-
-func opSWAP(c *CPU, _ uint16, e *opEntry) {
-	v := c.D[e.reg]
-	v = v>>16 | v<<16
-	c.D[e.reg] = v
-	c.setNZ(v, Long)
-	c.Cycles += 4
-}
-
-func opPEA(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), Long)
-	c.push32(dst.addr)
-	c.Cycles += 12
-}
-
-func opEXTW(c *CPU, _ uint16, e *opEntry) {
-	v := signExtend(c.D[e.reg], Byte)
-	c.D[e.reg] = c.D[e.reg]&0xFFFF0000 | v&0xFFFF
-	c.setNZ(v, Word)
-	c.Cycles += 4
-}
-
-func opEXTL(c *CPU, _ uint16, e *opEntry) {
-	v := signExtend(c.D[e.reg], Word)
-	c.D[e.reg] = v
-	c.setNZ(v, Long)
-	c.Cycles += 4
-}
-
-// opImmLogic is ORI/ANDI/EORI to a data or memory-alterable destination.
-func opImmLogic(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	imm := c.resolveEA(ModeOther, RegImmediate, size)
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	d := c.loadOp(dst, size)
-	var res uint32
-	switch e.x {
-	case aluOr:
-		res = d | imm.imm
-	case aluAnd:
-		res = d & imm.imm
-	default:
-		res = d ^ imm.imm
-	}
-	c.storeOp(dst, size, res)
-	c.setNZ(res, size)
-	if dst.kind == eaDataReg {
-		c.Cycles += 8
-		if size == Long {
-			c.Cycles += 8
-		}
-	} else {
-		c.Cycles += 12
-		if size == Long {
-			c.Cycles += 8
-		}
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-// opImmArith is ADDI/SUBI.
-func opImmArith(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	imm := c.resolveEA(ModeOther, RegImmediate, size)
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	d := c.loadOp(dst, size)
-	s := imm.imm & size.Mask()
-	var res uint32
-	if e.x == aluAdd {
-		res = d + s
-		c.addFlags(s, d, res, size)
-	} else {
-		res = d - s
-		c.subFlags(s, d, res, size)
-	}
-	c.storeOp(dst, size, res)
-	if dst.kind == eaDataReg {
-		c.Cycles += 8
-	} else {
-		c.Cycles += 12
-	}
-	if size == Long {
-		c.Cycles += 8
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opCMPI(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	imm := c.resolveEA(ModeOther, RegImmediate, size)
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	d := c.loadOp(dst, size)
-	s := imm.imm & size.Mask()
-	c.cmpFlags(s, d, d-s, size)
-	c.Cycles += 8
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-// opDnEAToDn is the Dn-destination half of OR/AND/ADD/SUB.
-func opDnEAToDn(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	src := c.resolveEA(int(e.mode), int(e.reg), size)
-	s := c.loadOp(src, size)
-	d := c.D[e.rn]
-	var res uint32
-	switch e.x {
-	case aluOr:
-		res = s | d
-		c.setNZ(res, size)
-	case aluAnd:
-		res = s & d
-		c.setNZ(res, size)
-	case aluAdd:
-		res = d + s
-		c.addFlags(s, d, res, size)
-	default:
-		res = d - s
-		c.subFlags(s, d, res, size)
-	}
-	c.D[e.rn] = c.D[e.rn]&^size.Mask() | res&size.Mask()
-	c.Cycles += 4
-	if size == Long {
-		c.Cycles += 4
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-// opDnEAToEA is the memory-destination half of OR/AND/ADD/SUB.
-func opDnEAToEA(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	d := c.loadOp(dst, size)
-	s := c.D[e.rn]
-	var res uint32
-	switch e.x {
-	case aluOr:
-		res = s | d
-		c.setNZ(res, size)
-	case aluAnd:
-		res = s & d
-		c.setNZ(res, size)
-	case aluAdd:
-		res = d + s
-		c.addFlags(s, d, res, size)
-	default:
-		res = d - s
-		c.subFlags(s, d, res, size)
-	}
-	c.storeOp(dst, size, res)
-	c.Cycles += 8
-	if size == Long {
-		c.Cycles += 4
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-// opAddrOp is ADDA/SUBA (CMPA has its own handler).
-func opAddrOp(c *CPU, _ uint16, e *opEntry) {
-	src := c.resolveEA(int(e.mode), int(e.reg), e.size)
-	s := signExtend(c.loadOp(src, e.size), e.size)
-	if e.x == aluAdd {
-		c.A[e.rn] += s
-	} else {
-		c.A[e.rn] -= s
-	}
-	c.Cycles += 8
-	c.eaTiming(int(e.mode), int(e.reg), e.size)
-}
-
-func opCMPA(c *CPU, _ uint16, e *opEntry) {
-	src := c.resolveEA(int(e.mode), int(e.reg), e.size)
-	s := signExtend(c.loadOp(src, e.size), e.size)
-	d := c.A[e.rn]
-	c.cmpFlags(s, d, d-s, Long)
-	c.Cycles += 8
-	c.eaTiming(int(e.mode), int(e.reg), e.size)
-}
-
-func opCMP(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	src := c.resolveEA(int(e.mode), int(e.reg), size)
-	s := c.loadOp(src, size)
-	d := c.D[e.rn] & size.Mask()
-	c.cmpFlags(s, d, d-s, size)
-	c.Cycles += 4
-	if size == Long {
-		c.Cycles += 2
-	}
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opCMPM(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	s := c.read(c.A[e.reg], size, Read)
-	c.A[e.reg] += uint32(size)
-	d := c.read(c.A[e.rn], size, Read)
-	c.A[e.rn] += uint32(size)
-	c.cmpFlags(s, d, d-s, size)
-	c.Cycles += 12
-}
-
-func opEORToEA(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	dst := c.resolveEA(int(e.mode), int(e.reg), size)
-	res := c.loadOp(dst, size) ^ c.D[e.rn]
-	c.storeOp(dst, size, res)
-	c.setNZ(res, size)
-	c.Cycles += 8
-	c.eaTiming(int(e.mode), int(e.reg), size)
-}
-
-func opEXGDD(c *CPU, _ uint16, e *opEntry) {
-	c.D[e.rn], c.D[e.reg] = c.D[e.reg], c.D[e.rn]
-	c.Cycles += 6
-}
-
-func opEXGAA(c *CPU, _ uint16, e *opEntry) {
-	c.A[e.rn], c.A[e.reg] = c.A[e.reg], c.A[e.rn]
-	c.Cycles += 6
-}
-
-func opEXGDA(c *CPU, _ uint16, e *opEntry) {
-	c.D[e.rn], c.A[e.reg] = c.A[e.reg], c.D[e.rn]
-	c.Cycles += 6
-}
-
-// opMoveBadDst is MOVE with a valid source but illegal destination: the
-// source EA is still resolved and loaded (with all its side effects)
-// before the illegal-instruction exception, matching the legacy order.
-func opMoveBadDst(c *CPU, _ uint16, e *opEntry) {
-	src := c.resolveEA(int(e.mode), int(e.reg), e.size)
-	c.loadOp(src, e.size)
-	c.illegalOp()
-}
-
-func opShiftMem(c *CPU, _ uint16, e *opEntry) {
-	dst := c.resolveEA(int(e.mode), int(e.reg), Word)
-	v := c.loadOp(dst, Word)
-	res := c.shiftValue(int(e.x>>1), e.x&1 != 0, v, 1, Word)
-	c.storeOp(dst, Word, res)
-	c.Cycles += 8
-	c.eaTiming(int(e.mode), int(e.reg), Word)
-}
-
-func opShiftReg(c *CPU, _ uint16, e *opEntry) {
-	size := e.size
-	var count uint32
-	if e.x&shiftCountInReg != 0 {
-		count = c.D[e.rn] & 63
-	} else {
-		count = uint32(e.rn)
-		if count == 0 {
-			count = 8
-		}
-	}
-	v := c.D[e.reg] & size.Mask()
-	res := c.shiftValue(int(e.x>>1&3), e.x&1 != 0, v, count, size)
-	c.D[e.reg] = c.D[e.reg]&^size.Mask() | res&size.Mask()
-	c.Cycles += 6 + 2*uint64(count)
-	if size == Long {
-		c.Cycles += 2
 	}
 }

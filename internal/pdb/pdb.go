@@ -132,7 +132,8 @@ func Parse(data []byte) (*Database, error) {
 		UniqueIDSeed:     be32(data[68:]),
 	}
 	n := int(be16(data[76:]))
-	if len(data) < headerLen+8*n {
+	indexEnd := headerLen + 8*n
+	if len(data) < indexEnd {
 		return nil, fmt.Errorf("pdb: truncated record index (%d records)", n)
 	}
 	offsets := make([]uint32, n+1)
@@ -146,7 +147,9 @@ func Parse(data []byte) (*Database, error) {
 	}
 	offsets[n] = uint32(len(data))
 	for i := 0; i < n; i++ {
-		if offsets[i] > offsets[i+1] || int(offsets[i+1]) > len(data) {
+		// A record starting inside the header or the index would decode
+		// those bytes as its payload.
+		if offsets[i] < uint32(indexEnd) || offsets[i] > offsets[i+1] || int(offsets[i+1]) > len(data) {
 			return nil, fmt.Errorf("pdb: record %d has invalid bounds [%d,%d)", i, offsets[i], offsets[i+1])
 		}
 		db.Records = append(db.Records, Record{

@@ -1,6 +1,8 @@
 package pdb
 
 import (
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -59,21 +61,66 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		make([]byte, 10),
-		[]byte(strings.Repeat("x", 80)), // header-sized but bogus count
-	}
-	// The third case: set an absurd record count.
-	big := make([]byte, 80)
-	big[76] = 0xFF
-	big[77] = 0xFF
-	cases = append(cases, big)
-	for i, c := range cases {
+	for i, c := range garbageImages() {
 		if _, err := Parse(c); err == nil && i != 2 {
 			t.Errorf("case %d: garbage accepted", i)
 		}
 	}
+}
+
+// garbageImages are the images TestParseRejectsGarbage feeds to Parse
+// (all rejected but case 2), and FuzzPDBParse's seeds.
+func garbageImages() [][]byte {
+	big := make([]byte, 80) // an absurd record count
+	big[76] = 0xFF
+	big[77] = 0xFF
+	return [][]byte{
+		nil,
+		make([]byte, 10),
+		[]byte(strings.Repeat("x", 80)), // header-sized but bogus count
+		big,
+		// Record 0 starting inside the header, then inside the record
+		// index: both would decode header or index bytes as its payload.
+		withOffset0(0),
+		withOffset0(headerLen + 4),
+	}
+}
+
+// withOffset0 is sample()'s image with record 0's offset replaced.
+func withOffset0(off uint32) []byte {
+	img := sample().Serialize()
+	binary.BigEndian.PutUint32(img[headerLen:], off)
+	return img
+}
+
+// FuzzPDBParse feeds arbitrary bytes to Parse: it must never panic, every
+// record of an accepted image must start at or after the end of the record
+// index, and an accepted database must survive Serialize and Parse
+// unchanged.
+func FuzzPDBParse(f *testing.F) {
+	f.Add(sample().Serialize())
+	for _, img := range garbageImages() {
+		f.Add(img)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		db, err := Parse(data)
+		if err != nil {
+			return
+		}
+		indexEnd := headerLen + 8*len(db.Records)
+		for i := range db.Records {
+			if off := binary.BigEndian.Uint32(data[headerLen+8*i:]); off < uint32(indexEnd) {
+				t.Fatalf("record %d accepted at offset %d, inside the %d-byte header and index", i, off, indexEnd)
+			}
+		}
+		again, err := Parse(db.Serialize())
+		if err != nil {
+			t.Fatalf("re-parse of a serialized accepted image failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, db) {
+			t.Fatalf("round trip changed the database:\n got %+v\nwant %+v", again, db)
+		}
+	})
 }
 
 func TestFourCC(t *testing.T) {
