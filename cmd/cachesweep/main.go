@@ -38,19 +38,17 @@
 // candidate L2. -plan prints the resolved engine plan — units, shared-L1
 // groups, fused hierarchies, fallbacks — and exits without simulating.
 //
-// OPT (Belady's optimal) buffers the whole trace for its backward
-// next-use pass; it is therefore rejected (exit 2) under -partitions,
-// whose point is streaming range decode. -write-policy needs a
-// kind-carrying trace (a session replay, a din file, or a packed trace
-// recorded with kinds) and is rejected with a clear error on
-// address-only traces.
+// Every sweep reads its trace once, in order, through one streaming
+// source; OPT (Belady's optimal) alone buffers the whole trace, for its
+// backward next-use pass. -write-policy needs a kind-carrying trace (a
+// session replay, a din file, or a packed trace recorded with kinds) and
+// is rejected with a clear error on address-only traces.
 //
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -97,7 +95,6 @@ func main() {
 	algo := flag.String("algo", "auto", "sweep engine: auto, direct or stack")
 	crossValidate := flag.Bool("crossvalidate", false, "run both engines over the trace and verify bit-identical results")
 	workers := flag.Int("workers", 0, "concurrent sweep workers (0 = one per core, 1 = serial)")
-	partitions := flag.Int("partitions", 0, "decode an indexed packed -trace with this many concurrent range decoders (0 = serial decode)")
 	chunk := flag.Int("chunk", 0, "references per streamed chunk (0 = default)")
 	checkpoint := flag.String("checkpoint", "", "checkpoint sidecar file: saved periodically and on interrupt")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "chunks between checkpoint saves (0 = default)")
@@ -127,7 +124,6 @@ func main() {
 		algo:            *algo,
 		crossValidate:   *crossValidate,
 		workers:         *workers,
-		partitions:      *partitions,
 		chunk:           *chunk,
 		checkpoint:      *checkpoint,
 		checkpointEvery: *checkpointEvery,
@@ -140,7 +136,6 @@ func main() {
 type config struct {
 	traceFile, traceFormat, dinFile  string
 	sessionNum, refs, workers, chunk int
-	partitions                       int
 	desktop, crossValidate, resume   bool
 	policy, policies, algo           string
 	writePolicy, checkpoint          string
@@ -183,10 +178,7 @@ func run(ctx context.Context, c *config) (code int) {
 		c.obsFlags.SetStatus("interrupted")
 		fmt.Fprintln(os.Stderr, "cachesweep: interrupted:", err)
 		return exitInterrupted
-	case isUsage(err) || errors.Is(err, simerr.ErrUnsupportedPlan):
-		// Unsupported plans (e.g. OPT under -partitions) are flag
-		// combinations the engine refuses by design, not runtime
-		// failures: surface them as usage errors.
+	case isUsage(err):
 		c.obsFlags.SetStatus("failed")
 		fmt.Fprintln(os.Stderr, "cachesweep:", err)
 		return exitUsage
@@ -250,18 +242,6 @@ func sweepMain(ctx context.Context, c *config) error {
 			return attachSourceObs(exp.NewDineroSource(f), reg), nil
 		}
 		fmt.Printf("streaming din references from %s\n", c.dinFile)
-	case c.traceFile != "" && c.partitions > 0:
-		// Partitioned decode needs the PALMIDX1 index; validate it (and
-		// report how many ranges the index supports) before sweeping.
-		// runHierOnce routes this mode through
-		// sweep.RunPartitionedHierarchies, which owns the range decoders
-		// — newSource stays nil.
-		t, err := exp.OpenSeekableTrace(c.traceFile)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("streaming %d packed references from %s across %d partitions\n",
-			t.TotalRefs(), c.traceFile, len(t.SplitPoints(c.partitions))-1)
 	case c.traceFile != "":
 		newSource = func() (sweep.Source, error) {
 			src, err := openTraceFile(c.traceFile, c.traceFormat)
@@ -303,9 +283,6 @@ func sweepMain(ctx context.Context, c *config) error {
 	default:
 		return usageError{fmt.Errorf("need one of -trace, -din, -session or -desktop")}
 	}
-	if c.partitions > 0 && c.traceFile == "" {
-		return usageError{fmt.Errorf("-partitions requires an indexed packed -trace file")}
-	}
 	if c.resume && c.checkpoint == "" {
 		return usageError{fmt.Errorf("-resume requires -checkpoint")}
 	}
@@ -330,7 +307,6 @@ func sweepMain(ctx context.Context, c *config) error {
 		CheckpointPath:        c.checkpoint,
 		CheckpointEveryChunks: c.checkpointEvery,
 		Resume:                c.resume,
-		Partitions:            c.partitions,
 	}
 	if c.l2Sizes != "" {
 		hs, err := hierarchyGrid(cfgs, c, wp)
@@ -359,7 +335,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		return nil
 	}
 
-	results, err := runOnce(ctx, c, cfgs, newSource, opts)
+	results, err := runOnce(ctx, cfgs, newSource, opts)
 	if err != nil {
 		if c.checkpoint != "" && simerr.IsCanceled(err) {
 			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
@@ -372,7 +348,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		vopts := opts
 		vopts.CheckpointPath = ""
 		vopts.Resume = false
-		if err := crossValidateEngines(ctx, c, cfgs, newSource, vopts, results); err != nil {
+		if err := crossValidateEngines(ctx, cfgs, newSource, vopts, results); err != nil {
 			return err
 		}
 		c.obsFlags.Note("crossvalidate", "OK")
@@ -496,7 +472,7 @@ func hierarchyMain(ctx context.Context, c *config, hs []cache.Hierarchy, newSour
 		return nil
 	}
 
-	results, err := runHierOnce(ctx, c, hs, newSource, opts)
+	results, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
 		if c.checkpoint != "" && simerr.IsCanceled(err) {
 			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
@@ -592,19 +568,19 @@ func openTraceFile(path, format string) (sweep.Source, error) {
 	case "raw":
 		return exp.NewTraceSource(f)
 	case "packed":
-		return exp.NewPackedSource(f)
+		return dtrace.NewPackedSource(f)
 	}
 	return nil, usageError{fmt.Errorf("unknown trace format %q (want auto, raw or packed)", format)}
 }
 
 // runOnce is runHierOnce for a configuration sweep: each configuration
 // sweeps as a one-level hierarchy and reports its only level.
-func runOnce(ctx context.Context, c *config, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.Result, error) {
+func runOnce(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.Result, error) {
 	hs := make([]cache.Hierarchy, len(cfgs))
 	for i, cfg := range cfgs {
 		hs[i] = cache.Single(cfg)
 	}
-	hrs, err := runHierOnce(ctx, c, hs, newSource, opts)
+	hrs, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -616,18 +592,8 @@ func runOnce(ctx context.Context, c *config, cfgs []cache.Config, newSource func
 }
 
 // runHierOnce opens a fresh source, sweeps it, and closes the source
-// when it owns resources (partitioned decoders hold goroutines and file
-// handles). Partitioned mode routes through
-// sweep.RunPartitionedHierarchies, so the engine's own plan checks — OPT
-// is incompatible with range decode — apply.
-func runHierOnce(ctx context.Context, c *config, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.HierarchyResult, error) {
-	if c.partitions > 0 {
-		t, err := exp.OpenSeekableTrace(c.traceFile)
-		if err != nil {
-			return nil, err
-		}
-		return sweep.RunPartitionedHierarchies(ctx, hs, t, opts)
-	}
+// when it owns resources.
+func runHierOnce(ctx context.Context, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.HierarchyResult, error) {
 	src, err := newSource()
 	if err != nil {
 		return nil, err
@@ -644,14 +610,14 @@ func runHierOnce(ctx context.Context, c *config, hs []cache.Hierarchy, newSource
 // crossValidateEngines re-runs the sweep on the engine not used for the
 // headline results and verifies every per-configuration counter matches
 // bit for bit.
-func crossValidateEngines(ctx context.Context, c *config, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options, got []cache.Result) error {
+func crossValidateEngines(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options, got []cache.Result) error {
 	ran := opts.Engine
 	other := sweep.EngineDirect
 	if ran == sweep.EngineDirect {
 		other = sweep.EngineStack
 	}
 	opts.Engine = other
-	want, err := runOnce(ctx, c, cfgs, newSource, opts)
+	want, err := runOnce(ctx, cfgs, newSource, opts)
 	if err != nil {
 		return fmt.Errorf("cross-validation sweep (%v engine): %w", other, err)
 	}

@@ -70,7 +70,7 @@ func writeTestDin(t *testing.T) string {
 }
 
 // writeIndexedPackedTrace writes a small PALMPKD1 trace with a PALMIDX1
-// footer, the input format -partitions requires.
+// footer, the format palmsim -trace-format packed writes.
 func writeIndexedPackedTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "indexed.ptrace")
@@ -295,43 +295,39 @@ func TestPlanDryRun(t *testing.T) {
 	}
 }
 
-// TestPartitionedOptExitsUsage is the exit-code contract for unsupported
-// plans: OPT needs the whole trace for its backward next-use pass, so
-// requesting it under -partitions must exit 2 (bad usage), not 1, and
-// name the offending configuration.
+// TestPartitionedOptExitsUsage: an indexed packed trace sweeps, exit 0,
+// under OPT — which buffers the whole trace — and as a hierarchy sweep;
+// -partitions, whose range decoders are gone, is an undefined flag and
+// exits 2 (usage).
 func TestPartitionedOptExitsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
 	}
 	trace := writeIndexedPackedTrace(t)
-	out, err := runCachesweep(t, "-trace "+trace+" -partitions 2 -policy OPT")
-	if err == nil {
-		t.Fatalf("partitioned OPT sweep exited zero:\n%s", out)
-	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("subprocess did not run: %v", err)
-	}
-	if code := ee.ExitCode(); code != 2 {
-		t.Errorf("exit code = %d, want 2 (usage)", code)
-	}
-	if !strings.Contains(out, "unsupported plan") || !strings.Contains(out, "OPT") {
-		t.Errorf("error does not name the unsupported plan:\n%s", out)
-	}
-	// The same trace sweeps fine partitioned under LRU...
-	out, err = runCachesweep(t, "-trace "+trace+" -partitions 2 -policy LRU")
+	out, err := runCachesweep(t, "-trace "+trace+" -policy OPT")
 	if err != nil {
-		t.Fatalf("partitioned LRU sweep failed: %v\n%s", err, out)
+		t.Fatalf("OPT sweep over an indexed packed trace failed: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "across 2 partitions") {
-		t.Errorf("output missing the partition count:\n%s", out)
+	if !strings.Contains(out, "56-configuration sweep (OPT)") {
+		t.Errorf("OPT sweep output missing results:\n%s", out)
 	}
-	// ...and partitioned hierarchy sweeps take the same road.
-	out, err = runCachesweep(t, "-trace "+trace+" -partitions 2 -l2-sizes 32")
+	out, err = runCachesweep(t, "-trace "+trace+" -l2-sizes 32")
 	if err != nil {
-		t.Fatalf("partitioned hierarchy sweep failed: %v\n%s", err, out)
+		t.Fatalf("hierarchy sweep over an indexed packed trace failed: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, "56-hierarchy sweep") {
-		t.Errorf("partitioned hierarchy output missing results:\n%s", out)
+		t.Errorf("hierarchy sweep output missing results:\n%s", out)
+	}
+
+	out, err = runCachesweep(t, "-trace "+trace+" -partitions 2")
+	ee, ok := err.(*exec.ExitError)
+	if !ok {
+		t.Fatalf("-partitions 2: err = %v, want exit 2\n%s", err, out)
+	}
+	if code := ee.ExitCode(); code != 2 {
+		t.Errorf("-partitions 2: exit code = %d, want 2 (usage)", code)
+	}
+	if !strings.Contains(out, "flag provided but not defined: -partitions") {
+		t.Errorf("-partitions 2 not rejected as an undefined flag:\n%s", out)
 	}
 }

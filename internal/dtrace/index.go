@@ -7,8 +7,9 @@
 // emulated tick, and appends the table as a self-locating footer after
 // the end-of-trace marker. A reader can then restore the predictor
 // snapshot, seek to the block's byte offset, and resume decoding
-// bit-identically — which is what enables partitioned sweeps of a single
-// trace (internal/sweep) and replay-to-tick fast-forwards.
+// bit-identically: OpenRange decodes any slice of references, SeekRef
+// any suffix, and SeekTick the suffix that starts at an emulated tick.
+// Sweeps read a trace from its start, in order, through one PackedSource.
 //
 // Footer layout, all little-endian, written after the 0 end marker:
 //
@@ -308,33 +309,6 @@ func (t *IndexedTrace) Index() *Index { return t.idx }
 
 // TotalRefs returns the trace's reference count.
 func (t *IndexedTrace) TotalRefs() uint64 { return t.idx.TotalRefs }
-
-// SplitPoints returns at most k+1 ascending reference ordinals — always
-// starting at 0 and ending at TotalRefs — each cheap to seek to (0 and
-// indexed block boundaries). Consecutive points delimit the contiguous
-// ranges a partitioned sweep fans out; fewer points come back when the
-// trace has fewer indexed blocks than requested ranges.
-func (t *IndexedTrace) SplitPoints(k int) []uint64 {
-	if k < 1 {
-		k = 1
-	}
-	total := t.idx.TotalRefs
-	points := []uint64{0}
-	for i := 1; i < k; i++ {
-		target := total * uint64(i) / uint64(k)
-		j := t.idx.FindRef(target)
-		if j < 0 {
-			continue
-		}
-		if p := t.idx.Entries[j].StartRef; p > points[len(points)-1] {
-			points = append(points, p)
-		}
-	}
-	if total > points[len(points)-1] {
-		points = append(points, total)
-	}
-	return points
-}
 
 // OpenRange returns a decoder positioned exactly at startRef that yields
 // exactly n references and then reports a clean end of trace. The

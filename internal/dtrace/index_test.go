@@ -10,6 +10,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -207,39 +208,78 @@ func TestSeekRefBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOpenRangePartitionsConcatenate: SplitPoints ranges tile the trace
-// and decode, concatenated, to exactly the serial stream.
+// drainKinded decodes a source to exhaustion through NextChunkKinded.
+func drainKinded(t testing.TB, src *PackedSource) ([]uint32, []uint8) {
+	t.Helper()
+	defer src.Close()
+	var addrs []uint32
+	var kinds []uint8
+	buf, kbuf := make([]uint32, 1009), make([]uint8, 1009)
+	for {
+		n, err := src.NextChunkKinded(buf, kbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return addrs, kinds
+		}
+		addrs = append(addrs, buf[:n]...)
+		kinds = append(kinds, kbuf[:n]...)
+	}
+}
+
+// TestOpenRangePartitionsConcatenate: ranges cut at every indexed block
+// boundary and one reference either side of it — so most ranges start
+// and end inside a block — decode through OpenRange, concatenated, to
+// exactly the serial decode, kinds included.
 func TestOpenRangePartitionsConcatenate(t *testing.T) {
 	addrs, kinds := packedTestTrace(5*blockRefs+123, 19)
 	data := packIndexed(t, addrs, kinds, 0)
+	serial, err := NewPackedSource(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantA, wantK := drainKinded(t, serial)
+	if !slices.Equal(wantA, addrs) || !slices.Equal(wantK, kinds) {
+		t.Fatal("serial decode does not reproduce the packed trace")
+	}
 	it, err := OpenIndexedBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{1, 2, 4, 8, 100} {
-		points := it.SplitPoints(k)
-		if points[0] != 0 || points[len(points)-1] != it.TotalRefs() {
-			t.Fatalf("k=%d: split points %v do not span the trace", k, points)
-		}
-		var got []uint32
-		for i := 0; i+1 < len(points); i++ {
-			if points[i+1] <= points[i] {
-				t.Fatalf("k=%d: split points not ascending: %v", k, points)
-			}
-			src, err := it.OpenRange(points[i], points[i+1]-points[i])
-			if err != nil {
-				t.Fatalf("k=%d OpenRange(%d, %d): %v", k, points[i], points[i+1]-points[i], err)
-			}
-			got = append(got, drainRange(t, src)...)
-		}
-		if len(got) != len(addrs) {
-			t.Fatalf("k=%d: ranges decoded %d refs, want %d", k, len(got), len(addrs))
-		}
-		for i := range addrs {
-			if got[i] != addrs[i] {
-				t.Fatalf("k=%d: ref %d = %#x, want %#x", k, i, got[i], addrs[i])
+	total := it.TotalRefs()
+	cuts := []uint64{0, total}
+	for _, e := range it.Index().Entries {
+		for _, c := range []uint64{e.StartRef - 1, e.StartRef, e.StartRef + 1} {
+			if c > 0 && c < total { // StartRef 0 - 1 wraps past total
+				cuts = append(cuts, c)
 			}
 		}
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
+	if len(cuts) < 3*len(it.Index().Entries) {
+		t.Fatalf("only %d cuts for %d blocks", len(cuts), len(it.Index().Entries))
+	}
+	var gotA []uint32
+	var gotK []uint8
+	for i := 0; i+1 < len(cuts); i++ {
+		src, err := it.OpenRange(cuts[i], cuts[i+1]-cuts[i])
+		if err != nil {
+			t.Fatalf("OpenRange(%d, %d): %v", cuts[i], cuts[i+1]-cuts[i], err)
+		}
+		a, k := drainKinded(t, src)
+		if uint64(len(a)) != cuts[i+1]-cuts[i] {
+			t.Fatalf("range [%d, %d) decoded %d refs", cuts[i], cuts[i+1], len(a))
+		}
+		gotA = append(gotA, a...)
+		gotK = append(gotK, k...)
+	}
+	if !slices.Equal(gotA, wantA) {
+		t.Error("concatenated ranges differ from the serial decode's addresses")
+	}
+	if !slices.Equal(gotK, wantK) {
+		t.Error("concatenated ranges differ from the serial decode's kinds")
 	}
 }
 

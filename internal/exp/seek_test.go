@@ -1,6 +1,6 @@
-// Seekable-adapter and trailing-garbage coverage: the file-driven open
-// paths must surface indexed traces to the partitioned sweep and reject
-// streams with junk after a valid packed trace instead of a silent EOF.
+// Packed-file open paths: the format sniffer must stream indexed and
+// index-less packed traces from disk alike, and reject streams with junk
+// after a valid packed trace instead of decoding to a silent EOF.
 package exp
 
 import (
@@ -61,68 +61,63 @@ func TestOpenTraceSourceRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
-// TestOpenSeekableTraceFile: the file adapter must open an indexed
-// .ptrace, fan out ranges that reproduce the serial decode, and report
-// ErrNoIndex (not corruption) for index-less files.
+// TestOpenSeekableTraceFile: OpenTraceSource over an on-disk indexed
+// .ptrace — the *os.File path cachesweep -trace takes — streams every
+// reference and accepts the PALMIDX1 footer after the end marker; the
+// same trace written without an index streams the same references.
 func TestOpenSeekableTraceFile(t *testing.T) {
 	trace := seekTestTrace(3*4096 + 500)
 	indexed, err := dtrace.PackTraceIndexed(trace, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "session.ptrace")
-	if err := os.WriteFile(path, indexed, 0o644); err != nil {
-		t.Fatal(err)
+	if !bytes.HasSuffix(indexed, []byte("PALMIDX1")) {
+		t.Fatal("indexed trace carries no PALMIDX1 footer")
 	}
-
-	st, err := OpenSeekableTrace(path)
+	plain, err := dtrace.PackTrace(trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.TotalRefs() != uint64(len(trace)) {
-		t.Fatalf("TotalRefs = %d, want %d", st.TotalRefs(), len(trace))
-	}
-	points := st.SplitPoints(4)
-	var got []uint32
-	for i := 0; i+1 < len(points); i++ {
-		src, err := st.OpenRange(points[i], points[i+1]-points[i])
+	dir := t.TempDir()
+	for _, file := range []struct {
+		name string
+		data []byte
+	}{{"indexed.ptrace", indexed}, {"plain.ptrace", plain}} {
+		path := filepath.Join(dir, file.name)
+		if err := os.WriteFile(path, file.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		src, format, err := OpenTraceSource(f)
+		if err != nil {
+			t.Fatalf("%s: %v", file.name, err)
+		}
+		if format != "packed" {
+			t.Fatalf("%s: format = %q, want packed", file.name, format)
+		}
+		var got []uint32
 		buf := make([]uint32, 2048)
 		for {
 			n, err := src.NextChunk(buf)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", file.name, err)
 			}
 			if n == 0 {
 				break
 			}
 			got = append(got, buf[:n]...)
 		}
-		if err := src.Close(); err != nil {
-			t.Fatal(err)
+		f.Close()
+		if len(got) != len(trace) {
+			t.Fatalf("%s: streamed %d refs, want %d", file.name, len(got), len(trace))
 		}
-	}
-	if len(got) != len(trace) {
-		t.Fatalf("ranges decoded %d refs, want %d", len(got), len(trace))
-	}
-	for i := range trace {
-		if got[i] != trace[i] {
-			t.Fatalf("ref %d = %#x, want %#x", i, got[i], trace[i])
+		for i := range trace {
+			if got[i] != trace[i] {
+				t.Fatalf("%s: ref %d = %#x, want %#x", file.name, i, got[i], trace[i])
+			}
 		}
-	}
-
-	plain, err := dtrace.PackTrace(trace, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainPath := filepath.Join(dir, "plain.ptrace")
-	if err := os.WriteFile(plainPath, plain, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenSeekableTrace(plainPath); !errors.Is(err, dtrace.ErrNoIndex) {
-		t.Fatalf("index-less file: %v, want ErrNoIndex", err)
 	}
 }

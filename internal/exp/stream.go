@@ -42,19 +42,13 @@ func OpenTraceSource(r io.Reader) (sweep.Source, string, error) {
 		}
 		return src, "raw", nil
 	case dtrace.PackedMagic:
-		src, err := NewPackedSource(br)
+		src, err := dtrace.NewPackedSource(br)
 		if err != nil {
 			return nil, "", err
 		}
 		return src, "packed", nil
 	}
 	return nil, "", simerr.CorruptTrace("exp: open", 0, fmt.Errorf("unrecognized trace magic %q", magic))
-}
-
-// NewPackedSource streams a packed (PALMPKD1) trace; it is
-// dtrace.NewPackedSource re-exported next to the other trace readers.
-func NewPackedSource(r io.Reader) (*dtrace.PackedSource, error) {
-	return dtrace.NewPackedSource(r)
 }
 
 // TraceSource streams a PALMTRC1-format reference trace (MarshalTrace's

@@ -56,15 +56,6 @@ var (
 	// ErrJobFailed reports a batch run in which at least one job
 	// exhausted its retries (or failed permanently).
 	ErrJobFailed = errors.New("job failed")
-
-	// ErrUnsupportedPlan reports a sweep request whose execution plan is
-	// structurally impossible rather than merely misconfigured: a
-	// configuration that demands trace buffering (OPT's backward
-	// next-use pass) combined with a mode whose point is not to buffer
-	// (partitioned decoding), or a hierarchy shape no engine implements.
-	// The carrier's Config field names the offending configuration, so
-	// CLIs can print exactly which grid entry to drop.
-	ErrUnsupportedPlan = errors.New("unsupported plan")
 )
 
 // Error is the structured carrier: a sentinel kind, the operation that
@@ -83,9 +74,6 @@ type Error struct {
 	Chunk int64
 	// Ref is the trace reference count reached, or -1.
 	Ref int64
-	// Config names the cache configuration (or hierarchy) that made the
-	// plan unsupported, or "" when not applicable.
-	Config string
 	// Cause is the underlying error, if any.
 	Cause error
 }
@@ -124,14 +112,6 @@ func CorruptTrace(op string, ref int64, cause error) *Error {
 	return e
 }
 
-// UnsupportedPlan builds an ErrUnsupportedPlan carrier naming the
-// configuration that cannot be planned.
-func UnsupportedPlan(op, config string, cause error) *Error {
-	e := New(ErrUnsupportedPlan, op, cause)
-	e.Config = config
-	return e
-}
-
 // Error renders "op: kind [at tick N|chunk N|ref N][: cause]".
 func (e *Error) Error() string {
 	var b strings.Builder
@@ -149,9 +129,6 @@ func (e *Error) Error() string {
 		fmt.Fprintf(&b, " at chunk %d", e.Chunk)
 	case e.Ref >= 0:
 		fmt.Fprintf(&b, " at ref %d", e.Ref)
-	}
-	if e.Config != "" {
-		fmt.Fprintf(&b, " [%s]", e.Config)
 	}
 	if e.Cause != nil {
 		b.WriteString(": ")

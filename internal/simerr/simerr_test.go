@@ -19,7 +19,6 @@ func TestSentinelMatching(t *testing.T) {
 		{CorruptTrace("dtrace: unpack", 100, errors.New("bad byte")), ErrCorruptTrace},
 		{New(ErrDivergence, "crossvalidate", nil), ErrDivergence},
 		{New(ErrBadCheckpoint, "sweep: resume", nil), ErrBadCheckpoint},
-		{UnsupportedPlan("sweep: partitioned", "1KB/16B/1-way/OPT", nil), ErrUnsupportedPlan},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, tc.want) {
@@ -67,14 +66,24 @@ func TestErrorsAsRecoversPosition(t *testing.T) {
 	}
 }
 
+// TestErrorsAsRecoversConfig: a corrupt-trace carrier wrapped twice on
+// its way up (decoder → sweep → CLI) still yields the reference count
+// it stopped at, with the positions it does not set left at -1.
 func TestErrorsAsRecoversConfig(t *testing.T) {
-	err := fmt.Errorf("cachesweep: %w", UnsupportedPlan("sweep: partitioned", "64KB/32B/8-way/OPT", nil))
+	inner := CorruptTrace("dtrace: unpack", 70_000, errors.New("truncated block"))
+	err := fmt.Errorf("cachesweep: %w", fmt.Errorf("sweep: produce: %w", inner))
 	var se *Error
 	if !errors.As(err, &se) {
 		t.Fatalf("errors.As failed on %v", err)
 	}
-	if se.Config != "64KB/32B/8-way/OPT" {
-		t.Errorf("Config = %q, want the offending configuration", se.Config)
+	if se.Ref != 70_000 {
+		t.Errorf("Ref = %d, want 70000", se.Ref)
+	}
+	if se.Tick != -1 || se.Chunk != -1 {
+		t.Errorf("unset positions = tick %d chunk %d, want -1/-1", se.Tick, se.Chunk)
+	}
+	if !errors.Is(err, ErrCorruptTrace) {
+		t.Errorf("errors.Is(%v, ErrCorruptTrace) = false", err)
 	}
 }
 
@@ -87,8 +96,6 @@ func TestErrorString(t *testing.T) {
 		{CanceledChunk(nil, "sweep: produce", 3), []string{"at chunk 3"}},
 		{CorruptTrace("dtrace", 88, errors.New("boom")), []string{"corrupt trace", "at ref 88", "boom"}},
 		{New(ErrMissingSymbol, "asm", nil), []string{"asm: missing symbol"}},
-		{UnsupportedPlan("sweep: partitioned", "1KB/16B/1-way/OPT", errors.New("OPT buffers the trace")),
-			[]string{"unsupported plan", "[1KB/16B/1-way/OPT]", "OPT buffers the trace"}},
 	}
 	for _, tc := range cases {
 		got := tc.err.Error()

@@ -7,9 +7,9 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,7 +17,6 @@ import (
 	"palmsim/internal/cache/opt"
 	"palmsim/internal/dtrace"
 	"palmsim/internal/obs"
-	"palmsim/internal/simerr"
 )
 
 // kindedFixedTrace is a deterministic trace with access kinds: flash-side
@@ -192,62 +191,44 @@ func TestOptLowerBoundThroughSweep(t *testing.T) {
 	}
 }
 
-// TestPartitionedOptSweep: OPT configurations are structurally
-// incompatible with partitioned decoding — OPT materializes the whole
-// trace, which defeats the partitioned streaming decode — so
-// RunPartitionedHierarchies rejects them up front with simerr.ErrUnsupportedPlan
-// naming the offending configuration. The remaining (non-OPT)
-// configurations still sweep partitioned and match the serial oracle.
+// TestPartitionedOptSweep: OPT write-back configurations over a kinded
+// packed trace match the direct oracle. The sweep materializes the trace
+// through the decoder's NextChunkKinded, the path slice sources skip.
 func TestPartitionedOptSweep(t *testing.T) {
-	trace, data := packFixed(t, 100_000)
-	st := openSeekableBytes(t, data)
-	var optCfgs, lruCfgs []cache.Config
-	for _, g := range diffGeometries() {
-		o := g
-		o.Policy = cache.OPT
-		optCfgs = append(optCfgs, o)
-		lruCfgs = append(lruCfgs, g)
-	}
-
-	_, err := runPartitioned(context.Background(), append(append([]cache.Config{}, optCfgs...), lruCfgs...), st,
-		Options{Workers: 2, Partitions: 4})
-	if !errors.Is(err, simerr.ErrUnsupportedPlan) {
-		t.Fatalf("partitioned OPT sweep: err = %v, want ErrUnsupportedPlan", err)
-	}
-	var se *simerr.Error
-	if !errors.As(err, &se) || se.Config == "" {
-		t.Errorf("error does not carry the offending config: %v", err)
-	} else if !strings.Contains(se.Config, "OPT") {
-		t.Errorf("carried config %q does not name the OPT entry", se.Config)
-	}
-
-	// The rejection happens before any range decoder opens, so the same
-	// seekable trace still serves the remaining configurations.
-	want := directKindedOracle(t, lruCfgs, trace, nil)
-	for _, k := range []int{1, 4} {
-		got, err := runPartitioned(context.Background(), lruCfgs, st,
-			Options{Workers: 2, Partitions: k})
+	trace, kinds, data := packKinded(t, 100_000)
+	cfgs := optGrid(cache.WriteBack)
+	want := directKindedOracle(t, cfgs, trace, kinds)
+	for _, workers := range []int{1, 4} {
+		got, err := Run(context.Background(), cfgs, packedSource(t, data),
+			Options{Workers: workers, ChunkRefs: 1000})
 		if err != nil {
 			t.Fatal(err)
 		}
-		compareResults(t, fmt.Sprintf("partitions=%d", k), lruCfgs, got, want)
+		compareResults(t, fmt.Sprintf("workers=%d", workers), cfgs, got, want)
 	}
 }
 
-// TestKindedPartitionedSweepRejected: the partitioned source is
+// TestKindedPartitionedSweepRejected: the synthetic desktop stream is
 // address-only, so a write-policy sweep over it must fail up front with
 // an error naming the missing kinds — not silently treat every
-// reference as a read.
+// reference as a read — and must not read the stream first.
 func TestKindedPartitionedSweepRejected(t *testing.T) {
-	_, data := packFixed(t, 4096)
-	st := openSeekableBytes(t, data)
+	gen := dtrace.DefaultConfig()
+	gen.Refs = 10_000
+	stream := dtrace.NewStream(gen)
 	cfgs := []cache.Config{{SizeBytes: 4096, LineBytes: 16, Ways: 2, Write: cache.WriteBack}}
-	_, err := runPartitioned(context.Background(), cfgs, st, Options{Workers: 1})
+	_, err := Run(context.Background(), cfgs, stream, Options{Workers: 1})
 	if err == nil {
-		t.Fatal("kinded partitioned sweep accepted an address-only source")
+		t.Fatal("kinded sweep accepted an address-only source")
 	}
 	if !strings.Contains(err.Error(), "no access kinds") {
 		t.Errorf("error does not name the missing kinds: %v", err)
+	}
+	got, fresh := make([]uint32, 1000), make([]uint32, 1000)
+	n, _ := stream.NextChunk(got)
+	m, _ := dtrace.NewStream(gen).NextChunk(fresh)
+	if n != m || !slices.Equal(got[:n], fresh[:m]) {
+		t.Error("the rejected sweep read the stream before failing")
 	}
 }
 
