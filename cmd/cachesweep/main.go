@@ -1,10 +1,11 @@
 // Command cachesweep runs the §4 cache case study over a memory-reference
-// trace: either a .trace file produced by cmd/palmsim (raw or packed
-// format, auto-detected), a din-format file, a fresh replay of a built-in
-// session, or the synthetic desktop trace (Figure 7). All configurations
-// are simulated concurrently by the internal/sweep engine; file and
-// desktop traces are streamed, so memory use is independent of trace
-// length.
+// trace: either a .trace file produced by cmd/palmsim (raw or packed,
+// told apart by the file's magic), a din-format file, a fresh replay of a
+// built-in session, or the synthetic desktop trace (Figure 7). All
+// configurations are simulated by the internal/sweep engine, on -workers
+// workers; file and desktop traces are streamed, so memory use is
+// independent of trace length, and every file a sweep opens is closed
+// when it ends.
 //
 // SIGINT/SIGTERM cancel the sweep at the next chunk boundary: the run
 // manifest (when -manifest is given) is still written, with
@@ -51,6 +52,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -78,7 +80,6 @@ const (
 
 func main() {
 	traceFile := flag.String("trace", "", "trace file (from palmsim -out), raw or packed")
-	traceFormat := flag.String("trace-format", "auto", "trace file format: auto (sniff magic), raw or packed")
 	dinFile := flag.String("din", "", "Dinero din-format trace file")
 	sessionNum := flag.Int("session", 0, "replay built-in session (1-4) to obtain the trace")
 	desktop := flag.Bool("desktop", false, "use the synthetic desktop trace (Figure 7)")
@@ -107,7 +108,6 @@ func main() {
 	defer stop()
 	os.Exit(run(ctx, &config{
 		traceFile:       *traceFile,
-		traceFormat:     *traceFormat,
 		dinFile:         *dinFile,
 		sessionNum:      *sessionNum,
 		desktop:         *desktop,
@@ -134,7 +134,7 @@ func main() {
 }
 
 type config struct {
-	traceFile, traceFormat, dinFile  string
+	traceFile, dinFile               string
 	sessionNum, refs, workers, chunk int
 	desktop, crossValidate, resume   bool
 	policy, policies, algo           string
@@ -231,29 +231,30 @@ func sweepMain(ctx context.Context, c *config) error {
 
 	// newSource opens a fresh pass over the selected trace; the
 	// cross-validation mode needs two.
-	var newSource func() (sweep.Source, error)
+	var newSource openFunc
 	switch {
 	case c.dinFile != "":
-		newSource = func() (sweep.Source, error) {
+		newSource = func() (sweep.Source, io.Closer, error) {
 			f, err := os.Open(c.dinFile)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return attachSourceObs(exp.NewDineroSource(f), reg), nil
+			return attachSourceObs(exp.NewDineroSource(f), reg), f, nil
 		}
 		fmt.Printf("streaming din references from %s\n", c.dinFile)
 	case c.traceFile != "":
-		newSource = func() (sweep.Source, error) {
-			src, err := openTraceFile(c.traceFile, c.traceFormat)
+		newSource = func() (sweep.Source, io.Closer, error) {
+			src, f, err := openTraceFile(c.traceFile)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return attachSourceObs(src, reg), nil
+			return attachSourceObs(src, reg), f, nil
 		}
-		src, err := newSource()
+		src, f, err := newSource()
 		if err != nil {
 			return err
 		}
+		f.Close()
 		if ts, ok := src.(*exp.TraceSource); ok {
 			fmt.Printf("streaming %d raw references from %s\n", ts.Refs(), c.traceFile)
 		} else {
@@ -264,7 +265,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		if c.refs > 0 {
 			cfg.Refs = c.refs
 		}
-		newSource = func() (sweep.Source, error) { return dtrace.NewStream(cfg), nil }
+		newSource = func() (sweep.Source, io.Closer, error) { return dtrace.NewStream(cfg), nil, nil }
 		fmt.Printf("streaming %d synthetic desktop references\n", cfg.Refs)
 	case c.sessionNum >= 1 && c.sessionNum <= 4:
 		s := user.PaperSessions()[c.sessionNum-1]
@@ -275,7 +276,9 @@ func sweepMain(ctx context.Context, c *config) error {
 		}
 		// Session replays collect kinds alongside addresses, so the same
 		// trace serves address-only and write-policy sweeps.
-		newSource = func() (sweep.Source, error) { return sweep.NewKindedSliceSource(run.Trace, run.Kinds), nil }
+		newSource = func() (sweep.Source, io.Closer, error) {
+			return sweep.NewKindedSliceSource(run.Trace, run.Kinds), nil, nil
+		}
 		fmt.Printf("trace: %d references (%.1f%% flash), no-cache Teff %.3f\n",
 			len(run.Trace),
 			100*float64(run.Row.FlashRefs)/float64(run.Row.RAMRefs+run.Row.FlashRefs),
@@ -447,7 +450,7 @@ func hierarchyGrid(l1s []cache.Config, c *config, wp cache.WritePolicy) ([]cache
 
 // hierarchyMain is sweepMain's back half for -l2-sizes runs: plan,
 // sweep, and report over hierarchies instead of single configurations.
-func hierarchyMain(ctx context.Context, c *config, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options, wp cache.WritePolicy, polLabel string) error {
+func hierarchyMain(ctx context.Context, c *config, hs []cache.Hierarchy, newSource openFunc, opts sweep.Options, wp cache.WritePolicy, polLabel string) error {
 	if c.crossValidate {
 		return usageError{fmt.Errorf("-crossvalidate applies to single-level sweeps; hierarchy engine agreement is covered by -algo direct")}
 	}
@@ -555,27 +558,30 @@ func attachSourceObs(src sweep.Source, reg *obs.Registry) sweep.Source {
 	return src
 }
 
-// openTraceFile opens a trace file in the requested (or sniffed) format.
-func openTraceFile(path, format string) (sweep.Source, error) {
+// openFunc opens a fresh pass over a trace and returns the file the
+// source reads, for the caller to close; the closer is nil when no file
+// backs the source.
+type openFunc func() (sweep.Source, io.Closer, error)
+
+// openTraceFile opens a raw or packed trace file, told apart by its
+// magic, and returns the source with its file. A file whose magic is
+// not a trace's is closed before the error returns.
+func openTraceFile(path string) (sweep.Source, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	switch strings.ToLower(format) {
-	case "auto":
-		src, _, err := exp.OpenTraceSource(f)
-		return src, err
-	case "raw":
-		return exp.NewTraceSource(f)
-	case "packed":
-		return dtrace.NewPackedSource(f)
+	src, _, err := exp.OpenTraceSource(f)
+	if err != nil {
+		f.Close()
+		return nil, nil, err
 	}
-	return nil, usageError{fmt.Errorf("unknown trace format %q (want auto, raw or packed)", format)}
+	return src, f, nil
 }
 
 // runOnce is runHierOnce for a configuration sweep: each configuration
 // sweeps as a one-level hierarchy and reports its only level.
-func runOnce(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.Result, error) {
+func runOnce(ctx context.Context, cfgs []cache.Config, newSource openFunc, opts sweep.Options) ([]cache.Result, error) {
 	hs := make([]cache.Hierarchy, len(cfgs))
 	for i, cfg := range cfgs {
 		hs[i] = cache.Single(cfg)
@@ -591,26 +597,23 @@ func runOnce(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.S
 	return results, nil
 }
 
-// runHierOnce opens a fresh source, sweeps it, and closes the source
-// when it owns resources.
-func runHierOnce(ctx context.Context, hs []cache.Hierarchy, newSource func() (sweep.Source, error), opts sweep.Options) ([]cache.HierarchyResult, error) {
-	src, err := newSource()
+// runHierOnce opens a fresh source, sweeps it, and closes its file on
+// every path.
+func runHierOnce(ctx context.Context, hs []cache.Hierarchy, newSource openFunc, opts sweep.Options) ([]cache.HierarchyResult, error) {
+	src, f, err := newSource()
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.RunHierarchies(ctx, hs, src, opts)
-	if cl, ok := src.(interface{ Close() error }); ok {
-		if cerr := cl.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+	if f != nil {
+		defer f.Close()
 	}
-	return results, err
+	return sweep.RunHierarchies(ctx, hs, src, opts)
 }
 
 // crossValidateEngines re-runs the sweep on the engine not used for the
 // headline results and verifies every per-configuration counter matches
 // bit for bit.
-func crossValidateEngines(ctx context.Context, cfgs []cache.Config, newSource func() (sweep.Source, error), opts sweep.Options, got []cache.Result) error {
+func crossValidateEngines(ctx context.Context, cfgs []cache.Config, newSource openFunc, opts sweep.Options, got []cache.Result) error {
 	ran := opts.Engine
 	other := sweep.EngineDirect
 	if ran == sweep.EngineDirect {

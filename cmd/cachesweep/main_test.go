@@ -6,15 +6,18 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"palmsim/internal/dtrace"
 	"palmsim/internal/exp"
+	"palmsim/internal/obs"
 )
 
 func TestMain(m *testing.M) {
@@ -70,7 +73,7 @@ func writeTestDin(t *testing.T) string {
 }
 
 // writeIndexedPackedTrace writes a small PALMPKD1 trace with a PALMIDX1
-// footer, the format palmsim -trace-format packed writes.
+// footer, the format palmsim writes packed traces in.
 func writeIndexedPackedTrace(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "indexed.ptrace")
@@ -297,8 +300,8 @@ func TestPlanDryRun(t *testing.T) {
 
 // TestPartitionedOptExitsUsage: an indexed packed trace sweeps, exit 0,
 // under OPT — which buffers the whole trace — and as a hierarchy sweep;
-// -partitions, whose range decoders are gone, is an undefined flag and
-// exits 2 (usage).
+// -partitions, whose range decoders are gone, and -trace-format, whose
+// only job the magic sniff does, are undefined flags and exit 2 (usage).
 func TestPartitionedOptExitsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
@@ -319,15 +322,74 @@ func TestPartitionedOptExitsUsage(t *testing.T) {
 		t.Errorf("hierarchy sweep output missing results:\n%s", out)
 	}
 
-	out, err = runCachesweep(t, "-trace "+trace+" -partitions 2")
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("-partitions 2: err = %v, want exit 2\n%s", err, out)
+	for _, flag := range []string{"-partitions 2", "-trace-format raw"} {
+		out, err = runCachesweep(t, "-trace "+trace+" "+flag)
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatalf("%s: err = %v, want exit 2\n%s", flag, err, out)
+		}
+		if code := ee.ExitCode(); code != 2 {
+			t.Errorf("%s: exit code = %d, want 2 (usage)", flag, code)
+		}
+		name, _, _ := strings.Cut(flag, " ")
+		if !strings.Contains(out, "flag provided but not defined: "+name) {
+			t.Errorf("%s not rejected as an undefined flag:\n%s", flag, out)
+		}
 	}
-	if code := ee.ExitCode(); code != 2 {
-		t.Errorf("-partitions 2: exit code = %d, want 2 (usage)", code)
+}
+
+// TestSweepClosesTraceFiles runs sweeps in-process and counts the open
+// descriptors around each: every file a sweep opens — the -trace header
+// probe, both passes of a -crossvalidate run, a file whose magic is not
+// a trace's — must be closed by the time sweepMain returns. The GC stays
+// off, so no *os.File finalizer closes a leaked file behind the count.
+func TestSweepClosesTraceFiles(t *testing.T) {
+	if _, err := os.Stat("/proc/self/fd"); err != nil {
+		t.Skip("no /proc/self/fd on this platform")
 	}
-	if !strings.Contains(out, "flag provided but not defined: -partitions") {
-		t.Errorf("-partitions 2 not rejected as an undefined flag:\n%s", out)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	bad := filepath.Join(t.TempDir(), "bad.trace")
+	if err := os.WriteFile(bad, []byte("GARBAGE1 not a trace"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw, packed, din := writeTestTrace(t), writeIndexedPackedTrace(t), writeTestDin(t)
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer null.Close()
+	stdout := os.Stdout
+	os.Stdout = null // the sweep tables are not under test
+	defer func() { os.Stdout = stdout }()
+
+	for _, tc := range []struct {
+		name    string
+		c       config
+		wantErr bool
+	}{
+		{"raw", config{traceFile: raw}, false},
+		{"packed", config{traceFile: packed}, false},
+		{"din", config{dinFile: din}, false},
+		{"crossvalidate", config{traceFile: raw, crossValidate: true}, false},
+		{"bad magic", config{traceFile: bad}, true},
+	} {
+		c := tc.c
+		c.policy, c.algo, c.l2Assoc, c.hierarchy = "LRU", "auto", "4", "nine"
+		c.obsFlags = &obs.Flags{}
+		before := openFDs()
+		err := sweepMain(context.Background(), &c)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: err = %v, want an error: %v", tc.name, err, tc.wantErr)
+		}
+		if after := openFDs(); after != before {
+			t.Errorf("%s: %d open descriptors before the sweep, %d after", tc.name, before, after)
+		}
 	}
 }

@@ -31,8 +31,8 @@ func packIndexed(t testing.TB, addrs []uint32, kinds []uint8, tickEvery int) []b
 	return data
 }
 
-// drainRange decodes a ranged source to exhaustion.
-func drainRange(t testing.TB, src *PackedSource) []uint32 {
+// readRange decodes a ranged source to exhaustion.
+func readRange(t testing.TB, src *PackedSource) []uint32 {
 	t.Helper()
 	defer src.Close()
 	var out []uint32
@@ -118,7 +118,7 @@ func TestIndexedTraceDecodesEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := drainRange(t, src)
+	streamed := readRange(t, src)
 	if len(streamed) != len(addrs) {
 		t.Fatalf("streamed %d refs, want %d", len(streamed), len(addrs))
 	}
@@ -147,7 +147,7 @@ func TestIndexlessTraceHasNoIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := drainRange(t, src); len(got) != len(addrs) {
+	if got := readRange(t, src); len(got) != len(addrs) {
 		t.Fatalf("streamed %d refs, want %d", len(got), len(addrs))
 	}
 
@@ -192,7 +192,7 @@ func TestSeekRefBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SeekRef(%d): %v", ref, err)
 		}
-		got := drainRange(t, src)
+		got := readRange(t, src)
 		want := addrs[ref:]
 		if len(got) != len(want) {
 			t.Fatalf("SeekRef(%d): %d refs, want %d", ref, len(got), len(want))
@@ -208,8 +208,8 @@ func TestSeekRefBitIdentical(t *testing.T) {
 	}
 }
 
-// drainKinded decodes a source to exhaustion through NextChunkKinded.
-func drainKinded(t testing.TB, src *PackedSource) ([]uint32, []uint8) {
+// readKinded decodes a source to exhaustion through NextChunkKinded.
+func readKinded(t testing.TB, src *PackedSource) ([]uint32, []uint8) {
 	t.Helper()
 	defer src.Close()
 	var addrs []uint32
@@ -239,7 +239,7 @@ func TestOpenRangePartitionsConcatenate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantA, wantK := drainKinded(t, serial)
+	wantA, wantK := readKinded(t, serial)
 	if !slices.Equal(wantA, addrs) || !slices.Equal(wantK, kinds) {
 		t.Fatal("serial decode does not reproduce the packed trace")
 	}
@@ -268,7 +268,7 @@ func TestOpenRangePartitionsConcatenate(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenRange(%d, %d): %v", cuts[i], cuts[i+1]-cuts[i], err)
 		}
-		a, k := drainKinded(t, src)
+		a, k := readKinded(t, src)
 		if uint64(len(a)) != cuts[i+1]-cuts[i] {
 			t.Fatalf("range [%d, %d) decoded %d refs", cuts[i], cuts[i+1], len(a))
 		}
@@ -361,7 +361,7 @@ func TestSeekTickBlockGranular(t *testing.T) {
 	if err != nil || startRef != 0 {
 		t.Fatalf("SeekTick on an empty trace: ref %d, err %v", startRef, err)
 	}
-	if got := drainRange(t, src); len(got) != 0 {
+	if got := readRange(t, src); len(got) != 0 {
 		t.Errorf("SeekTick on an empty trace decoded %d refs", len(got))
 	}
 }

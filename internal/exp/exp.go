@@ -5,7 +5,6 @@
 package exp
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -18,7 +17,6 @@ import (
 	"palmsim/internal/hw"
 	"palmsim/internal/m68k"
 	"palmsim/internal/palmos"
-	"palmsim/internal/simerr"
 	"palmsim/internal/sweep"
 	"palmsim/internal/user"
 )
@@ -243,26 +241,6 @@ func MarshalTrace(trace []uint32) []byte {
 	return out
 }
 
-// UnmarshalTrace parses a serialized reference trace. A bad header or a
-// body shorter than the header claims fails with simerr.ErrCorruptTrace.
-func UnmarshalTrace(data []byte) ([]uint32, error) {
-	if len(data) < 12 || string(data[:8]) != "PALMTRC1" {
-		return nil, simerr.CorruptTrace("exp: unmarshal", 0, fmt.Errorf("not a trace file"))
-	}
-	n := int(data[8])<<24 | int(data[9])<<16 | int(data[10])<<8 | int(data[11])
-	if len(data) < 12+4*n {
-		return nil, simerr.CorruptTrace("exp: unmarshal", int64((len(data)-12)/4),
-			fmt.Errorf("truncated trace (%d refs claimed)", n))
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		off := 12 + 4*i
-		out[i] = uint32(data[off])<<24 | uint32(data[off+1])<<16 |
-			uint32(data[off+2])<<8 | uint32(data[off+3])
-	}
-	return out, nil
-}
-
 // MarshalDinero renders a reference trace in the classic "din" format
 // consumed by the Dinero cache-simulator family: one "<label> <hexaddr>"
 // pair per line, label 0 = data read, 1 = data write, 2 = instruction
@@ -386,24 +364,4 @@ func TightLoop(ctx context.Context, prefill, iterations int) (*TightLoopResult, 
 		CyclesPer:  per,
 		MillisPer:  per / float64(hw.CPUHz) * 1000,
 	}, nil
-}
-
-// UnmarshalDinero parses a din-format trace back into addresses and
-// kinds. A malformed line fails with simerr.ErrCorruptTrace.
-func UnmarshalDinero(data []byte) (trace []uint32, kinds []uint8, err error) {
-	for len(data) > 0 {
-		raw := data
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			raw, data = data[:i+1], data[i+1:]
-		} else {
-			data = nil
-		}
-		addr, kind, err := parseDinLine(raw, len(trace)+1)
-		if err != nil {
-			return nil, nil, simerr.CorruptTrace("exp: unmarshal", int64(len(trace)), err)
-		}
-		trace = append(trace, addr)
-		kinds = append(kinds, kind)
-	}
-	return trace, kinds, nil
 }

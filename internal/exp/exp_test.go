@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -445,7 +446,29 @@ func TestTightLoopMatchesFigure3(t *testing.T) {
 	}
 }
 
-// TestDineroRoundTrip binds the din writer and parser together.
+// readDinero streams a din blob to its end through
+// DineroSource.NextChunkKinded, chunk references at a time.
+func readDinero(din []byte, chunk int) ([]uint32, []uint8, error) {
+	ds := NewDineroSource(bytes.NewReader(din))
+	refs, kinds := make([]uint32, chunk), make([]uint8, chunk)
+	var trace []uint32
+	var tkinds []uint8
+	for {
+		n, err := ds.NextChunkKinded(refs, kinds)
+		if err != nil {
+			return nil, nil, err
+		}
+		if n == 0 {
+			return trace, tkinds, nil
+		}
+		trace = append(trace, refs[:n]...)
+		tkinds = append(tkinds, kinds[:n]...)
+	}
+}
+
+// TestDineroRoundTrip binds the din writer to the streaming kinded
+// reader, in single-reference chunks and in chunks that split the trace
+// unevenly.
 func TestDineroRoundTrip(t *testing.T) {
 	trace := []uint32{0x1000, 0x10000004, 0xFFFFFFFF, 0}
 	kinds := []uint8{uint8(m68k.Fetch), uint8(m68k.Read), uint8(m68k.Write), uint8(m68k.Read)}
@@ -453,23 +476,26 @@ func TestDineroRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTrace, gotKinds, err := UnmarshalDinero(din)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotTrace) != len(trace) {
-		t.Fatalf("length %d", len(gotTrace))
-	}
-	for i := range trace {
-		if gotTrace[i] != trace[i] || gotKinds[i] != kinds[i] {
-			t.Errorf("entry %d: %#x/%d vs %#x/%d", i, gotTrace[i], gotKinds[i], trace[i], kinds[i])
+	for _, chunk := range []int{1, 3} {
+		gotTrace, gotKinds, err := readDinero(din, chunk)
+		if err != nil {
+			t.Fatalf("chunk %d: %v", chunk, err)
 		}
-	}
-	// Garbage rejected, including a ninth hex digit that would shift a
-	// nonzero nibble out of the word.
-	for _, bad := range []string{"9 zz\n", "0 xyz\n", "0 123456789\n", "2 1000\n1 fffffffff", "0\n"} {
-		if _, _, err := UnmarshalDinero([]byte(bad)); !errors.Is(err, simerr.ErrCorruptTrace) {
-			t.Errorf("%q: err = %v, want ErrCorruptTrace", bad, err)
+		if len(gotTrace) != len(trace) {
+			t.Fatalf("chunk %d: length %d", chunk, len(gotTrace))
+		}
+		for i := range trace {
+			if gotTrace[i] != trace[i] || gotKinds[i] != kinds[i] {
+				t.Errorf("chunk %d: entry %d: %#x/%d vs %#x/%d", chunk, i, gotTrace[i], gotKinds[i], trace[i], kinds[i])
+			}
+		}
+		// Garbage rejected, including a ninth hex digit that would shift
+		// a nonzero nibble out of the word, on a last line with no
+		// newline too.
+		for _, bad := range []string{"9 zz\n", "0 xyz\n", "0 123456789\n", "2 1000\n1 fffffffff", "0\n"} {
+			if _, _, err := readDinero([]byte(bad), chunk); !errors.Is(err, simerr.ErrCorruptTrace) {
+				t.Errorf("chunk %d: %q: err = %v, want ErrCorruptTrace", chunk, bad, err)
+			}
 		}
 	}
 }

@@ -167,8 +167,8 @@ func (d *DineroSource) next(buf []uint32, kinds []uint8) (int, error) {
 }
 
 // parseDinLine decodes one "<label> <hexaddr>" line (trailing newline
-// optional) for both din readers. Leading zeros are legal; a digit that
-// would shift a nonzero nibble out of 32 bits is not.
+// optional). Leading zeros are legal; a digit that would shift a nonzero
+// nibble out of 32 bits is not.
 func parseDinLine(raw []byte, line int) (uint32, uint8, error) {
 	if len(raw) > 0 && raw[len(raw)-1] == '\n' {
 		raw = raw[:len(raw)-1]

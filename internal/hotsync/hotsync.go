@@ -8,11 +8,11 @@ package hotsync
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"palmsim/internal/emu"
 	"palmsim/internal/pdb"
+	"palmsim/internal/simerr"
 )
 
 // State is the transferred device state: the RTC base and every database
@@ -75,34 +75,42 @@ func (st *State) Marshal() []byte {
 	return out
 }
 
-// Unmarshal parses a serialized state.
+// Unmarshal parses a serialized state. A malformed state — short header,
+// bad magic, a truncated or corrupt database, bytes after the last
+// database — fails with simerr.ErrCorruptState.
 func Unmarshal(data []byte) (*State, error) {
+	corrupt := func(format string, args ...any) error {
+		return simerr.New(simerr.ErrCorruptState, "hotsync: unmarshal", fmt.Errorf(format, args...))
+	}
 	if len(data) < 16 {
-		return nil, errors.New("hotsync: truncated header")
+		return nil, corrupt("truncated header")
 	}
 	for i, c := range magic {
 		if data[i] != c {
-			return nil, errors.New("hotsync: bad magic")
+			return nil, corrupt("bad magic")
 		}
 	}
 	st := &State{RTCBase: binary.BigEndian.Uint32(data[8:])}
 	n := int(binary.BigEndian.Uint32(data[12:]))
 	off := 16
 	for i := 0; i < n; i++ {
-		if off+4 > len(data) {
-			return nil, fmt.Errorf("hotsync: truncated at database %d", i)
+		if len(data)-off < 4 {
+			return nil, corrupt("truncated at database %d", i)
 		}
 		size := int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
-		if off+size > len(data) {
-			return nil, fmt.Errorf("hotsync: database %d overruns buffer", i)
+		if size > len(data)-off {
+			return nil, corrupt("database %d overruns buffer", i)
 		}
 		db, err := pdb.Parse(data[off : off+size])
 		if err != nil {
-			return nil, fmt.Errorf("hotsync: database %d: %w", i, err)
+			return nil, corrupt("database %d: %w", i, err)
 		}
 		st.Databases = append(st.Databases, db)
 		off += size
+	}
+	if off != len(data) {
+		return nil, corrupt("%d bytes after the last of %d databases", len(data)-off, n)
 	}
 	return st, nil
 }

@@ -1,11 +1,14 @@
 package hotsync
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"palmsim/internal/emu"
 	"palmsim/internal/palmos"
 	"palmsim/internal/pdb"
+	"palmsim/internal/simerr"
 )
 
 func booted(t *testing.T) *emu.Machine {
@@ -98,20 +101,58 @@ func TestMarshalUnmarshal(t *testing.T) {
 }
 
 func TestUnmarshalRejectsGarbage(t *testing.T) {
+	// A truncated database section, bytes after the last database and a
+	// database too short for its own header.
+	st := &State{RTCBase: 1, Databases: []*pdb.Database{{Name: "X"}}}
+	blob := st.Marshal()
+	shortDB := append([]byte(nil), blob[:16]...)
+	shortDB = append(shortDB, 0, 0, 0, 2, 'x', 'y')
 	cases := [][]byte{
 		nil,
 		[]byte("short"),
 		[]byte("NOTMAGIC00000000"),
+		blob[:len(blob)-4],
+		append(append([]byte(nil), blob...), 1, 2, 3),
+		shortDB,
 	}
 	for i, c := range cases {
-		if _, err := Unmarshal(c); err == nil {
-			t.Errorf("case %d accepted", i)
+		if _, err := Unmarshal(c); !errors.Is(err, simerr.ErrCorruptState) {
+			t.Errorf("case %d: err = %v, want ErrCorruptState", i, err)
 		}
 	}
-	// Truncated database section.
-	st := &State{RTCBase: 1, Databases: []*pdb.Database{{Name: "X"}}}
-	blob := st.Marshal()
-	if _, err := Unmarshal(blob[:len(blob)-4]); err == nil {
-		t.Error("truncated blob accepted")
+}
+
+// FuzzHotsyncUnmarshal feeds arbitrary bytes to Unmarshal: it must never
+// panic, every rejection must be ErrCorruptState, and an accepted state
+// must survive Marshal and Unmarshal unchanged.
+func FuzzHotsyncUnmarshal(f *testing.F) {
+	st := &State{
+		RTCBase: 777,
+		Databases: []*pdb.Database{
+			{Name: "A", Type: pdb.FourCC("data"), Records: []pdb.Record{{Attr: 0x40, UniqueID: 5, Data: []byte("one")}}},
+			{Name: "B", CreationDate: 42},
+		},
 	}
+	data := st.Marshal()
+	f.Add(data)
+	f.Add((&State{}).Marshal())
+	f.Add(data[:20])
+	f.Add(data[:len(data)-1])
+	f.Add(append(append([]byte(nil), data...), 1, 2, 3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := Unmarshal(data)
+		if err != nil {
+			if !errors.Is(err, simerr.ErrCorruptState) {
+				t.Fatalf("rejection is not ErrCorruptState: %v", err)
+			}
+			return
+		}
+		again, err := Unmarshal(st.Marshal())
+		if err != nil {
+			t.Fatalf("re-unmarshal of an accepted state failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, st) {
+			t.Fatalf("round trip changed the state:\n got %+v\nwant %+v", again, st)
+		}
+	})
 }

@@ -11,9 +11,10 @@ package pdb
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
+
+	"palmsim/internal/simerr"
 )
 
 // Header attribute bits (subset of Palm OS dmHdrAttr*).
@@ -112,10 +113,15 @@ func (db *Database) Serialize() []byte {
 	return out
 }
 
-// Parse decodes a PDB image.
+// Parse decodes a PDB image. A malformed image — shorter than its header
+// or record index, or a record outside the payload area — fails with
+// simerr.ErrCorruptState.
 func Parse(data []byte) (*Database, error) {
+	corrupt := func(format string, args ...any) error {
+		return simerr.New(simerr.ErrCorruptState, "pdb: parse", fmt.Errorf(format, args...))
+	}
 	if len(data) < headerLen {
-		return nil, errors.New("pdb: image shorter than header")
+		return nil, corrupt("image shorter than header")
 	}
 	be16 := binary.BigEndian.Uint16
 	be32 := binary.BigEndian.Uint32
@@ -134,7 +140,7 @@ func Parse(data []byte) (*Database, error) {
 	n := int(be16(data[76:]))
 	indexEnd := headerLen + 8*n
 	if len(data) < indexEnd {
-		return nil, fmt.Errorf("pdb: truncated record index (%d records)", n)
+		return nil, corrupt("truncated record index (%d records)", n)
 	}
 	offsets := make([]uint32, n+1)
 	attrs := make([]uint8, n)
@@ -150,7 +156,7 @@ func Parse(data []byte) (*Database, error) {
 		// A record starting inside the header or the index would decode
 		// those bytes as its payload.
 		if offsets[i] < uint32(indexEnd) || offsets[i] > offsets[i+1] || int(offsets[i+1]) > len(data) {
-			return nil, fmt.Errorf("pdb: record %d has invalid bounds [%d,%d)", i, offsets[i], offsets[i+1])
+			return nil, corrupt("record %d has invalid bounds [%d,%d)", i, offsets[i], offsets[i+1])
 		}
 		db.Records = append(db.Records, Record{
 			Attr:     attrs[i],

@@ -2,10 +2,13 @@ package pdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"palmsim/internal/simerr"
 )
 
 func sample() *Database {
@@ -62,8 +65,8 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 
 func TestParseRejectsGarbage(t *testing.T) {
 	for i, c := range garbageImages() {
-		if _, err := Parse(c); err == nil && i != 2 {
-			t.Errorf("case %d: garbage accepted", i)
+		if _, err := Parse(c); i != 2 && !errors.Is(err, simerr.ErrCorruptState) {
+			t.Errorf("case %d: err = %v, want ErrCorruptState", i, err)
 		}
 	}
 }
@@ -94,9 +97,9 @@ func withOffset0(off uint32) []byte {
 }
 
 // FuzzPDBParse feeds arbitrary bytes to Parse: it must never panic, every
-// record of an accepted image must start at or after the end of the record
-// index, and an accepted database must survive Serialize and Parse
-// unchanged.
+// rejection must be ErrCorruptState, every record of an accepted image
+// must start at or after the end of the record index, and an accepted
+// database must survive Serialize and Parse unchanged.
 func FuzzPDBParse(f *testing.F) {
 	f.Add(sample().Serialize())
 	for _, img := range garbageImages() {
@@ -105,6 +108,9 @@ func FuzzPDBParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db, err := Parse(data)
 		if err != nil {
+			if !errors.Is(err, simerr.ErrCorruptState) {
+				t.Fatalf("rejection is not ErrCorruptState: %v", err)
+			}
 			return
 		}
 		indexEnd := headerLen + 8*len(db.Records)

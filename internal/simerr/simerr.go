@@ -40,6 +40,11 @@ var (
 	// correlation gates).
 	ErrDivergence = errors.New("engine divergence")
 
+	// ErrCorruptState reports a device-state file that violates its
+	// format: an activity log, a HotSync state or a PDB image that is
+	// truncated, has bad magic or bounds, or carries bytes past its end.
+	ErrCorruptState = errors.New("corrupt state")
+
 	// ErrBadCheckpoint reports a sweep checkpoint that cannot be
 	// resumed: wrong magic, checksum mismatch, or a configuration set
 	// that differs from the one that wrote it.

@@ -19,6 +19,7 @@ func TestSentinelMatching(t *testing.T) {
 		{CorruptTrace("dtrace: unpack", 100, errors.New("bad byte")), ErrCorruptTrace},
 		{New(ErrDivergence, "crossvalidate", nil), ErrDivergence},
 		{New(ErrBadCheckpoint, "sweep: resume", nil), ErrBadCheckpoint},
+		{New(ErrCorruptState, "alog: unmarshal", errors.New("bad magic")), ErrCorruptState},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.err, tc.want) {
@@ -96,6 +97,7 @@ func TestErrorString(t *testing.T) {
 		{CanceledChunk(nil, "sweep: produce", 3), []string{"at chunk 3"}},
 		{CorruptTrace("dtrace", 88, errors.New("boom")), []string{"corrupt trace", "at ref 88", "boom"}},
 		{New(ErrMissingSymbol, "asm", nil), []string{"asm: missing symbol"}},
+		{New(ErrCorruptState, "hotsync: unmarshal", errors.New("bad magic")), []string{"hotsync: unmarshal: corrupt state: bad magic"}},
 	}
 	for _, tc := range cases {
 		got := tc.err.Error()

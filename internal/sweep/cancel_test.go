@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -72,15 +73,46 @@ func TestCancelMidSweepNoGoroutineLeak(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestCancelSerialSweep covers the workers=1 path.
+// TestCancelSerialSweep cancels one-worker sweeps, which run the same
+// fan-out as every other worker count: the cancellation is structured
+// and carries its chunk, no goroutine outlives the run, and the sidecar
+// saved at cancel time resumes at one worker to the serial cache.Sweep
+// results.
 func TestCancelSerialSweep(t *testing.T) {
+	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	src := &cancelSource{after: 2, cancel: cancel}
 	_, err := Run(ctx, cache.PaperSweep()[:4], src, Options{Workers: 1, ChunkRefs: 256})
 	cancel()
-	if !simerr.IsCanceled(err) {
-		t.Fatalf("err = %v, want cancellation", err)
+	if !errors.Is(err, simerr.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
+	var se *simerr.Error
+	if !errors.As(err, &se) || se.Chunk < 0 {
+		t.Errorf("cancellation error carries no chunk position: %v", err)
+	}
+	settleGoroutines(t, base)
+
+	trace := fixedTrace(20_000)
+	cfgs := cache.PaperSweep()[:4]
+	want, err := cache.Sweep(cfgs, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "serial.ckpt")
+	interruptRun(t, path, cfgs, trace, 3, 1, 1024, EngineAuto)
+	got, err := Run(context.Background(), cfgs, NewSliceSource(trace), Options{
+		Workers: 1, ChunkRefs: 1024, CheckpointPath: path, Resume: true,
+	})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%v diverged after a one-worker resume: got %+v want %+v", cfgs[i], got[i], want[i])
+		}
+	}
+	settleGoroutines(t, base)
 }
 
 // TestPreCancelledContext returns immediately without touching the trace.

@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 
 	"palmsim/internal/cache"
@@ -178,28 +177,24 @@ func (c *checkpointer) load() (skip uint64, found bool, err error) {
 func (c *checkpointer) removeSidecar() { os.Remove(c.path) }
 
 // skipRefs advances src past the prefix a resumed checkpoint has
-// already consumed, in chunk-sized reads so cancellation still lands at
-// a chunk boundary. A trace that ends early means the sidecar belongs
-// to a longer trace — that is an ErrBadCheckpoint, not a clean EOF.
+// already consumed, in chunk-sized address-only reads so cancellation
+// still lands at a chunk boundary. A trace that ends early means the
+// sidecar belongs to a longer trace — that is an ErrBadCheckpoint, not a
+// clean end of trace.
 func skipRefs(ctx context.Context, src Source, skip uint64, chunkRefs int) error {
 	buf := make([]uint32, chunkRefs)
-	var chunks int64
 	remaining := skip
-	for remaining > 0 {
-		if err := ctxErr(ctx); err != nil {
-			return simerr.CanceledChunk(ctx, "sweep: resume skip", chunks)
-		}
+	for chunks := int64(0); remaining > 0; chunks++ {
 		want := uint64(len(buf))
 		if remaining < want {
 			want = remaining
 		}
-		n, err := src.NextChunk(buf[:want])
-		if err != nil && err != io.EOF {
+		refs, _, done, err := readChunk(ctx, "sweep: resume skip", chunks, src, nil, buf[:want], nil)
+		if err != nil {
 			return err
 		}
-		remaining -= uint64(n)
-		chunks++
-		if (n == 0 || err == io.EOF) && remaining > 0 {
+		remaining -= uint64(len(refs))
+		if done && remaining > 0 {
 			return simerr.New(simerr.ErrBadCheckpoint, "sweep: resume",
 				fmt.Errorf("trace ended %d references short of the checkpoint's %d", remaining, skip))
 		}

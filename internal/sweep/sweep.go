@@ -4,7 +4,10 @@
 // the sweep is embarrassingly parallel across simulation units, so a
 // single trace producer publishes fixed-size reference chunks to a pool
 // of workers, each worker drives its shard of units, and results are
-// collected in configuration order regardless of completion order.
+// collected in configuration order regardless of completion order. The
+// worker count is a count, not a code path: one worker runs the same
+// producer and queue as eight, and every consumer of the trace reads it
+// through the one readChunk step.
 //
 // There is one sweep path. A single-level configuration is a one-level
 // cache.Hierarchy, so Run, RunTrace, Plan and Describe wrap their
@@ -187,9 +190,10 @@ func (e Engine) String() string {
 // Options tunes the engine.
 type Options struct {
 	// Workers is the number of concurrent simulation workers. Zero or
-	// negative selects GOMAXPROCS; 1 selects the serial fallback, which
-	// produces exactly the same results (and is what cache.Sweep did).
-	// Workers above the engine's unit count are clamped.
+	// negative selects GOMAXPROCS. Every count runs the same fan-out and
+	// produces exactly the same results as the serial cache.Sweep loop.
+	// Workers above the engine's unit count are clamped, to one worker
+	// for a plan with no units.
 	Workers int
 	// ChunkRefs is the number of references per chunk; zero or negative
 	// selects DefaultChunkRefs.
@@ -498,36 +502,39 @@ type chunk struct {
 	pending int32
 }
 
-// ctxErr polls an optional context: nil contexts never cancel, so
-// callers that have no lifecycle to manage pass nil and pay one compare
-// per chunk.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
+// readChunk is the one step every trace consumer — the producer, OPT's
+// materialize and resume's skipRefs — reads the trace with. It polls ctx
+// (a nil ctx never cancels, for one compare per chunk), reporting
+// cancellation under op at the consumer's chunk count; reads one chunk
+// into buf, through the kinded face filling kbuf too when ks is non-nil;
+// and applies the Source end-of-trace contract. done reports the end of
+// the trace, and refs may still hold its final references. kinds is nil
+// on address-only reads.
+func readChunk(ctx context.Context, op string, chunks int64, src Source, ks KindedSource, buf []uint32, kbuf []uint8) (refs []uint32, kinds []uint8, done bool, err error) {
+	if ctx != nil && ctx.Err() != nil {
+		return nil, nil, false, simerr.CanceledChunk(ctx, op, chunks)
 	}
-	return ctx.Err()
-}
-
-// nextChunk reads one chunk into buf — through the kinded face, filling
-// kbuf too, when ks is non-nil — and returns the filled prefixes. kinds
-// is nil on address-only reads.
-func nextChunk(src Source, ks KindedSource, buf []uint32, kbuf []uint8) (refs []uint32, kinds []uint8, err error) {
+	var n int
 	if ks == nil {
-		n, err := src.NextChunk(buf)
-		return buf[:n], nil, err
+		n, err = src.NextChunk(buf)
+	} else {
+		n, err = ks.NextChunkKinded(buf, kbuf)
+		kinds = kbuf[:n]
 	}
-	n, err := ks.NextChunkKinded(buf, kbuf)
-	return buf[:n], kbuf[:n], err
+	if err != nil && err != io.EOF {
+		return nil, nil, false, err
+	}
+	return buf[:n], kinds, n == 0 || err == io.EOF, nil
 }
 
 // runEngine drives an instantiated plan's units over the trace:
-// checkpointer setup and resume skip, plan observability, the serial or
-// parallel fan-out, and sidecar removal on success. hash fingerprints
-// whatever was built so a sidecar never resumes a different sweep.
+// checkpointer setup and resume skip, plan observability, the fan-out,
+// and sidecar removal on success. hash fingerprints whatever was built
+// so a sidecar never resumes a different sweep.
 func runEngine(ctx context.Context, p *enginePlan, src Source, ks KindedSource, opts Options, hash uint64) error {
 	var ck *checkpointer
-	var err error
 	if opts.CheckpointPath != "" {
+		var err error
 		ck, err = newCheckpointer(opts.CheckpointPath, opts.checkpointEvery(), p.units, hash)
 		if err != nil {
 			return err
@@ -545,19 +552,9 @@ func runEngine(ctx context.Context, p *enginePlan, src Source, ks KindedSource, 
 		}
 	}
 	registerPlan(opts.Obs, p.info)
-	if len(p.units) == 0 {
-		// Still drain the source so an erroring trace is reported.
-		return drain(ctx, src, opts.chunkRefs())
-	}
-
 	w := opts.workers(len(p.units))
 	m := newObsMetrics(opts.Obs, w, len(p.units))
-	if w == 1 {
-		err = runSerial(ctx, p.units, src, ks, opts.chunkRefs(), m, ck)
-	} else {
-		err = runParallel(ctx, p.units, src, ks, w, opts.chunkRefs(), m, ck)
-	}
-	if err != nil {
+	if err := fanOut(ctx, p.units, src, ks, w, opts.chunkRefs(), m, ck); err != nil {
 		return err
 	}
 	if ck != nil {
@@ -594,92 +591,29 @@ func materialize(ctx context.Context, src Source, ks KindedSource, chunkRefs int
 	if ks != nil {
 		kbuf = make([]uint8, chunkRefs)
 	}
-	var produced int64
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, simerr.CanceledChunk(ctx, "sweep: materialize", produced)
-		}
-		refs, ckinds, err := nextChunk(src, ks, buf, kbuf)
-		if err != nil && err != io.EOF {
+	for chunks := int64(0); ; chunks++ {
+		refs, ckinds, done, err := readChunk(ctx, "sweep: materialize", chunks, src, ks, buf, kbuf)
+		if err != nil {
 			return nil, nil, err
 		}
 		trace = append(trace, refs...)
 		kinds = append(kinds, ckinds...)
-		produced++
-		if len(refs) == 0 || err == io.EOF {
+		if done {
 			return trace, kinds, nil
 		}
 	}
 }
 
-// saveOnCancel writes a final checkpoint when a run stopped on
-// cancellation, so the canceled sweep resumes exactly where it left off.
-// Called only after every produced chunk has been fully consumed.
-func saveOnCancel(ck *checkpointer, m *obsMetrics, runErr error) error {
-	if ck == nil || runErr == nil || !simerr.IsCanceled(runErr) {
-		return nil
-	}
-	if err := ck.save(); err != nil {
-		return err
-	}
-	m.checkpointed()
-	return nil
-}
-
-// runSerial is the workers=1 fallback: one goroutine, one chunk buffer,
-// the same chunked access pattern as the parallel path. A non-nil ks
-// selects kinded mode.
-func runSerial(ctx context.Context, units []unit, src Source, ks KindedSource, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
-	buf := make([]uint32, chunkRefs)
-	var kbuf []uint8
-	if ks != nil {
-		kbuf = make([]uint8, chunkRefs)
-	}
-	var produced int64
-	for {
-		if err := ctxErr(ctx); err != nil {
-			cerr := simerr.CanceledChunk(ctx, "sweep: run", produced)
-			if serr := saveOnCancel(ck, m, cerr); serr != nil {
-				return serr
-			}
-			return cerr
-		}
-		refs, kinds, err := nextChunk(src, ks, buf, kbuf)
-		if err != nil && err != io.EOF {
-			return err
-		}
-		if n := len(refs); n > 0 {
-			m.produced(n)
-			for _, u := range units {
-				u.AccessAllKinded(refs, kinds)
-			}
-			m.workerDone(0, len(units))
-			m.retired()
-			produced++
-			if ck != nil {
-				ck.consumed(n)
-				if ck.due() {
-					if err := ck.save(); err != nil {
-						return err
-					}
-					m.checkpointed()
-				}
-			}
-		}
-		if len(refs) == 0 || err == io.EOF {
-			return nil
-		}
-	}
-}
-
-// runParallel fans chunks out to per-worker queues. Each worker owns a
+// fanOut publishes chunks to per-worker queues. Each worker owns a
 // contiguous shard of the units, so no unit is ever touched by two
-// goroutines and the per-unit access order is the trace order. The
-// producer polls ctx between chunks; on cancellation (or any read
-// error) it stops producing, closes the queues, and waits for the
-// workers to drain what was already published — bounded by
-// workers·queueDepth chunks — so no goroutine or pooled buffer leaks.
-func runParallel(ctx context.Context, units []unit, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
+// goroutines and the per-unit access order is the trace order; a plan
+// with no units runs one worker over an empty shard, so the trace is
+// still read to its end and a read error still surfaces. The producer
+// polls ctx between chunks; on cancellation (or any read error) it
+// stops producing, closes the queues, and waits for the workers to
+// drain what was already published — bounded by workers·queueDepth
+// chunks — so no goroutine or pooled buffer leaks.
+func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
 	pool := sync.Pool{New: func() any { return make([]uint32, chunkRefs) }}
 	kpool := sync.Pool{New: func() any { return make([]uint8, chunkRefs) }}
 	// release returns a chunk's buffers to their pools.
@@ -720,24 +654,16 @@ func runParallel(ctx context.Context, units []unit, src Source, ks KindedSource,
 	}
 
 	var runErr error
-	var produced int64
-	for {
-		if err := ctxErr(ctx); err != nil {
-			runErr = simerr.CanceledChunk(ctx, "sweep: produce", produced)
-			break
-		}
+	for produced := int64(0); ; produced++ {
 		buf := pool.Get().([]uint32)[:chunkRefs]
 		var kbuf []uint8
 		if ks != nil {
 			kbuf = kpool.Get().([]uint8)[:chunkRefs]
 		}
-		refs, kinds, err := nextChunk(src, ks, buf, kbuf)
-		eof := err == io.EOF
-		if err != nil && !eof {
-			runErr = err
-		}
-		if runErr != nil || len(refs) == 0 {
+		refs, kinds, done, err := readChunk(ctx, "sweep: produce", produced, src, ks, buf, kbuf)
+		if err != nil || len(refs) == 0 {
 			release(buf, kbuf)
+			runErr = err
 			break
 		}
 		c := &chunk{refs: refs, kinds: kinds, pending: int32(workers)}
@@ -746,7 +672,6 @@ func runParallel(ctx context.Context, units []unit, src Source, ks KindedSource,
 		for _, q := range queues {
 			q <- c
 		}
-		produced++
 		if ck != nil {
 			ck.consumed(len(refs))
 			if ck.due() {
@@ -758,7 +683,7 @@ func runParallel(ctx context.Context, units []unit, src Source, ks KindedSource,
 				m.checkpointed()
 			}
 		}
-		if eof {
+		if done {
 			break
 		}
 	}
@@ -766,27 +691,13 @@ func runParallel(ctx context.Context, units []unit, src Source, ks KindedSource,
 		close(q)
 	}
 	workerWG.Wait()
-	if serr := saveOnCancel(ck, m, runErr); serr != nil {
-		return serr
-	}
-	return runErr
-}
-
-// drain consumes a source to completion, surfacing any read error.
-func drain(ctx context.Context, src Source, chunkRefs int) error {
-	buf := make([]uint32, chunkRefs)
-	var produced int64
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return simerr.CanceledChunk(ctx, "sweep: drain", produced)
-		}
-		n, err := src.NextChunk(buf)
-		if err != nil && err != io.EOF {
+	if ck != nil && simerr.IsCanceled(runErr) {
+		// Every produced chunk is consumed, so a save now lets the
+		// canceled sweep resume exactly where it stopped.
+		if err := ck.save(); err != nil {
 			return err
 		}
-		if n == 0 || err == io.EOF {
-			return nil
-		}
-		produced++
+		m.checkpointed()
 	}
+	return runErr
 }

@@ -132,9 +132,19 @@ func TestEmptyInputs(t *testing.T) {
 	if err != nil || len(res) != 0 {
 		t.Errorf("no-config sweep: res=%v err=%v", res, err)
 	}
-	// No configurations with an erroring source: the error still surfaces.
-	if _, err := Run(context.Background(), nil, &errSource{}, Options{}); err == nil {
-		t.Error("no-config sweep swallowed source error")
+	// No configurations with an erroring source: the one worker's empty
+	// shard still reads the trace to the error, which surfaces.
+	for _, workers := range []int{1, 4} {
+		if _, err := Run(context.Background(), nil, &errSource{chunks: 2}, Options{Workers: workers, ChunkRefs: 64}); err == nil {
+			t.Errorf("workers=%d: no-config sweep swallowed source error", workers)
+		}
+	}
+	// No configurations under a cancelled context: the cancellation
+	// surfaces as well.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunTrace(ctx, nil, fixedTrace(100), Options{}); !errors.Is(err, simerr.ErrCanceled) {
+		t.Errorf("cancelled no-config sweep: err = %v, want ErrCanceled", err)
 	}
 }
 
