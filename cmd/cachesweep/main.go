@@ -25,7 +25,7 @@
 //	cachesweep -session 1 -algo direct                (per-config simulation)
 //	cachesweep -session 1 -crossvalidate              (stack vs direct diff)
 //	cachesweep -session 1 -policy FIFO    (ablation beyond the paper)
-//	cachesweep -session 1 -policies LRU,FIFO,PLRU,OPT (policy grid)
+//	cachesweep -session 1 -policy LRU,FIFO,PLRU,OPT   (policy grid)
 //	cachesweep -session 1 -write-policy back -pareto  (write-back energy front)
 //	cachesweep -session 1 -l2-sizes 32,64             (L1 grid × L2 hierarchy sweep)
 //	cachesweep -desktop -l2-sizes 64 -hierarchy inclusive -plan  (dry-run plan)
@@ -45,6 +45,7 @@
 // session replay, a din file, or a packed trace recorded with kinds) and
 // is rejected with a clear error on address-only traces.
 //
+// Every flag is checked before a trace is opened or a session collected.
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
@@ -71,152 +72,74 @@ import (
 	"palmsim/internal/user"
 )
 
-const (
-	exitOK          = 0
-	exitFailure     = 1
-	exitUsage       = 2
-	exitInterrupted = 3
-)
-
 func main() {
-	traceFile := flag.String("trace", "", "trace file (from palmsim -out), raw or packed")
-	dinFile := flag.String("din", "", "Dinero din-format trace file")
-	sessionNum := flag.Int("session", 0, "replay built-in session (1-4) to obtain the trace")
-	desktop := flag.Bool("desktop", false, "use the synthetic desktop trace (Figure 7)")
-	refs := flag.Int("refs", 0, "override the synthetic desktop trace length (references; 0 = default)")
-	policy := flag.String("policy", "LRU", "replacement policy: LRU, FIFO, Random, PLRU or OPT")
-	policies := flag.String("policies", "", "comma-separated policy list; sweeps the paper grid once per policy (overrides -policy)")
-	writePolicy := flag.String("write-policy", "", "write policy: ignore (default), through or back; requires a kind-carrying trace")
-	l2Sizes := flag.String("l2-sizes", "", "comma-separated L2 sizes in KB; pairs every L1 grid point with every L2 candidate (hierarchy sweep)")
-	l2Line := flag.Int("l2-line", 0, "L2 line size in bytes (0 = match each L1's line size)")
-	l2Assoc := flag.String("l2-assoc", "4", "comma-separated L2 associativities")
-	hierarchy := flag.String("hierarchy", "nine", "multi-level content policy: nine (non-inclusive), inclusive or exclusive")
-	planOnly := flag.Bool("plan", false, "print the resolved sweep plan and exit without simulating")
-	pareto := flag.Bool("pareto", false, "print the energy/latency Pareto front over all swept configurations")
-	algo := flag.String("algo", "auto", "sweep engine: auto, direct or stack")
-	crossValidate := flag.Bool("crossvalidate", false, "run both engines over the trace and verify bit-identical results")
-	workers := flag.Int("workers", 0, "concurrent sweep workers (0 = one per core, 1 = serial)")
-	chunk := flag.Int("chunk", 0, "references per streamed chunk (0 = default)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint sidecar file: saved periodically and on interrupt")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "chunks between checkpoint saves (0 = default)")
-	resume := flag.Bool("resume", false, "resume from an existing -checkpoint sidecar")
+	c := &config{}
+	flag.StringVar(&c.traceFile, "trace", "", "trace file (from palmsim -out), raw or packed")
+	flag.StringVar(&c.dinFile, "din", "", "Dinero din-format trace file")
+	flag.IntVar(&c.sessionNum, "session", 0, "replay built-in session (1-4) to obtain the trace")
+	flag.BoolVar(&c.desktop, "desktop", false, "use the synthetic desktop trace (Figure 7)")
+	flag.IntVar(&c.refs, "refs", 0, "override the synthetic desktop trace length (references; 0 = default)")
+	flag.StringVar(&c.policy, "policy", "LRU", "replacement policy: LRU, FIFO, Random, PLRU or OPT; a comma-separated list sweeps the paper grid once per policy")
+	flag.StringVar(&c.writePolicy, "write-policy", "", "write policy: ignore (default), through or back; requires a kind-carrying trace")
+	flag.StringVar(&c.l2Sizes, "l2-sizes", "", "comma-separated L2 sizes in KB; pairs every L1 grid point with every L2 candidate (hierarchy sweep)")
+	flag.IntVar(&c.l2Line, "l2-line", 0, "L2 line size in bytes (0 = match each L1's line size)")
+	flag.StringVar(&c.l2Assoc, "l2-assoc", "4", "comma-separated L2 associativities")
+	flag.StringVar(&c.hierarchy, "hierarchy", "nine", "multi-level content policy: nine (non-inclusive), inclusive or exclusive")
+	flag.BoolVar(&c.planOnly, "plan", false, "print the resolved sweep plan and exit without simulating")
+	flag.BoolVar(&c.pareto, "pareto", false, "print the energy/latency Pareto front over all swept configurations")
+	flag.StringVar(&c.algo, "algo", "auto", "sweep engine: auto, direct or stack")
+	flag.BoolVar(&c.crossValidate, "crossvalidate", false, "run both engines over the trace and verify bit-identical results")
+	flag.IntVar(&c.workers, "workers", 0, "concurrent sweep workers (0 = one per core, 1 = serial)")
+	flag.IntVar(&c.chunk, "chunk", 0, "references per streamed chunk (0 = default)")
+	flag.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint sidecar file: saved periodically and on interrupt")
+	flag.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "chunks between checkpoint saves (0 = default)")
+	flag.BoolVar(&c.resume, "resume", false, "resume from an existing -checkpoint sidecar")
 	profiler := prof.AddFlags()
-	obsFlags := obs.AddFlags()
+	c.obsFlags = obs.AddFlags()
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(run(ctx, &config{
-		traceFile:       *traceFile,
-		dinFile:         *dinFile,
-		sessionNum:      *sessionNum,
-		desktop:         *desktop,
-		refs:            *refs,
-		policy:          *policy,
-		policies:        *policies,
-		writePolicy:     *writePolicy,
-		l2Sizes:         *l2Sizes,
-		l2Line:          *l2Line,
-		l2Assoc:         *l2Assoc,
-		hierarchy:       *hierarchy,
-		planOnly:        *planOnly,
-		pareto:          *pareto,
-		algo:            *algo,
-		crossValidate:   *crossValidate,
-		workers:         *workers,
-		chunk:           *chunk,
-		checkpoint:      *checkpoint,
-		checkpointEvery: *checkpointEvery,
-		resume:          *resume,
-		profiler:        profiler,
-		obsFlags:        obsFlags,
-	}))
+	os.Exit(c.obsFlags.Run("cachesweep", profiler, func() error { return sweepMain(ctx, c) }))
 }
 
 type config struct {
 	traceFile, dinFile               string
 	sessionNum, refs, workers, chunk int
 	desktop, crossValidate, resume   bool
-	policy, policies, algo           string
+	policy, algo                     string
 	writePolicy, checkpoint          string
 	l2Sizes, l2Assoc, hierarchy      string
 	l2Line                           int
 	planOnly, pareto                 bool
 	checkpointEvery                  int
-	profiler                         *prof.Profiler
 	obsFlags                         *obs.Flags
 }
 
-// run executes the sweep and maps the outcome to an exit code, making
-// sure the profiler and the obs manifest are flushed on every path —
-// including cancellation, where the manifest records "interrupted".
-func run(ctx context.Context, c *config) (code int) {
-	if err := c.profiler.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "cachesweep:", err)
-		return exitUsage
-	}
-	defer c.profiler.Stop()
-	if err := c.obsFlags.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "cachesweep:", err)
-		return exitUsage
-	}
-	defer func() {
-		if err := c.obsFlags.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "cachesweep:", err)
-			if code == exitOK {
-				code = exitFailure
-			}
-		}
-	}()
-
-	err := sweepMain(ctx, c)
-	switch {
-	case err == nil:
-		c.obsFlags.SetStatus("ok")
-		return exitOK
-	case simerr.IsCanceled(err):
-		c.obsFlags.SetStatus("interrupted")
-		fmt.Fprintln(os.Stderr, "cachesweep: interrupted:", err)
-		return exitInterrupted
-	case isUsage(err):
-		c.obsFlags.SetStatus("failed")
-		fmt.Fprintln(os.Stderr, "cachesweep:", err)
-		return exitUsage
-	default:
-		c.obsFlags.SetStatus("failed")
-		fmt.Fprintln(os.Stderr, "cachesweep:", err)
-		return exitFailure
-	}
-}
-
-// usageError marks a bad-flag failure for the exit-code mapping.
-type usageError struct{ error }
-
-func isUsage(err error) bool {
-	_, ok := err.(usageError)
-	return ok
-}
-
+// sweepMain runs every sweep, flat or hierarchical, through one
+// sequence: check every flag, open the source, plan (and stop there
+// under -plan), sweep, cross-validate, report. A flat sweep (no
+// -l2-sizes) is a set of one-level hierarchies that reports as
+// configurations.
 func sweepMain(ctx context.Context, c *config) error {
 	reg := c.obsFlags.Registry()
 
-	polNames := []string{c.policy}
-	if c.policies != "" {
-		polNames = strings.Split(c.policies, ",")
-	}
+	// Every flag, before a trace is opened or a session collected.
 	var pols []cache.Policy
-	for _, name := range polNames {
+	var polLabels []string
+	for _, name := range strings.Split(c.policy, ",") {
 		p, err := cache.ParsePolicy(strings.TrimSpace(name))
 		if err != nil {
-			return usageError{err}
+			return obs.Usage(err)
 		}
 		pols = append(pols, p)
+		polLabels = append(polLabels, p.String())
 	}
+	polLabel := strings.Join(polLabels, ",")
 	wp, err := cache.ParseWritePolicy(c.writePolicy)
 	if err != nil {
-		return usageError{err}
+		return obs.Usage(err)
 	}
-
 	var eng sweep.Engine
 	switch strings.ToLower(c.algo) {
 	case "auto":
@@ -226,7 +149,36 @@ func sweepMain(ctx context.Context, c *config) error {
 	case "stack":
 		eng = sweep.EngineStack
 	default:
-		return usageError{fmt.Errorf("unknown engine %q (want auto, direct or stack)", c.algo)}
+		return obs.Usage(fmt.Errorf("unknown engine %q (want auto, direct or stack)", c.algo))
+	}
+	if c.dinFile == "" && c.traceFile == "" && !c.desktop && (c.sessionNum < 1 || c.sessionNum > 4) {
+		return obs.Usage(fmt.Errorf("need one of -trace, -din, -session or -desktop"))
+	}
+	if c.resume && c.checkpoint == "" {
+		return obs.Usage(fmt.Errorf("-resume requires -checkpoint"))
+	}
+	var cfgs []cache.Config
+	for _, p := range pols {
+		grid := cache.PaperSweep()
+		for i := range grid {
+			grid[i].Policy = p
+			grid[i].Write = wp
+		}
+		cfgs = append(cfgs, grid...)
+	}
+	flat := c.l2Sizes == ""
+	var hs []cache.Hierarchy
+	if flat {
+		for _, cfg := range cfgs {
+			hs = append(hs, cache.Single(cfg))
+		}
+	} else {
+		if hs, err = hierarchyGrid(cfgs, c, wp); err != nil {
+			return obs.Usage(err)
+		}
+		if c.crossValidate {
+			return obs.Usage(fmt.Errorf("-crossvalidate applies to single-level sweeps; hierarchy engine agreement is covered by -algo direct"))
+		}
 	}
 
 	// newSource opens a fresh pass over the selected trace; the
@@ -267,7 +219,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		}
 		newSource = func() (sweep.Source, io.Closer, error) { return dtrace.NewStream(cfg), nil, nil }
 		fmt.Printf("streaming %d synthetic desktop references\n", cfg.Refs)
-	case c.sessionNum >= 1 && c.sessionNum <= 4:
+	default: // session, range-checked above
 		s := user.PaperSessions()[c.sessionNum-1]
 		fmt.Printf("collecting and replaying %s...\n", s.Name)
 		run, err := exp.RunSession(ctx, s)
@@ -283,25 +235,9 @@ func sweepMain(ctx context.Context, c *config) error {
 			len(run.Trace),
 			100*float64(run.Row.FlashRefs)/float64(run.Row.RAMRefs+run.Row.FlashRefs),
 			cache.NoCacheTeff(run.Row.RAMRefs, run.Row.FlashRefs))
-	default:
-		return usageError{fmt.Errorf("need one of -trace, -din, -session or -desktop")}
-	}
-	if c.resume && c.checkpoint == "" {
-		return usageError{fmt.Errorf("-resume requires -checkpoint")}
 	}
 
-	var cfgs []cache.Config
-	var polLabels []string
-	for _, p := range pols {
-		grid := cache.PaperSweep()
-		for i := range grid {
-			grid[i].Policy = p
-			grid[i].Write = wp
-		}
-		cfgs = append(cfgs, grid...)
-		polLabels = append(polLabels, p.String())
-	}
-	polLabel := strings.Join(polLabels, ",")
+	// Plan and describe the sweep; -plan stops here.
 	opts := sweep.Options{
 		Workers:               c.workers,
 		ChunkRefs:             c.chunk,
@@ -311,24 +247,25 @@ func sweepMain(ctx context.Context, c *config) error {
 		CheckpointEveryChunks: c.checkpointEvery,
 		Resume:                c.resume,
 	}
-	if c.l2Sizes != "" {
-		hs, err := hierarchyGrid(cfgs, c, wp)
-		if err != nil {
-			return usageError{err}
-		}
-		return hierarchyMain(ctx, c, hs, newSource, opts, wp, polLabel)
-	}
-	info, err := sweep.Plan(opts, cfgs)
+	info, err := sweep.PlanHierarchies(opts, hs)
 	if err != nil {
-		return err
+		return obs.Usage(err)
+	}
+	var desc, fellBack string
+	if flat {
+		desc = sweep.Describe(opts, cfgs)
+		fellBack = fmt.Sprintf("%d of %d configurations", info.FallbackConfigs, len(hs))
+		c.obsFlags.Note("fallback_configs", fmt.Sprint(info.FallbackConfigs))
+	} else {
+		desc = sweep.DescribeHierarchies(opts, hs)
+		fellBack = fmt.Sprintf("%d level configurations", info.FallbackConfigs)
+		c.obsFlags.Note("hierarchy", hs[0].Content.String())
 	}
 	if info.FallbackConfigs > 0 {
-		fmt.Fprintf(os.Stderr, "cachesweep: warning: %d of %d configurations have no single-pass engine and fall back to per-config direct simulation\n",
-			info.FallbackConfigs, len(cfgs))
+		fmt.Fprintf(os.Stderr, "cachesweep: warning: %s have no single-pass engine and fall back to per-config direct simulation\n", fellBack)
 	}
-	c.obsFlags.Note("fallback_configs", fmt.Sprintf("%d", info.FallbackConfigs))
-	fmt.Printf("sweep: %s\n", sweep.Describe(opts, cfgs))
-	c.obsFlags.Note("engine", sweep.Describe(opts, cfgs))
+	fmt.Printf("sweep: %s\n", desc)
+	c.obsFlags.Note("engine", desc)
 	c.obsFlags.Note("policy", polLabel)
 	if wp != cache.WriteIgnore {
 		c.obsFlags.Note("write_policy", wp.String())
@@ -338,7 +275,7 @@ func sweepMain(ctx context.Context, c *config) error {
 		return nil
 	}
 
-	results, err := runOnce(ctx, cfgs, newSource, opts)
+	results, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
 		if c.checkpoint != "" && simerr.IsCanceled(err) {
 			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
@@ -351,49 +288,80 @@ func sweepMain(ctx context.Context, c *config) error {
 		vopts := opts
 		vopts.CheckpointPath = ""
 		vopts.Resume = false
-		if err := crossValidateEngines(ctx, cfgs, newSource, vopts, results); err != nil {
+		if err := crossValidateEngines(ctx, hs, newSource, vopts, results); err != nil {
 			return err
 		}
 		c.obsFlags.Note("crossvalidate", "OK")
 	}
+	printReport(results, flat, c.pareto, polLabel, wp)
+	return nil
+}
 
+// printReport prints the results table, then with pareto the
+// energy/latency Pareto front. A flat sweep's one-level hierarchies
+// report as configurations: one miss rate, Equation 2's Teff and the
+// writeback count. For a one-level hierarchy every metric the two forms
+// share, the front's included, is the configuration's own number.
+func printReport(results []cache.HierarchyResult, flat, pareto bool, polLabel string, wp cache.WritePolicy) {
 	model := energy.Default()
-	if wp == cache.WriteIgnore {
-		t := report.New(fmt.Sprintf("%d-configuration sweep (%s)", len(cfgs), polLabel),
+	var t *report.Table
+	switch {
+	case flat && wp == cache.WriteIgnore:
+		t = report.New(fmt.Sprintf("%d-configuration sweep (%s)", len(results), polLabel),
 			"config", "miss rate", "Teff (Eq.2)", "Teff exact", "mem energy saved")
-		for _, r := range results {
+		for _, hr := range results {
+			r := hr.L1()
 			t.Addf("%s\t%s\t%.3f\t%.3f\t%s", r.Config, report.Pct(r.MissRate()),
 				r.TeffPaper(), r.TeffExact(), report.Pct(model.MemorySaving(r)))
 		}
-		fmt.Print(t)
-	} else {
-		t := report.New(fmt.Sprintf("%d-configuration sweep (%s, %s)", len(cfgs), polLabel, wp),
+	case flat:
+		t = report.New(fmt.Sprintf("%d-configuration sweep (%s, %s)", len(results), polLabel, wp),
 			"config", "miss rate", "Teff exact", "Teff +writes", "writebacks", "mem energy saved")
-		for _, r := range results {
+		for _, hr := range results {
+			r := hr.L1()
 			t.Addf("%s\t%s\t%.3f\t%.3f\t%d\t%s", r.Config, report.Pct(r.MissRate()),
 				r.TeffExact(), r.TeffWriteAware(), r.Writebacks, report.Pct(model.MemorySaving(r)))
 		}
-		fmt.Print(t)
+	case wp == cache.WriteIgnore:
+		t = report.New(fmt.Sprintf("%d-hierarchy sweep (%s, %s)", len(results), polLabel, results[0].Hierarchy.Content),
+			"hierarchy", "L1 miss", "global miss", "Teff exact", "mem energy saved")
+		for _, r := range results {
+			t.Addf("%s\t%s\t%s\t%.3f\t%s", r.Hierarchy, report.Pct(r.L1().MissRate()),
+				report.Pct(r.MissRate()), r.TeffExact(), report.Pct(model.HierarchyMemorySaving(r)))
+		}
+	default:
+		t = report.New(fmt.Sprintf("%d-hierarchy sweep (%s, %s, %s)", len(results), polLabel, results[0].Hierarchy.Content, wp),
+			"hierarchy", "L1 miss", "global miss", "Teff exact", "Teff +writes", "mem wr bytes", "mem energy saved")
+		for _, r := range results {
+			t.Addf("%s\t%s\t%s\t%.3f\t%.3f\t%d\t%s", r.Hierarchy, report.Pct(r.L1().MissRate()),
+				report.Pct(r.MissRate()), r.TeffExact(), r.TeffWriteAware(),
+				r.MemoryWriteTrafficBytes(), report.Pct(model.HierarchyMemorySaving(r)))
+		}
 	}
+	fmt.Print(t)
 	fmt.Println("\n(energy column: first-order memory-system energy model; see internal/energy)")
-	if c.pareto {
-		pts := make([]report.ParetoPoint, len(results))
-		for i, r := range results {
-			pts[i] = report.ParetoPoint{
-				Label: r.Config.String(),
-				X:     model.MemoryPerAccessNJ(r),
-				Y:     r.TeffWriteAware(),
-			}
-		}
-		front := report.ParetoFront(pts)
-		pt := report.New(fmt.Sprintf("energy/latency Pareto front (%d of %d configurations non-dominated)", len(front), len(results)),
-			"config", "mem nJ/access", "Teff +writes")
-		for _, p := range front {
-			pt.Addf("%s\t%.4f\t%.4f", p.Label, p.X, p.Y)
-		}
-		fmt.Print(pt)
+	if !pareto {
+		return
 	}
-	return nil
+	pts := make([]report.ParetoPoint, len(results))
+	for i, r := range results {
+		pts[i] = report.ParetoPoint{
+			Label: r.Hierarchy.String(),
+			X:     model.HierarchyMemoryPerAccessNJ(r),
+			Y:     r.TeffWriteAware(),
+		}
+	}
+	noun, col := "hierarchies", "hierarchy"
+	if flat {
+		noun, col = "configurations", "config"
+	}
+	front := report.ParetoFront(pts)
+	pt := report.New(fmt.Sprintf("energy/latency Pareto front (%d of %d %s non-dominated)", len(front), len(results), noun),
+		col, "mem nJ/access", "Teff +writes")
+	for _, p := range front {
+		pt.Addf("%s\t%.4f\t%.4f", p.Label, p.X, p.Y)
+	}
+	fmt.Print(pt)
 }
 
 // parseIntList parses a comma-separated list of positive integers.
@@ -446,81 +414,6 @@ func hierarchyGrid(l1s []cache.Config, c *config, wp cache.WritePolicy) ([]cache
 		}
 	}
 	return hs, nil
-}
-
-// hierarchyMain is sweepMain's back half for -l2-sizes runs: plan,
-// sweep, and report over hierarchies instead of single configurations.
-func hierarchyMain(ctx context.Context, c *config, hs []cache.Hierarchy, newSource openFunc, opts sweep.Options, wp cache.WritePolicy, polLabel string) error {
-	if c.crossValidate {
-		return usageError{fmt.Errorf("-crossvalidate applies to single-level sweeps; hierarchy engine agreement is covered by -algo direct")}
-	}
-	info, err := sweep.PlanHierarchies(opts, hs)
-	if err != nil {
-		return usageError{err}
-	}
-	if info.FallbackConfigs > 0 {
-		fmt.Fprintf(os.Stderr, "cachesweep: warning: %d level configurations have no single-pass engine and fall back to per-config direct simulation\n",
-			info.FallbackConfigs)
-	}
-	desc := sweep.DescribeHierarchies(opts, hs)
-	fmt.Printf("sweep: %s\n", desc)
-	c.obsFlags.Note("engine", desc)
-	c.obsFlags.Note("policy", polLabel)
-	c.obsFlags.Note("hierarchy", hs[0].Content.String())
-	if wp != cache.WriteIgnore {
-		c.obsFlags.Note("write_policy", wp.String())
-	}
-	if c.planOnly {
-		printPlanSummary(info)
-		return nil
-	}
-
-	results, err := runHierOnce(ctx, hs, newSource, opts)
-	if err != nil {
-		if c.checkpoint != "" && simerr.IsCanceled(err) {
-			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
-		}
-		return err
-	}
-
-	model := energy.Default()
-	if wp == cache.WriteIgnore {
-		t := report.New(fmt.Sprintf("%d-hierarchy sweep (%s, %s)", len(hs), polLabel, hs[0].Content),
-			"hierarchy", "L1 miss", "global miss", "Teff exact", "mem energy saved")
-		for _, r := range results {
-			t.Addf("%s\t%s\t%s\t%.3f\t%s", r.Hierarchy, report.Pct(r.L1().MissRate()),
-				report.Pct(r.MissRate()), r.TeffExact(), report.Pct(model.HierarchyMemorySaving(r)))
-		}
-		fmt.Print(t)
-	} else {
-		t := report.New(fmt.Sprintf("%d-hierarchy sweep (%s, %s, %s)", len(hs), polLabel, hs[0].Content, wp),
-			"hierarchy", "L1 miss", "global miss", "Teff exact", "Teff +writes", "mem wr bytes", "mem energy saved")
-		for _, r := range results {
-			t.Addf("%s\t%s\t%s\t%.3f\t%.3f\t%d\t%s", r.Hierarchy, report.Pct(r.L1().MissRate()),
-				report.Pct(r.MissRate()), r.TeffExact(), r.TeffWriteAware(),
-				r.MemoryWriteTrafficBytes(), report.Pct(model.HierarchyMemorySaving(r)))
-		}
-		fmt.Print(t)
-	}
-	fmt.Println("\n(energy column: first-order memory-system energy model; see internal/energy)")
-	if c.pareto {
-		pts := make([]report.ParetoPoint, len(results))
-		for i, r := range results {
-			pts[i] = report.ParetoPoint{
-				Label: r.Hierarchy.String(),
-				X:     model.HierarchyMemoryPerAccessNJ(r),
-				Y:     r.TeffWriteAware(),
-			}
-		}
-		front := report.ParetoFront(pts)
-		pt := report.New(fmt.Sprintf("energy/latency Pareto front (%d of %d hierarchies non-dominated)", len(front), len(results)),
-			"hierarchy", "mem nJ/access", "Teff +writes")
-		for _, p := range front {
-			pt.Addf("%s\t%.4f\t%.4f", p.Label, p.X, p.Y)
-		}
-		fmt.Print(pt)
-	}
-	return nil
 }
 
 // printPlanSummary renders the resolved engine plan for -plan dry runs.
@@ -579,24 +472,6 @@ func openTraceFile(path string) (sweep.Source, *os.File, error) {
 	return src, f, nil
 }
 
-// runOnce is runHierOnce for a configuration sweep: each configuration
-// sweeps as a one-level hierarchy and reports its only level.
-func runOnce(ctx context.Context, cfgs []cache.Config, newSource openFunc, opts sweep.Options) ([]cache.Result, error) {
-	hs := make([]cache.Hierarchy, len(cfgs))
-	for i, cfg := range cfgs {
-		hs[i] = cache.Single(cfg)
-	}
-	hrs, err := runHierOnce(ctx, hs, newSource, opts)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]cache.Result, len(hrs))
-	for i, hr := range hrs {
-		results[i] = hr.L1()
-	}
-	return results, nil
-}
-
 // runHierOnce opens a fresh source, sweeps it, and closes its file on
 // every path.
 func runHierOnce(ctx context.Context, hs []cache.Hierarchy, newSource openFunc, opts sweep.Options) ([]cache.HierarchyResult, error) {
@@ -610,38 +485,38 @@ func runHierOnce(ctx context.Context, hs []cache.Hierarchy, newSource openFunc, 
 	return sweep.RunHierarchies(ctx, hs, src, opts)
 }
 
-// crossValidateEngines re-runs the sweep on the engine not used for the
-// headline results and verifies every per-configuration counter matches
+// crossValidateEngines re-runs a flat sweep on the engine not used for
+// the headline results and verifies every configuration's counters match
 // bit for bit.
-func crossValidateEngines(ctx context.Context, cfgs []cache.Config, newSource openFunc, opts sweep.Options, got []cache.Result) error {
+func crossValidateEngines(ctx context.Context, hs []cache.Hierarchy, newSource openFunc, opts sweep.Options, got []cache.HierarchyResult) error {
 	ran := opts.Engine
 	other := sweep.EngineDirect
 	if ran == sweep.EngineDirect {
 		other = sweep.EngineStack
 	}
 	opts.Engine = other
-	want, err := runOnce(ctx, cfgs, newSource, opts)
+	want, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
 		return fmt.Errorf("cross-validation sweep (%v engine): %w", other, err)
 	}
 	if os.Getenv("CACHESWEEP_FORCE_MISMATCH") != "" && len(want) > 0 {
 		// Test hook: perturb one re-run counter so the comparison must
 		// fail, exercising the mismatch exit path end to end.
-		want[0].Misses++
+		want[0].Levels[0].Misses++
 	}
 	mismatches := 0
 	for i := range want {
-		if got[i] != want[i] {
+		if got[i].L1() != want[i].L1() {
 			mismatches++
 			fmt.Printf("MISMATCH %v:\n  %v engine: %+v\n  %v engine: %+v\n",
-				cfgs[i], ran, got[i], other, want[i])
+				hs[i].L1(), ran, got[i].L1(), other, want[i].L1())
 		}
 	}
 	if mismatches > 0 {
 		return simerr.New(simerr.ErrDivergence, "cachesweep: crossvalidate",
-			fmt.Errorf("cross-validation FAILED: %d of %d configurations diverged", mismatches, len(cfgs)))
+			fmt.Errorf("cross-validation FAILED: %d of %d configurations diverged", mismatches, len(hs)))
 	}
 	fmt.Printf("cross-validation OK: %d/%d configurations bit-identical across stack and direct engines\n",
-		len(cfgs), len(cfgs))
+		len(hs), len(hs))
 	return nil
 }

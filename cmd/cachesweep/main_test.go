@@ -8,6 +8,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -106,7 +107,7 @@ func TestPolicyGridWithOPTAndPareto(t *testing.T) {
 		t.Skip("subprocess sweep in -short mode")
 	}
 	trace := writeTestTrace(t)
-	out, err := runCachesweep(t, "-trace "+trace+" -policies LRU,FIFO,PLRU,OPT -pareto -workers 2")
+	out, err := runCachesweep(t, "-trace "+trace+" -policy LRU,FIFO,PLRU,OPT -pareto -workers 2")
 	if err != nil {
 		t.Fatalf("policy-grid sweep failed: %v\n%s", err, out)
 	}
@@ -140,7 +141,7 @@ func TestWritePolicySweepOverDinTrace(t *testing.T) {
 		t.Skip("subprocess sweep in -short mode")
 	}
 	din := writeTestDin(t)
-	out, err := runCachesweep(t, "-din "+din+" -write-policy back -policies LRU,PLRU -workers 2")
+	out, err := runCachesweep(t, "-din "+din+" -write-policy back -policy LRU,PLRU -workers 2")
 	if err != nil {
 		t.Fatalf("write-back din sweep failed: %v\n%s", err, out)
 	}
@@ -286,7 +287,7 @@ func TestPlanDryRun(t *testing.T) {
 		t.Errorf("-plan must not print sweep results:\n%s", out)
 	}
 	// Single-level -plan works too and reports the flat grid.
-	out, err = runCachesweep(t, "-trace "+trace+" -policies LRU,OPT -plan")
+	out, err = runCachesweep(t, "-trace "+trace+" -policy LRU,OPT -plan")
 	if err != nil {
 		t.Fatalf("single-level -plan failed: %v\n%s", err, out)
 	}
@@ -300,8 +301,9 @@ func TestPlanDryRun(t *testing.T) {
 
 // TestPartitionedOptExitsUsage: an indexed packed trace sweeps, exit 0,
 // under OPT — which buffers the whole trace — and as a hierarchy sweep;
-// -partitions, whose range decoders are gone, and -trace-format, whose
-// only job the magic sniff does, are undefined flags and exit 2 (usage).
+// -partitions, whose range decoders are gone, -trace-format, whose only
+// job the magic sniff does, and -policies, whose list -policy takes, are
+// undefined flags and exit 2 (usage).
 func TestPartitionedOptExitsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
@@ -322,7 +324,7 @@ func TestPartitionedOptExitsUsage(t *testing.T) {
 		t.Errorf("hierarchy sweep output missing results:\n%s", out)
 	}
 
-	for _, flag := range []string{"-partitions 2", "-trace-format raw"} {
+	for _, flag := range []string{"-partitions 2", "-trace-format raw", "-policies LRU"} {
 		out, err = runCachesweep(t, "-trace "+trace+" "+flag)
 		ee, ok := err.(*exec.ExitError)
 		if !ok {
@@ -336,6 +338,53 @@ func TestPartitionedOptExitsUsage(t *testing.T) {
 			t.Errorf("%s not rejected as an undefined flag:\n%s", flag, out)
 		}
 	}
+}
+
+// TestUsageErrorsBeforeAnyWork: a flag that cannot run is rejected
+// before the session is collected, so sweepMain prints nothing.
+func TestUsageErrorsBeforeAnyWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*config)
+	}{
+		{"resume without checkpoint", func(c *config) { c.resume = true }},
+		{"zero L2 size", func(c *config) { c.l2Sizes = "0" }},
+		{"crossvalidate over hierarchies", func(c *config) { c.l2Sizes, c.crossValidate = "16", true }},
+	} {
+		c := config{sessionNum: 4, policy: "LRU", algo: "auto", l2Assoc: "4", hierarchy: "nine", obsFlags: &obs.Flags{}}
+		tc.set(&c)
+		var err error
+		stdout := captureStdout(t, func() { err = sweepMain(context.Background(), &c) })
+		if !obs.IsUsage(err) {
+			t.Errorf("%s: err = %v, want a usage error", tc.name, err)
+		}
+		if stdout != "" {
+			t.Errorf("%s: printed before rejecting the flags:\n%s", tc.name, stdout)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout sent to a file and returns what f
+// printed.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	stdout := os.Stdout
+	os.Stdout = tmp
+	defer func() { os.Stdout = stdout }()
+	f()
+	if _, err := tmp.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestSweepClosesTraceFiles runs sweeps in-process and counts the open

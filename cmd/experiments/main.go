@@ -34,16 +34,10 @@ import (
 	"palmsim/internal/cache"
 	"palmsim/internal/exp"
 	"palmsim/internal/job"
+	"palmsim/internal/obs"
 	"palmsim/internal/report"
 	"palmsim/internal/simerr"
 	"palmsim/internal/user"
-)
-
-const (
-	exitOK          = 0
-	exitFailure     = 1
-	exitUsage       = 2
-	exitInterrupted = 3
 )
 
 func main() {
@@ -62,7 +56,7 @@ func main() {
 func runMain(ctx context.Context, run string, session, jobs int, jobTimeout time.Duration, keepGoing bool) int {
 	if session < 1 || session > 4 {
 		fmt.Fprintf(os.Stderr, "experiments: session %d out of range 1-4\n", session)
-		return exitUsage
+		return obs.ExitUsage
 	}
 
 	experiments := map[string]func(ctx context.Context, w io.Writer) error{
@@ -90,12 +84,12 @@ func runMain(ctx context.Context, run string, session, jobs int, jobTimeout time
 	f, ok := experiments[run]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", run)
-		return exitUsage
+		return obs.ExitUsage
 	}
 	if err := f(ctx, os.Stdout); err != nil {
 		return report1(err)
 	}
-	return exitOK
+	return obs.ExitOK
 }
 
 // runAll schedules every experiment through the batch runner, buffering
@@ -132,16 +126,16 @@ func runAll(ctx context.Context, experiments map[string]func(context.Context, io
 	if err != nil {
 		return report1(err)
 	}
-	return exitOK
+	return obs.ExitOK
 }
 
 // report1 prints a failure and maps it to the documented exit code.
 func report1(err error) int {
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	if simerr.IsCanceled(err) {
-		return exitInterrupted
+		return obs.ExitInterrupted
 	}
-	return exitFailure
+	return obs.ExitFailure
 }
 
 // runPen is E1: the §2.3.3 pen-sampling overhead check.

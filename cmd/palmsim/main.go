@@ -13,6 +13,7 @@
 //	palmsim -session 1 -out ./out
 //	palmsim -list
 //
+// Every flag is checked before the session is collected or -out created.
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
@@ -31,15 +32,7 @@ import (
 	"palmsim/internal/m68k"
 	"palmsim/internal/obs"
 	"palmsim/internal/prof"
-	"palmsim/internal/simerr"
 	"palmsim/internal/validate"
-)
-
-const (
-	exitOK          = 0
-	exitFailure     = 1
-	exitUsage       = 2
-	exitInterrupted = 3
 )
 
 type config struct {
@@ -52,7 +45,6 @@ type config struct {
 	screenshot  bool
 	dinero      bool
 	dispatch    string
-	profiler    *prof.Profiler
 	obsFlags    *obs.Flags
 }
 
@@ -68,62 +60,13 @@ func main() {
 	flag.BoolVar(&c.dinero, "dinero", false, "also write the trace in Dinero din format (with -out)")
 	flag.StringVar(&c.dispatch, "dispatch", "auto",
 		"replay CPU engine: auto, spec or legacy (auto is spec, the fast path; legacy is the reference interpreter)")
-	c.profiler = prof.AddFlags()
+	profiler := prof.AddFlags()
 	c.obsFlags = obs.AddFlags()
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(run(ctx, c))
-}
-
-// run executes the pipeline and maps the outcome to an exit code,
-// flushing the profiler and obs manifest on every path.
-func run(ctx context.Context, c *config) (code int) {
-	if err := c.profiler.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "palmsim:", err)
-		return exitUsage
-	}
-	defer c.profiler.Stop()
-	if err := c.obsFlags.Start(); err != nil {
-		fmt.Fprintln(os.Stderr, "palmsim:", err)
-		return exitUsage
-	}
-	defer func() {
-		if err := c.obsFlags.Stop(); err != nil {
-			fmt.Fprintln(os.Stderr, "palmsim:", err)
-			if code == exitOK {
-				code = exitFailure
-			}
-		}
-	}()
-
-	err := pipeline(ctx, c)
-	switch {
-	case err == nil:
-		c.obsFlags.SetStatus("ok")
-		return exitOK
-	case simerr.IsCanceled(err):
-		c.obsFlags.SetStatus("interrupted")
-		fmt.Fprintln(os.Stderr, "palmsim: interrupted:", err)
-		return exitInterrupted
-	case isUsage(err):
-		c.obsFlags.SetStatus("failed")
-		fmt.Fprintln(os.Stderr, "palmsim:", err)
-		return exitUsage
-	default:
-		c.obsFlags.SetStatus("failed")
-		fmt.Fprintln(os.Stderr, "palmsim:", err)
-		return exitFailure
-	}
-}
-
-// usageError marks a bad-flag failure for the exit-code mapping.
-type usageError struct{ error }
-
-func isUsage(err error) bool {
-	_, ok := err.(usageError)
-	return ok
+	os.Exit(c.obsFlags.Run("palmsim", profiler, func() error { return pipeline(ctx, c) }))
 }
 
 func pipeline(ctx context.Context, c *config) error {
@@ -137,11 +80,14 @@ func pipeline(ctx context.Context, c *config) error {
 		return nil
 	}
 	if c.sessionNum < 1 || c.sessionNum > len(sessions) {
-		return usageError{fmt.Errorf("session %d out of range 1-%d", c.sessionNum, len(sessions))}
+		return obs.Usage(fmt.Errorf("session %d out of range 1-%d", c.sessionNum, len(sessions)))
 	}
 	s := sessions[c.sessionNum-1]
 	if _, err := m68k.ParseDispatch(c.dispatch); err != nil {
-		return usageError{err}
+		return obs.Usage(err)
+	}
+	if f := c.traceFormat; c.outDir != "" && c.withTrace && f != "raw" && f != "packed" && f != "both" {
+		return obs.Usage(fmt.Errorf("unknown trace format %q (want raw, packed or both)", f))
 	}
 
 	fmt.Printf("collecting %s on the instrumented device...\n", s.Name)
@@ -215,9 +161,6 @@ func pipeline(ctx context.Context, c *config) error {
 		}
 		if c.withTrace {
 			format := c.traceFormat
-			if format != "raw" && format != "packed" && format != "both" {
-				return usageError{fmt.Errorf("unknown trace format %q (want raw, packed or both)", format)}
-			}
 			var rawLen, packedLen int
 			if format == "raw" || format == "both" {
 				raw := exp.MarshalTrace(pb.Trace)

@@ -1,17 +1,47 @@
-// CLI flag wiring shared by cmd/palmsim and cmd/cachesweep, mirroring the
-// internal/prof pattern: AddFlags before flag.Parse, Start after, Stop
-// deferred. Any of -metrics, -metrics-addr, -progress or -manifest enables
-// the registry; with none given Registry() stays nil and every
-// instrumentation site in the process remains on its no-op path.
+// CLI wiring shared by cmd/palmsim and cmd/cachesweep: AddFlags before
+// flag.Parse, then Run, which brackets the command's body with the
+// profiler's and the exporters' Start and Stop and maps its outcome to
+// the exit-code table. Any of -metrics, -metrics-addr, -progress or
+// -manifest enables the registry; with none given Registry() stays nil
+// and every instrumentation site in the process remains on its no-op
+// path.
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
+
+	"palmsim/internal/simerr"
 )
+
+// The exit-code table the commands share.
+const (
+	ExitOK          = 0
+	ExitFailure     = 1
+	ExitUsage       = 2
+	ExitInterrupted = 3
+)
+
+// usageError marks a bad-flag failure for Run's exit-code mapping.
+type usageError struct{ error }
+
+// Usage marks err as a bad-flag failure, which Run exits ExitUsage for.
+func Usage(err error) error { return usageError{err} }
+
+// IsUsage reports whether err is, or wraps, an error marked by Usage.
+func IsUsage(err error) bool { return errors.As(err, new(usageError)) }
+
+// Profiler is the process profiler Run starts before a command's body
+// and stops after it; *prof.Profiler is one. Taking the interface keeps
+// runtime/pprof out of every package that imports obs.
+type Profiler interface {
+	Start() error
+	Stop() error
+}
 
 // Flags holds the observability flag values and the running exporters.
 type Flags struct {
@@ -82,7 +112,7 @@ func (f *Flags) Note(key, value string) {
 func (f *Flags) SetStatus(status string) { f.status = status }
 
 // Stop halts the reporter and server, writes the manifest if requested and
-// prints the final snapshot if -metrics was given. Defer from main after a
+// prints the final snapshot if -metrics was given. Run calls it after a
 // successful Start.
 func (f *Flags) Stop() error {
 	if f.reg == nil {
@@ -117,4 +147,50 @@ func (f *Flags) Stop() error {
 		}
 	}
 	return nil
+}
+
+// Run is a command's run lifecycle. It starts p and the exporters, runs
+// body, records how the run ended for the manifest, stops both on every
+// path and returns the exit code: ExitOK, ExitInterrupted for a
+// cancellation, ExitUsage for an error marked by Usage and ExitFailure
+// for any other. Errors print to stderr after "name: ". A Start that
+// fails exits ExitUsage before body runs; a Stop that fails turns ExitOK
+// into ExitFailure.
+func (f *Flags) Run(name string, p Profiler, body func() error) (code int) {
+	report := func(err error) { fmt.Fprintf(f.out, "%s: %v\n", name, err) }
+	stop := func(err error) {
+		if err != nil {
+			report(err)
+			if code == ExitOK {
+				code = ExitFailure
+			}
+		}
+	}
+	if err := p.Start(); err != nil {
+		report(err)
+		return ExitUsage
+	}
+	defer func() { stop(p.Stop()) }()
+	if err := f.Start(); err != nil {
+		report(err)
+		return ExitUsage
+	}
+	defer func() { stop(f.Stop()) }()
+
+	err := body()
+	switch {
+	case err == nil:
+		f.SetStatus("ok")
+		return ExitOK
+	case simerr.IsCanceled(err):
+		f.SetStatus("interrupted")
+		fmt.Fprintf(f.out, "%s: interrupted: %v\n", name, err)
+		return ExitInterrupted
+	}
+	f.SetStatus("failed")
+	report(err)
+	if IsUsage(err) {
+		return ExitUsage
+	}
+	return ExitFailure
 }

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -448,5 +450,63 @@ func TestFlagsEnabledLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "runs") {
 		t.Fatalf("snapshot print missing counter: %q", buf.String())
+	}
+}
+
+// fakeProfiler fails Start or Stop with the error it holds.
+type fakeProfiler struct{ startErr, stopErr error }
+
+func (p fakeProfiler) Start() error { return p.startErr }
+func (p fakeProfiler) Stop() error  { return p.stopErr }
+
+// TestFlagsRun pins the exit-code table and the manifest status Run
+// derives from a body's error, and what a failing profiler does to both.
+func TestFlagsRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	canceled := simerr.Canceled(ctx, "replay", 7)
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name   string
+		prof   fakeProfiler
+		err    error
+		code   int
+		status string
+		stderr string
+	}{
+		{"ok", fakeProfiler{}, nil, ExitOK, "ok", ""},
+		{"usage", fakeProfiler{}, Usage(boom), ExitUsage, "failed", "cmd: boom\n"},
+		{"wrapped usage", fakeProfiler{}, fmt.Errorf("parse: %w", Usage(boom)), ExitUsage, "failed", "cmd: parse: boom\n"},
+		{"interrupted", fakeProfiler{}, canceled, ExitInterrupted, "interrupted", "cmd: interrupted: " + canceled.Error() + "\n"},
+		{"failure", fakeProfiler{}, boom, ExitFailure, "failed", "cmd: boom\n"},
+		{"stop fails", fakeProfiler{stopErr: boom}, nil, ExitFailure, "ok", "cmd: boom\n"},
+		{"stop fails after usage", fakeProfiler{stopErr: errors.New("flush")}, Usage(boom), ExitUsage, "failed", "cmd: boom\ncmd: flush\n"},
+		{"start fails", fakeProfiler{startErr: boom}, nil, ExitUsage, "", "cmd: boom\n"},
+	} {
+		var stderr bytes.Buffer
+		f := &Flags{
+			metrics:  new(bool),
+			addr:     new(string),
+			progress: new(time.Duration),
+			manifest: new(string),
+			out:      &stderr,
+		}
+		ran := false
+		code := f.Run("cmd", tc.prof, func() error {
+			ran = true
+			return tc.err
+		})
+		if code != tc.code {
+			t.Errorf("%s: exit code %d, want %d", tc.name, code, tc.code)
+		}
+		if f.status != tc.status {
+			t.Errorf("%s: status %q, want %q", tc.name, f.status, tc.status)
+		}
+		if stderr.String() != tc.stderr {
+			t.Errorf("%s: stderr %q, want %q", tc.name, stderr.String(), tc.stderr)
+		}
+		if want := tc.prof.startErr == nil; ran != want {
+			t.Errorf("%s: body ran = %v, want %v", tc.name, ran, want)
+		}
 	}
 }

@@ -47,7 +47,8 @@ func (p *Profiler) Start() error {
 }
 
 // Stop ends CPU profiling and writes the heap profile if -memprofile was
-// given. Defer from main after a successful Start.
+// given. Call after a successful Start; obs.Flags.Run does, and exits 1
+// when it fails.
 func (p *Profiler) Stop() error {
 	if p.cpuFile != nil {
 		pprof.StopCPUProfile()

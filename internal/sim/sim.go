@@ -15,7 +15,6 @@ import (
 	"palmsim/internal/emu"
 	"palmsim/internal/hack"
 	"palmsim/internal/hotsync"
-	"palmsim/internal/hw"
 	"palmsim/internal/m68k"
 	"palmsim/internal/obs"
 	"palmsim/internal/palmos"
@@ -33,9 +32,6 @@ type (
 	// Machine is the simulated handheld.
 	Machine = emu.Machine
 )
-
-// PaperSessions returns the four Table 1 sessions.
-func PaperSessions() []Session { return user.PaperSessions() }
 
 // RunStats aggregates per-run statistics across the machine layers.
 type RunStats struct {
@@ -409,15 +405,6 @@ func statsOf(m *Machine) RunStats {
 		ElapsedSeconds: m.ElapsedSeconds(),
 	}
 }
-
-// UnmarshalState parses a serialized device state.
-func UnmarshalState(data []byte) (*State, error) { return hotsync.Unmarshal(data) }
-
-// UnmarshalLog parses a serialized activity log.
-func UnmarshalLog(data []byte) (*Log, error) { return alog.Unmarshal(data) }
-
-// TicksPerSecond is the Palm OS tick rate.
-const TicksPerSecond = hw.TicksPerSec
 
 // FormatElapsed renders seconds as H:MM:SS, the Table 1 form.
 func FormatElapsed(seconds float64) string {

@@ -104,7 +104,9 @@ func (c *checkpointer) due() bool { return c.since >= c.every }
 
 // save encodes the sidecar in memory and writes it atomically
 // (temp file in the same directory, then rename), so a crash mid-save
-// leaves the previous snapshot intact. Callers must have quiesced the
+// leaves the previous snapshot intact. A failed rename removes the temp
+// file it wrote; a failed write leaves the path alone, since whatever
+// sits there may not be the sweep's. Callers must have quiesced the
 // workers first: every produced chunk retired by every worker.
 func (c *checkpointer) save() error {
 	buf := make([]byte, 0, 4096)
@@ -118,10 +120,13 @@ func (c *checkpointer) save() error {
 	buf = binary.LittleEndian.AppendUint64(buf, sum.Sum64())
 
 	tmp := c.path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return fmt.Errorf("sweep: checkpoint save: %w", err)
+	err := os.WriteFile(tmp, buf, 0o644)
+	if err == nil {
+		if err = os.Rename(tmp, c.path); err != nil {
+			os.Remove(tmp)
+		}
 	}
-	if err := os.Rename(tmp, c.path); err != nil {
+	if err != nil {
 		return fmt.Errorf("sweep: checkpoint save: %w", err)
 	}
 	c.since = 0

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -273,6 +274,67 @@ func TestPeriodicCheckpointSurvivesCrash(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("%v diverged after crash-resume: got %+v want %+v", cfgs[i], got[i], want[i])
+		}
+	}
+}
+
+// TestCheckpointSaveFaults puts a directory where a checkpoint save must
+// write its temp file, then where it must rename it to. The write fault
+// fails the sweep with the *fs.PathError and leaves the last good
+// sidecar untouched, so the sweep resumes from it once the fault clears;
+// the rename fault fails with the *os.LinkError and leaves no temp file.
+func TestCheckpointSaveFaults(t *testing.T) {
+	trace := fixedTrace(40_000)
+	cfgs := mixedPolicySweep()
+	want, err := cache.Sweep(cfgs, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(path string) { // a non-empty directory: no write or rename can replace it
+		if err := os.MkdirAll(filepath.Join(path, "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		opts := Options{Workers: workers, ChunkRefs: 1024, Engine: EngineStack, CheckpointEveryChunks: 1}
+
+		path := filepath.Join(t.TempDir(), "S")
+		interruptRun(t, path, cfgs, trace, 3, workers, 1024, EngineStack)
+		saved, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block(path + ".tmp")
+		opts.CheckpointPath, opts.Resume = path, true
+		_, err = Run(context.Background(), cfgs, NewSliceSource(trace), opts)
+		if !errors.As(err, new(*fs.PathError)) {
+			t.Fatalf("workers=%d: write fault: err = %v, want an *fs.PathError", workers, err)
+		}
+		if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, saved) {
+			t.Fatalf("workers=%d: write fault changed the sidecar (err %v)", workers, err)
+		}
+		if err := os.RemoveAll(path + ".tmp"); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(context.Background(), cfgs, NewSliceSource(trace), opts)
+		if err != nil {
+			t.Fatalf("workers=%d: resume after the write fault: %v", workers, err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("workers=%d: %v diverged after the write fault: got %+v want %+v", workers, cfgs[i], got[i], want[i])
+			}
+		}
+
+		path = filepath.Join(t.TempDir(), "S")
+		block(path)
+		opts.CheckpointPath, opts.Resume = path, false
+		_, err = Run(context.Background(), cfgs, NewSliceSource(trace), opts)
+		if !errors.As(err, new(*os.LinkError)) {
+			t.Fatalf("workers=%d: rename fault: err = %v, want an *os.LinkError", workers, err)
+		}
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Errorf("workers=%d: rename fault left %s.tmp behind (stat err %v)", workers, path, err)
 		}
 	}
 }
