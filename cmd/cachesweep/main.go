@@ -1,11 +1,10 @@
 // Command cachesweep runs the §4 cache case study over a memory-reference
-// trace: either a .trace file produced by cmd/palmsim (raw or packed,
-// told apart by the file's magic), a din-format file, a fresh replay of a
-// built-in session, or the synthetic desktop trace (Figure 7). All
-// configurations are simulated by the internal/sweep engine, on -workers
-// workers; file and desktop traces are streamed, so memory use is
-// independent of trace length, and every file a sweep opens is closed
-// when it ends.
+// trace: either a packed .ptrace file produced by cmd/palmsim, a
+// din-format file, a fresh replay of a built-in session, or the
+// synthetic desktop trace (Figure 7). All configurations are simulated
+// by the internal/sweep engine, on -workers workers; file and desktop
+// traces are streamed, so memory use is independent of trace length,
+// and every file a sweep opens is closed when it ends.
 //
 // SIGINT/SIGTERM cancel the sweep at the next chunk boundary: the run
 // manifest (when -manifest is given) is still written, with
@@ -17,8 +16,7 @@
 // Usage:
 //
 //	cachesweep -session 1
-//	cachesweep -trace out/session1.trace -workers 8
-//	cachesweep -trace out/session1.ptrace             (packed, auto-detected)
+//	cachesweep -trace out/session1.ptrace -workers 8
 //	cachesweep -desktop
 //	cachesweep -desktop -refs 500000000 -checkpoint sweep.ckpt
 //	cachesweep -desktop -refs 500000000 -checkpoint sweep.ckpt -resume
@@ -41,9 +39,11 @@
 //
 // Every sweep reads its trace once, in order, through one streaming
 // source; OPT (Belady's optimal) alone buffers the whole trace, for its
-// backward next-use pass. -write-policy needs a kind-carrying trace (a
-// session replay, a din file, or a packed trace recorded with kinds) and
-// is rejected with a clear error on address-only traces.
+// backward next-use pass. -write-policy needs a kind-carrying trace and
+// is rejected with a clear error on the address-only desktop trace.
+// Session replays, din files and every .ptrace palmsim writes carry
+// kinds; an address-only packed trace, as dtrace.PackTrace(addrs, nil)
+// writes, reads as all instruction fetches.
 //
 // Every flag is checked before a trace is opened or a session collected.
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
@@ -74,7 +74,7 @@ import (
 
 func main() {
 	c := &config{}
-	flag.StringVar(&c.traceFile, "trace", "", "trace file (from palmsim -out), raw or packed")
+	flag.StringVar(&c.traceFile, "trace", "", "packed .ptrace trace file (from palmsim -out)")
 	flag.StringVar(&c.dinFile, "din", "", "Dinero din-format trace file")
 	flag.IntVar(&c.sessionNum, "session", 0, "replay built-in session (1-4) to obtain the trace")
 	flag.BoolVar(&c.desktop, "desktop", false, "use the synthetic desktop trace (Figure 7)")
@@ -202,16 +202,13 @@ func sweepMain(ctx context.Context, c *config) error {
 			}
 			return attachSourceObs(src, reg), f, nil
 		}
-		src, f, err := newSource()
+		// A file that is not a packed trace fails here, before any output.
+		_, f, err := newSource()
 		if err != nil {
 			return err
 		}
 		f.Close()
-		if ts, ok := src.(*exp.TraceSource); ok {
-			fmt.Printf("streaming %d raw references from %s\n", ts.Refs(), c.traceFile)
-		} else {
-			fmt.Printf("streaming packed references from %s\n", c.traceFile)
-		}
+		fmt.Printf("streaming packed references from %s\n", c.traceFile)
 	case c.desktop:
 		cfg := dtrace.DefaultConfig()
 		if c.refs > 0 {
@@ -440,9 +437,6 @@ func attachSourceObs(src sweep.Source, reg *obs.Registry) sweep.Source {
 		return src
 	}
 	switch s := src.(type) {
-	case *exp.TraceSource:
-		s.ObsRefs = reg.Counter("trace.refs_read")
-		s.ObsBytes = reg.Counter("trace.bytes_read")
 	case *dtrace.PackedSource:
 		s.ObsRefs = reg.Counter("trace.refs_read")
 	case *exp.DineroSource:
@@ -456,15 +450,15 @@ func attachSourceObs(src sweep.Source, reg *obs.Registry) sweep.Source {
 // backs the source.
 type openFunc func() (sweep.Source, io.Closer, error)
 
-// openTraceFile opens a raw or packed trace file, told apart by its
-// magic, and returns the source with its file. A file whose magic is
-// not a trace's is closed before the error returns.
+// openTraceFile opens a packed trace file and returns the source with
+// its file. A file that is not a packed trace is closed before the error
+// returns.
 func openTraceFile(path string) (sweep.Source, *os.File, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	src, _, err := exp.OpenTraceSource(f)
+	src, err := dtrace.NewPackedSource(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err

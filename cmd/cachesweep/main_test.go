@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"palmsim/internal/dtrace"
-	"palmsim/internal/exp"
 	"palmsim/internal/obs"
 )
 
@@ -30,17 +29,27 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// writeTestTrace writes a small raw PALMTRC1 trace: a few interleaved
-// strided streams, enough for every sweep configuration to see hits and
-// misses without slowing the test down.
+// writeTestTrace writes a small address-only packed trace: a few
+// interleaved strided streams, enough for every sweep configuration to
+// see hits and misses without slowing the test down.
 func writeTestTrace(t *testing.T) string {
 	t.Helper()
 	var trace []uint32
 	for i := uint32(0); i < 6000; i++ {
 		trace = append(trace, 0x10000+4*i, 0x400000+64*(i%512), 0x10F00000+8*(i%64))
 	}
-	path := filepath.Join(t.TempDir(), "cross.trace")
-	if err := os.WriteFile(path, exp.MarshalTrace(trace), 0o644); err != nil {
+	packed, err := dtrace.PackTrace(trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return writeFile(t, "cross.ptrace", packed)
+}
+
+// writeFile writes data to a fresh temporary file and returns its path.
+func writeFile(t *testing.T, name string, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -122,16 +131,18 @@ func TestPolicyGridWithOPTAndPareto(t *testing.T) {
 	}
 }
 
+// TestWritePolicyRejectsAddressOnlyTrace: the synthetic desktop trace
+// carries no access kinds, so a write-policy sweep over it exits 1 and
+// says why.
 func TestWritePolicyRejectsAddressOnlyTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
 	}
-	trace := writeTestTrace(t)
-	out, err := runCachesweep(t, "-trace "+trace+" -write-policy back")
-	if err == nil {
-		t.Fatalf("write-policy sweep over a kindless raw trace exited zero:\n%s", out)
+	out, err := runCachesweep(t, "-desktop -refs 10000 -write-policy back")
+	if code := exitCode(t, err); code != 1 {
+		t.Fatalf("write-policy sweep over the kindless desktop trace exited %d, want 1:\n%s", code, out)
 	}
-	if !strings.Contains(out, "no access kinds") {
+	if !strings.Contains(out, "carries no access kinds") {
 		t.Errorf("error does not explain the missing kinds:\n%s", out)
 	}
 }
@@ -301,9 +312,9 @@ func TestPlanDryRun(t *testing.T) {
 
 // TestPartitionedOptExitsUsage: an indexed packed trace sweeps, exit 0,
 // under OPT — which buffers the whole trace — and as a hierarchy sweep;
-// -partitions, whose range decoders are gone, -trace-format, whose only
-// job the magic sniff does, and -policies, whose list -policy takes, are
-// undefined flags and exit 2 (usage).
+// -partitions, whose range decoders are gone, -trace-format, since a
+// -trace file is always packed, and -policies, whose list -policy takes,
+// are undefined flags and exit 2 (usage).
 func TestPartitionedOptExitsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
@@ -387,28 +398,29 @@ func captureStdout(t *testing.T, f func()) string {
 	return string(b)
 }
 
-// TestSweepClosesTraceFiles runs sweeps in-process and counts the open
-// descriptors around each: every file a sweep opens — the -trace header
-// probe, both passes of a -crossvalidate run, a file whose magic is not
-// a trace's — must be closed by the time sweepMain returns. The GC stays
-// off, so no *os.File finalizer closes a leaked file behind the count.
-func TestSweepClosesTraceFiles(t *testing.T) {
-	if _, err := os.Stat("/proc/self/fd"); err != nil {
+// openFDs counts this process's open descriptors; it skips the test
+// where /proc/self/fd does not exist.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
 		t.Skip("no /proc/self/fd on this platform")
 	}
+	return len(ents)
+}
+
+// TestSweepClosesTraceFiles runs sweeps in-process and counts the open
+// descriptors around each: every file a sweep opens — the -trace header
+// probe, both passes of a -crossvalidate run, a raw PALMTRC1 file or
+// any other file that is not a packed trace — must be closed by the
+// time sweepMain returns. The GC stays off, so no *os.File finalizer
+// closes a leaked file behind the count.
+func TestSweepClosesTraceFiles(t *testing.T) {
+	openFDs(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	openFDs := func() int {
-		ents, err := os.ReadDir("/proc/self/fd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(ents)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.trace")
-	if err := os.WriteFile(bad, []byte("GARBAGE1 not a trace"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	raw, packed, din := writeTestTrace(t), writeIndexedPackedTrace(t), writeTestDin(t)
+	bad := writeFile(t, "bad.trace", []byte("GARBAGE1 not a trace"))
+	raw := writeRawTrace(t, seekTestTrace(2_003))
+	plain, packed, din := writeTestTrace(t), writeIndexedPackedTrace(t), writeTestDin(t)
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -423,21 +435,21 @@ func TestSweepClosesTraceFiles(t *testing.T) {
 		c       config
 		wantErr bool
 	}{
-		{"raw", config{traceFile: raw}, false},
+		{"PALMTRC1 magic", config{traceFile: raw}, true},
 		{"packed", config{traceFile: packed}, false},
 		{"din", config{dinFile: din}, false},
-		{"crossvalidate", config{traceFile: raw, crossValidate: true}, false},
+		{"crossvalidate", config{traceFile: plain, crossValidate: true}, false},
 		{"bad magic", config{traceFile: bad}, true},
 	} {
 		c := tc.c
 		c.policy, c.algo, c.l2Assoc, c.hierarchy = "LRU", "auto", "4", "nine"
 		c.obsFlags = &obs.Flags{}
-		before := openFDs()
+		before := openFDs(t)
 		err := sweepMain(context.Background(), &c)
 		if (err != nil) != tc.wantErr {
 			t.Fatalf("%s: err = %v, want an error: %v", tc.name, err, tc.wantErr)
 		}
-		if after := openFDs(); after != before {
+		if after := openFDs(t); after != before {
 			t.Errorf("%s: %d open descriptors before the sweep, %d after", tc.name, before, after)
 		}
 	}

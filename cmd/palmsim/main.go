@@ -3,6 +3,9 @@
 // simulated handheld, writes the initial state and activity log to disk,
 // replays them on a second machine, validates both correlations, and
 // prints the run statistics — the whole §2+§3 methodology in one go.
+// The replay's memory-reference trace goes to -out as one indexed .ptrace
+// carrying addresses, access kinds and tick marks (cachesweep -trace
+// reads it); -dinero adds a Dinero .din copy.
 //
 // SIGINT/SIGTERM cancel the pipeline at the next tick-sync boundary; the
 // run manifest (when -manifest is given) records "status":"interrupted"
@@ -36,16 +39,15 @@ import (
 )
 
 type config struct {
-	sessionNum  int
-	outDir      string
-	list        bool
-	withTrace   bool
-	traceFormat string
-	seekTick    uint
-	screenshot  bool
-	dinero      bool
-	dispatch    string
-	obsFlags    *obs.Flags
+	sessionNum int
+	outDir     string
+	list       bool
+	withTrace  bool
+	seekTick   uint
+	screenshot bool
+	dinero     bool
+	dispatch   string
+	obsFlags   *obs.Flags
 }
 
 func main() {
@@ -53,8 +55,7 @@ func main() {
 	flag.IntVar(&c.sessionNum, "session", 1, "built-in session number (1-4)")
 	flag.StringVar(&c.outDir, "out", "", "directory for state/log/trace artifacts (omit to skip writing)")
 	flag.BoolVar(&c.list, "list", false, "list built-in sessions and exit")
-	flag.BoolVar(&c.withTrace, "trace", true, "collect a memory-reference trace during replay")
-	flag.StringVar(&c.traceFormat, "trace-format", "raw", "trace artifact format: raw (.trace), packed (.ptrace) or both")
+	flag.BoolVar(&c.withTrace, "trace", true, "write the replay's memory-reference trace as an indexed .ptrace (with -out)")
 	flag.UintVar(&c.seekTick, "seek-tick", 0, "fast-forward replay: emulate untraced until this tick, then start tracing")
 	flag.BoolVar(&c.screenshot, "screenshot", false, "write the final display as a PGM image (with -out)")
 	flag.BoolVar(&c.dinero, "dinero", false, "also write the trace in Dinero din format (with -out)")
@@ -86,9 +87,6 @@ func pipeline(ctx context.Context, c *config) error {
 	if _, err := m68k.ParseDispatch(c.dispatch); err != nil {
 		return obs.Usage(err)
 	}
-	if f := c.traceFormat; c.outDir != "" && c.withTrace && f != "raw" && f != "packed" && f != "both" {
-		return obs.Usage(fmt.Errorf("unknown trace format %q (want raw, packed or both)", f))
-	}
 
 	fmt.Printf("collecting %s on the instrumented device...\n", s.Name)
 	col, err := palmsim.CollectObserved(ctx, s, reg)
@@ -99,10 +97,10 @@ func pipeline(ctx context.Context, c *config) error {
 		col.Log.Len(), palmsim.FormatElapsed(col.Stats.ElapsedSeconds))
 	fmt.Printf("  collection: %s\n", col.Stats.Bus.String())
 
-	// Packed trace artifacts carry a PALMIDX1 index; tick marks feed its
-	// per-block starting ticks, enabling SeekTick on the written file.
-	wantPacked := c.outDir != "" && c.withTrace &&
-		(c.traceFormat == "packed" || c.traceFormat == "both")
+	// The trace is collected only to be written. Its .ptrace carries the
+	// access kinds write-policy sweeps need, and a PALMIDX1 index whose
+	// per-block starting ticks come from the tick marks (SeekTick).
+	writeTrace := c.outDir != "" && c.withTrace
 	fmt.Println("replaying on a fresh machine (hacks installed for validation)...")
 	if c.seekTick > 0 {
 		fmt.Printf("  fast-forward: tracing starts at tick %d\n", c.seekTick)
@@ -110,9 +108,9 @@ func pipeline(ctx context.Context, c *config) error {
 	pb, err := palmsim.Replay(ctx, col.Initial, col.Log, palmsim.ReplayOptions{
 		Profiling:    true,
 		WithHacks:    true,
-		CollectTrace: c.withTrace,
-		CollectKinds: c.dinero,
-		CollectTicks: wantPacked,
+		CollectTrace: writeTrace,
+		CollectKinds: writeTrace,
+		CollectTicks: writeTrace,
 		SeekTick:     uint32(c.seekTick),
 		// With metrics on, the opcode histogram feeds the per-group
 		// m68k.group.* func metrics.
@@ -159,47 +157,26 @@ func pipeline(ctx context.Context, c *config) error {
 		if err := write(s.Name+".palmlog", col.Log.Marshal()); err != nil {
 			return err
 		}
-		if c.withTrace {
-			format := c.traceFormat
-			var rawLen, packedLen int
-			if format == "raw" || format == "both" {
-				raw := exp.MarshalTrace(pb.Trace)
-				rawLen = len(raw)
-				if err := write(s.Name+".trace", raw); err != nil {
-					return err
-				}
+		if writeTrace {
+			packed, err := dtrace.PackTraceIndexed(pb.Trace, pb.TraceKinds, pb.TraceTicks)
+			if err != nil {
+				return err
 			}
-			if format == "packed" || format == "both" {
-				packed, err := dtrace.PackTraceIndexed(pb.Trace, pb.TraceKinds, pb.TraceTicks)
-				if err != nil {
-					return err
-				}
-				packedLen = len(packed)
-				if err := write(s.Name+".ptrace", packed); err != nil {
-					return err
-				}
+			if err := write(s.Name+".ptrace", packed); err != nil {
+				return err
 			}
-			if rawLen > 0 {
-				c.obsFlags.Note("trace_raw_bytes", fmt.Sprint(rawLen))
-			}
-			if packedLen > 0 {
-				c.obsFlags.Note("trace_packed_bytes", fmt.Sprint(packedLen))
-				// Raw spends 4 bytes/ref plus a 12-byte header, so the
-				// ratio is computable even when only packed was written.
-				c.obsFlags.Note("trace_packed_vs_raw",
-					fmt.Sprintf("%.2f", float64(4*len(pb.Trace)+12)/float64(packedLen)))
-			}
-			if format == "both" && packedLen > 0 {
-				fmt.Printf("  packed trace is %.1fx smaller than raw\n",
-					float64(rawLen)/float64(packedLen))
-			}
+			c.obsFlags.Note("trace_packed_bytes", fmt.Sprint(len(packed)))
+			// Against the 4 bytes/ref plus 12-byte header of an
+			// address-only array.
+			c.obsFlags.Note("trace_packed_vs_raw",
+				fmt.Sprintf("%.2f", float64(4*len(pb.Trace)+12)/float64(len(packed))))
 		}
 		if c.screenshot {
 			if err := write(s.Name+".pgm", pb.M.ScreenPGM()); err != nil {
 				return err
 			}
 		}
-		if c.dinero {
+		if writeTrace && c.dinero {
 			din, err := exp.MarshalDinero(pb.Trace, pb.TraceKinds)
 			if err != nil {
 				return err

@@ -7,21 +7,24 @@ import (
 	"path/filepath"
 	"testing"
 
+	"palmsim"
+	"palmsim/internal/cache"
+	"palmsim/internal/dtrace"
 	"palmsim/internal/obs"
+	"palmsim/internal/sweep"
 )
 
-// TestBadTraceFormatBeforeAnyWork: a -trace-format that names no format
-// is a usage error raised before the session is collected, so the
-// pipeline prints nothing and never creates -out.
+// TestBadTraceFormatBeforeAnyWork: a -dispatch that names no engine is
+// a usage error raised before the session is collected, so the pipeline
+// prints nothing and never creates -out.
 func TestBadTraceFormatBeforeAnyWork(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out")
 	c := &config{
-		sessionNum:  4,
-		outDir:      out,
-		withTrace:   true,
-		traceFormat: "bogus",
-		dispatch:    "auto",
-		obsFlags:    &obs.Flags{},
+		sessionNum: 4,
+		outDir:     out,
+		withTrace:  true,
+		dispatch:   "bogus",
+		obsFlags:   &obs.Flags{},
 	}
 	var err error
 	stdout := captureStdout(t, func() { err = pipeline(context.Background(), c) })
@@ -33,6 +36,69 @@ func TestBadTraceFormatBeforeAnyWork(t *testing.T) {
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
 		t.Errorf("-out %s exists after a usage error (stat err %v)", out, err)
+	}
+}
+
+// TestPalmsimTraceCarriesKinds: the .ptrace palmsim writes without
+// -dinero carries the replay's access kinds, so a write-back sweep over
+// the file counts the same writebacks as one over the replay's own
+// kinded trace, and not zero (an address-only packed trace reads as all
+// fetches).
+func TestPalmsimTraceCarriesKinds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects and replays a session twice")
+	}
+	ctx := context.Background()
+	out := t.TempDir()
+	c := &config{sessionNum: 1, outDir: out, withTrace: true, dispatch: "auto", obsFlags: &obs.Flags{}}
+	var err error
+	captureStdout(t, func() { err = pipeline(ctx, c) })
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfgs := cache.PaperSweep()
+	for i := range cfgs {
+		cfgs[i].Write = cache.WriteBack
+	}
+	f, err := os.Open(filepath.Join(out, "session1.ptrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src, err := dtrace.NewPackedSource(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sweep.Run(ctx, cfgs, src, sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := palmsim.PaperSessions()[0]
+	col, err := palmsim.Collect(ctx, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := palmsim.Replay(ctx, col.Initial, col.Log, palmsim.ReplayOptions{
+		Profiling: true, WithHacks: true, CollectTrace: true, CollectKinds: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.Run(ctx, cfgs, sweep.NewKindedSliceSource(pb.Trace, pb.TraceKinds), sweep.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writebacks uint64
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%v: file sweep %+v, replay sweep %+v", cfgs[i], got[i], want[i])
+		}
+		writebacks += got[i].Writebacks
+	}
+	if writebacks == 0 {
+		t.Error("write-back sweep over the written .ptrace counted no writebacks")
 	}
 }
 

@@ -1,5 +1,5 @@
 // The packed binary trace format: a compact on-disk representation of
-// memory-reference traces. The raw PALMTRC1 format spends four bytes per
+// memory-reference traces. A plain address array spends four bytes per
 // reference; real traces are dominated by a handful of interleaved
 // constant-stride streams (sequential instruction fetches, stack
 // discipline, pointer walks), so the packed format keeps four adaptive
@@ -230,7 +230,7 @@ func (p *PackedWriter) Refs() uint64 { return p.refs }
 
 // Bytes returns the encoded size so far (header and flushed frames; call
 // after Close for the exact file size). With Refs it yields the
-// packed-vs-raw ratio against the 4 bytes/ref PALMTRC1 encoding.
+// packed-vs-raw ratio against a plain 4 bytes/ref address array.
 func (p *PackedWriter) Bytes() uint64 { return p.bytes }
 
 // Close writes the final block, the end-of-trace marker and — for

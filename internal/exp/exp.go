@@ -228,19 +228,6 @@ func DesktopStudy(ctx context.Context, refs int) ([]cache.Result, error) {
 
 // --- trace file format -------------------------------------------------------
 
-// MarshalTrace serializes a reference trace as big-endian uint32 addresses
-// with a small header.
-func MarshalTrace(trace []uint32) []byte {
-	out := make([]byte, 0, 12+4*len(trace))
-	out = append(out, 'P', 'A', 'L', 'M', 'T', 'R', 'C', '1')
-	out = append(out,
-		byte(len(trace)>>24), byte(len(trace)>>16), byte(len(trace)>>8), byte(len(trace)))
-	for _, a := range trace {
-		out = append(out, byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-	}
-	return out
-}
-
 // MarshalDinero renders a reference trace in the classic "din" format
 // consumed by the Dinero cache-simulator family: one "<label> <hexaddr>"
 // pair per line, label 0 = data read, 1 = data write, 2 = instruction

@@ -1,7 +1,8 @@
-// Streaming readers for the two on-disk trace formats, implementing the
-// sweep engine's Source interface so multi-hundred-million-reference
-// traces are fed to the simulators chunk by chunk instead of being
-// materialized as one []uint32.
+// Streaming reader for the Dinero din interchange format, implementing
+// the sweep engine's kinded Source interface so multi-hundred-million-
+// reference traces are fed to the simulators chunk by chunk instead of
+// being materialized as one []uint32. The packed .ptrace artifact has its
+// own streaming reader, dtrace.PackedSource.
 package exp
 
 import (
@@ -21,89 +22,6 @@ var (
 	_ sweep.KindedSource = (*DineroSource)(nil)
 	_ sweep.KindedSource = (*dtrace.PackedSource)(nil)
 )
-
-// OpenTraceSource sniffs a trace stream's 8-byte magic and returns the
-// matching streaming source — raw PALMTRC1 (four bytes per reference,
-// NewTraceSource) or packed PALMPKD1 (varint deltas,
-// dtrace.NewPackedSource) — plus the detected format name ("raw" or
-// "packed"). File-driven sweeps go through here so packed traces are
-// picked up transparently.
-func OpenTraceSource(r io.Reader) (sweep.Source, string, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	magic, err := br.Peek(8)
-	if err != nil {
-		return nil, "", simerr.CorruptTrace("exp: open", 0, fmt.Errorf("not a trace file"))
-	}
-	switch string(magic) {
-	case "PALMTRC1":
-		src, err := NewTraceSource(br)
-		if err != nil {
-			return nil, "", err
-		}
-		return src, "raw", nil
-	case dtrace.PackedMagic:
-		src, err := dtrace.NewPackedSource(br)
-		if err != nil {
-			return nil, "", err
-		}
-		return src, "packed", nil
-	}
-	return nil, "", simerr.CorruptTrace("exp: open", 0, fmt.Errorf("unrecognized trace magic %q", magic))
-}
-
-// TraceSource streams a PALMTRC1-format reference trace (MarshalTrace's
-// output) from an io.Reader.
-type TraceSource struct {
-	r         *bufio.Reader
-	total     int
-	remaining int
-	scratch   []byte
-
-	// ObsRefs and ObsBytes, when non-nil, count streamed references and
-	// raw bytes per chunk.
-	ObsRefs  *obs.Counter
-	ObsBytes *obs.Counter
-}
-
-// NewTraceSource validates the trace header and prepares streaming.
-func NewTraceSource(r io.Reader) (*TraceSource, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:8]) != "PALMTRC1" {
-		return nil, simerr.CorruptTrace("exp: open", 0, fmt.Errorf("not a trace file"))
-	}
-	n := int(hdr[8])<<24 | int(hdr[9])<<16 | int(hdr[10])<<8 | int(hdr[11])
-	return &TraceSource{r: br, total: n, remaining: n}, nil
-}
-
-// Refs returns the total reference count declared in the header.
-func (t *TraceSource) Refs() int { return t.total }
-
-// NextChunk decodes up to len(buf) big-endian addresses.
-func (t *TraceSource) NextChunk(buf []uint32) (int, error) {
-	want := len(buf)
-	if want > t.remaining {
-		want = t.remaining
-	}
-	if want == 0 {
-		return 0, nil
-	}
-	if len(t.scratch) < 4*want {
-		t.scratch = make([]byte, 4*want)
-	}
-	raw := t.scratch[:4*want]
-	if _, err := io.ReadFull(t.r, raw); err != nil {
-		return 0, simerr.CorruptTrace("exp: read", int64(t.total-t.remaining), fmt.Errorf("truncated trace (%d refs claimed): %w", t.total, err))
-	}
-	for i := 0; i < want; i++ {
-		buf[i] = uint32(raw[4*i])<<24 | uint32(raw[4*i+1])<<16 |
-			uint32(raw[4*i+2])<<8 | uint32(raw[4*i+3])
-	}
-	t.remaining -= want
-	t.ObsRefs.Add(uint64(want))
-	t.ObsBytes.Add(uint64(4 * want))
-	return want, nil
-}
 
 // DineroSource streams a din-format trace ("<label> <hexaddr>" lines, as
 // written by MarshalDinero). NextChunk validates but discards the

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
-	"palmsim/internal/dtrace"
 	"palmsim/internal/m68k"
 	"palmsim/internal/simerr"
 )
@@ -21,109 +21,47 @@ func testTrace(n int) []uint32 {
 	return out
 }
 
-// TestTraceSourceStreamsMarshalled: streaming a MarshalTrace blob in odd
-// chunk sizes reproduces the marshalled trace.
+// TestTraceSourceStreamsMarshalled: streaming a MarshalDinero blob in odd
+// chunk sizes, alternating the address-only and kinded faces on one
+// source, reproduces the marshalled addresses and kinds.
 func TestTraceSourceStreamsMarshalled(t *testing.T) {
 	want := testTrace(10_007)
-	data := MarshalTrace(want)
+	kinds := make([]uint8, len(want))
+	for i := range kinds {
+		kinds[i] = uint8(i % 3) // fetch, read, write
+	}
+	data, err := MarshalDinero(want, kinds)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, chunk := range []int{1, 13, 4096, 20_000} {
-		ts, err := NewTraceSource(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ts.Refs() != len(want) {
-			t.Fatalf("header claims %d refs, want %d", ts.Refs(), len(want))
-		}
-		var got []uint32
-		buf := make([]uint32, chunk)
-		for {
-			n, err := ts.NextChunk(buf)
+		ds := NewDineroSource(bytes.NewReader(data))
+		buf, kbuf := make([]uint32, chunk), make([]uint8, chunk)
+		got := 0
+		for kinded := false; ; kinded = !kinded {
+			var n int
+			if kinded {
+				n, err = ds.NextChunkKinded(buf, kbuf)
+			} else {
+				n, err = ds.NextChunk(buf)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if n == 0 {
 				break
 			}
-			got = append(got, buf[:n]...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("chunk %d: got %d refs", chunk, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("chunk %d: ref %d = %#x, want %#x", chunk, i, got[i], want[i])
+			for i, a := range buf[:n] {
+				if a != want[got+i] || kinded && kbuf[i] != kinds[got+i] {
+					t.Fatalf("chunk %d: ref %d = %#x/%d, want %#x/%d",
+						chunk, got+i, a, kbuf[i], want[got+i], kinds[got+i])
+				}
 			}
+			got += n
 		}
-	}
-}
-
-// TestTraceSourceRejectsGarbage covers the raw reader's header and
-// truncation errors, which must be ErrCorruptTrace.
-func TestTraceSourceRejectsGarbage(t *testing.T) {
-	if _, err := NewTraceSource(strings.NewReader("not a trace")); !errors.Is(err, simerr.ErrCorruptTrace) {
-		t.Errorf("bad header: err = %v, want ErrCorruptTrace", err)
-	}
-	data := MarshalTrace(testTrace(100))
-	ts, err := NewTraceSource(bytes.NewReader(data[:len(data)-10]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]uint32, 256)
-	if _, err := ts.NextChunk(buf); !errors.Is(err, simerr.ErrCorruptTrace) {
-		t.Errorf("truncated trace: err = %v, want ErrCorruptTrace", err)
-	}
-}
-
-// TestOpenTraceSourceSniffsFormats: the magic sniffer must route raw and
-// packed blobs to the matching streaming source and reject everything
-// else.
-func TestOpenTraceSourceSniffsFormats(t *testing.T) {
-	want := testTrace(2_003)
-	raw := MarshalTrace(want)
-	packed, err := dtrace.PackTrace(want, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		format string
-		data   []byte
-	}{
-		{"raw", raw},
-		{"packed", packed},
-	} {
-		src, format, err := OpenTraceSource(bytes.NewReader(tc.data))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.format, err)
+		if got != len(want) {
+			t.Fatalf("chunk %d: got %d refs, want %d", chunk, got, len(want))
 		}
-		if format != tc.format {
-			t.Errorf("sniffed %q, want %q", format, tc.format)
-		}
-		var got []uint32
-		buf := make([]uint32, 512)
-		for {
-			n, err := src.NextChunk(buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: streamed %d refs, want %d", tc.format, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: ref %d = %#x, want %#x", tc.format, i, got[i], want[i])
-			}
-		}
-	}
-	if _, _, err := OpenTraceSource(strings.NewReader("GARBAGE1 not a trace")); err == nil {
-		t.Error("unknown magic accepted")
-	}
-	if _, _, err := OpenTraceSource(strings.NewReader("x")); err == nil {
-		t.Error("short stream accepted")
 	}
 }
 
@@ -191,4 +129,74 @@ func TestDineroSourceRejectsGarbage(t *testing.T) {
 	if n, err := ds.NextChunk(buf); err != nil || n != 1 || buf[0] != 0xdeadbeef {
 		t.Errorf("zero-padded address: n=%d err=%v ref=%#x", n, err, buf[0])
 	}
+}
+
+// readDineroAddrs streams a din blob through the address-only face in
+// chunks of chunk references.
+func readDineroAddrs(din []byte, chunk int) ([]uint32, error) {
+	ds := NewDineroSource(bytes.NewReader(din))
+	buf := make([]uint32, chunk)
+	var trace []uint32
+	for {
+		n, err := ds.NextChunk(buf)
+		if err != nil || n == 0 {
+			return trace, err
+		}
+		trace = append(trace, buf[:n]...)
+	}
+}
+
+// FuzzDineroSource: no input panics the din reader and every error is
+// ErrCorruptTrace. The address-only face fails where the kinded face
+// does and otherwise yields its addresses. An input that parses to its
+// end re-parses to the same references after MarshalDinero, and
+// marshalling those again gives the same bytes.
+func FuzzDineroSource(f *testing.F) {
+	for _, seed := range []string{
+		"9 zz\n", "0 xyz\n", "0 123456789\n", "2 1000\n1 fffffffff", "0\n",
+		"2 1000\n1 fffffffff\n", "0 \n", "1 12 34\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	blob, err := MarshalDinero([]uint32{0x1000, 0x10000004, 0xFFFFFFFF, 0},
+		[]uint8{uint8(m68k.Fetch), uint8(m68k.Read), uint8(m68k.Write), uint8(m68k.Read)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const chunk = 7
+		addrs, kinds, err := readDinero(data, chunk)
+		plain, perr := readDineroAddrs(data, chunk)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("kinded face err = %v, address-only face err = %v", err, perr)
+		}
+		if err != nil {
+			if !errors.Is(err, simerr.ErrCorruptTrace) || !errors.Is(perr, simerr.ErrCorruptTrace) {
+				t.Fatalf("errors %v / %v are not ErrCorruptTrace", err, perr)
+			}
+			return
+		}
+		if !slices.Equal(plain, addrs) {
+			t.Fatalf("address-only face read %d refs that differ from the kinded face's %d", len(plain), len(addrs))
+		}
+		out, err := MarshalDinero(addrs, kinds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs2, kinds2, err := readDinero(out, chunk)
+		if err != nil {
+			t.Fatalf("re-parsing the marshalled trace: %v", err)
+		}
+		if !slices.Equal(addrs2, addrs) || !slices.Equal(kinds2, kinds) {
+			t.Fatal("marshalled trace re-parses to different references")
+		}
+		again, err := MarshalDinero(addrs2, kinds2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, out) {
+			t.Fatal("marshalling the re-parsed trace gave different bytes")
+		}
+	})
 }

@@ -60,8 +60,7 @@ import (
 // references in the same call) — consumers honor both, and any other
 // error aborts the sweep. Implementations include SliceSource here,
 // dtrace.Stream (the synthetic desktop generator), dtrace.PackedSource
-// (the packed binary trace format) and the .trace/din file readers in
-// internal/exp.
+// (the packed binary trace format) and the din reader in internal/exp.
 type Source interface {
 	NextChunk(buf []uint32) (n int, err error)
 }

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"palmsim/internal/dtrace"
-	"palmsim/internal/exp"
 )
 
 // TestPackedTraceCompressionOnSessionTrace is the acceptance gate for the
 // packed trace format: on a real collect+replay session trace (the same
-// one the benchmarks use), the packed encoding must be at least 3x
-// smaller than the raw PALMTRC1 serialization, and the streaming source
-// must hand the sweep engine exactly the original addresses.
+// one the benchmarks use), the address-only packed encoding must be at
+// least 3x smaller than a plain array of 4-byte addresses behind a
+// 12-byte header, and the streaming source must hand the sweep engine
+// exactly the original addresses.
 func TestPackedTraceCompressionOnSessionTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects and replays a session")
@@ -21,18 +21,18 @@ func TestPackedTraceCompressionOnSessionTrace(t *testing.T) {
 	if len(trace) == 0 {
 		t.Fatal("empty session trace")
 	}
-	raw := exp.MarshalTrace(trace)
+	raw := 4*len(trace) + 12
 	packed, err := dtrace.PackTrace(trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := float64(len(raw)) / float64(len(packed))
+	ratio := float64(raw) / float64(len(packed))
 	if ratio < 3 {
 		t.Errorf("packed session trace only %.2fx smaller than raw (%d vs %d bytes), want >=3x",
-			ratio, len(packed), len(raw))
+			ratio, len(packed), raw)
 	}
 	t.Logf("session trace: %d refs, raw %d bytes, packed %d bytes (%.2fx)",
-		len(trace), len(raw), len(packed), ratio)
+		len(trace), raw, len(packed), ratio)
 
 	src, err := dtrace.NewPackedSource(bytes.NewReader(packed))
 	if err != nil {
