@@ -226,10 +226,10 @@ func sweepMain(ctx context.Context, c *config) error {
 		// Session replays collect kinds alongside addresses, so the same
 		// trace serves address-only and write-policy sweeps.
 		newSource = func() (sweep.Source, io.Closer, error) {
-			return sweep.NewKindedSliceSource(run.Trace, run.Kinds), nil, nil
+			return sweep.NewKindedSliceSource(run.Play.Trace, run.Play.TraceKinds), nil, nil
 		}
 		fmt.Printf("trace: %d references (%.1f%% flash), no-cache Teff %.3f\n",
-			len(run.Trace),
+			len(run.Play.Trace),
 			100*float64(run.Row.FlashRefs)/float64(run.Row.RAMRefs+run.Row.FlashRefs),
 			cache.NoCacheTeff(run.Row.RAMRefs, run.Row.FlashRefs))
 	}

@@ -122,12 +122,6 @@ type PackedWriter struct {
 	blockCount int
 	idx        *writerIndex
 	scratch    [binary.MaxVarintLen64 + 1]byte
-
-	// ObsRefs and ObsBytes, when non-nil, count written references and
-	// encoded bytes per flushed block (nil adds one predicated load per
-	// 4096 references).
-	ObsRefs  *obs.Counter
-	ObsBytes *obs.Counter
 }
 
 // NewPackedWriter writes the format header and prepares streaming. The
@@ -215,8 +209,6 @@ func (p *PackedWriter) flushBlock() error {
 		return err
 	}
 	p.bytes += uint64(n + len(p.block))
-	p.ObsRefs.Add(uint64(p.blockCount))
-	p.ObsBytes.Add(uint64(n + len(p.block)))
 	if p.idx != nil {
 		p.idx.entries = append(p.idx.entries, p.idx.pending)
 	}
@@ -244,14 +236,12 @@ func (p *PackedWriter) Close() error {
 		return err
 	}
 	p.bytes++
-	p.ObsBytes.Add(1)
 	if p.idx != nil {
 		foot := appendFooter(nil, p.idx.entries, p.refs, p.bytes)
 		if _, err := p.w.Write(foot); err != nil {
 			return err
 		}
 		p.bytes += uint64(len(foot))
-		p.ObsBytes.Add(uint64(len(foot)))
 	}
 	return p.w.Flush()
 }

@@ -108,19 +108,11 @@ type WritePolicyRow struct {
 	WriteBackBytes    uint64
 }
 
-// WritePolicyStudy replays a session with access kinds recorded and
-// evaluates both write policies over a representative subset of the sweep
-// (direct-mapped and 4-way at each size, 32-byte lines).
+// WritePolicyStudy runs a session (RunSession: its replay records access
+// kinds) and evaluates both write policies over a representative subset of
+// the sweep (direct-mapped and 4-way at each size, 32-byte lines).
 func WritePolicyStudy(ctx context.Context, s user.Session) ([]WritePolicyRow, error) {
-	col, err := sim.Collect(ctx, s)
-	if err != nil {
-		return nil, err
-	}
-	pb, err := sim.Replay(ctx, col.Initial, col.Log, sim.ReplayOptions{
-		Profiling:    true,
-		CollectTrace: true,
-		CollectKinds: true,
-	})
+	run, err := RunSession(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +125,7 @@ func WritePolicyStudy(ctx context.Context, s user.Session) ([]WritePolicyRow, er
 			cfgs = append(cfgs, cache.Config{SizeBytes: size, LineBytes: 32, Ways: ways, Policy: cache.LRU, Write: cache.WriteBack})
 		}
 	}
-	results, err := sweep.Run(ctx, cfgs, sweep.NewKindedSliceSource(pb.Trace, pb.TraceKinds), sweep.Options{})
+	results, err := sweep.Run(ctx, cfgs, sweep.NewKindedSliceSource(run.Play.Trace, run.Play.TraceKinds), sweep.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -116,8 +116,8 @@ func TestTable1Shape(t *testing.T) {
 		if row.AvgMemCycles < 2.2 || row.AvgMemCycles > 2.45 {
 			t.Errorf("%s: avg mem cycles %.3f, want in the 2.35-2.39 neighbourhood", row.Name, row.AvgMemCycles)
 		}
-		if len(run.Trace) < 1_000_000 {
-			t.Errorf("%s: trace only %d refs", row.Name, len(run.Trace))
+		if len(run.Play.Trace) < 1_000_000 {
+			t.Errorf("%s: trace only %d refs", row.Name, len(run.Play.Trace))
 		}
 	}
 	// Relative ordering of event counts matches the paper:

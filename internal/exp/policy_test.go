@@ -23,7 +23,7 @@ func TestSessionTracePolicyDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, kinds := run.Trace, run.Kinds
+	trace, kinds := run.Play.Trace, run.Play.TraceKinds
 	if len(kinds) != len(trace) || len(trace) == 0 {
 		t.Fatalf("session trace %d refs, %d kinds", len(trace), len(kinds))
 	}

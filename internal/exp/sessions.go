@@ -24,15 +24,13 @@ type SessionRow struct {
 	AvgMemCycles   float64
 }
 
-// SessionRun bundles a collection and its trace-producing replay.
+// SessionRun bundles a collection and its trace-producing replay. The
+// trace is Play.Trace; Play.TraceKinds holds each entry's access kind, so
+// session traces can feed write-policy (kinded) sweeps.
 type SessionRun struct {
-	Row   SessionRow
-	Col   *sim.Collection
-	Play  *sim.Playback
-	Trace []uint32
-	// Kinds holds each Trace entry's access kind (m68k.Access values),
-	// so session traces can feed write-policy (kinded) sweeps.
-	Kinds []uint8
+	Row  SessionRow
+	Col  *sim.Collection
+	Play *sim.Playback
 }
 
 // RunSession collects one session and replays it with trace collection —
@@ -59,7 +57,7 @@ func RunSession(ctx context.Context, s user.Session) (*SessionRun, error) {
 		ElapsedSeconds: elapsed,
 		AvgMemCycles:   play.Stats.Bus.AvgMemCycles(),
 	}
-	return &SessionRun{Row: row, Col: col, Play: play, Trace: play.Trace, Kinds: play.TraceKinds}, nil
+	return &SessionRun{Row: row, Col: col, Play: play}, nil
 }
 
 // Table1 runs all four paper sessions.
@@ -84,7 +82,7 @@ func CacheStudy(ctx context.Context, s user.Session) (*SessionRun, []cache.Resul
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := sweep.RunTrace(ctx, cache.PaperSweep(), run.Trace, sweep.Options{})
+	results, err := sweep.RunTrace(ctx, cache.PaperSweep(), run.Play.Trace, sweep.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -100,30 +98,15 @@ type ValidationResult struct {
 	State   validate.StateReport
 }
 
-// ValidateSession collects a session, replays it with hacks installed, and
-// runs the §3.3 activity-log correlation and §3.4 final-state correlation.
+// ValidateSession collects a session from a factory-fresh boot, replays it
+// with hacks installed, and runs the §3.3 activity-log correlation and §3.4
+// final-state correlation: ValidateChain over one workload.
 func ValidateSession(ctx context.Context, s user.Session) (*ValidationResult, error) {
-	col, err := sim.Collect(ctx, s)
+	res, err := ValidateChain(ctx, []user.Session{s})
 	if err != nil {
 		return nil, err
 	}
-	play, err := sim.Replay(ctx, col.Initial, col.Log, sim.ReplayOptions{
-		Profiling: true,
-		WithHacks: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &ValidationResult{
-		Session: s,
-		Log:     validate.CorrelateLogs(col.Log, play.Log),
-		State:   validate.CorrelateStates(col.Final, play.Final),
-	}
-	// The correlations only consume extracted copies; recycle both
-	// machines' memory images for the next validation.
-	col.Release()
-	play.Release()
-	return res, nil
+	return res[0], nil
 }
 
 // ValidateChain reproduces the paper's §3.1 setup exactly: the three test
@@ -152,6 +135,8 @@ func ValidateChain(ctx context.Context, workloads []user.Session) ([]*Validation
 			State:   validate.CorrelateStates(col.Final, play.Final),
 		})
 		prior = col.Final // a captured copy: survives the machines below
+		// The correlations only consume extracted copies; recycle both
+		// machines' memory images for the next workload.
 		col.Release()
 		play.Release()
 	}

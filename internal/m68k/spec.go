@@ -28,6 +28,14 @@
 // word names a runtime register — executes through a generic adapter that
 // runs the legacy interpreter's dispatch with PC positioned exactly as
 // CPU.Step would (past the opcode word), so coverage is never lost.
+//
+// Which forms are specialized is measured, not guessed. A form keeps a
+// handler only if, on some benchmark workload (case-study: the four
+// Table 1 sessions; trace-capture: the two gremlin storms), collect or
+// replay executes it for at least 1 in 10,000 spec-engine instructions;
+// every other form runs through sGeneric. SWAP is the closest form that
+// stays (0.014% of case-study's collect). Adding a form back takes a
+// traffic count that clears the same bar.
 package m68k
 
 // Specialization families (opEntry.sfam), tagged in table.go beside the
@@ -38,15 +46,10 @@ const (
 	sfMoveToDn
 	sfMoveToMem
 	sfMOVEA
-	sfDnEAToDn
-	sfDnEAToEA
-	sfCMP
-	sfCMPA
 	sfAddrOp
 	sfADDQ
 	sfSUBQ
 	sfADDQA
-	sfSUBQA
 	sfCMPI
 	sfImmArith
 	sfTST
@@ -54,20 +57,12 @@ const (
 	sfLEA
 	sfPEA
 	sfBcc
-	sfBSR
 	sfDBcc
 	sfJMP
 	sfJSR
 	sfRTS
 	sfShiftReg
-	sfSccDn
-	sfNOP
 	sfSWAP
-	sfEXTW
-	sfEXTL
-	sfEXGDD
-	sfEXGAA
-	sfEXGDA
 )
 
 // specEA kinds: where a pre-resolved operand lives. The index modes
@@ -242,24 +237,19 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 		}
 		s.src, s.dst = src, dst
 		// MOVE to memory dominates the profile; pick a per-destination-kind
-		// variant so the hot path has no destination dispatch switch, and for
-		// the hottest source kinds (register moves, and the (An)+ -> (An)+
-		// copy-loop shape) fold the source load in as well.
+		// variant so the hot path has no destination dispatch switch, and
+		// for the shapes that carry the traffic (a register into (An)+ or
+		// -(An), and the (An)+ -> (An)+ copy loop) fold the source load in
+		// as well. Other sources into (An)+ take the generic adapter.
 		switch dst.kind {
 		case seInd:
-			if src.kind == seDn {
-				s.fn = sMoveDnToMemInd
-			} else {
-				s.fn = sMoveToMemInd
-			}
+			s.fn = sMoveToMemInd
 		case sePost:
 			switch src.kind {
 			case seDn:
 				s.fn = sMoveDnToMemPost
 			case sePost:
 				s.fn = sMovePostToMemPost
-			default:
-				s.fn = sMoveToMemPost
 			}
 		case sePre:
 			if src.kind == seDn {
@@ -268,131 +258,54 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 				s.fn = sMoveToMemPre
 			}
 		case seDisp:
-			if src.kind == seDn {
-				s.fn = sMoveDnToMemDisp
-			} else {
-				s.fn = sMoveToMemDisp
-			}
+			s.fn = sMoveToMemDisp
 		default: // seAbs
 			s.fn = sMoveToMemAbs
 		}
 		s.cyc = 8 + long4 + eaCost(mode, reg, size)
 
 	case sfMOVEA:
+		// Only MOVEA.L carries traffic; MOVEA.W takes the generic adapter.
+		if size != Long {
+			break
+		}
 		src, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
 		if !ok {
 			break
 		}
 		s.src = src
-		if size == Word {
-			s.fn = sMoveAW
-		} else {
-			s.fn = sMoveAL
-		}
+		s.fn = sMoveAL
 		s.cyc = 4 + eaCost(mode, reg, size)
-
-	case sfDnEAToDn:
-		src, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
-		if !ok {
-			break
-		}
-		s.src = src
-		switch ent.x {
-		case aluOr:
-			s.fn = sOrToDn
-		case aluAnd:
-			s.fn = sAndToDn
-		case aluAdd:
-			s.fn = sAddToDn
-		default:
-			s.fn = sSubToDn
-		}
-		s.cyc = 4 + long4 + eaCost(mode, reg, size)
-
-	case sfDnEAToEA:
-		dst, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
-		if !ok {
-			break
-		}
-		s.dst = dst
-		switch ent.x {
-		case aluOr:
-			s.fn = sOrToEA
-		case aluAnd:
-			s.fn = sAndToEA
-		case aluAdd:
-			s.fn = sAddToEA
-		default:
-			s.fn = sSubToEA
-		}
-		s.cyc = 8 + long4 + eaCost(mode, reg, size)
-
-	case sfCMP:
-		src, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
-		if !ok {
-			break
-		}
-		s.src = src
-		s.fn = sCmp
-		s.cyc = 4 + eaCost(mode, reg, size)
-		if size == Long {
-			s.cyc += 2
-		}
-
-	case sfCMPA:
-		src, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
-		if !ok {
-			break
-		}
-		s.src = src
-		s.fn = sCmpA
-		s.cyc = 8 + eaCost(mode, reg, size)
 
 	case sfAddrOp:
+		// Only ADDA carries traffic; SUBA takes the generic adapter.
+		if ent.x != aluAdd {
+			break
+		}
 		src, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
 		if !ok {
 			break
 		}
 		s.src = src
-		if ent.x == aluAdd {
-			s.fn = sAddA
-		} else {
-			s.fn = sSubA
-		}
+		s.fn = sAddA
 		s.cyc = 8 + eaCost(mode, reg, size)
 
 	case sfADDQ, sfSUBQ:
-		isAdd := ent.sfam == sfADDQ
-		if mode == ModeDataReg {
-			s.rn = ent.reg
-			if isAdd {
-				s.fn = sAddQDn
-			} else {
-				s.fn = sSubQDn
-			}
-			s.cyc = 4 + long4
+		// Memory destinations take the generic adapter.
+		if mode != ModeDataReg {
 			break
 		}
-		dst, _, ok := decodeSpecEA(mode, reg, size, mem, base, ext)
-		if !ok {
-			break
-		}
-		s.dst = dst
-		if isAdd {
-			s.fn = sAddQMem
+		s.rn = ent.reg
+		if ent.sfam == sfADDQ {
+			s.fn = sAddQDn
 		} else {
-			s.fn = sSubQMem
+			s.fn = sSubQDn
 		}
-		s.cyc = 8 + long4 + eaCost(mode, reg, size)
+		s.cyc = 4 + long4
 
 	case sfADDQA:
 		s.rn = ent.reg
 		s.fn = sAddQA
-		s.cyc = 8
-
-	case sfSUBQA:
-		s.rn = ent.reg
-		s.fn = sSubQA
 		s.cyc = 8
 
 	case sfCMPI:
@@ -465,27 +378,15 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 		s.cyc = 12
 
 	case sfBcc:
-		if ent.extw == 1 {
-			d := signExtend(beRead(mem, ext-base, Word), Word)
-			s.imm = ext + d
-			s.src.faddr = ext
-			s.fn = sBccW
-		} else {
-			s.imm = ext + uint32(int32(int8(op)))
-			s.fn = sBccB
+		// Only the 16-bit displacement form carries traffic; Bcc.S takes
+		// the generic adapter.
+		if ent.extw != 1 {
+			break
 		}
-
-	case sfBSR:
-		if ent.extw == 1 {
-			d := signExtend(beRead(mem, ext-base, Word), Word)
-			s.imm = ext + d
-			s.src.faddr = ext
-			s.fn = sBsrW
-		} else {
-			s.imm = ext + uint32(int32(int8(op)))
-			s.fn = sBsrB
-		}
-		s.cyc = 18
+		d := signExtend(beRead(mem, ext-base, Word), Word)
+		s.imm = ext + d
+		s.src.faddr = ext
+		s.fn = sBccW
 
 	case sfDBcc:
 		d := signExtend(beRead(mem, ext-base, Word), Word)
@@ -517,68 +418,27 @@ func specialize(s *specOp, ent *opEntry, op uint16, pc uint32, mem []byte, base 
 		s.cyc = 16
 
 	case sfShiftReg:
-		s.rn = ent.reg
+		// Only static counts carry traffic; a count in Dn takes the
+		// generic adapter.
 		if ent.x&shiftCountInReg != 0 {
-			s.src.reg = ent.rn
-			s.fn = sShiftDyn
-			s.cyc = 6
-			if size == Long {
-				s.cyc += 2
-			}
-		} else {
-			cnt := uint32(ent.rn)
-			if cnt == 0 {
-				cnt = 8
-			}
-			s.imm = cnt
-			s.fn = sShiftImm
-			s.cyc = 6 + 2*uint64(cnt)
-			if size == Long {
-				s.cyc += 2
-			}
+			break
 		}
-
-	case sfSccDn:
 		s.rn = ent.reg
-		s.fn = sSccDn
-		s.cyc = 4
-
-	case sfNOP:
-		s.fn = sNop
-		s.cyc = 4
+		cnt := uint32(ent.rn)
+		if cnt == 0 {
+			cnt = 8
+		}
+		s.imm = cnt
+		s.fn = sShiftImm
+		s.cyc = 6 + 2*uint64(cnt)
+		if size == Long {
+			s.cyc += 2
+		}
 
 	case sfSWAP:
 		s.rn = ent.reg
 		s.fn = sSwap
 		s.cyc = 4
-
-	case sfEXTW:
-		s.rn = ent.reg
-		s.fn = sExtW
-		s.cyc = 4
-
-	case sfEXTL:
-		s.rn = ent.reg
-		s.fn = sExtL
-		s.cyc = 4
-
-	case sfEXGDD:
-		s.rn = ent.rn
-		s.src.reg = ent.reg
-		s.fn = sExgDD
-		s.cyc = 6
-
-	case sfEXGAA:
-		s.rn = ent.rn
-		s.src.reg = ent.reg
-		s.fn = sExgAA
-		s.cyc = 6
-
-	case sfEXGDA:
-		s.rn = ent.rn
-		s.src.reg = ent.reg
-		s.fn = sExgDA
-		s.cyc = 6
 	}
 
 	if s.fn == nil {
@@ -687,7 +547,9 @@ func sMoveToDn(c *CPU, s *specOp) {
 // The sMoveToMem* variants each store to one destination kind (chosen at
 // specialization time), replaying that kind's extension-word fetch and
 // address-register side effect inline, so no dispatch switch runs per
-// execution. moveFlags is the shared MOVE condition-code tail.
+// execution. (An)+ has no general variant: only the register and (An)+
+// sources below carry traffic there. moveFlags is the shared MOVE
+// condition-code tail.
 func moveFlags(c *CPU, s *specOp, v uint32) {
 	sr := c.sr &^ (FlagN | FlagZ | FlagV | FlagC)
 	if v&s.msb != 0 {
@@ -703,14 +565,6 @@ func moveFlags(c *CPU, s *specOp, v uint32) {
 func sMoveToMemInd(c *CPU, s *specOp) {
 	v := s.src.load(c, s.size, s.mask)
 	c.write(c.A[s.dst.reg], s.size, v)
-	moveFlags(c, s, v)
-}
-
-func sMoveToMemPost(c *CPU, s *specOp) {
-	v := s.src.load(c, s.size, s.mask)
-	p := c.A[s.dst.reg]
-	c.A[s.dst.reg] = p + uint32(s.dst.step)
-	c.write(p, s.size, v)
 	moveFlags(c, s, v)
 }
 
@@ -744,12 +598,6 @@ func sMoveDnToDn(c *CPU, s *specOp) {
 	moveFlags(c, s, v)
 }
 
-func sMoveDnToMemInd(c *CPU, s *specOp) {
-	v := c.D[s.src.reg] & s.mask
-	c.write(c.A[s.dst.reg], s.size, v)
-	moveFlags(c, s, v)
-}
-
 func sMoveDnToMemPost(c *CPU, s *specOp) {
 	v := c.D[s.src.reg] & s.mask
 	p := c.A[s.dst.reg]
@@ -763,13 +611,6 @@ func sMoveDnToMemPre(c *CPU, s *specOp) {
 	p := c.A[s.dst.reg] - uint32(s.dst.step)
 	c.A[s.dst.reg] = p
 	c.write(p, s.size, v)
-	moveFlags(c, s, v)
-}
-
-func sMoveDnToMemDisp(c *CPU, s *specOp) {
-	v := c.D[s.src.reg] & s.mask
-	c.fetchRef(s.dst.faddr, Word)
-	c.write(c.A[s.dst.reg]+s.dst.val, s.size, v)
 	moveFlags(c, s, v)
 }
 
@@ -787,106 +628,13 @@ func sMovePostToMemPost(c *CPU, s *specOp) {
 	moveFlags(c, s, v)
 }
 
-func sMoveAW(c *CPU, s *specOp) {
-	v := s.src.load(c, Word, 0xFFFF)
-	c.A[s.rn] = uint32(int32(int16(v)))
-	c.Cycles += s.cyc
-}
-
 func sMoveAL(c *CPU, s *specOp) {
 	c.A[s.rn] = s.src.load(c, Long, 0xFFFFFFFF)
 	c.Cycles += s.cyc
 }
 
-func sOrToDn(c *CPU, s *specOp) {
-	res := s.src.load(c, s.size, s.mask) | c.D[s.rn]
-	c.setNZ(res, s.size)
-	c.D[s.rn] = c.D[s.rn]&^s.mask | res&s.mask
-	c.Cycles += s.cyc
-}
-
-func sAndToDn(c *CPU, s *specOp) {
-	res := s.src.load(c, s.size, s.mask) & c.D[s.rn]
-	c.setNZ(res, s.size)
-	c.D[s.rn] = c.D[s.rn]&^s.mask | res&s.mask
-	c.Cycles += s.cyc
-}
-
-func sAddToDn(c *CPU, s *specOp) {
-	v := s.src.load(c, s.size, s.mask)
-	d := c.D[s.rn]
-	res := d + v
-	c.addFlags(v, d, res, s.size)
-	c.D[s.rn] = d&^s.mask | res&s.mask
-	c.Cycles += s.cyc
-}
-
-func sSubToDn(c *CPU, s *specOp) {
-	v := s.src.load(c, s.size, s.mask)
-	d := c.D[s.rn]
-	res := d - v
-	c.subFlags(v, d, res, s.size)
-	c.D[s.rn] = d&^s.mask | res&s.mask
-	c.Cycles += s.cyc
-}
-
-func sOrToEA(c *CPU, s *specOp) {
-	addr := s.dst.calc(c)
-	res := c.read(addr, s.size, Read) | c.D[s.rn]
-	c.setNZ(res, s.size)
-	c.write(addr, s.size, res&s.mask)
-	c.Cycles += s.cyc
-}
-
-func sAndToEA(c *CPU, s *specOp) {
-	addr := s.dst.calc(c)
-	res := c.read(addr, s.size, Read) & c.D[s.rn]
-	c.setNZ(res, s.size)
-	c.write(addr, s.size, res&s.mask)
-	c.Cycles += s.cyc
-}
-
-func sAddToEA(c *CPU, s *specOp) {
-	addr := s.dst.calc(c)
-	d := c.read(addr, s.size, Read)
-	v := c.D[s.rn]
-	res := d + v
-	c.addFlags(v, d, res, s.size)
-	c.write(addr, s.size, res&s.mask)
-	c.Cycles += s.cyc
-}
-
-func sSubToEA(c *CPU, s *specOp) {
-	addr := s.dst.calc(c)
-	d := c.read(addr, s.size, Read)
-	v := c.D[s.rn]
-	res := d - v
-	c.subFlags(v, d, res, s.size)
-	c.write(addr, s.size, res&s.mask)
-	c.Cycles += s.cyc
-}
-
-func sCmp(c *CPU, s *specOp) {
-	v := s.src.load(c, s.size, s.mask)
-	d := c.D[s.rn] & s.mask
-	c.cmpFlags(v, d, d-v, s.size)
-	c.Cycles += s.cyc
-}
-
-func sCmpA(c *CPU, s *specOp) {
-	v := signExtend(s.src.load(c, s.size, s.mask), s.size)
-	d := c.A[s.rn]
-	c.cmpFlags(v, d, d-v, Long)
-	c.Cycles += s.cyc
-}
-
 func sAddA(c *CPU, s *specOp) {
 	c.A[s.rn] += signExtend(s.src.load(c, s.size, s.mask), s.size)
-	c.Cycles += s.cyc
-}
-
-func sSubA(c *CPU, s *specOp) {
-	c.A[s.rn] -= signExtend(s.src.load(c, s.size, s.mask), s.size)
 	c.Cycles += s.cyc
 }
 
@@ -908,33 +656,8 @@ func sSubQDn(c *CPU, s *specOp) {
 	c.Cycles += s.cyc
 }
 
-func sAddQMem(c *CPU, s *specOp) {
-	q := uint32(s.x)
-	addr := s.dst.calc(c)
-	d := c.read(addr, s.size, Read)
-	res := d + q
-	c.addFlags(q, d, res, s.size)
-	c.write(addr, s.size, res&s.mask)
-	c.Cycles += s.cyc
-}
-
-func sSubQMem(c *CPU, s *specOp) {
-	q := uint32(s.x)
-	addr := s.dst.calc(c)
-	d := c.read(addr, s.size, Read)
-	res := d - q
-	c.subFlags(q, d, res, s.size)
-	c.write(addr, s.size, res&s.mask)
-	c.Cycles += s.cyc
-}
-
 func sAddQA(c *CPU, s *specOp) {
 	c.A[s.rn] += uint32(s.x)
-	c.Cycles += 8
-}
-
-func sSubQA(c *CPU, s *specOp) {
-	c.A[s.rn] -= uint32(s.x)
 	c.Cycles += 8
 }
 
@@ -1020,15 +743,6 @@ func sPea(c *CPU, s *specOp) {
 	c.Cycles += 12
 }
 
-func sBccB(c *CPU, s *specOp) {
-	if c.testCond(int(s.x)) {
-		c.PC = s.imm
-		c.Cycles += 10
-	} else {
-		c.Cycles += 8
-	}
-}
-
 func sBccW(c *CPU, s *specOp) {
 	c.fetchRef(s.src.faddr, Word)
 	if c.testCond(int(s.x)) {
@@ -1037,19 +751,6 @@ func sBccW(c *CPU, s *specOp) {
 	} else {
 		c.Cycles += 8
 	}
-}
-
-func sBsrB(c *CPU, s *specOp) {
-	c.push32(s.npc)
-	c.PC = s.imm
-	c.Cycles += 18
-}
-
-func sBsrW(c *CPU, s *specOp) {
-	c.fetchRef(s.src.faddr, Word)
-	c.push32(s.npc)
-	c.PC = s.imm
-	c.Cycles += 18
 }
 
 func sDBcc(c *CPU, s *specOp) {
@@ -1092,58 +793,10 @@ func sShiftImm(c *CPU, s *specOp) {
 	c.Cycles += s.cyc
 }
 
-func sShiftDyn(c *CPU, s *specOp) {
-	count := c.D[s.src.reg] & 63
-	v := c.D[s.rn] & s.mask
-	res := c.shiftValue(int(s.x>>1&3), s.x&1 != 0, v, count, s.size)
-	c.D[s.rn] = c.D[s.rn]&^s.mask | res&s.mask
-	c.Cycles += s.cyc + 2*uint64(count)
-}
-
-func sSccDn(c *CPU, s *specOp) {
-	var v uint32
-	if c.testCond(int(s.x)) {
-		v = 0xFF
-	}
-	c.D[s.rn] = c.D[s.rn]&^uint32(0xFF) | v
-	c.Cycles += 4
-}
-
-func sNop(c *CPU, _ *specOp) { c.Cycles += 4 }
-
 func sSwap(c *CPU, s *specOp) {
 	v := c.D[s.rn]
 	v = v>>16 | v<<16
 	c.D[s.rn] = v
 	c.setNZ(v, Long)
 	c.Cycles += 4
-}
-
-func sExtW(c *CPU, s *specOp) {
-	v := signExtend(c.D[s.rn], Byte)
-	c.D[s.rn] = c.D[s.rn]&0xFFFF0000 | v&0xFFFF
-	c.setNZ(v, Word)
-	c.Cycles += 4
-}
-
-func sExtL(c *CPU, s *specOp) {
-	v := signExtend(c.D[s.rn], Word)
-	c.D[s.rn] = v
-	c.setNZ(v, Long)
-	c.Cycles += 4
-}
-
-func sExgDD(c *CPU, s *specOp) {
-	c.D[s.rn], c.D[s.src.reg] = c.D[s.src.reg], c.D[s.rn]
-	c.Cycles += 6
-}
-
-func sExgAA(c *CPU, s *specOp) {
-	c.A[s.rn], c.A[s.src.reg] = c.A[s.src.reg], c.A[s.rn]
-	c.Cycles += 6
-}
-
-func sExgDA(c *CPU, s *specOp) {
-	c.D[s.rn], c.A[s.src.reg] = c.A[s.src.reg], c.D[s.rn]
-	c.Cycles += 6
 }

@@ -10,14 +10,16 @@ import "testing"
 // The differential tests (diff_test.go) prove bit-identity; these pin the
 // severing behavior down so a regression fails with a named cause.
 
-// specLoopProgram: a self-chaining loop. The head block is [MOVEQ, NOP,
-// DBF]; the DBF's backward target heads a second block [NOP, DBF] that
-// chains to itself until the counter expires, then falls through to RTS.
+// specLoopProgram: a self-chaining loop. The head block is [MOVEQ,
+// MOVEQ, DBF]; the DBF's backward target heads a second block [MOVEQ, DBF]
+// that chains to itself until the counter expires, then falls through to
+// RTS. The loop body is MOVEQ #1,D1 (2 bytes, 4 cycles, like a NOP) because
+// every op in it must have a specialized form.
 func specLoopProgram() []uint16 {
 	return []uint16{
 		0x7009,         // MOVEQ #9,D0
-		0x4E71,         // NOP            <- loop head (testCodeBase+2)
-		0x51C8, 0xFFFC, // DBF D0,-4 (back to the NOP)
+		0x7201,         // MOVEQ #1,D1    <- loop head (testCodeBase+2)
+		0x51C8, 0xFFFC, // DBF D0,-4 (back to the MOVEQ #1,D1)
 		0x4E75, // RTS
 	}
 }
@@ -25,10 +27,11 @@ func specLoopProgram() []uint16 {
 func TestSpecChainPatchAndFollow(t *testing.T) {
 	c, b := newTestCPU(specLoopProgram()...)
 	eng := newTestEngine(c, b)
-	// The loop retires in exactly 148 cycles (MOVEQ 4, 10 NOPs, 9 taken +
-	// 1 expired DBF); cap just past it so execution stops at the RTS and
-	// never chains into the zeroed memory beyond the program (which would
-	// translate as generic ops and muddy the adapter assertion below).
+	// The loop retires in exactly 148 cycles (MOVEQ 4, 10 loop-body
+	// MOVEQs, 9 taken + 1 expired DBF); cap just past it so execution
+	// stops at the RTS and never chains into the zeroed memory beyond the
+	// program (which would translate as generic ops and muddy the adapter
+	// assertion below).
 	eng.RunUntil(c.Cycles + 150)
 	if uint16(c.D[0]) != 0xFFFF {
 		t.Fatalf("loop did not run to completion: D0 = %#x", c.D[0])

@@ -49,11 +49,10 @@ const (
 	bEnd  uint8 = 1 << 1 // control transfer: include as the block's final op
 )
 
-// ALU operation selectors stored in opEntry.x.
+// ADD/SUB selectors stored in opEntry.x; the specializer reads them for
+// ADDA/SUBA and ADDI/SUBI.
 const (
-	aluOr uint8 = iota
-	aluAnd
-	aluAdd
+	aluAdd uint8 = iota
 	aluSub
 )
 
@@ -135,9 +134,8 @@ func buildEntry(op uint16) opEntry {
 		buildGroup5(op, &e, mode, reg)
 	case 0x6:
 		e.x = uint8(op >> 8 & 0xF)
-		e.sfam = sfBcc
-		if e.x == 1 {
-			e.sfam = sfBSR
+		if e.x != 1 { // BSR has no specialized form
+			e.sfam = sfBcc
 		}
 		e.bflags = bEnd
 		if op&0x00FF == 0 {
@@ -260,7 +258,6 @@ func buildGroup4(op uint16, e *opEntry, mode, reg int) {
 		e.bflags = bSafe
 	case op == 0x4E71: // NOP
 		e.bflags = bSafe
-		e.sfam = sfNOP
 	case op == 0x4E75: // RTS
 		e.bflags = bEnd
 		e.sfam = sfRTS
@@ -286,10 +283,6 @@ func buildGroup4(op uint16, e *opEntry, mode, reg int) {
 			e.sfam = sfPEA
 		}
 	case op&0xFFB8 == 0x4880 && mode == ModeDataReg: // EXT
-		e.sfam = sfEXTW
-		if op&0x0040 != 0 {
-			e.sfam = sfEXTL
-		}
 		e.bflags = bSafe
 	case op&0xFF00 == 0x4A00: // TST
 		size, ok := opSize(op >> 6 & 3)
@@ -320,9 +313,6 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 			return
 		}
 		if validEA(mode, reg, "dm") {
-			if mode == ModeDataReg {
-				e.sfam = sfSccDn
-			}
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, Byte)
 		}
@@ -340,9 +330,8 @@ func buildGroup5(op uint16, e *opEntry, mode, reg int) {
 		if size == Byte {
 			return
 		}
-		e.sfam = sfADDQA
-		if isSub {
-			e.sfam = sfSUBQA
+		if !isSub { // SUBQ to An has no specialized form
+			e.sfam = sfADDQA
 		}
 		e.bflags = bSafe
 		return
@@ -363,20 +352,9 @@ func buildGroup8C(op uint16, e *opEntry, mode, reg int, isC bool) {
 	switch {
 	case op&0x00C0 == 0x00C0, op&0x01F0 == 0x0100:
 		// DIV/MUL and SBCD/ABCD: no annotation.
-	case isC && op&0x01F8 == 0x0140:
-		e.bflags = bSafe
-		e.sfam = sfEXGDD
-	case isC && op&0x01F8 == 0x0148:
-		e.bflags = bSafe
-		e.sfam = sfEXGAA
-	case isC && op&0x01F8 == 0x0188:
-		e.bflags = bSafe
-		e.sfam = sfEXGDA
+	case isC && (op&0x01F8 == 0x0140 || op&0x01F8 == 0x0148 || op&0x01F8 == 0x0188):
+		e.bflags = bSafe // EXG Dx,Dy / Ax,Ay / Dx,Ay
 	default: // OR / AND
-		e.x = aluOr
-		if isC {
-			e.x = aluAnd
-		}
 		buildDnEA(op, e, mode, reg)
 	}
 }
@@ -412,7 +390,6 @@ func buildDnEA(op uint16, e *opEntry, mode, reg int) {
 		if validEA(mode, reg, "m") {
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
-			e.sfam = sfDnEAToEA
 		}
 		return
 	}
@@ -423,7 +400,6 @@ func buildDnEA(op uint16, e *opEntry, mode, reg int) {
 	if validEA(mode, reg, class) {
 		e.bflags = bSafe
 		e.extw = eaExtWords(mode, reg, size)
-		e.sfam = sfDnEAToDn
 	}
 }
 
@@ -437,7 +413,6 @@ func buildGroupB(op uint16, e *opEntry, mode, reg int) {
 			}
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, e.size)
-			e.sfam = sfCMPA
 		}
 	case op&0x0100 == 0: // CMP
 		size, _ := opSize(op >> 6 & 3)
@@ -449,7 +424,6 @@ func buildGroupB(op uint16, e *opEntry, mode, reg int) {
 			e.size = size
 			e.bflags = bSafe
 			e.extw = eaExtWords(mode, reg, size)
-			e.sfam = sfCMP
 		}
 	case op&0x0038 == 0x0008: // CMPM
 		e.size, _ = opSize(op >> 6 & 3)

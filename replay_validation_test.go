@@ -135,12 +135,15 @@ func TestGremlinReplayValidation(t *testing.T) {
 
 	// The default dispatch is the specialized block engine: the PR 8
 	// metrics must show specialized closures carrying the bulk of the
-	// work and the chain links actually being followed.
+	// work and the chain links actually being followed. The share floor
+	// guards the spec engine's traffic rule (spec.go): this storm
+	// measures about 0.9945, so dropping the handler of any form that
+	// carries 0.5% or more of the instructions fails here.
 	if byName["m68k.spec.exec"] == 0 {
 		t.Error("m68k.spec.exec is zero under the default (spec) dispatch")
 	}
-	if share := byName["m68k.spec.share"]; share < 0.5 {
-		t.Errorf("m68k.spec.share = %v, want >= 0.5 (specializer missing the hot families)", share)
+	if share := byName["m68k.spec.share"]; share < 0.99 {
+		t.Errorf("m68k.spec.share = %v, want >= 0.99 (specializer missing the hot families)", share)
 	}
 	if byName["m68k.chain.follows"] == 0 {
 		t.Error("m68k.chain.follows is zero: successor links never followed")
