@@ -1,13 +1,15 @@
 // Command benchdelta compares two `go test -bench` output files and
 // reports the per-benchmark deltas as a Markdown table — a dependency-free
-// benchstat for the CI job summary. The committed baseline lives at
-// .github/bench-baseline.txt; regenerate it with the command recorded in
-// that file's header.
+// benchstat for the CI job summary. CI's bench-smoke job runs the same
+// benchmarks at the base commit and at HEAD on one runner, in alternating
+// rounds, and compares the two files; a baseline from another machine
+// would mostly measure the machine.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'SpecMIPS|CacheSweep' -count 3 . > new.txt
-//	benchdelta -baseline .github/bench-baseline.txt -current new.txt
+//	go test -run '^$' -bench 'SpecMIPS|CacheSweep' -count 1 . >> base.txt  # at the base commit
+//	go test -run '^$' -bench 'SpecMIPS|CacheSweep' -count 1 . >> new.txt   # at HEAD
+//	benchdelta -baseline base.txt -current new.txt
 //
 // With -max-regress 0.5, an ns/op regression beyond +50% on any benchmark
 // makes the command exit non-zero (0 disables gating; CI machines are too
@@ -156,14 +158,14 @@ func regressed(unit string, d, maxNs, maxAllocs, maxMIPS float64) bool {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", ".github/bench-baseline.txt", "baseline bench output")
+	baselinePath := flag.String("baseline", "", "baseline bench output (required)")
 	currentPath := flag.String("current", "", "current bench output (required)")
 	maxRegress := flag.Float64("max-regress", 0, "fail if any ns/op grows by more than this fraction (0 = report only)")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 0, "fail if any allocs/op grows by more than this fraction (0 = report only)")
 	maxMIPSRegress := flag.Float64("max-mips-regress", 0, "fail if any derived MIPS(ns/op) drops by more than this fraction (0 = report only)")
 	flag.Parse()
-	if *currentPath == "" {
-		fmt.Fprintln(os.Stderr, "benchdelta: -current is required")
+	if *baselinePath == "" || *currentPath == "" {
+		fmt.Fprintln(os.Stderr, "benchdelta: -baseline and -current are required")
 		os.Exit(2)
 	}
 	base, err := parseFile(*baselinePath)

@@ -23,11 +23,13 @@ type subproc struct {
 	done chan struct{} // closed when the output pipe has drained
 }
 
-// wait blocks until the process exits and the output pipe is fully
-// drained, then returns the exit error and the complete output.
+// wait blocks until the output pipe is fully drained and the process
+// exits, then returns the exit error and the complete output. The drain
+// comes first: Wait closes the pipe, dropping whatever the reader has not
+// read yet.
 func (s *subproc) wait() (string, error) {
-	err := s.cmd.Wait()
 	<-s.done
+	err := s.cmd.Wait()
 	return s.out.String(), err
 }
 

@@ -91,7 +91,7 @@ func writeIndexedPackedTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := dtrace.NewIndexedPackedWriter(f)
+	w, err := dtrace.NewPackedWriter(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,8 +98,8 @@ func pipeline(ctx context.Context, c *config) error {
 	fmt.Printf("  collection: %s\n", col.Stats.Bus.String())
 
 	// The trace is collected only to be written. Its .ptrace carries the
-	// access kinds write-policy sweeps need, and a PALMIDX1 index whose
-	// per-block starting ticks come from the tick marks (SeekTick).
+	// access kinds write-policy sweeps need, and a PALMIDX1 footer whose
+	// per-block starting ticks come from the tick marks.
 	writeTrace := c.outDir != "" && c.withTrace
 	fmt.Println("replaying on a fresh machine (hacks installed for validation)...")
 	if c.seekTick > 0 {

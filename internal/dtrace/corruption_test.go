@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -36,8 +38,8 @@ func craftBlock(count uint64, records ...[]byte) []byte {
 }
 
 // corruptPackedCases enumerates the malformed packed traces. Each input
-// must be rejected by UnpackTrace and by PackedSource, and must not open
-// as an indexed trace; wantErr is a substring of UnpackTrace's error.
+// must be rejected by UnpackTrace and by PackedSource; wantErr is a
+// substring of UnpackTrace's error.
 func corruptPackedCases() []struct {
 	name    string
 	data    []byte
@@ -85,7 +87,7 @@ func corruptPackedCases() []struct {
 		binary.LittleEndian.PutUint64(out[len(out)-16:], off)
 		return out
 	}
-	idx, _ := parseIndexFooter(idxTrace[footOff:], footOff, 4, true)
+	idx, _ := parseIndexFooter(idxTrace[footOff:], footOff, 4)
 	reindexed := func(e IndexEntry, total uint64) []byte {
 		return appendFooter(append([]byte(nil), idxTrace[:footOff]...), []IndexEntry{e}, total, footOff)
 	}
@@ -215,32 +217,126 @@ func TestPackedCorruptionTable(t *testing.T) {
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("UnpackTrace error %q does not mention %q", err, tc.wantErr)
 			}
-			// Tail-probing index open: either no footer at the end, or a
-			// corrupt one.
-			if _, err := OpenIndexedBytes(tc.data); !errors.Is(err, ErrNoIndex) && !errors.Is(err, simerr.ErrCorruptTrace) {
-				t.Errorf("OpenIndexedBytes: err = %v, want ErrNoIndex or ErrCorruptTrace", err)
-			}
-			// Streaming decoder: the header may already be rejected; past
-			// that, some NextChunk call must error before clean EOF.
-			src, err := NewPackedSource(bytes.NewReader(tc.data))
-			if err != nil {
-				if !strings.Contains(err.Error(), "not a packed trace") {
-					t.Errorf("NewPackedSource error %q", err)
-				}
-				return
-			}
-			buf := make([]uint32, 512)
-			for {
-				n, err := src.NextChunk(buf)
-				if err != nil {
-					return // failed loudly, as required
-				}
-				if n == 0 {
-					t.Error("PackedSource decoded corrupt input to clean EOF")
-					return
-				}
+			// Streaming decoder: the header or some NextChunk call must
+			// fail before a clean end of trace.
+			if _, err := stream(tc.data, make([]uint32, 512), nil); !errors.Is(err, simerr.ErrCorruptTrace) {
+				t.Errorf("PackedSource: err = %v, want ErrCorruptTrace", err)
 			}
 		})
+	}
+}
+
+// hostileHeaderCases are packed traces whose headers declare far more
+// than the input holds: blocks of 2³²−1 and 2⁶⁴−1 references, a footer
+// of 2³²−1 entries, a footer claiming 2⁶⁴−1 references, and a footer
+// offset pointing into the file header.
+func hostileHeaderCases() []struct {
+	name string
+	data []byte
+} {
+	var st packedState
+	rec := craftRecord(&st, 0x1000, 0)
+	idxTrace, err := PackTraceIndexed([]uint32{0x100, 0x102, 0x104, 0x200}, []uint8{0, 1, 2, 0}, nil)
+	if err != nil {
+		panic(err)
+	}
+	footOff := binary.LittleEndian.Uint64(idxTrace[len(idxTrace)-16:])
+	idx, err := parseIndexFooter(idxTrace[footOff:], footOff, 4)
+	if err != nil {
+		panic(err)
+	}
+	manyEntries := bytes.Clone(idxTrace)
+	binary.LittleEndian.PutUint32(manyEntries[footOff+8:], math.MaxUint32)
+	offInHeader := bytes.Clone(idxTrace)
+	binary.LittleEndian.PutUint64(offInHeader[len(offInHeader)-16:], 3)
+
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"block of 2^32-1 refs then end of input",
+			append([]byte(PackedMagic), craftBlock(math.MaxUint32)...)},
+		{"block of 2^64-1 refs holding one record",
+			append([]byte(PackedMagic), craftBlock(math.MaxUint64, rec)...)},
+		{"footer of 2^32-1 entries", manyEntries},
+		{"footer claiming 2^64-1 refs",
+			appendFooter(bytes.Clone(idxTrace[:footOff]), idx.Entries, math.MaxUint64, footOff)},
+		{"footer offset inside the file header", offInHeader},
+	}
+}
+
+// Decoders may allocate at most allocPerByte·len(input) + allocFixed
+// bytes. The one-shot decoder's growing address and kind slices stay
+// under 32 bytes per input byte, since every reference costs at least
+// one; the fixed part is the streaming decoder's 64 KiB read buffer plus
+// its small structs and error values.
+const (
+	allocPerByte = 32
+	allocFixed   = 64<<10 + 4<<10
+)
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkAllocs fails t when a decoder allocated more than the bound for
+// an input of len(data) bytes.
+func checkAllocs(t *testing.T, decoder string, data []byte, alloc uint64) {
+	t.Helper()
+	if limit := uint64(allocPerByte*len(data) + allocFixed); alloc > limit {
+		t.Errorf("%s allocated %d bytes for a %d-byte input, limit %d", decoder, alloc, len(data), limit)
+	}
+}
+
+// stream opens data as a PackedSource and reads it to its end through
+// NextChunk, or through NextChunkKinded when kinds is non-nil, returning
+// how many references it read.
+func stream(data []byte, buf []uint32, kinds []uint8) (int, error) {
+	src, err := NewPackedSource(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for {
+		var n int
+		if kinds == nil {
+			n, err = src.NextChunk(buf)
+		} else {
+			n, err = src.NextChunkKinded(buf, kinds)
+		}
+		total += n
+		if err != nil || n == 0 {
+			return total, err
+		}
+	}
+}
+
+// TestPackedHostileHeaders: every decoder rejects each hostile header as
+// corruption, allocating in proportion to the input, never to what the
+// header declares.
+func TestPackedHostileHeaders(t *testing.T) {
+	buf, kinds := make([]uint32, 512), make([]uint8, 512)
+	for _, tc := range hostileHeaderCases() {
+		for _, d := range []struct {
+			name string
+			run  func() error
+		}{
+			{"UnpackTrace", func() error { _, _, err := UnpackTrace(tc.data); return err }},
+			{"NextChunk", func() error { _, err := stream(tc.data, buf, nil); return err }},
+			{"NextChunkKinded", func() error { _, err := stream(tc.data, buf, kinds); return err }},
+		} {
+			var err error
+			alloc := allocated(func() { err = d.run() })
+			if !errors.Is(err, simerr.ErrCorruptTrace) {
+				t.Errorf("%s: %s: err = %v, want ErrCorruptTrace", tc.name, d.name, err)
+			}
+			checkAllocs(t, tc.name+": "+d.name, tc.data, alloc)
+		}
 	}
 }
 
@@ -283,8 +379,9 @@ func TestPackedWriterBytes(t *testing.T) {
 }
 
 // FuzzUnpackTrace drives the one-shot and streaming decoders over
-// arbitrary bytes: they must never panic, must agree on accept/reject,
-// and anything UnpackTrace accepts must re-encode and round-trip.
+// arbitrary bytes: they must never panic, must stay within the
+// allocation bound, must agree on accept/reject, and anything
+// UnpackTrace accepts must re-encode and round-trip.
 func FuzzUnpackTrace(f *testing.F) {
 	addrs, kinds := packedTestTrace(2_000, 99)
 	valid, err := PackTrace(addrs, kinds)
@@ -311,32 +408,26 @@ func FuzzUnpackTrace(f *testing.F) {
 	for _, tc := range corruptPackedCases() {
 		f.Add(tc.data)
 	}
+	for _, tc := range hostileHeaderCases() {
+		f.Add(tc.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gotAddrs, gotKinds, err := UnpackTrace(data)
+		buf := make([]uint32, 333)
+		var gotAddrs []uint32
+		var gotKinds []uint8
+		var err error
+		checkAllocs(t, "UnpackTrace", data, allocated(func() { gotAddrs, gotKinds, err = UnpackTrace(data) }))
 
 		// The streaming decoder must agree with the one-shot decoder.
-		src, serr := NewPackedSource(bytes.NewReader(data))
+		var streamed int
+		var serr error
+		checkAllocs(t, "PackedSource", data, allocated(func() { streamed, serr = stream(data, buf, nil) }))
 		if serr != nil {
 			if err == nil {
-				t.Fatalf("UnpackTrace accepted what NewPackedSource rejected: %v", serr)
+				t.Fatalf("UnpackTrace accepted what PackedSource rejected: %v", serr)
 			}
 			return
-		}
-		var streamed int
-		buf := make([]uint32, 333)
-		for {
-			n, nerr := src.NextChunk(buf)
-			streamed += n
-			if nerr != nil {
-				if err == nil {
-					t.Fatalf("UnpackTrace accepted what PackedSource rejected: %v", nerr)
-				}
-				return
-			}
-			if n == 0 {
-				break
-			}
 		}
 		if err != nil {
 			t.Fatalf("PackedSource decoded to clean EOF what UnpackTrace rejected: %v", err)

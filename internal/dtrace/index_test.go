@@ -1,21 +1,20 @@
-// Tests for the PALMIDX1 block index: indexed traces must round-trip,
-// seek bit-identically from every boundary, keep the pre-footer bytes
-// identical to the index-less encoding, and leave index-less traces
-// decoding everywhere unchanged.
+// Tests for the PALMIDX1 footer: indexed traces must round-trip through
+// both decoders, keep the pre-footer bytes identical to the index-less
+// encoding, and record for every block where the decoder meets it, the
+// predictor state it resumes from and the tick it starts at; index-less
+// traces must keep decoding everywhere unchanged.
 package dtrace
 
 import (
 	"bytes"
-	"errors"
-	"io/fs"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 )
 
-// packIndexed packs with synthetic tick marks (one every tickEvery refs)
-// so SeekTick has something to bisect.
+// packIndexed packs with synthetic tick marks (one every tickEvery refs).
 func packIndexed(t testing.TB, addrs []uint32, kinds []uint8, tickEvery int) []byte {
 	t.Helper()
 	var marks []TickMark
@@ -31,10 +30,28 @@ func packIndexed(t testing.TB, addrs []uint32, kinds []uint8, tickEvery int) []b
 	return data
 }
 
-// readRange decodes a ranged source to exhaustion.
-func readRange(t testing.TB, src *PackedSource) []uint32 {
+// footerOf parses the PALMIDX1 footer of an indexed trace, locating it
+// through the offset field ahead of the trailing magic.
+func footerOf(t testing.TB, data []byte) (*Index, uint64) {
 	t.Helper()
-	defer src.Close()
+	if !bytes.HasSuffix(data, []byte(IndexMagic)) {
+		t.Fatal("trace carries no PALMIDX1 footer")
+	}
+	footOff := binary.LittleEndian.Uint64(data[len(data)-16:])
+	if footOff > uint64(len(data)) {
+		t.Fatalf("footer offset %d beyond the %d-byte trace", footOff, len(data))
+	}
+	total := binary.LittleEndian.Uint64(data[len(data)-32:])
+	ix, err := parseIndexFooter(data[footOff:], footOff, total)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix, footOff
+}
+
+// readAddrs decodes a source to exhaustion through NextChunk.
+func readAddrs(t testing.TB, src *PackedSource) []uint32 {
+	t.Helper()
 	var out []uint32
 	buf := make([]uint32, 1009) // deliberately unaligned with blocks
 	for {
@@ -49,9 +66,55 @@ func readRange(t testing.TB, src *PackedSource) []uint32 {
 	}
 }
 
+// readKinded decodes a source to exhaustion through NextChunkKinded.
+func readKinded(t testing.TB, src *PackedSource) ([]uint32, []uint8) {
+	t.Helper()
+	var addrs []uint32
+	var kinds []uint8
+	buf, kbuf := make([]uint32, 1009), make([]uint8, 1009)
+	for {
+		n, err := src.NextChunkKinded(buf, kbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			return addrs, kinds
+		}
+		addrs = append(addrs, buf[:n]...)
+		kinds = append(kinds, kbuf[:n]...)
+	}
+}
+
+// decodeBoth decodes data through UnpackTrace and through PackedSource's
+// NextChunkKinded and fails unless both yield addrs and kinds (nil kinds
+// meaning all fetches).
+func decodeBoth(t testing.TB, data []byte, addrs []uint32, kinds []uint8) {
+	t.Helper()
+	want := kinds
+	if want == nil {
+		want = make([]uint8, len(addrs))
+	}
+	gotA, gotK, err := UnpackTrace(data)
+	if err != nil {
+		t.Fatalf("UnpackTrace: %v", err)
+	}
+	if !slices.Equal(gotA, addrs) || !slices.Equal(gotK, want) {
+		t.Fatalf("UnpackTrace decoded %d refs that differ from the %d packed", len(gotA), len(addrs))
+	}
+	src, err := NewPackedSource(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("NewPackedSource: %v", err)
+	}
+	gotA, gotK = readKinded(t, src)
+	if !slices.Equal(gotA, addrs) || !slices.Equal(gotK, want) {
+		t.Fatalf("PackedSource decoded %d refs that differ from the %d packed", len(gotA), len(addrs))
+	}
+}
+
 // TestIndexedStreamingWriterMatchesPackTraceIndexed: the incremental
-// indexed writer and the one-shot helper must produce identical bytes,
-// and the pre-footer prefix must equal the index-less encoding.
+// writer with NoteTick calls and the one-shot helper with the same marks
+// must produce identical bytes, and the pre-footer prefix must equal the
+// index-less encoding.
 func TestIndexedStreamingWriterMatchesPackTraceIndexed(t *testing.T) {
 	addrs, kinds := packedTestTrace(20_000, 7)
 	marks := []TickMark{{Ref: 0, Tick: 3}, {Ref: 5_000, Tick: 90}, {Ref: 15_000, Tick: 700}}
@@ -61,7 +124,7 @@ func TestIndexedStreamingWriterMatchesPackTraceIndexed(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	w, err := NewIndexedPackedWriter(&buf)
+	w, err := NewPackedWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,339 +160,243 @@ func TestIndexedStreamingWriterMatchesPackTraceIndexed(t *testing.T) {
 	}
 }
 
-// TestIndexedTraceDecodesEverywhere: both decoders and the sniffing open
-// path must accept an indexed trace and recover the original refs.
+// TestIndexedTraceDecodesEverywhere: both decoders must accept an
+// indexed trace and recover the original refs and kinds.
 func TestIndexedTraceDecodesEverywhere(t *testing.T) {
 	addrs, kinds := packedTestTrace(15_000, 11)
 	data := packIndexed(t, addrs, kinds, 100)
-
-	gotAddrs, gotKinds, err := UnpackTrace(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range addrs {
-		if gotAddrs[i] != addrs[i] || gotKinds[i] != kinds[i] {
-			t.Fatalf("UnpackTrace ref %d = %#x/%d, want %#x/%d",
-				i, gotAddrs[i], gotKinds[i], addrs[i], kinds[i])
-		}
-	}
+	decodeBoth(t, data, addrs, kinds)
 
 	src, err := NewPackedSource(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed := readRange(t, src)
-	if len(streamed) != len(addrs) {
-		t.Fatalf("streamed %d refs, want %d", len(streamed), len(addrs))
-	}
-	for i := range addrs {
-		if streamed[i] != addrs[i] {
-			t.Fatalf("streamed ref %d = %#x, want %#x", i, streamed[i], addrs[i])
-		}
+	if got := readAddrs(t, src); !slices.Equal(got, addrs) {
+		t.Fatalf("NextChunk streamed %d refs that differ from the %d packed", len(got), len(addrs))
 	}
 }
 
-// TestIndexlessTraceHasNoIndex: old traces open everywhere unchanged and
-// report ErrNoIndex from the index path, never corruption.
+// TestIndexlessTraceHasNoIndex: a trace that ends at its end-of-trace
+// marker — PackTrace's output, in memory or read from a file, and the
+// empty trace — decodes through both decoders exactly as its indexed
+// twin does.
 func TestIndexlessTraceHasNoIndex(t *testing.T) {
 	addrs, kinds := packedTestTrace(10_000, 13)
 	data, err := PackTrace(addrs, kinds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndexedBytes(data); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("OpenIndexedBytes on index-less trace: %v, want ErrNoIndex", err)
+	if bytes.HasSuffix(data, []byte(IndexMagic)) || data[len(data)-1] != 0 {
+		t.Fatal("PackTrace output does not end at the end-of-trace marker")
 	}
-	if _, _, err := UnpackTrace(data); err != nil {
-		t.Fatalf("UnpackTrace rejected index-less trace: %v", err)
-	}
-	src, err := NewPackedSource(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := readRange(t, src); len(got) != len(addrs) {
-		t.Fatalf("streamed %d refs, want %d", len(got), len(addrs))
-	}
+	decodeBoth(t, data, addrs, kinds)
+	decodeBoth(t, packIndexed(t, addrs, kinds, 0), addrs, kinds)
 
-	// The tiny traces from before the index era must also stay fine.
 	empty, err := PackTrace(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndexedBytes(empty); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("OpenIndexedBytes on empty trace: %v, want ErrNoIndex", err)
-	}
+	decodeBoth(t, empty, nil, nil)
+	decodeBoth(t, packIndexed(t, nil, nil, 0), nil, nil)
 
-	// The file open path reports the same, and a missing file as such.
 	path := filepath.Join(t.TempDir(), "plain.ptrace")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenIndexedTrace(path); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("OpenIndexedTrace on index-less file: %v, want ErrNoIndex", err)
-	}
-	if _, err := OpenIndexedTrace(path + ".missing"); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("OpenIndexedTrace on a missing file: %v, want fs.ErrNotExist", err)
-	}
-}
-
-// TestSeekRefBitIdentical: resuming from every block boundary — and from
-// interior ordinals requiring a discard — must reproduce the serial
-// decode's suffix exactly.
-func TestSeekRefBitIdentical(t *testing.T) {
-	addrs, kinds := packedTestTrace(3*blockRefs+777, 17)
-	data := packIndexed(t, addrs, kinds, 1000)
-	it, err := OpenIndexedBytes(data)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.TotalRefs() != uint64(len(addrs)) {
-		t.Fatalf("TotalRefs = %d, want %d", it.TotalRefs(), len(addrs))
+	defer f.Close()
+	src, err := NewPackedSource(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	refs := []uint64{0, 1, 4095, 4096, 4097, 8192, 10_000, uint64(len(addrs)) - 1, uint64(len(addrs))}
-	for _, ref := range refs {
-		src, err := it.SeekRef(ref)
-		if err != nil {
-			t.Fatalf("SeekRef(%d): %v", ref, err)
-		}
-		got := readRange(t, src)
-		want := addrs[ref:]
-		if len(got) != len(want) {
-			t.Fatalf("SeekRef(%d): %d refs, want %d", ref, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("SeekRef(%d): ref %d = %#x, want %#x", ref, ref+uint64(i), got[i], want[i])
-			}
-		}
-	}
-	if _, err := it.SeekRef(uint64(len(addrs)) + 1); err == nil {
-		t.Error("SeekRef beyond the trace succeeded")
+	gotA, gotK := readKinded(t, src)
+	if !slices.Equal(gotA, addrs) || !slices.Equal(gotK, kinds) {
+		t.Fatalf("file decoded %d refs that differ from the %d packed", len(gotA), len(addrs))
 	}
 }
 
-// readKinded decodes a source to exhaustion through NextChunkKinded.
-func readKinded(t testing.TB, src *PackedSource) ([]uint32, []uint8) {
-	t.Helper()
-	defer src.Close()
-	var addrs []uint32
-	var kinds []uint8
-	buf, kbuf := make([]uint32, 1009), make([]uint8, 1009)
+// TestSeekRefBitIdentical: every footer entry holds exactly what a
+// decoder needs to resume at its block — the byte offset and reference
+// ordinal at which the streaming decoder meets the block's header, and
+// the predictor state it has before the block's first record.
+func TestSeekRefBitIdentical(t *testing.T) {
+	addrs, kinds := packedTestTrace(3*blockRefs+777, 17)
+	data := packIndexed(t, addrs, kinds, 1000)
+	ix, footOff := footerOf(t, data)
+
+	// Step the decoder one reference at a time; whenever no records of
+	// the current block remain, the next read is a block header.
+	type boundary struct {
+		off, ref uint64
+		st       packedState
+	}
+	var met []boundary
+	src, err := NewPackedSource(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]uint32, 1)
 	for {
-		n, err := src.NextChunkKinded(buf, kbuf)
+		if src.blockLeft == 0 {
+			met = append(met, boundary{src.r.n, src.refs, src.st})
+		}
+		n, err := src.NextChunk(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n == 0 {
-			return addrs, kinds
+			break
 		}
-		addrs = append(addrs, buf[:n]...)
-		kinds = append(kinds, kbuf[:n]...)
+	}
+	// The last header met is the end-of-trace marker, right before the
+	// footer.
+	if len(met) != len(ix.Entries)+1 {
+		t.Fatalf("decoder met %d block headers, footer has %d entries", len(met)-1, len(ix.Entries))
+	}
+	if end := met[len(met)-1]; end.off != footOff-1 || end.ref != uint64(len(addrs)) {
+		t.Fatalf("end marker met at byte %d ref %d, want %d and %d", end.off, end.ref, footOff-1, len(addrs))
+	}
+	for i, e := range ix.Entries {
+		m := met[i]
+		if e.Offset != m.off || e.StartRef != m.ref {
+			t.Errorf("entry %d at byte %d ref %d, decoder met the block at byte %d ref %d",
+				i, e.Offset, e.StartRef, m.off, m.ref)
+		}
+		if e.PrevAddr != m.st.prevAddr || e.PrevStride != m.st.prevStride {
+			t.Errorf("entry %d predictor snapshot differs from the decoder's state before the block", i)
+		}
 	}
 }
 
-// TestOpenRangePartitionsConcatenate: ranges cut at every indexed block
-// boundary and one reference either side of it — so most ranges start
-// and end inside a block — decode through OpenRange, concatenated, to
-// exactly the serial decode, kinds included.
+// TestOpenRangePartitionsConcatenate: the footer's entries cut [0, total)
+// into consecutive 4096-reference blocks, at strictly ascending offsets
+// that all lie before the footer, for totals on both sides of a block
+// boundary.
 func TestOpenRangePartitionsConcatenate(t *testing.T) {
 	addrs, kinds := packedTestTrace(5*blockRefs+123, 19)
-	data := packIndexed(t, addrs, kinds, 0)
-	serial, err := NewPackedSource(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantA, wantK := readKinded(t, serial)
-	if !slices.Equal(wantA, addrs) || !slices.Equal(wantK, kinds) {
-		t.Fatal("serial decode does not reproduce the packed trace")
-	}
-	it, err := OpenIndexedBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := it.TotalRefs()
-	cuts := []uint64{0, total}
-	for _, e := range it.Index().Entries {
-		for _, c := range []uint64{e.StartRef - 1, e.StartRef, e.StartRef + 1} {
-			if c > 0 && c < total { // StartRef 0 - 1 wraps past total
-				cuts = append(cuts, c)
+	for _, total := range []int{0, 1, blockRefs, blockRefs + 1, 5*blockRefs + 123} {
+		data := packIndexed(t, addrs[:total], kinds[:total], 0)
+		ix, footOff := footerOf(t, data)
+		if ix.TotalRefs != uint64(total) {
+			t.Fatalf("total=%d: footer claims %d references", total, ix.TotalRefs)
+		}
+		if want := (total + blockRefs - 1) / blockRefs; len(ix.Entries) != want {
+			t.Fatalf("total=%d: %d entries, want %d", total, len(ix.Entries), want)
+		}
+		for i, e := range ix.Entries {
+			if e.StartRef != uint64(i*blockRefs) {
+				t.Errorf("total=%d: entry %d starts at ref %d, want %d", total, i, e.StartRef, i*blockRefs)
+			}
+			if i > 0 && e.Offset <= ix.Entries[i-1].Offset {
+				t.Errorf("total=%d: entry %d offset %d not after entry %d's %d", total, i, e.Offset, i-1, ix.Entries[i-1].Offset)
+			}
+			if e.Offset >= footOff {
+				t.Errorf("total=%d: entry %d offset %d not before the footer at %d", total, i, e.Offset, footOff)
 			}
 		}
-	}
-	slices.Sort(cuts)
-	cuts = slices.Compact(cuts)
-	if len(cuts) < 3*len(it.Index().Entries) {
-		t.Fatalf("only %d cuts for %d blocks", len(cuts), len(it.Index().Entries))
-	}
-	var gotA []uint32
-	var gotK []uint8
-	for i := 0; i+1 < len(cuts); i++ {
-		src, err := it.OpenRange(cuts[i], cuts[i+1]-cuts[i])
-		if err != nil {
-			t.Fatalf("OpenRange(%d, %d): %v", cuts[i], cuts[i+1]-cuts[i], err)
-		}
-		a, k := readKinded(t, src)
-		if uint64(len(a)) != cuts[i+1]-cuts[i] {
-			t.Fatalf("range [%d, %d) decoded %d refs", cuts[i], cuts[i+1], len(a))
-		}
-		gotA = append(gotA, a...)
-		gotK = append(gotK, k...)
-	}
-	if !slices.Equal(gotA, wantA) {
-		t.Error("concatenated ranges differ from the serial decode's addresses")
-	}
-	if !slices.Equal(gotK, wantK) {
-		t.Error("concatenated ranges differ from the serial decode's kinds")
+		decodeBoth(t, data, addrs[:total], kinds[:total])
 	}
 }
 
-// TestSeekTickBlockGranular: SeekTick lands on the last indexed boundary
-// at or before the requested tick and resumes bit-identically, kinds
-// included, from memory and from a file (whose ranged sources own, and
-// close, their own handle).
+// TestSeekTickBlockGranular: each entry's StartTick is the latest tick
+// noted at or before the block's first reference — marks inside a block
+// belong to the next block — and it is 0 without marks; the empty trace
+// has no entries.
 func TestSeekTickBlockGranular(t *testing.T) {
 	addrs, kinds := packedTestTrace(4*blockRefs, 23)
-	tickEvery := 512 // tick t starts at ref t*512
-	data := packIndexed(t, addrs, kinds, tickEvery)
-	path := filepath.Join(t.TempDir(), "seek.ptrace")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	marks := []TickMark{
+		{Ref: 0, Tick: 3}, {Ref: 100, Tick: 5}, // block 0 starts at 3
+		{Ref: blockRefs, Tick: 9}, // exactly at block 1's first reference
+		{Ref: blockRefs + 904, Tick: 12},
+		{Ref: 3*blockRefs - 1, Tick: 21}, // block 2's last reference
+		{Ref: 3 * blockRefs, Tick: 30},
 	}
-	fromBytes, err := OpenIndexedBytes(data)
+	data, err := PackTraceIndexed(addrs, kinds, marks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := OpenIndexedTrace(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range []*IndexedTrace{fromBytes, fromFile} {
-		for _, tick := range []uint64{0, 1, 7, 8, 9, 20, 1 << 40} {
-			src, startRef, startTick, err := it.SeekTick(tick)
-			if err != nil {
-				t.Fatalf("SeekTick(%d): %v", tick, err)
-			}
-			if startTick > tick && startRef != 0 {
-				t.Fatalf("SeekTick(%d) landed after the request: ref %d tick %d", tick, startRef, startTick)
-			}
-			if startRef != uint64(it.Index().Entries[it.Index().FindTick(tick)].StartRef) {
-				t.Fatalf("SeekTick(%d) ref %d disagrees with FindTick", tick, startRef)
-			}
-			var gotAddrs []uint32
-			var gotKinds []uint8
-			buf, kbuf := make([]uint32, 1009), make([]uint8, 1009)
-			for {
-				n, err := src.NextChunkKinded(buf, kbuf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n == 0 {
-					break
-				}
-				gotAddrs = append(gotAddrs, buf[:n]...)
-				gotKinds = append(gotKinds, kbuf[:n]...)
-			}
-			if err := src.Close(); err != nil {
-				t.Fatalf("SeekTick(%d): Close: %v", tick, err)
-			}
-			if len(gotAddrs) != len(addrs)-int(startRef) {
-				t.Fatalf("SeekTick(%d): %d refs, want %d", tick, len(gotAddrs), len(addrs)-int(startRef))
-			}
-			for i := range gotAddrs {
-				if gotAddrs[i] != addrs[startRef+uint64(i)] || gotKinds[i] != kinds[startRef+uint64(i)] {
-					t.Fatalf("SeekTick(%d): ref %d diverged", tick, startRef+uint64(i))
-				}
+	ix, _ := footerOf(t, data)
+	for i, e := range ix.Entries {
+		var want uint64
+		for _, m := range marks {
+			if m.Ref <= e.StartRef {
+				want = m.Tick
 			}
 		}
+		if e.StartTick != want {
+			t.Errorf("entry %d (ref %d) starts at tick %d, want %d", i, e.StartRef, e.StartTick, want)
+		}
 	}
+	if got := []uint64{ix.Entries[0].StartTick, ix.Entries[1].StartTick, ix.Entries[2].StartTick, ix.Entries[3].StartTick}; !slices.Equal(got, []uint64{3, 9, 12, 30}) {
+		t.Errorf("block start ticks %v, want [3 9 12 30]", got)
+	}
+	decodeBoth(t, data, addrs, kinds)
 
-	// Every seek reopens the file, so once it is gone seeking fails.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
+	unmarked, _ := footerOf(t, packIndexed(t, addrs, kinds, 0))
+	for i, e := range unmarked.Entries {
+		if e.StartTick != 0 {
+			t.Errorf("unmarked trace: entry %d starts at tick %d", i, e.StartTick)
+		}
 	}
-	if _, _, _, err := fromFile.SeekTick(8); !errors.Is(err, fs.ErrNotExist) {
-		t.Errorf("SeekTick on a removed file: err = %v, want fs.ErrNotExist", err)
-	}
-
-	// An empty indexed trace has no boundary to land on: SeekTick
-	// returns an empty source at ref 0.
-	empty, err := OpenIndexedBytes(packIndexed(t, nil, nil, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, startRef, _, err := empty.SeekTick(5)
-	if err != nil || startRef != 0 {
-		t.Fatalf("SeekTick on an empty trace: ref %d, err %v", startRef, err)
-	}
-	if got := readRange(t, src); len(got) != 0 {
-		t.Errorf("SeekTick on an empty trace decoded %d refs", len(got))
+	if empty, _ := footerOf(t, packIndexed(t, nil, nil, 0)); len(empty.Entries) != 0 || empty.TotalRefs != 0 {
+		t.Errorf("empty trace: %d entries over %d references", len(empty.Entries), empty.TotalRefs)
 	}
 }
 
-// FuzzIndexSeek is the differential seek target: for any input that
-// opens as an indexed trace, seeking to an arbitrary ordinal and
-// decoding to the end must reproduce the serial decode's suffix.
+// FuzzIndexSeek round-trips fuzzed traces through the indexed writer:
+// addresses accumulate the little-endian words of deltas (so a repeated
+// word is a constant-stride stream), kinds cycle through kindBytes (none
+// when it is empty), and every byte of tickGaps places one tick mark
+// that many references after the previous one. PackTraceIndexed's output
+// must decode through both decoders back to the input, and its bytes
+// before the footer must equal PackTrace's.
 func FuzzIndexSeek(f *testing.F) {
-	addrs, kinds := packedTestTrace(3*blockRefs+500, 29)
-	f.Add(packIndexed(f, addrs, kinds, 777), uint64(5000))
-	f.Add(packIndexed(f, addrs[:100], nil, 10), uint64(3))
-	f.Add(packIndexed(f, nil, nil, 0), uint64(0))
-	plain, err := PackTrace(addrs[:2000], kinds[:2000])
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(plain, uint64(1000))
+	f.Add([]byte{2, 0, 0, 0}, []byte{0, 0, 1, 0, 2}, []byte{200, 17, 255}, uint16(3*blockRefs+500))
+	f.Add([]byte{4, 0, 0, 0, 0xF8, 0xFF, 0xFF, 0xFF, 0, 0, 1, 0}, []byte(nil), []byte{10}, uint16(100))
+	f.Add([]byte(nil), []byte(nil), []byte(nil), uint16(0))
+	f.Add([]byte{0x10, 0x20, 0x30, 0x40, 2, 0, 0, 0}, []byte{1, 2}, []byte{0, 0, 64}, uint16(blockRefs))
 
-	f.Fuzz(func(t *testing.T, data []byte, ref uint64) {
-		it, err := OpenIndexedBytes(data)
+	f.Fuzz(func(t *testing.T, deltas, kindBytes, tickGaps []byte, n uint16) {
+		addrs := make([]uint32, n)
+		var kinds []uint8
+		if len(kindBytes) > 0 {
+			kinds = make([]uint8, n)
+		}
+		a := uint32(0x10000000)
+		for i := range addrs {
+			if words := len(deltas) / 4; words > 0 {
+				a += binary.LittleEndian.Uint32(deltas[4*(i%words):])
+			}
+			addrs[i] = a
+			if kinds != nil {
+				kinds[i] = kindBytes[i%len(kindBytes)] % (maxKind + 1)
+			}
+		}
+		var marks []TickMark
+		var ref, tick uint64
+		for _, g := range tickGaps {
+			ref += uint64(g)
+			tick += 1 + uint64(g%5)
+			marks = append(marks, TickMark{Ref: ref, Tick: tick})
+		}
+
+		data, err := PackTraceIndexed(addrs, kinds, marks)
 		if err != nil {
-			return // no index, or corrupt: rejection is the correct outcome
+			t.Fatal(err)
 		}
-		serial, _, serialErr := UnpackTrace(data)
-		if serialErr == nil && it.TotalRefs() != uint64(len(serial)) {
-			t.Fatalf("index claims %d refs, serial decode found %d", it.TotalRefs(), len(serial))
-		}
-		if total := it.TotalRefs(); total > 0 {
-			ref %= total + 1
-		} else {
-			ref = 0
-		}
-		src, err := it.SeekRef(ref)
+		plain, err := PackTrace(addrs, kinds)
 		if err != nil {
-			if serialErr == nil {
-				t.Fatalf("SeekRef(%d) failed on a serially valid trace: %v", ref, err)
-			}
-			return
+			t.Fatal(err)
 		}
-		defer src.Close()
-		var got []uint32
-		buf := make([]uint32, 257)
-		for {
-			n, err := src.NextChunk(buf)
-			if err != nil {
-				if serialErr == nil {
-					t.Fatalf("ranged decode failed on a serially valid trace: %v", err)
-				}
-				return
-			}
-			if n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
+		if !bytes.HasPrefix(data, plain) {
+			t.Fatal("indexed trace's bytes before the footer differ from PackTrace's")
 		}
-		if serialErr != nil {
-			// The footer validated but the stream is corrupt elsewhere;
-			// nothing serial to compare against.
-			return
+		if ix, footOff := footerOf(t, data); footOff != uint64(len(plain)) || ix.TotalRefs != uint64(n) {
+			t.Fatalf("footer at byte %d over %d refs, want %d and %d", footOff, ix.TotalRefs, len(plain), n)
 		}
-		want := serial[ref:]
-		if len(got) != len(want) {
-			t.Fatalf("SeekRef(%d) decoded %d refs, serial suffix holds %d", ref, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("SeekRef(%d) ref %d = %#x, serial %#x", ref, ref+uint64(i), got[i], want[i])
-			}
-		}
+		decodeBoth(t, data, addrs, kinds)
 	})
 }

@@ -96,7 +96,8 @@ func (st *packedState) decode(rec uint64) (addr uint32, hasKind bool) {
 
 // TickMark annotates a reference ordinal with the emulated tick current
 // when it was recorded. Collectors emit marks sparsely (one per tick
-// transition); the index writer folds them into per-block starting ticks.
+// transition); PackTraceIndexed folds them into the footer's per-block
+// starting ticks.
 type TickMark struct {
 	// Ref is the ordinal of the first reference recorded at Tick.
 	Ref uint64
@@ -104,15 +105,8 @@ type TickMark struct {
 	Tick uint64
 }
 
-// writerIndex accumulates PALMIDX1 entries while an indexed writer
-// streams blocks.
-type writerIndex struct {
-	entries []IndexEntry
-	pending IndexEntry
-	curTick uint64
-}
-
-// PackedWriter streams references into the packed format.
+// PackedWriter streams references into the packed format and records
+// a PALMIDX1 footer entry at every block boundary.
 type PackedWriter struct {
 	w          *bufio.Writer
 	st         packedState
@@ -120,49 +114,33 @@ type PackedWriter struct {
 	bytes      uint64
 	block      []byte
 	blockCount int
-	idx        *writerIndex
+	entries    []IndexEntry
+	tick       uint64
 	scratch    [binary.MaxVarintLen64 + 1]byte
 }
 
-// NewPackedWriter writes the format header and prepares streaming. The
-// output carries no index; NewIndexedPackedWriter produces seekable
-// traces.
-func NewPackedWriter(w io.Writer) (*PackedWriter, error) {
-	return newPackedWriter(w, false)
-}
-
-// NewIndexedPackedWriter is NewPackedWriter plus a PALMIDX1 footer: every
+// NewPackedWriter writes the format header and prepares streaming. Every
 // block boundary is recorded (offset, starting ref ordinal, starting
-// tick, predictor snapshot) and the table is appended after the
-// end-of-trace marker on Close. The per-reference encoding — and thus the
-// hot path and every byte before the footer — is identical to the
-// index-less writer's.
-func NewIndexedPackedWriter(w io.Writer) (*PackedWriter, error) {
-	return newPackedWriter(w, true)
-}
-
-func newPackedWriter(w io.Writer, indexed bool) (*PackedWriter, error) {
+// tick, predictor snapshot), and Close appends the table as a PALMIDX1
+// footer after the end-of-trace marker; every byte before the footer is
+// what PackTrace writes for the same references.
+func NewPackedWriter(w io.Writer) (*PackedWriter, error) {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(PackedMagic); err != nil {
 		return nil, err
 	}
-	p := &PackedWriter{w: bw, bytes: uint64(len(PackedMagic)),
-		block: make([]byte, 0, 2*blockRefs)}
-	if indexed {
-		p.idx = &writerIndex{}
-	}
-	return p, nil
+	return &PackedWriter{w: bw, bytes: uint64(len(PackedMagic)),
+		block: make([]byte, 0, 2*blockRefs)}, nil
 }
 
-// NoteTick records the current emulated tick for the index: blocks whose
-// first reference is written after this call carry (at least) this
+// NoteTick records the current emulated tick for the footer: blocks
+// whose first reference is written after this call carry (at least) this
 // starting tick. Regressing ticks are ignored — StartTick is monotone by
-// format contract. A no-op on index-less writers, and O(1) always, so
-// collectors may call it as often as they like without touching the
-// encoding hot path.
+// format contract. It is O(1), so collectors may call it as often as
+// they like without touching the encoding hot path.
 func (p *PackedWriter) NoteTick(tick uint64) {
-	if p.idx != nil && tick > p.idx.curTick {
-		p.idx.curTick = tick
+	if tick > p.tick {
+		p.tick = tick
 	}
 }
 
@@ -172,17 +150,17 @@ func (p *PackedWriter) WriteRef(addr uint32, kind uint8) error {
 	if kind > maxKind {
 		return fmt.Errorf("dtrace: invalid access kind %d (max %d)", kind, maxKind)
 	}
-	if p.blockCount == 0 && p.idx != nil {
+	if p.blockCount == 0 {
 		// Snapshot the predictor state as it stands before this block's
 		// first record; p.bytes is exactly where the block header will
 		// land, since everything before it has been accounted.
-		p.idx.pending = IndexEntry{
+		p.entries = append(p.entries, IndexEntry{
 			Offset:     p.bytes,
 			StartRef:   p.refs,
-			StartTick:  p.idx.curTick,
+			StartTick:  p.tick,
 			PrevAddr:   p.st.prevAddr,
 			PrevStride: p.st.prevStride,
-		}
+		})
 	}
 	p.block = binary.AppendUvarint(p.block, p.st.encode(addr, kind))
 	if kind != 0 {
@@ -209,9 +187,6 @@ func (p *PackedWriter) flushBlock() error {
 		return err
 	}
 	p.bytes += uint64(n + len(p.block))
-	if p.idx != nil {
-		p.idx.entries = append(p.idx.entries, p.idx.pending)
-	}
 	p.block = p.block[:0]
 	p.blockCount = 0
 	return nil
@@ -225,9 +200,9 @@ func (p *PackedWriter) Refs() uint64 { return p.refs }
 // packed-vs-raw ratio against a plain 4 bytes/ref address array.
 func (p *PackedWriter) Bytes() uint64 { return p.bytes }
 
-// Close writes the final block, the end-of-trace marker and — for
-// indexed writers — the PALMIDX1 footer, then commits buffered output to
-// the underlying writer. No references may be written after Close.
+// Close writes the final block, the end-of-trace marker and the PALMIDX1
+// footer, then commits buffered output to the underlying writer. No
+// references may be written after Close.
 func (p *PackedWriter) Close() error {
 	if err := p.flushBlock(); err != nil {
 		return err
@@ -236,13 +211,11 @@ func (p *PackedWriter) Close() error {
 		return err
 	}
 	p.bytes++
-	if p.idx != nil {
-		foot := appendFooter(nil, p.idx.entries, p.refs, p.bytes)
-		if _, err := p.w.Write(foot); err != nil {
-			return err
-		}
-		p.bytes += uint64(len(foot))
+	foot := appendFooter(nil, p.entries, p.refs, p.bytes)
+	if _, err := p.w.Write(foot); err != nil {
+		return err
 	}
+	p.bytes += uint64(len(foot))
 	return p.w.Flush()
 }
 
@@ -280,15 +253,6 @@ type PackedSource struct {
 	blockLeft uint64
 	done      bool
 
-	// limit and ranged bound index-seeked sources: the decoder stops
-	// cleanly once refs reaches limit and treats an earlier end-of-trace
-	// marker as corruption (the index promised more references).
-	limit  uint64
-	ranged bool
-	// closer, when non-nil, owns the underlying reader (ranged sources
-	// opened through an IndexedTrace hold their own file handle).
-	closer io.Closer
-
 	// ObsRefs, when non-nil, counts decoded references per NextChunk call.
 	ObsRefs *obs.Counter
 }
@@ -305,56 +269,6 @@ func NewPackedSource(r io.Reader) (*PackedSource, error) {
 		return nil, simerr.CorruptTrace("dtrace: open", 0, fmt.Errorf("not a packed trace"))
 	}
 	return &PackedSource{r: cr}, nil
-}
-
-// newPackedSourceAt wraps a reader already positioned at e.Offset,
-// restoring e's predictor snapshot so decoding resumes bit-identically.
-// The source yields references [e.StartRef, limit) and then reports a
-// clean end of trace.
-func newPackedSourceAt(r io.Reader, e IndexEntry, limit uint64, closer io.Closer) *PackedSource {
-	src := &PackedSource{
-		r:      &countReader{r: bufio.NewReaderSize(r, 1<<16), n: e.Offset},
-		refs:   e.StartRef,
-		limit:  limit,
-		ranged: true,
-		closer: closer,
-	}
-	src.st.prevAddr = e.PrevAddr
-	src.st.prevStride = e.PrevStride
-	return src
-}
-
-// Close releases the underlying reader when the source owns one; plain
-// NewPackedSource streams and in-memory ranges make it a no-op.
-func (s *PackedSource) Close() error {
-	if s.closer == nil {
-		return nil
-	}
-	err := s.closer.Close()
-	s.closer = nil
-	return err
-}
-
-// discard decodes and drops n references, advancing the source from an
-// indexed block boundary to an interior starting ordinal.
-func (s *PackedSource) discard(n uint64) error {
-	var buf [512]uint32
-	for n > 0 {
-		want := uint64(len(buf))
-		if n < want {
-			want = n
-		}
-		got, err := s.NextChunk(buf[:want])
-		if err != nil {
-			return err
-		}
-		if got == 0 {
-			return simerr.CorruptTrace("dtrace: seek", int64(s.refs),
-				fmt.Errorf("trace ended at ref %d while seeking", s.refs))
-		}
-		n -= uint64(got)
-	}
-	return nil
 }
 
 // NextChunk decodes up to len(buf) addresses. The trace ends only at the
@@ -378,20 +292,12 @@ func (s *PackedSource) NextChunkKinded(buf []uint32, kinds []uint8) (int, error)
 func (s *PackedSource) next(buf []uint32, kinds []uint8) (int, error) {
 	n := 0
 	for n < len(buf) && !s.done {
-		if s.ranged && s.refs == s.limit {
-			s.done = true
-			break
-		}
 		if s.blockLeft == 0 {
 			count, err := binary.ReadUvarint(s.r)
 			if err != nil {
 				return n, simerr.CorruptTrace("dtrace: unpack", int64(s.refs), fmt.Errorf("truncated packed trace after %d refs: missing end-of-trace marker", s.refs))
 			}
 			if count == 0 {
-				if s.ranged {
-					return n, simerr.CorruptTrace("dtrace: unpack", int64(s.refs),
-						fmt.Errorf("trace ended at ref %d, index promised %d", s.refs, s.limit))
-				}
 				s.done = true
 				if err := s.checkTrailer(); err != nil {
 					return n, err
@@ -442,7 +348,7 @@ func (s *PackedSource) checkTrailer() error {
 	if len(rest) == 0 {
 		return nil
 	}
-	if _, err := parseIndexFooter(rest, footOff, s.refs, true); err != nil {
+	if _, err := parseIndexFooter(rest, footOff, s.refs); err != nil {
 		return simerr.CorruptTrace("dtrace: unpack", int64(s.refs), err)
 	}
 	return nil
@@ -498,7 +404,7 @@ func UnpackTrace(data []byte) (addrs []uint32, kinds []uint8, err error) {
 		i += n
 		if count == 0 {
 			if i < len(data) {
-				if _, err := parseIndexFooter(data[i:], uint64(i), uint64(len(addrs)), true); err != nil {
+				if _, err := parseIndexFooter(data[i:], uint64(i), uint64(len(addrs))); err != nil {
 					return nil, nil, simerr.CorruptTrace("dtrace: unpack", int64(len(addrs)), err)
 				}
 			}
@@ -528,8 +434,8 @@ func UnpackTrace(data []byte) (addrs []uint32, kinds []uint8, err error) {
 	}
 }
 
-// PackTraceIndexed is PackTrace plus a PALMIDX1 footer, making the
-// output seekable. marks, which may be nil, carries sparse tick
+// PackTraceIndexed is PackTrace plus a PALMIDX1 footer, through
+// NewPackedWriter. marks, which may be nil, carries sparse tick
 // annotations in ascending Ref order; each mark's tick applies from its
 // Ref until the next mark's.
 func PackTraceIndexed(addrs []uint32, kinds []uint8, marks []TickMark) ([]byte, error) {
@@ -538,7 +444,7 @@ func PackTraceIndexed(addrs []uint32, kinds []uint8, marks []TickMark) ([]byte, 
 	}
 	var buf bytes.Buffer
 	buf.Grow(len(PackedMagic) + 2*len(addrs))
-	w, err := NewIndexedPackedWriter(&buf)
+	w, err := NewPackedWriter(&buf)
 	if err != nil {
 		return nil, err
 	}

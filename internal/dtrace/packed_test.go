@@ -67,8 +67,8 @@ func TestPackedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedWriterMatchesPackTrace: the streaming writer must emit
-// byte-identical output to the one-shot encoder.
+// TestPackedWriterMatchesPackTrace: the streaming writer must emit the
+// one-shot encoder's bytes, followed only by the PALMIDX1 footer.
 func TestPackedWriterMatchesPackTrace(t *testing.T) {
 	addrs, kinds := packedTestTrace(5_000, 7)
 	want, err := PackTrace(addrs, kinds)
@@ -91,8 +91,11 @@ func TestPackedWriterMatchesPackTrace(t *testing.T) {
 	if w.Refs() != uint64(len(addrs)) {
 		t.Errorf("writer counted %d refs, want %d", w.Refs(), len(addrs))
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("streamed bytes (%d) differ from PackTrace (%d)", buf.Len(), len(want))
+	if !bytes.HasPrefix(buf.Bytes(), want) {
+		t.Fatalf("streamed bytes (%d) do not start with PackTrace's (%d)", buf.Len(), len(want))
+	}
+	if _, err := parseIndexFooter(buf.Bytes()[len(want):], uint64(len(want)), uint64(len(addrs))); err != nil {
+		t.Fatalf("streamed bytes after PackTrace's: %v", err)
 	}
 }
 

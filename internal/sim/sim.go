@@ -189,8 +189,8 @@ type ReplayOptions struct {
 	// CollectTicks additionally records sparse tick marks — the ordinal
 	// of the first trace reference at each emulated tick — into
 	// Playback.TraceTicks. dtrace.PackTraceIndexed folds them into the
-	// PALMIDX1 index so sweeps can SeekTick. Off (the default) adds no
-	// work to the trace sink.
+	// PALMIDX1 footer as each block's starting tick. Off (the default)
+	// adds no work to the trace sink.
 	CollectTicks bool
 
 	// SeekTick, when nonzero, fast-forwards playback: the machine runs

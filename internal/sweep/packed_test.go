@@ -60,19 +60,24 @@ func packedSource(t *testing.T, data []byte) *dtrace.PackedSource {
 	return src
 }
 
-// truncateInBlock cuts an indexed packed trace halfway through block i,
-// so its decoder fails about 4096·i + 2048 references in.
-func truncateInBlock(t *testing.T, data []byte, i int) []byte {
+// truncateInBlock cuts data, trace packed without kinds, halfway through
+// block i, so its decoder fails about 4096·i + 2048 references in. A
+// block starts where PackTrace of the references before it puts its end
+// marker.
+func truncateInBlock(t *testing.T, trace []uint32, data []byte, i int) []byte {
 	t.Helper()
-	it, err := dtrace.OpenIndexedBytes(data)
-	if err != nil {
-		t.Fatal(err)
+	if len(trace) < 4096*(i+2) {
+		t.Fatalf("trace has %d references, need %d", len(trace), 4096*(i+2))
 	}
-	e := it.Index().Entries
-	if len(e) < i+2 {
-		t.Fatalf("trace has %d blocks, need %d", len(e), i+2)
+	var start [2]int
+	for j := range start {
+		prefix, err := dtrace.PackTrace(trace[:4096*(i+j)], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start[j] = len(prefix) - 1
 	}
-	return data[:(e[i].Offset+e[i+1].Offset)/2]
+	return data[:(start[0]+start[1])/2]
 }
 
 // optGrid is diffGeometries under Belady's MIN with write policy w.
@@ -135,8 +140,8 @@ func TestRunPartitionedMatchesSerial(t *testing.T) {
 // fail the sweep as corruption, both while the fan-out streams it (LRU)
 // and while OPT materializes it, at every worker count.
 func TestPartitionedSourceErrorPropagates(t *testing.T) {
-	_, data := packFixed(t, 5*4096)
-	cut := truncateInBlock(t, data, 1)
+	trace, data := packFixed(t, 5*4096)
+	cut := truncateInBlock(t, trace, data, 1)
 	for _, grid := range []struct {
 		name string
 		cfgs []cache.Config
@@ -155,8 +160,8 @@ func TestPartitionedSourceErrorPropagates(t *testing.T) {
 // trace mid-stream, or by cancellation while OPT materializes — must
 // return the matching error and leave no goroutine behind.
 func TestPartitionedSourceCloseEarly(t *testing.T) {
-	_, data := packFixed(t, 5*4096)
-	cut := truncateInBlock(t, data, 1)
+	trace, data := packFixed(t, 5*4096)
+	cut := truncateInBlock(t, trace, data, 1)
 	base := runtime.NumGoroutine()
 	for _, workers := range []int{2, 4, 8} {
 		_, err := Run(context.Background(), cache.PaperSweep(), packedSource(t, cut),
@@ -205,7 +210,7 @@ func TestRunPartitionedCheckpointResume(t *testing.T) {
 
 	opts.ChunkRefs = 4096
 	opts.Resume = true
-	_, err = Run(context.Background(), cfgs, packedSource(t, truncateInBlock(t, data, 0)), opts)
+	_, err = Run(context.Background(), cfgs, packedSource(t, truncateInBlock(t, trace, data, 0)), opts)
 	if !errors.Is(err, simerr.ErrCorruptTrace) {
 		t.Fatalf("resume over a trace cut inside the prefix: err = %v, want ErrCorruptTrace", err)
 	}

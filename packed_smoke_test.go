@@ -2,9 +2,11 @@ package palmsim_test
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
+	"palmsim"
 	"palmsim/internal/cache"
 	"palmsim/internal/dtrace"
 	"palmsim/internal/sweep"
@@ -70,50 +72,58 @@ func TestPartitionedSweepMatchesSerialOnSessionTrace(t *testing.T) {
 	}
 }
 
-// TestIndexedSessionTraceRoundTrip: the session trace's indexed packing
-// must seek bit-identically from arbitrary ordinals — the golden
-// round-trip on real (not synthetic) data.
+// TestIndexedSessionTraceRoundTrip: session 1, replayed with access
+// kinds and tick marks as palmsim -out replays it, packs with its
+// PALMIDX1 footer and decodes through NextChunkKinded back to the
+// replay's addresses and kinds — the golden round trip on real (not
+// synthetic) data.
 func TestIndexedSessionTraceRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects and replays a session")
 	}
-	_, trace := benchSetup(t)
-	packed, err := dtrace.PackTraceIndexed(trace, nil, nil)
+	ctx := context.Background()
+	col, err := palmsim.Collect(ctx, palmsim.PaperSessions()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := dtrace.OpenIndexedBytes(packed)
+	opt := palmsim.DefaultReplayOptions()
+	opt.WithHacks, opt.CollectKinds, opt.CollectTicks = true, true, true
+	pb, err := palmsim.Replay(ctx, col.Initial, col.Log, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if it.TotalRefs() != uint64(len(trace)) {
-		t.Fatalf("index claims %d refs, trace holds %d", it.TotalRefs(), len(trace))
+	if len(pb.TraceTicks) == 0 || len(pb.TraceKinds) != len(pb.Trace) {
+		t.Fatalf("replay collected %d tick marks and %d kinds for %d refs",
+			len(pb.TraceTicks), len(pb.TraceKinds), len(pb.Trace))
 	}
-	for _, ref := range []uint64{0, 1, 4096, uint64(len(trace)) / 3, uint64(len(trace)) - 1} {
-		src, err := it.SeekRef(ref)
+	packed, err := dtrace.PackTraceIndexed(pb.Trace, pb.TraceKinds, pb.TraceTicks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := dtrace.NewPackedSource(bytes.NewReader(packed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, kinds := make([]uint32, 64<<10), make([]uint8, 64<<10)
+	i := 0
+	for {
+		n, err := src.NextChunkKinded(buf, kinds)
 		if err != nil {
-			t.Fatalf("SeekRef(%d): %v", ref, err)
+			t.Fatalf("after %d refs: %v", i, err)
 		}
-		buf := make([]uint32, 64<<10)
-		i := ref
-		for {
-			n, err := src.NextChunk(buf)
-			if err != nil {
-				t.Fatalf("SeekRef(%d): %v", ref, err)
-			}
-			if n == 0 {
-				break
-			}
-			for _, a := range buf[:n] {
-				if a != trace[i] {
-					t.Fatalf("SeekRef(%d): ref %d = %#x, want %#x", ref, i, a, trace[i])
-				}
-				i++
+		if n == 0 {
+			break
+		}
+		if i+n > len(pb.Trace) {
+			t.Fatalf("decoded more than the replay's %d refs", len(pb.Trace))
+		}
+		for j := 0; j < n; j, i = j+1, i+1 {
+			if buf[j] != pb.Trace[i] || kinds[j] != pb.TraceKinds[i] {
+				t.Fatalf("ref %d = %#x/%d, replay %#x/%d", i, buf[j], kinds[j], pb.Trace[i], pb.TraceKinds[i])
 			}
 		}
-		src.Close()
-		if i != uint64(len(trace)) {
-			t.Fatalf("SeekRef(%d): decoded to ref %d, want %d", ref, i, len(trace))
-		}
+	}
+	if i != len(pb.Trace) {
+		t.Fatalf("decoded %d refs, replay traced %d", i, len(pb.Trace))
 	}
 }
