@@ -248,13 +248,12 @@ func sweepMain(ctx context.Context, c *config) error {
 	if err != nil {
 		return obs.Usage(err)
 	}
-	var desc, fellBack string
+	desc := sweep.Describe(opts, info)
+	var fellBack string
 	if flat {
-		desc = sweep.Describe(opts, cfgs)
 		fellBack = fmt.Sprintf("%d of %d configurations", info.FallbackConfigs, len(hs))
 		c.obsFlags.Note("fallback_configs", fmt.Sprint(info.FallbackConfigs))
 	} else {
-		desc = sweep.DescribeHierarchies(opts, hs)
 		fellBack = fmt.Sprintf("%d level configurations", info.FallbackConfigs)
 		c.obsFlags.Note("hierarchy", hs[0].Content.String())
 	}
@@ -492,11 +491,6 @@ func crossValidateEngines(ctx context.Context, hs []cache.Hierarchy, newSource o
 	want, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
 		return fmt.Errorf("cross-validation sweep (%v engine): %w", other, err)
-	}
-	if os.Getenv("CACHESWEEP_FORCE_MISMATCH") != "" && len(want) > 0 {
-		// Test hook: perturb one re-run counter so the comparison must
-		// fail, exercising the mismatch exit path end to end.
-		want[0].Levels[0].Misses++
 	}
 	mismatches := 0
 	for i := range want {

@@ -2,11 +2,15 @@
 // stack and direct engines disagree must terminate with a non-zero status,
 // because CI scripts gate on it. The binary under test is this test binary
 // re-executed — TestMain dispatches to main() when CACHESWEEP_ARGS is set,
-// the standard subprocess pattern for testing os.Exit paths.
+// the standard subprocess pattern for testing os.Exit paths — except for
+// the mismatch, which a real run cannot produce: that test feeds perturbed
+// results to crossValidateEngines and its error to the run lifecycle.
 package main
 
 import (
 	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -16,8 +20,12 @@ import (
 	"strings"
 	"testing"
 
+	"palmsim/internal/cache"
 	"palmsim/internal/dtrace"
 	"palmsim/internal/obs"
+	"palmsim/internal/prof"
+	"palmsim/internal/simerr"
+	"palmsim/internal/sweep"
 )
 
 func TestMain(m *testing.M) {
@@ -56,11 +64,10 @@ func writeFile(t *testing.T, name string, data []byte) string {
 }
 
 // runCachesweep re-executes the test binary as the cachesweep command.
-func runCachesweep(t *testing.T, args string, extraEnv ...string) (string, error) {
+func runCachesweep(t *testing.T, args string) (string, error) {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
 	cmd.Env = append(os.Environ(), "CACHESWEEP_ARGS="+args)
-	cmd.Env = append(cmd.Env, extraEnv...)
 	out, err := cmd.CombinedOutput()
 	return string(out), err
 }
@@ -203,28 +210,44 @@ func TestCrossValidatePassesExitZero(t *testing.T) {
 	}
 }
 
+// TestCrossValidateMismatchExitsNonZero perturbs one counter in a real
+// flat sweep's results and hands them to crossValidateEngines, which must
+// name the diverging configuration on stdout and fail with a divergence
+// error that the run lifecycle exits ExitFailure for.
 func TestCrossValidateMismatchExitsNonZero(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess sweep in -short mode")
-	}
 	trace := writeTestTrace(t)
-	out, err := runCachesweep(t, "-trace "+trace+" -crossvalidate -workers 2",
-		"CACHESWEEP_FORCE_MISMATCH=1")
-	if err == nil {
-		t.Fatalf("mismatched engines exited zero:\n%s", out)
+	newSource := func() (sweep.Source, io.Closer, error) { return openTraceFile(trace) }
+	var hs []cache.Hierarchy
+	for _, cfg := range cache.PaperSweep() {
+		hs = append(hs, cache.Single(cfg))
 	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok {
-		t.Fatalf("subprocess did not run: %v", err)
+	ctx := context.Background()
+	opts := sweep.Options{Workers: 2}
+	got, err := runHierOnce(ctx, hs, newSource, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := ee.ExitCode(); code != 1 {
-		t.Errorf("exit code = %d, want 1", code)
+	got[3].Levels[0].Misses++
+
+	stdout := captureStdout(t, func() { err = crossValidateEngines(ctx, hs, newSource, opts, got) })
+	if !strings.Contains(stdout, "MISMATCH "+hs[3].L1().String()) {
+		t.Errorf("stdout does not name the diverging configuration %v:\n%s", hs[3].L1(), stdout)
 	}
-	if !strings.Contains(out, "MISMATCH") {
-		t.Errorf("output does not name the diverging configuration:\n%s", out)
+	if n := strings.Count(stdout, "MISMATCH"); n != 1 {
+		t.Errorf("stdout names %d mismatches, want 1:\n%s", n, stdout)
 	}
-	if !strings.Contains(out, "cross-validation FAILED") {
-		t.Errorf("output does not report the failure:\n%s", out)
+	if !errors.Is(err, simerr.ErrDivergence) || !strings.Contains(fmt.Sprint(err), "cross-validation FAILED") {
+		t.Fatalf("err = %v, want an ErrDivergence reading \"cross-validation FAILED\"", err)
+	}
+
+	// The lifecycle main runs, its flags on a fresh flag set so the test can
+	// build it more than once.
+	saved := flag.CommandLine
+	flag.CommandLine = flag.NewFlagSet("cachesweep", flag.ContinueOnError)
+	profiler, flags := prof.AddFlags(), obs.AddFlags()
+	flag.CommandLine = saved
+	if code := flags.Run("cachesweep", profiler, func() error { return err }); code != obs.ExitFailure {
+		t.Errorf("exit code = %d, want %d (ExitFailure)", code, obs.ExitFailure)
 	}
 }
 

@@ -6,10 +6,11 @@
 // differential tests: it exercises both engines through the full machine
 // (tick sync, interrupts, hacks, trap dispatch, doze skipping) on a real
 // session trace, so any accounting or ordering drift the unit streams miss
-// shows up here as a stream diff. The default engine runs twice: traced,
-// and untraced, where its inline data path (fastMem) takes RAM and flash
-// data references off the bus, so that path is checked against the bus
-// rule too.
+// shows up here as a stream diff. The default engine runs twice. Traced,
+// its inline data path (fastMem) reports every RAM and flash data
+// reference through the same trace function as the bus, so the stream
+// holds fastMem to the legacy bus reference for reference. Untraced, with
+// no hook bound, it is checked by the stats, log and final state.
 package palmsim
 
 import (

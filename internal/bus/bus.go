@@ -1,6 +1,6 @@
 // Package bus implements the memory system of the simulated Palm m515: a
 // 16 MB RAM, a 4 MB flash ROM and the Dragonball register window, with
-// reference classification and optional tracing on every access.
+// per-region reference counts and optional tracing on every access.
 //
 // The memory map mirrors the shape of the real device:
 //
@@ -39,57 +39,19 @@ const (
 	FlashCycles = 3
 )
 
-// Region classifies where an address landed.
-type Region uint8
-
-// Regions.
-const (
-	RegionRAM Region = iota
-	RegionFlash
-	RegionIO
-	RegionOpen // unmapped
-)
-
-func (r Region) String() string {
-	switch r {
-	case RegionRAM:
-		return "ram"
-	case RegionFlash:
-		return "flash"
-	case RegionIO:
-		return "io"
-	default:
-		return "open"
-	}
+// Mapped reports whether addr lies in RAM or flash, the two windows whose
+// references the paper counts and the trace keeps (I/O and open bus are
+// excluded). It is the unsigned-wrap window test Read and Write use.
+func Mapped(addr uint32) bool {
+	return addr < RAMSize || addr-ROMBase < ROMSize
 }
 
-// Classify maps an address to its region.
-func Classify(addr uint32) Region {
-	switch {
-	case addr < RAMSize:
-		return RegionRAM
-	case addr >= ROMBase && addr < ROMBase+ROMSize:
-		return RegionFlash
-	case addr >= IOBase:
-		return RegionIO
-	default:
-		return RegionOpen
-	}
-}
-
-// Ref is one memory reference as seen by the trace collector.
-type Ref struct {
-	Addr   uint32
-	Size   m68k.Size
-	Kind   m68k.Access
-	Region Region
-}
-
-// Tracer consumes the reference stream during playback. Implementations
-// must be fast; the hot path calls Ref for every CPU access.
-type Tracer interface {
-	Ref(r Ref)
-}
+// Tracer consumes the reference stream during playback: one call per
+// access, after its wait states are charged and before its effect. It must
+// be fast; the hot path calls it for every CPU access. The machine hands
+// the same function to the block engine (m68k.BlockEngine.SetTrace), so
+// code-window fetches and the engine's inline data accesses reach it too.
+type Tracer func(addr uint32, size m68k.Size, kind m68k.Access)
 
 // Device is a memory-mapped peripheral occupying the I/O window.
 type Device interface {
@@ -213,11 +175,14 @@ func (b *Bus) LoadROM(offset uint32, data []byte) error {
 	return nil
 }
 
-// Read implements m68k.Bus. It is the one implementation of the
-// per-reference rule: count the access by kind and region, charge its wait
-// states, report it to the Tracer, then perform it — so a tracer sees the
-// clock and counters that include its reference, and sees every reference
-// before its effect (device reads included).
+// Read implements m68k.Bus. It applies the per-reference rule: count the
+// access by kind and region, charge its wait states, report it to the
+// Tracer, then perform it — so a tracer sees the clock and counters that
+// include its reference, and sees every reference before its effect
+// (device reads included). Read and Write apply it for the legacy engine,
+// devices, open bus and native (TraceNative) accesses; the block engine's
+// inline data path (m68k's fastMem) applies the same rule to the spec
+// engine's RAM and flash accesses and reports through the same Tracer.
 func (b *Bus) Read(addr uint32, size m68k.Size, kind m68k.Access) uint32 {
 	b.charge(addr, size)
 	switch kind {
@@ -229,7 +194,7 @@ func (b *Bus) Read(addr uint32, size m68k.Size, kind m68k.Access) uint32 {
 		b.Stats.Writes++
 	}
 	if b.Tracer != nil {
-		b.trace(addr, size, kind)
+		b.Tracer(addr, size, kind)
 	}
 	switch {
 	case addr < RAMSize:
@@ -252,7 +217,7 @@ func (b *Bus) Write(addr uint32, size m68k.Size, v uint32) {
 	b.charge(addr, size)
 	b.Stats.Writes++
 	if b.Tracer != nil {
-		b.trace(addr, size, m68k.Write)
+		b.Tracer(addr, size, m68k.Write)
 	}
 	switch {
 	case addr < RAMSize:
@@ -271,8 +236,8 @@ func (b *Bus) Write(addr uint32, size m68k.Size, v uint32) {
 }
 
 // charge counts one access's misalignment and region and charges its wait
-// states. The region tests are Classify's, written as unsigned-wrap window
-// checks so RAM, the common case, costs one compare.
+// states. The region tests are unsigned-wrap window checks, so RAM, the
+// common case, costs one compare.
 func (b *Bus) charge(addr uint32, size m68k.Size) {
 	st := &b.Stats
 	if size != m68k.Byte && addr&1 != 0 {
@@ -292,19 +257,13 @@ func (b *Bus) charge(addr uint32, size m68k.Size) {
 	}
 }
 
-// trace reports one reference to the Tracer, out of line so the untraced
-// path pays only the nil test.
-func (b *Bus) trace(addr uint32, size m68k.Size, kind m68k.Access) {
-	b.Tracer.Ref(Ref{Addr: addr, Size: size, Kind: kind, Region: Classify(addr)})
-}
-
 // Peek reads memory without tracing, accounting or device side effects —
 // the host-side view used by snapshot export and debugging.
 func (b *Bus) Peek(addr uint32, size m68k.Size) uint32 {
-	switch Classify(addr) {
-	case RegionRAM:
+	switch {
+	case addr < RAMSize:
 		return readBE(b.RAM, addr, size)
-	case RegionFlash:
+	case addr-ROMBase < ROMSize:
 		return readBE(b.Flash, addr-ROMBase, size)
 	}
 	return 0
@@ -313,14 +272,14 @@ func (b *Bus) Peek(addr uint32, size m68k.Size) uint32 {
 // Poke writes memory without tracing or accounting. Pokes to flash are
 // allowed (this is how ROM transfer lays down the image).
 func (b *Bus) Poke(addr uint32, size m68k.Size, v uint32) {
-	switch Classify(addr) {
-	case RegionRAM:
+	switch {
+	case addr < RAMSize:
 		if b.Watch != nil {
 			b.Watch.NoteWrite(addr, size)
 		}
 		markDirty(b.ramDirty, addr, size)
 		writeBE(b.RAM, addr, size, v)
-	case RegionFlash:
+	case addr-ROMBase < ROMSize:
 		if b.Watch != nil {
 			b.Watch.BumpGeneration()
 		}

@@ -27,24 +27,27 @@ func (d *fakeDevice) WriteReg(off uint32, size m68k.Size, v uint32) {
 	d.ops++
 }
 
+// TestClassify holds Mapped to the memory map's window boundaries: RAM and
+// flash are mapped, I/O and open bus are not.
 func TestClassify(t *testing.T) {
 	cases := []struct {
 		addr uint32
-		want Region
+		want bool
 	}{
-		{0, RegionRAM},
-		{RAMSize - 1, RegionRAM},
-		{RAMSize, RegionOpen},
-		{ROMBase, RegionFlash},
-		{ROMBase + ROMSize - 1, RegionFlash},
-		{ROMBase + ROMSize, RegionOpen},
-		{IOBase, RegionIO},
-		{0xFFFFFFFF, RegionIO},
-		{0x08000000, RegionOpen},
+		{0, true},
+		{RAMSize - 1, true},
+		{RAMSize, false},
+		{ROMBase - 1, false},
+		{ROMBase, true},
+		{ROMBase + ROMSize - 1, true},
+		{ROMBase + ROMSize, false},
+		{IOBase, false},
+		{0xFFFFFFFF, false},
+		{0x08000000, false},
 	}
 	for _, c := range cases {
-		if got := Classify(c.addr); got != c.want {
-			t.Errorf("Classify(%#x) = %v, want %v", c.addr, got, c.want)
+		if got := Mapped(c.addr); got != c.want {
+			t.Errorf("Mapped(%#x) = %v, want %v", c.addr, got, c.want)
 		}
 	}
 }
@@ -151,31 +154,40 @@ func TestChargeCycles(t *testing.T) {
 	}
 }
 
-type countTracer struct{ refs []Ref }
+// tracedRef is one reference as the Tracer receives it.
+type tracedRef struct {
+	addr uint32
+	size m68k.Size
+	kind m68k.Access
+}
 
-func (c *countTracer) Ref(r Ref) { c.refs = append(c.refs, r) }
+type countTracer struct{ refs []tracedRef }
+
+func (c *countTracer) ref(addr uint32, size m68k.Size, kind m68k.Access) {
+	c.refs = append(c.refs, tracedRef{addr, size, kind})
+}
 
 func TestTracerSeesEverything(t *testing.T) {
 	b := New(nil)
 	tr := &countTracer{}
-	b.Tracer = tr
+	b.Tracer = tr.ref
 	b.Read(0x10, m68k.Word, m68k.Fetch)
 	b.Write(0x20, m68k.Byte, 7)
-	if len(tr.refs) != 2 {
+	want := []tracedRef{{0x10, m68k.Word, m68k.Fetch}, {0x20, m68k.Byte, m68k.Write}}
+	if len(tr.refs) != len(want) {
 		t.Fatalf("tracer saw %d refs", len(tr.refs))
 	}
-	if tr.refs[0].Kind != m68k.Fetch || tr.refs[1].Kind != m68k.Write {
-		t.Error("kinds wrong")
-	}
-	if tr.refs[0].Region != RegionRAM {
-		t.Error("region wrong")
+	for i := range want {
+		if tr.refs[i] != want[i] {
+			t.Errorf("ref %d = %+v, want %+v", i, tr.refs[i], want[i])
+		}
 	}
 }
 
 func TestTraceNativeSwitch(t *testing.T) {
 	b := New(nil)
 	tr := &countTracer{}
-	b.Tracer = tr
+	b.Tracer = tr.ref
 	b.TraceNative = false
 	b.WriteTraced(0x10, m68k.Byte, 1)
 	if len(tr.refs) != 0 {

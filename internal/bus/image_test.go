@@ -17,7 +17,7 @@ func TestImageReclaimRestoresZeroState(t *testing.T) {
 	b.BindCycles(&cycles)
 
 	b.Write(0x000010, m68k.Long, 0xDEADBEEF) // untraced
-	b.Tracer = nullTracer{}
+	b.Tracer = func(uint32, m68k.Size, m68k.Access) {}
 	b.Write(0x010010, m68k.Word, 0x1234) // traced
 	b.Tracer = nil
 	b.TraceNative = true
@@ -61,10 +61,6 @@ func TestImageReclaimRestoresZeroState(t *testing.T) {
 		}
 	}
 }
-
-type nullTracer struct{}
-
-func (nullTracer) Ref(Ref) {}
 
 // TestImageReclaimIsSparse pins the point of the pool: a lightly-touched
 // image reports few dirty pages, so Reclaim does proportionally little

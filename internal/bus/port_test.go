@@ -76,10 +76,10 @@ func newProbeBus(dev *fakeDevice, cycles *uint64) *Bus {
 
 // waitStates is the charge for one access at addr.
 func waitStates(addr uint32) uint64 {
-	switch Classify(addr) {
-	case RegionRAM:
+	switch {
+	case addr < RAMSize:
 		return RAMCycles
-	case RegionFlash:
+	case addr-ROMBase < ROMSize:
 		return FlashCycles
 	}
 	return 0
@@ -94,7 +94,7 @@ func TestFastPortEquivalence(t *testing.T) {
 	plain := newProbeBus(plainDev, &plainCycles)
 	traced := newProbeBus(tracedDev, &tracedCycles)
 	tr := &countTracer{}
-	traced.Tracer = tr
+	traced.Tracer = tr.ref
 
 	sched := probeSchedule()
 	for i, a := range sched {
@@ -118,13 +118,13 @@ func TestFastPortEquivalence(t *testing.T) {
 
 // refState is what a tracer can observe when a reference is reported.
 type refState struct {
-	ref    Ref
+	ref    tracedRef
 	cycles uint64 // the bound cycle counter
 	mem    uint32 // Peek at the reference's address
 	devOps int    // device register accesses so far
 }
 
-// stateTracer records the observable state at every Ref call.
+// stateTracer records the observable state at every Tracer call.
 type stateTracer struct {
 	b      *Bus
 	cycles *uint64
@@ -132,24 +132,23 @@ type stateTracer struct {
 	seen   []refState
 }
 
-func (s *stateTracer) Ref(r Ref) {
-	s.seen = append(s.seen, refState{r, *s.cycles, s.b.Peek(r.Addr, r.Size), s.dev.ops})
+func (s *stateTracer) ref(addr uint32, size m68k.Size, kind m68k.Access) {
+	s.seen = append(s.seen, refState{tracedRef{addr, size, kind}, *s.cycles, s.b.Peek(addr, size), s.dev.ops})
 }
 
-// TestTracedPortEquivalence: the tracer sees exactly one Ref per access,
-// carrying its address, size, kind and Classify's region, with the
-// access's wait states already charged and before its effect on memory or
-// the device.
+// TestTracedPortEquivalence: the tracer is called exactly once per access,
+// with its address, size and kind, with the access's wait states already
+// charged and before its effect on memory or the device.
 func TestTracedPortEquivalence(t *testing.T) {
 	var cycles uint64
 	dev := &fakeDevice{readVal: 0x5A}
 	b := newProbeBus(dev, &cycles)
 	tr := &stateTracer{b: b, cycles: &cycles, dev: dev}
-	b.Tracer = tr
+	b.Tracer = tr.ref
 
 	for i, a := range probeSchedule() {
 		want := refState{
-			ref:    Ref{Addr: a.addr, Size: a.size, Kind: a.kind, Region: Classify(a.addr)},
+			ref:    tracedRef{a.addr, a.size, a.kind},
 			cycles: cycles + waitStates(a.addr),
 			mem:    b.Peek(a.addr, a.size),
 			devOps: dev.ops,

@@ -342,8 +342,8 @@ func (c *Cache) Result() Result { return c.res }
 
 // Access performs one reference. It returns true on a hit.
 func (c *Cache) Access(addr uint32) bool {
-	// Unsigned-wrap window test, equivalent to Classify == RegionFlash
-	// (the RAM region and the ROM window are disjoint).
+	// The bus's unsigned-wrap flash window test (the RAM region and the
+	// ROM window are disjoint).
 	isFlash := addr-bus.ROMBase < bus.ROMSize
 	c.res.Accesses++
 	if isFlash {

@@ -10,10 +10,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
+	"palmsim/internal/alloctest"
 	"palmsim/internal/simerr"
 )
 
@@ -275,24 +275,6 @@ const (
 	allocFixed   = 64<<10 + 4<<10
 )
 
-// allocated returns the bytes the heap handed out while f ran.
-func allocated(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
-}
-
-// checkAllocs fails t when a decoder allocated more than the bound for
-// an input of len(data) bytes.
-func checkAllocs(t *testing.T, decoder string, data []byte, alloc uint64) {
-	t.Helper()
-	if limit := uint64(allocPerByte*len(data) + allocFixed); alloc > limit {
-		t.Errorf("%s allocated %d bytes for a %d-byte input, limit %d", decoder, alloc, len(data), limit)
-	}
-}
-
 // stream opens data as a PackedSource and reads it to its end through
 // NextChunk, or through NextChunkKinded when kinds is non-nil, returning
 // how many references it read.
@@ -331,11 +313,11 @@ func TestPackedHostileHeaders(t *testing.T) {
 			{"NextChunkKinded", func() error { _, err := stream(tc.data, buf, kinds); return err }},
 		} {
 			var err error
-			alloc := allocated(func() { err = d.run() })
+			alloc := alloctest.Allocated(func() { err = d.run() })
 			if !errors.Is(err, simerr.ErrCorruptTrace) {
 				t.Errorf("%s: %s: err = %v, want ErrCorruptTrace", tc.name, d.name, err)
 			}
-			checkAllocs(t, tc.name+": "+d.name, tc.data, alloc)
+			alloctest.CheckAllocs(t, tc.name+": "+d.name, len(tc.data), alloc, allocPerByte, allocFixed)
 		}
 	}
 }
@@ -417,12 +399,14 @@ func FuzzUnpackTrace(f *testing.F) {
 		var gotAddrs []uint32
 		var gotKinds []uint8
 		var err error
-		checkAllocs(t, "UnpackTrace", data, allocated(func() { gotAddrs, gotKinds, err = UnpackTrace(data) }))
+		alloc := alloctest.Allocated(func() { gotAddrs, gotKinds, err = UnpackTrace(data) })
+		alloctest.CheckAllocs(t, "UnpackTrace", len(data), alloc, allocPerByte, allocFixed)
 
 		// The streaming decoder must agree with the one-shot decoder.
 		var streamed int
 		var serr error
-		checkAllocs(t, "PackedSource", data, allocated(func() { streamed, serr = stream(data, buf, nil) }))
+		alloc = alloctest.Allocated(func() { streamed, serr = stream(data, buf, nil) })
+		alloctest.CheckAllocs(t, "PackedSource", len(data), alloc, allocPerByte, allocFixed)
 		if serr != nil {
 			if err == nil {
 				t.Fatalf("UnpackTrace accepted what PackedSource rejected: %v", serr)

@@ -148,9 +148,6 @@ func New(opts Options) (*Machine, error) {
 	if opts.Dispatch != m68k.DispatchLegacy {
 		m.engine = m68k.NewBlockEngine(m.CPU, m.Bus.BlockBinding(m.HW.WakeRef()))
 		m.Bus.Watch = m.engine
-		// No tracer yet (SetTracer re-decides), so the inline data path
-		// is safe to enable from the start.
-		m.engine.SetFastData(true)
 	}
 
 	if err := m.Bus.LoadROM(0, img.Data); err != nil {
@@ -235,21 +232,14 @@ func (m *Machine) Schedule(tick uint32, ev hw.InputEvent) error {
 	return nil
 }
 
-// SetTracer attaches (or detaches, with nil) a reference tracer. With the
-// block engine active it also re-decides the engine's fast paths: tracing
-// disables the inline data path (it emits no Ref events) and routes
-// code-window fetches to the tracer so the reference stream stays complete.
+// SetTracer attaches (or detaches, with nil) a reference tracer. The same
+// function goes to the bus and, with the block engine active, to the
+// engine, whose code-window fetches and inline data accesses report
+// through it, so the reference stream is complete on either path.
 func (m *Machine) SetTracer(t bus.Tracer) {
 	m.Bus.Tracer = t
 	if m.engine != nil {
-		m.engine.SetFastData(t == nil)
-		if t == nil {
-			m.engine.SetFetchTrace(nil)
-		} else {
-			m.engine.SetFetchTrace(func(addr uint32, size m68k.Size) {
-				t.Ref(bus.Ref{Addr: addr, Size: size, Kind: m68k.Fetch, Region: bus.Classify(addr)})
-			})
-		}
+		m.engine.SetTrace(t)
 	}
 }
 

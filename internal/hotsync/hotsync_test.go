@@ -1,10 +1,14 @@
 package hotsync
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
+	"palmsim/internal/alloctest"
 	"palmsim/internal/emu"
 	"palmsim/internal/palmos"
 	"palmsim/internal/pdb"
@@ -122,9 +126,41 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// Unmarshal may allocate at most allocPerByte·len(input) + allocFixed
+// bytes: pdb.Parse's bound, since one database of 65,535 empty records
+// costs up to 24.9 bytes per input byte. States of many small databases
+// cost under 6; hostile headers cost under 200 bytes.
+const (
+	allocPerByte = 32
+	allocFixed   = 1 << 10
+)
+
+// TestHotsyncHostileHeaders: Unmarshal rejects each hostile header as
+// corrupt state, allocating in proportion to the input, never to what
+// the header declares.
+func TestHotsyncHostileHeaders(t *testing.T) {
+	header := binary.BigEndian.AppendUint32(magic[:], 777) // RTC base
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^32-1 databases", binary.BigEndian.AppendUint32(bytes.Clone(header), math.MaxUint32)},
+		{"database length of 2^32-1",
+			binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(bytes.Clone(header), 1), math.MaxUint32)},
+	} {
+		var err error
+		alloc := alloctest.Allocated(func() { _, err = Unmarshal(tc.data) })
+		if !errors.Is(err, simerr.ErrCorruptState) {
+			t.Errorf("%s: err = %v, want ErrCorruptState", tc.name, err)
+		}
+		alloctest.CheckAllocs(t, tc.name, len(tc.data), alloc, allocPerByte, allocFixed)
+	}
+}
+
 // FuzzHotsyncUnmarshal feeds arbitrary bytes to Unmarshal: it must never
-// panic, every rejection must be ErrCorruptState, and an accepted state
-// must survive Marshal and Unmarshal unchanged.
+// panic or exceed the allocation bound, every rejection must be
+// ErrCorruptState, and an accepted state must survive Marshal and
+// Unmarshal unchanged.
 func FuzzHotsyncUnmarshal(f *testing.F) {
 	st := &State{
 		RTCBase: 777,
@@ -140,7 +176,10 @@ func FuzzHotsyncUnmarshal(f *testing.F) {
 	f.Add(data[:len(data)-1])
 	f.Add(append(append([]byte(nil), data...), 1, 2, 3))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Unmarshal(data)
+		var st *State
+		var err error
+		alloc := alloctest.Allocated(func() { st, err = Unmarshal(data) })
+		alloctest.CheckAllocs(t, "Unmarshal", len(data), alloc, allocPerByte, allocFixed)
 		if err != nil {
 			if !errors.Is(err, simerr.ErrCorruptState) {
 				t.Fatalf("rejection is not ErrCorruptState: %v", err)

@@ -287,26 +287,16 @@ func NewBlockEngine(c *CPU, bind BlockBinding) *BlockEngine {
 			dirty:   r.Dirty,
 		})
 	}
+	c.fast = &e.fm
 	return e
 }
 
-// SetFastData enables (true) or disables (false) the inline data path that
-// serves RAM/flash reads and writes without the bus interface call. It must
-// be disabled whenever a tracer is attached: the inline path keeps counters
-// exact but emits no Ref events.
-func (e *BlockEngine) SetFastData(on bool) {
-	if on {
-		e.c.fast = &e.fm
-	} else {
-		e.c.fast = nil
-	}
-}
-
-// SetFetchTrace installs the tracer call for code-window fetches (nil
-// detaches). The machine passes a closure that forwards to the bus Tracer
-// so window fetches appear in the reference stream exactly where the
-// interpreter's bus fetches would.
-func (e *BlockEngine) SetFetchTrace(f func(addr uint32, size Size)) {
+// SetTrace installs the reference hook (nil detaches): it receives every
+// RAM and flash reference the engine serves itself — code-window fetches
+// and fastMem's data accesses — exactly where the bus would report them.
+// The machine passes the bus's Tracer, so one function sees the whole
+// stream.
+func (e *BlockEngine) SetTrace(f func(addr uint32, size Size, kind Access)) {
 	e.c.fTrace = f
 }
 
@@ -516,53 +506,30 @@ func (e *BlockEngine) execSpec(b *block, limit uint64) {
 		// exact per instruction.
 		var n, gn uint64
 		broke := false
-		if fTrace == nil && opCount == nil && onExec == nil {
-			// Hook-free fast loop: the common replay configuration. Kept in
-			// lockstep with the hooked loop below; only the per-op hook
-			// checks and counter increments differ.
-			for i := range b.sops {
-				s := &b.sops[i]
-				c.PC = s.npc
-				c.Cycles += cost
-				if s.gad != 0 {
-					gn++
-				}
-				s.fn(c, s)
-				if c.Cycles >= limit || e.stop || *wake != 0 {
-					n = uint64(i) + 1
-					broke = true
-					break
-				}
+		// Same order as execOne: the opcode fetch (and its accounting,
+		// fetchRef inlined by hand) precedes the observation hooks, which
+		// precede the handler.
+		for i := range b.sops {
+			s := &b.sops[i]
+			c.PC = s.npc
+			c.Cycles += cost
+			n++
+			if fTrace != nil {
+				fTrace(s.pc, Word, Fetch)
 			}
-			if !broke {
-				n = uint64(len(b.sops))
+			if opCount != nil {
+				opCount[s.op]++
 			}
-		} else {
-			// Same order as execOne: the opcode fetch (and its accounting,
-			// fetchRef inlined by hand) precedes the observation hooks,
-			// which precede the handler.
-			for i := range b.sops {
-				s := &b.sops[i]
-				c.PC = s.npc
-				c.Cycles += cost
-				n++
-				if fTrace != nil {
-					fTrace(s.pc, Word)
-				}
-				if opCount != nil {
-					opCount[s.op]++
-				}
-				if onExec != nil {
-					onExec(s.pc, s.op)
-				}
-				if s.gad != 0 {
-					gn++
-				}
-				s.fn(c, s)
-				if c.Cycles >= limit || e.stop || *wake != 0 {
-					broke = true
-					break
-				}
+			if onExec != nil {
+				onExec(s.pc, s.op)
+			}
+			if s.gad != 0 {
+				gn++
+			}
+			s.fn(c, s)
+			if c.Cycles >= limit || e.stop || *wake != 0 {
+				broke = true
+				break
 			}
 		}
 		c.Instructions += n
@@ -632,11 +599,11 @@ func (e *BlockEngine) RunUntil(limit uint64) {
 
 // fastRegion / fastMem implement the inline data path: the semantics of
 // bus.Bus.Read/Write for directly addressable regions without the
-// interface call, used only while tracing is off. Accounting and edge
-// cases mirror the bus exactly: the odd-access, kind and region counters
-// and the wait states, then the access effect; accesses crossing the end
-// of a region's array are discarded whole, exactly like the bus
-// readBE/writeBE clamp.
+// interface call, traced or not. Accounting and edge cases mirror the bus
+// exactly: the odd-access, kind and region counters and the wait states,
+// then the reference hook (CPU.fTrace), then the access effect; accesses
+// crossing the end of a region's array are discarded whole, exactly like
+// the bus readBE/writeBE clamp.
 type fastRegion struct {
 	base    uint32
 	mem     []byte
@@ -683,6 +650,9 @@ func (f *fastMem) read(c *CPU, addr uint32, size Size, kind Access) (uint32, boo
 		}
 		*r.refs++
 		c.Cycles += r.cost
+		if c.fTrace != nil {
+			c.fTrace(addr, size, kind)
+		}
 		return beRead(r.mem, off, size), true
 	}
 	return 0, false
@@ -701,6 +671,9 @@ func (f *fastMem) write(c *CPU, addr uint32, size Size, v uint32) bool {
 		*f.writes++
 		*r.refs++
 		c.Cycles += r.cost
+		if c.fTrace != nil {
+			c.fTrace(addr, size, Write)
+		}
 		if r.ro {
 			*r.roWr++
 			return true

@@ -2,17 +2,18 @@ package m68k
 
 // testBus is a flat 1 MiB big-endian RAM used by the CPU unit tests.
 // Addresses wrap at the RAM size so vector-table accesses at 0 and
-// high-address stack pushes both land in the array.
+// high-address stack pushes both land in the array. Like a region of the
+// real bus (bus.readBE/writeBE) and the spec engine's fastMem, it discards
+// an access that straddles the top of the RAM whole: the read returns 0
+// and the write changes nothing.
 type testBus struct {
 	mem      [1 << 20]byte
 	accesses []busAccess
 	record   bool
 
-	// onWrite, when non-nil, observes every mutated byte (wrapped
-	// address) — the hook the block-engine tests use to invalidate cached
-	// translations. Per-byte because writes wrap around the RAM size: a
-	// word write at the top of memory mutates address 0 too, and a block
-	// cached there must see it.
+	// onWrite, when non-nil, observes every bus write (wrapped address)
+	// — the hook the block-engine tests use to invalidate cached
+	// translations.
 	onWrite func(addr uint32, size Size)
 }
 
@@ -24,18 +25,26 @@ type busAccess struct {
 
 const testBusMask = 1<<20 - 1
 
+// straddles reports whether an access at the wrapped address a runs past
+// the top of the RAM.
+func straddles(a uint32, size Size) bool { return a+uint32(size) > testBusMask+1 }
+
 func (b *testBus) Read(addr uint32, size Size, kind Access) uint32 {
 	if b.record {
 		b.accesses = append(b.accesses, busAccess{addr, size, kind})
 	}
+	a := addr & testBusMask
+	if straddles(a, size) {
+		return 0
+	}
 	switch size {
 	case Byte:
-		return uint32(b.mem[addr&testBusMask])
+		return uint32(b.mem[a])
 	case Word:
-		return uint32(b.mem[addr&testBusMask])<<8 | uint32(b.mem[(addr+1)&testBusMask])
+		return uint32(b.mem[a])<<8 | uint32(b.mem[a+1])
 	default:
-		return uint32(b.mem[addr&testBusMask])<<24 | uint32(b.mem[(addr+1)&testBusMask])<<16 |
-			uint32(b.mem[(addr+2)&testBusMask])<<8 | uint32(b.mem[(addr+3)&testBusMask])
+		return uint32(b.mem[a])<<24 | uint32(b.mem[a+1])<<16 |
+			uint32(b.mem[a+2])<<8 | uint32(b.mem[a+3])
 	}
 }
 
@@ -43,22 +52,24 @@ func (b *testBus) Write(addr uint32, size Size, v uint32) {
 	if b.record {
 		b.accesses = append(b.accesses, busAccess{addr, size, Write})
 	}
+	a := addr & testBusMask
 	if b.onWrite != nil {
-		for i := uint32(0); i < uint32(size); i++ {
-			b.onWrite((addr+i)&testBusMask, Byte)
-		}
+		b.onWrite(a, size)
+	}
+	if straddles(a, size) {
+		return
 	}
 	switch size {
 	case Byte:
-		b.mem[addr&testBusMask] = byte(v)
+		b.mem[a] = byte(v)
 	case Word:
-		b.mem[addr&testBusMask] = byte(v >> 8)
-		b.mem[(addr+1)&testBusMask] = byte(v)
+		b.mem[a] = byte(v >> 8)
+		b.mem[a+1] = byte(v)
 	default:
-		b.mem[addr&testBusMask] = byte(v >> 24)
-		b.mem[(addr+1)&testBusMask] = byte(v >> 16)
-		b.mem[(addr+2)&testBusMask] = byte(v >> 8)
-		b.mem[(addr+3)&testBusMask] = byte(v)
+		b.mem[a] = byte(v >> 24)
+		b.mem[a+1] = byte(v >> 16)
+		b.mem[a+2] = byte(v >> 8)
+		b.mem[a+3] = byte(v)
 	}
 }
 

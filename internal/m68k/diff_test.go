@@ -54,17 +54,19 @@ func diffPairOn(buses [2]*testBus, words []uint16, seed int64) ([2]*CPU, *BlockE
 }
 
 // newTestEngine binds a block engine to a testBus CPU: the whole test RAM
-// is one watched zero-wait-state region, writes invalidate through the
-// per-byte onWrite hook, and code-window fetches append to the access
-// recording exactly like bus fetches do.
+// is one watched zero-wait-state region, bus writes invalidate through the
+// onWrite hook, and every reference the engine serves itself (code-window
+// fetches and fastMem's data accesses) reaches the access recording
+// through the trace hook, exactly where a bus access would append it. So
+// the recording holds fastMem to the legacy bus access for access.
 func newTestEngine(c *CPU, b *testBus) *BlockEngine {
 	eng := NewBlockEngine(c, BlockBinding{
 		Regions: []BlockRegion{{Base: 0, Mem: b.mem[:], Watched: true}},
 	})
 	b.onWrite = eng.NoteWrite
-	eng.SetFetchTrace(func(addr uint32, size Size) {
+	eng.SetTrace(func(addr uint32, size Size, kind Access) {
 		if b.record {
-			b.accesses = append(b.accesses, busAccess{addr, size, Fetch})
+			b.accesses = append(b.accesses, busAccess{addr, size, kind})
 		}
 	})
 	return eng
@@ -199,6 +201,44 @@ func TestDifferentialRandomStreams(t *testing.T) {
 	}
 }
 
+// TestDifferentialStraddleTopOfRAM makes word and long reads and writes
+// that straddle the top of the test RAM, where the spec engine's fastMem
+// discards the access whole (as bus.readBE/writeBE do), and holds it to the
+// legacy bus in lockstep. Reading back the bytes the writes would have
+// wrapped onto, and comparing the final memories, shows any write that was
+// not discarded.
+func TestDifferentialStraddleTopOfRAM(t *testing.T) {
+	top := uint32(len(testBus{}.mem))
+	words := []uint16{
+		0x207C, uint16((top - 2) >> 16), uint16(top - 2), // MOVEA.L #top-2,A0
+		0x2010,         // MOVE.L (A0),D0: long read across the top
+		0x3228, 0x0001, // MOVE.W 1(A0),D1: word read across the top
+		0x2082,         // MOVE.L D2,(A0): long write across the top
+		0x3143, 0x0001, // MOVE.W D3,1(A0): word write across the top
+		0x23C7, uint16((top - 1) >> 16), uint16(top - 1), // MOVE.L D7,top-1.L
+		0x2828, 0xFFFE, // MOVE.L -2(A0),D4: the top four bytes back
+		0x2A38, 0x0000, // MOVE.L $0.W,D5: the bytes a wrap would hit
+		0x2C39, uint16((top - 3) >> 16), uint16(top - 3), // MOVE.L top-3.L,D6
+	}
+	cpus, buses, eng := diffPair(words, 1)
+	for _, b := range buses {
+		copy(b.mem[top-4:], []byte{0x11, 0x22, 0x33, 0x44})
+	}
+	lockstepCompare(t, cpus, buses, eng, 9)
+	if cpus[1].PC != testCodeBase+2*uint32(len(words)) {
+		t.Fatalf("spec engine stopped at PC=%#x before the end of the row", cpus[1].PC)
+	}
+	if got := cpus[1].D[4]; got != 0x11223344 {
+		t.Errorf("D4 = %#x after straddling writes, want 0x11223344 (top bytes unchanged)", got)
+	}
+	if d := cpus[1].D; d[0] != 0 || uint16(d[1]) != 0 || d[6] != 0 {
+		t.Errorf("straddling reads loaded D0=%#x D1.W=%#x D6=%#x, want 0", d[0], uint16(d[1]), d[6])
+	}
+	if buses[0].mem != buses[1].mem {
+		t.Error("memory diverged after straddling writes")
+	}
+}
+
 // blockSafeStream assembles a random instruction stream dominated by
 // block-translatable opcodes — dense straight-line runs with occasional
 // short branches — so translated multi-instruction blocks, not fallback
@@ -274,13 +314,12 @@ func TestDifferentialSpecNoChain(t *testing.T) {
 	}
 }
 
-// TestDifferentialSpecFastLoop runs the spec engine with no fetch-trace,
-// opcode-count or exec hooks bound — the configuration execSpec's
-// hook-free fast loop serves, and the one benchmarks and untraced
-// replays measure — comparing architectural state, cycle and instruction
-// counts against the legacy interpreter at cycle milestones. The
-// recording variants above cannot reach that loop: binding the fetch
-// tracer routes execution through the hooked twin.
+// TestDifferentialSpecFastLoop runs the spec engine with no trace,
+// opcode-count or exec hooks bound — the configuration benchmarks and
+// untraced replays measure, where execSpec skips every hook — comparing
+// architectural state, cycle and instruction counts against the legacy
+// interpreter at cycle milestones. The recording variants above always
+// bind the trace hook.
 func TestDifferentialSpecFastLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050408))
 	for trial := 0; trial < 50; trial++ {

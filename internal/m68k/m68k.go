@@ -195,11 +195,15 @@ type CPU struct {
 	fetchCost uint64  // cycles per fetch reference in the active window
 	fetchRefs *uint64 // region reference counter for window fetches
 	fetchKind *uint64 // bus fetch-kind counter
-	fTrace    func(addr uint32, size Size)
 
-	// fast, when non-nil, short-circuits RAM and flash data accesses
-	// without the bus interface call (untraced block dispatch only); other
-	// regions fall through to the bus.
+	// fTrace, when non-nil, receives every reference the block engine
+	// serves without the bus: code-window fetches and fast data accesses
+	// (BlockEngine.SetTrace).
+	fTrace func(addr uint32, size Size, kind Access)
+
+	// fast, bound by NewBlockEngine, short-circuits RAM and flash data
+	// accesses without the bus interface call; other regions fall through
+	// to the bus. Nil on a CPU without a block engine.
 	fast *fastMem
 }
 
@@ -342,7 +346,7 @@ func (c *CPU) fetchRef(addr uint32, size Size) {
 	*c.fetchRefs++
 	*c.fetchKind++
 	if c.fTrace != nil {
-		c.fTrace(addr, size)
+		c.fTrace(addr, size, Fetch)
 	}
 }
 
@@ -357,7 +361,7 @@ func (c *CPU) fetch16() uint16 {
 		*c.fetchRefs++
 		*c.fetchKind++
 		if c.fTrace != nil {
-			c.fTrace(c.PC, Word)
+			c.fTrace(c.PC, Word, Fetch)
 		}
 		c.PC += 2
 		return v
@@ -375,7 +379,7 @@ func (c *CPU) fetch32() uint32 {
 		*c.fetchRefs++
 		*c.fetchKind++
 		if c.fTrace != nil {
-			c.fTrace(c.PC, Long)
+			c.fTrace(c.PC, Long, Fetch)
 		}
 		c.PC += 4
 		return v

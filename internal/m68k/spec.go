@@ -20,10 +20,11 @@
 // state AND bus streams. Every extension-word fetch the interpreter would
 // perform is replayed via CPU.fetchRef at the same program point, in the
 // same order relative to data accesses and with the same size; data
-// accesses go through CPU.read/write so both the inline fast path and the
-// traced bus observe them; flag updates either call the exact shared
-// helpers (addFlags/subFlags/cmpFlags/shiftValue) or fuse the setNZ
-// pattern with precomputed mask/msb constants. Anything without a
+// accesses go through CPU.read/write, so fastMem (the bus, outside RAM and
+// flash) counts and traces them as it does the interpreter's; flag
+// updates either call the exact shared helpers
+// (addFlags/subFlags/cmpFlags/shiftValue) or fuse the setNZ pattern with
+// precomputed mask/msb constants. Anything without a
 // specialized form — or using an index addressing mode, whose extension
 // word names a runtime register — executes through a generic adapter that
 // runs the legacy interpreter's dispatch with PC positioned exactly as
@@ -156,12 +157,12 @@ func (a *specEA) calc(c *CPU) uint32 {
 // legacy dispatch runs with the CPU positioned exactly as CPU.Step would
 // have it.
 //
-// Field order is deliberate: everything the hook-free exec loop and the
-// specialized handlers touch per instruction (fn, operands, npc, flag
-// constants, size, rn/x, the adapter flag and the cycle charge) packs
-// into the first 64 bytes — one cache line per op — while pc/op, which
-// only the hook loop and the rare generic adapters read, sit in the cold
-// tail. Branch handlers that replay their displacement-word fetch take
+// Field order is deliberate: everything the exec loop and the specialized
+// handlers touch per instruction when no hook is bound (fn, operands,
+// npc, flag constants, size, rn/x, the adapter flag and the cycle charge)
+// packs into the first 64 bytes — one cache line per op — while pc/op,
+// which only the trace, opcode-count and exec hooks and the rare generic
+// adapters read, sit in the cold tail. Branch handlers that replay their displacement-word fetch take
 // the address from src.faddr (src is otherwise unused there) so they stay
 // on the hot line too.
 type specOp struct {

@@ -3,11 +3,13 @@ package pdb
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"palmsim/internal/alloctest"
 	"palmsim/internal/simerr"
 )
 
@@ -96,17 +98,55 @@ func withOffset0(off uint32) []byte {
 	return img
 }
 
-// FuzzPDBParse feeds arbitrary bytes to Parse: it must never panic, every
-// rejection must be ErrCorruptState, every record of an accepted image
-// must start at or after the end of the record index, and an accepted
-// database must survive Serialize and Parse unchanged.
+// Parse may allocate at most allocPerByte·len(input) + allocFixed bytes.
+// Valid images of 65,535 empty records cost up to 24.9 bytes per input
+// byte (eight index bytes buy a 32-byte Record, and the record slice
+// grows by doubling); hostile headers cost under 300 bytes.
+const (
+	allocPerByte = 32
+	allocFixed   = 1 << 10
+)
+
+// TestPDBHostileHeaders: Parse rejects each hostile header as corrupt
+// state, allocating in proportion to the input, never to what the header
+// declares.
+func TestPDBHostileHeaders(t *testing.T) {
+	noIndex := make([]byte, headerLen)
+	binary.BigEndian.PutUint16(noIndex[76:], math.MaxUint16)
+	farRecord := make([]byte, headerLen+8+16)
+	binary.BigEndian.PutUint16(farRecord[76:], 1)
+	binary.BigEndian.PutUint32(farRecord[headerLen:], math.MaxUint32)
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"65,535 records with no index bytes", noIndex},
+		{"record offset of 2^32-1", farRecord},
+	} {
+		var err error
+		alloc := alloctest.Allocated(func() { _, err = Parse(tc.data) })
+		if !errors.Is(err, simerr.ErrCorruptState) {
+			t.Errorf("%s: err = %v, want ErrCorruptState", tc.name, err)
+		}
+		alloctest.CheckAllocs(t, tc.name, len(tc.data), alloc, allocPerByte, allocFixed)
+	}
+}
+
+// FuzzPDBParse feeds arbitrary bytes to Parse: it must never panic or
+// exceed the allocation bound, every rejection must be ErrCorruptState,
+// every record of an accepted image must start at or after the end of
+// the record index, and an accepted database must survive Serialize and
+// Parse unchanged.
 func FuzzPDBParse(f *testing.F) {
 	f.Add(sample().Serialize())
 	for _, img := range garbageImages() {
 		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		db, err := Parse(data)
+		var db *Database
+		var err error
+		alloc := alloctest.Allocated(func() { db, err = Parse(data) })
+		alloctest.CheckAllocs(t, "Parse", len(data), alloc, allocPerByte, allocFixed)
 		if err != nil {
 			if !errors.Is(err, simerr.ErrCorruptState) {
 				t.Fatalf("rejection is not ErrCorruptState: %v", err)

@@ -271,17 +271,19 @@ type traceSink struct {
 	mark     bool
 }
 
-func (t *traceSink) Ref(r bus.Ref) {
-	if r.Region == bus.RegionRAM || r.Region == bus.RegionFlash {
+// ref is the machine's bus.Tracer: it keeps the RAM and flash references
+// (bus.Mapped).
+func (t *traceSink) ref(addr uint32, _ m68k.Size, kind m68k.Access) {
+	if bus.Mapped(addr) {
 		if t.mark {
 			if tk := t.m.Ticks(); tk != t.lastTick || len(t.marks) == 0 {
 				t.marks = append(t.marks, dtrace.TickMark{Ref: uint64(len(t.buf)), Tick: uint64(tk)})
 				t.lastTick = tk
 			}
 		}
-		t.buf = append(t.buf, r.Addr)
+		t.buf = append(t.buf, addr)
 		if t.want {
-			t.kinds = append(t.kinds, uint8(r.Kind))
+			t.kinds = append(t.kinds, uint8(kind))
 		}
 	}
 }
@@ -332,7 +334,7 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 	if opt.CollectTrace || opt.CollectKinds || opt.CollectTicks {
 		sink = &traceSink{want: opt.CollectKinds, m: m, mark: opt.CollectTicks}
 		if opt.SeekTick == 0 {
-			m.SetTracer(sink)
+			m.SetTracer(sink.ref)
 		}
 	}
 	var end uint32
@@ -358,7 +360,7 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 		if err := m.RunUntilTick(opt.SeekTick); err != nil {
 			return nil, err
 		}
-		m.SetTracer(sink)
+		m.SetTracer(sink.ref)
 	}
 	if err := m.RunUntilTick(end + settleTicks); err != nil {
 		return nil, err

@@ -10,10 +10,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"palmsim/internal/alloctest"
 	"palmsim/internal/cache"
 	"palmsim/internal/cache/opt"
 	"palmsim/internal/dtrace"
@@ -640,14 +642,75 @@ func TestSidecarFormatPinned(t *testing.T) {
 	}
 }
 
+// load may allocate at most loadAllocPerByte·len(sidecar) +
+// loadAllocFixed bytes: the sidecar is read whole, and the units it
+// restores are allocated by the plan, not by load. A valid 926-byte
+// sidecar of every unit kind costs 2,552 bytes, and an 8-byte file about
+// 1,000 (the read buffer's 512-byte floor and the error).
+const (
+	loadAllocPerByte = 2
+	loadAllocFixed   = 4 << 10
+)
+
+// loadAllocs runs ck.load (twice, through alloctest.Allocated) and fails
+// t when it allocated more than the bound for a sidecar of n bytes.
+func loadAllocs(t *testing.T, what string, ck *checkpointer, n int) error {
+	t.Helper()
+	var err error
+	alloc := alloctest.Allocated(func() { _, _, err = ck.load() })
+	alloctest.CheckAllocs(t, what+": load", n, alloc, loadAllocPerByte, loadAllocFixed)
+	return err
+}
+
+// sealSidecar appends the FNV-1a checksum that load verifies first, so a
+// patched body reaches the header and unit decoders.
+func sealSidecar(body []byte) []byte {
+	sum := fnv.New64a()
+	sum.Write(body)
+	return binary.LittleEndian.AppendUint64(body, sum.Sum64())
+}
+
+// TestCheckpointHostileHeaders: load rejects each hostile PALMCKP2 header
+// as a bad checkpoint, allocating in proportion to the sidecar, never to
+// what the header declares.
+func TestCheckpointHostileHeaders(t *testing.T) {
+	base := partialSidecar(t)
+	body := base[:len(base)-8]
+	patched := func(off int) []byte {
+		b := bytes.Clone(body)
+		binary.LittleEndian.PutUint32(b[off:], math.MaxUint32)
+		return sealSidecar(b)
+	}
+	units := len(checkpointMagic) + 8 + 8 // after the hash and the reference count
+	path := filepath.Join(t.TempDir(), "hostile.ckpt")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"2^32-1 units", patched(units)},
+		{"unit blob length of 2^32-1", patched(units + 4)},
+	} {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := newCheckpointer(path, 1, everyUnitKind(t, nil), everyUnitKindHash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := loadAllocs(t, tc.name, ck, len(tc.data)); !errors.Is(err, simerr.ErrBadCheckpoint) {
+			t.Errorf("%s: err = %v, want ErrBadCheckpoint", tc.name, err)
+		}
+	}
+}
+
 // FuzzCheckpointLoad hands sidecar bodies, each sealed with a fresh
 // checksum so it gets past the checksum to the unit decoders, to the
 // checkpointer of a plan holding every unit kind. A body is a real
 // partial sweep's sidecar with cut bytes at offset at replaced by patch:
 // small inputs then reach every field, keeping minimization cheap, and
 // a large cut makes patch the whole body. load must accept or fail with
-// ErrBadCheckpoint, never panic; an accepted sidecar must save, load
-// again and save the same bytes.
+// ErrBadCheckpoint, never panic or exceed the allocation bound; an
+// accepted sidecar must save, load again and save the same bytes.
 func FuzzCheckpointLoad(f *testing.F) {
 	seed := partialSidecar(f)
 	base := seed[:len(seed)-8]
@@ -658,9 +721,8 @@ func FuzzCheckpointLoad(f *testing.F) {
 		lo := min(int(at), len(base))
 		hi := min(lo+int(cut), len(base))
 		body := append(append(append([]byte(nil), base[:lo]...), patch...), base[hi:]...)
-		sum := fnv.New64a()
-		sum.Write(body)
-		if err := os.WriteFile(path, binary.LittleEndian.AppendUint64(body, sum.Sum64()), 0o644); err != nil {
+		sealed := sealSidecar(body)
+		if err := os.WriteFile(path, sealed, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		loadSave := func() ([]byte, error) {
@@ -668,7 +730,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := ck.load(); err != nil {
+			if err := loadAllocs(t, "fuzzed sidecar", ck, len(sealed)); err != nil {
 				return nil, err
 			}
 			if err := ck.save(); err != nil {

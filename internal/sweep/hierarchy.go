@@ -286,12 +286,3 @@ func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts 
 	registerResults(opts.Obs, results)
 	return results, nil
 }
-
-// DescribeHierarchies renders the hierarchy plan for logs and CLIs.
-func DescribeHierarchies(opts Options, hs []cache.Hierarchy) string {
-	info, err := PlanHierarchies(opts, hs)
-	if err != nil {
-		return fmt.Sprintf("%s engine (invalid hierarchy set: %v)", opts.engine(), err)
-	}
-	return describe(opts, info, fmt.Sprintf("%d hierarchies, max %d levels", info.Configs, info.MaxLevels))
-}

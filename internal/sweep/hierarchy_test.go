@@ -232,10 +232,10 @@ func TestPlanHierarchies(t *testing.T) {
 		t.Errorf("direct plan: groups %d fused %d, want 0/4", dinfo.SharedL1Groups, dinfo.FusedHierarchies)
 	}
 
-	s := DescribeHierarchies(Options{}, hs)
-	for _, wantSub := range []string{"shared-L1", "fused", "hierarchies", "kinded"} {
+	s := Describe(Options{}, info)
+	for _, wantSub := range []string{"5 hierarchies, max 2 levels", "shared-L1", "fused", "kinded"} {
 		if !strings.Contains(s, wantSub) {
-			t.Errorf("DescribeHierarchies = %q missing %q", s, wantSub)
+			t.Errorf("Describe = %q missing %q", s, wantSub)
 		}
 	}
 
@@ -256,6 +256,9 @@ func TestPlanHierarchies(t *testing.T) {
 		}
 		if info.MaxLevels != 1 {
 			t.Errorf("%s: single-level MaxLevels = %d, want 1", name, info.MaxLevels)
+		}
+		if s := Describe(Options{}, info); !strings.Contains(s, "(2 configurations)") {
+			t.Errorf("%s: Describe = %q, want it to name 2 configurations", name, s)
 		}
 	}
 }

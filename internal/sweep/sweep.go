@@ -456,18 +456,14 @@ func RunTrace(ctx context.Context, cfgs []cache.Config, trace []uint32, opts Opt
 	return Run(ctx, cfgs, NewSliceSource(trace), opts)
 }
 
-// Describe renders the engine configuration for logs and CLIs,
-// including any per-config direct fallbacks so they are never silent.
-func Describe(opts Options, cfgs []cache.Config) string {
-	info, err := Plan(opts, cfgs)
-	if err != nil {
-		return fmt.Sprintf("%s engine (invalid configuration: %v)", opts.engine(), err)
+// Describe renders a plan from Plan or PlanHierarchies for logs and CLIs,
+// including any per-config direct fallbacks so they are never silent. A
+// one-level plan names its configurations, a deeper one its hierarchies.
+func Describe(opts Options, info PlanInfo) string {
+	what := fmt.Sprintf("%d configurations", info.Configs)
+	if info.MaxLevels > 1 {
+		what = fmt.Sprintf("%d hierarchies, max %d levels", info.Configs, info.MaxLevels)
 	}
-	return describe(opts, info, fmt.Sprintf("%d configurations", info.Configs))
-}
-
-// describe renders a resolved plan; what names the swept set.
-func describe(opts Options, info PlanInfo, what string) string {
 	s := fmt.Sprintf("%s engine: %d workers over %d units (%s), %d refs/chunk",
 		info.Engine, opts.workers(info.Units), info.Units, what, opts.chunkRefs())
 	if info.SharedL1Groups > 0 {
