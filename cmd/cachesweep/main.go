@@ -501,7 +501,7 @@ func crossValidateEngines(ctx context.Context, hs []cache.Hierarchy, newSource o
 		}
 	}
 	if mismatches > 0 {
-		return simerr.New(simerr.ErrDivergence, "cachesweep: crossvalidate",
+		return simerr.New(simerr.ErrDivergence, "crossvalidate",
 			fmt.Errorf("cross-validation FAILED: %d of %d configurations diverged", mismatches, len(hs)))
 	}
 	fmt.Printf("cross-validation OK: %d/%d configurations bit-identical across stack and direct engines\n",

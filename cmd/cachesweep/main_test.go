@@ -241,13 +241,21 @@ func TestCrossValidateMismatchExitsNonZero(t *testing.T) {
 	}
 
 	// The lifecycle main runs, its flags on a fresh flag set so the test can
-	// build it more than once.
+	// build it more than once. It prints the error after the command name,
+	// which the error itself must not repeat.
 	saved := flag.CommandLine
 	flag.CommandLine = flag.NewFlagSet("cachesweep", flag.ContinueOnError)
-	profiler, flags := prof.AddFlags(), obs.AddFlags()
+	var code int
+	stderr := captureFile(t, &os.Stderr, func() {
+		profiler, flags := prof.AddFlags(), obs.AddFlags()
+		code = flags.Run("cachesweep", profiler, func() error { return err })
+	})
 	flag.CommandLine = saved
-	if code := flags.Run("cachesweep", profiler, func() error { return err }); code != obs.ExitFailure {
+	if code != obs.ExitFailure {
 		t.Errorf("exit code = %d, want %d (ExitFailure)", code, obs.ExitFailure)
+	}
+	if !strings.HasPrefix(stderr, "cachesweep: crossvalidate: ") || strings.Count(stderr, "cachesweep") != 1 {
+		t.Errorf("stderr = %q, want the command named once, before the operation", stderr)
 	}
 }
 
@@ -402,14 +410,20 @@ func TestUsageErrorsBeforeAnyWork(t *testing.T) {
 // printed.
 func captureStdout(t *testing.T, f func()) string {
 	t.Helper()
-	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	return captureFile(t, &os.Stdout, f)
+}
+
+// captureFile returns what f writes to *file (os.Stdout or os.Stderr).
+func captureFile(t *testing.T, file **os.File, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "capture")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tmp.Close()
-	stdout := os.Stdout
-	os.Stdout = tmp
-	defer func() { os.Stdout = stdout }()
+	saved := *file
+	*file = tmp
+	defer func() { *file = saved }()
 	f()
 	if _, err := tmp.Seek(0, io.SeekStart); err != nil {
 		t.Fatal(err)

@@ -36,6 +36,7 @@ import (
 	"palmsim/internal/job"
 	"palmsim/internal/obs"
 	"palmsim/internal/report"
+	"palmsim/internal/sim"
 	"palmsim/internal/simerr"
 	"palmsim/internal/user"
 )
@@ -50,12 +51,14 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(runMain(ctx, *run, *session, *jobs, *jobTimeout, *keepGoing))
+	os.Exit(runMain(ctx, os.Stdout, os.Stderr, *run, *session, *jobs, *jobTimeout, *keepGoing))
 }
 
-func runMain(ctx context.Context, run string, session, jobs int, jobTimeout time.Duration, keepGoing bool) int {
+// runMain runs one experiment, or all of them, printing reports to stdout
+// and failures to stderr, and returns the exit code.
+func runMain(ctx context.Context, stdout, stderr io.Writer, run string, session, jobs int, jobTimeout time.Duration, keepGoing bool) int {
 	if session < 1 || session > 4 {
-		fmt.Fprintf(os.Stderr, "experiments: session %d out of range 1-4\n", session)
+		fmt.Fprintf(stderr, "experiments: session %d out of range 1-4\n", session)
 		return obs.ExitUsage
 	}
 
@@ -79,22 +82,22 @@ func runMain(ctx context.Context, run string, session, jobs int, jobTimeout time
 		"profiling", "energy", "writepolicy"}
 
 	if run == "all" {
-		return runAll(ctx, experiments, order, jobs, jobTimeout, keepGoing)
+		return runAll(ctx, stdout, stderr, experiments, order, jobs, jobTimeout, keepGoing)
 	}
 	f, ok := experiments[run]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", run)
+		fmt.Fprintf(stderr, "experiments: unknown experiment %q\n", run)
 		return obs.ExitUsage
 	}
-	if err := f(ctx, os.Stdout); err != nil {
-		return report1(err)
+	if err := f(ctx, stdout); err != nil {
+		return report1(stderr, err)
 	}
 	return obs.ExitOK
 }
 
 // runAll schedules every experiment through the batch runner, buffering
 // each job's output and printing the buffers in canonical order.
-func runAll(ctx context.Context, experiments map[string]func(context.Context, io.Writer) error,
+func runAll(ctx context.Context, stdout, stderr io.Writer, experiments map[string]func(context.Context, io.Writer) error,
 	order []string, workers int, jobTimeout time.Duration, keepGoing bool) int {
 	bufs := make([]bytes.Buffer, len(order))
 	batch := make([]job.Job, len(order))
@@ -112,26 +115,26 @@ func runAll(ctx context.Context, experiments map[string]func(context.Context, io
 		FailFast: !keepGoing,
 	})
 	for i, name := range order {
-		fmt.Printf("==== %s ====\n", name)
-		os.Stdout.Write(bufs[i].Bytes())
+		fmt.Fprintf(stdout, "==== %s ====\n", name)
+		stdout.Write(bufs[i].Bytes())
 		if r := results[i]; r.State != job.Succeeded {
-			fmt.Printf("(%s: %s", name, r.State)
+			fmt.Fprintf(stdout, "(%s: %s", name, r.State)
 			if r.Err != nil {
-				fmt.Printf(": %v", r.Err)
+				fmt.Fprintf(stdout, ": %v", r.Err)
 			}
-			fmt.Println(")")
+			fmt.Fprintln(stdout, ")")
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if err != nil {
-		return report1(err)
+		return report1(stderr, err)
 	}
 	return obs.ExitOK
 }
 
 // report1 prints a failure and maps it to the documented exit code.
-func report1(err error) int {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
+func report1(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "experiments:", err)
 	if simerr.IsCanceled(err) {
 		return obs.ExitInterrupted
 	}
@@ -192,7 +195,7 @@ func runTable1(ctx context.Context, w io.Writer) error {
 		t.Addf("%s\t%d\t%s\t%s\t%s\t%.2f",
 			r.Name, r.Events,
 			report.Millions(r.RAMRefs), report.Millions(r.FlashRefs),
-			formatElapsed(r.ElapsedSeconds), r.AvgMemCycles)
+			sim.FormatElapsed(r.ElapsedSeconds), r.AvgMemCycles)
 	}
 	fmt.Fprint(w, t)
 	fmt.Fprintln(w, "\nNote: reference counts are scaled down ~100x versus the paper's physical")
@@ -389,9 +392,4 @@ func okStr(ok bool) string {
 		return "OK"
 	}
 	return "FAILED"
-}
-
-func formatElapsed(seconds float64) string {
-	s := int64(seconds)
-	return fmt.Sprintf("%d:%02d:%02d", s/3600, s/60%60, s%60)
 }

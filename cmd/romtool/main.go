@@ -8,14 +8,20 @@
 //	romtool                 summary
 //	romtool -symbols        full symbol table
 //	romtool -traps          trap table with handler symbols
+//	romtool -disasm         disassembly of the code sections
 //	romtool -o rom.bin      write the flash image
+//
+// Listings print every label at an address, ordered by name, so two runs
+// print the same text.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"palmsim/internal/bus"
 	"palmsim/internal/m68k"
@@ -39,33 +45,13 @@ func main() {
 		len(img.Data), uint32(bus.ROMBase), img.Entry())
 
 	if *symbols {
-		names := make([]string, 0, len(img.Symbols))
-		for n := range img.Symbols {
-			names = append(names, n)
-		}
-		sort.Slice(names, func(i, j int) bool { return img.Symbols[names[i]] < img.Symbols[names[j]] })
-		for _, n := range names {
-			fmt.Printf("  %08x  %s\n", img.Symbols[n], n)
-		}
+		printSymbols(os.Stdout, img)
 	}
-
 	if *traps {
-		inittab := img.Symbols["inittab"]
-		rev := map[uint32]string{}
-		for n, a := range img.Symbols {
-			rev[a] = n
-		}
-		for i := 0; i < palmos.NumTraps; i++ {
-			off := inittab - bus.ROMBase + uint32(i)*4
-			addr := uint32(img.Data[off])<<24 | uint32(img.Data[off+1])<<16 |
-				uint32(img.Data[off+2])<<8 | uint32(img.Data[off+3])
-			name := rev[addr]
-			fmt.Printf("  trap %#04x %-22s -> %08x %s\n", i, palmos.TrapName(i), addr, name)
-		}
+		printTraps(os.Stdout, img)
 	}
-
 	if *disasm {
-		disassemble(img)
+		disassemble(os.Stdout, img)
 	}
 
 	if *out != "" {
@@ -74,6 +60,50 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s\n", *out)
+	}
+}
+
+// labels maps each address to every symbol defined there, sorted by name,
+// so a listing prints the same labels in the same order on every run.
+func labels(img *rom.Image) map[uint32][]string {
+	rev := map[uint32][]string{}
+	for n, a := range img.Symbols {
+		rev[a] = append(rev[a], n)
+	}
+	for _, names := range rev {
+		sort.Strings(names)
+	}
+	return rev
+}
+
+// printSymbols lists the symbol table by address, ties by name.
+func printSymbols(w io.Writer, img *rom.Image) {
+	names := make([]string, 0, len(img.Symbols))
+	for n := range img.Symbols {
+		names = append(names, n)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		a, b := img.Symbols[names[i]], img.Symbols[names[j]]
+		if a != b {
+			return a < b
+		}
+		return names[i] < names[j]
+	})
+	for _, n := range names {
+		fmt.Fprintf(w, "  %08x  %s\n", img.Symbols[n], n)
+	}
+}
+
+// printTraps lists the initial trap dispatch table with every label at
+// each handler's address.
+func printTraps(w io.Writer, img *rom.Image) {
+	inittab := img.Symbols["inittab"]
+	rev := labels(img)
+	for i := 0; i < palmos.NumTraps; i++ {
+		off := inittab - bus.ROMBase + uint32(i)*4
+		addr := uint32(img.Data[off])<<24 | uint32(img.Data[off+1])<<16 |
+			uint32(img.Data[off+2])<<8 | uint32(img.Data[off+3])
+		fmt.Fprintf(w, "  trap %#04x %-22s -> %08x %s\n", i, palmos.TrapName(i), addr, strings.Join(rev[addr], " "))
 	}
 }
 
@@ -96,22 +126,21 @@ func (b *imgBus) Read(addr uint32, size m68k.Size, kind m68k.Access) uint32 {
 
 func (b *imgBus) Write(addr uint32, size m68k.Size, v uint32) {}
 
-func disassemble(img *rom.Image) {
-	rev := map[uint32]string{}
-	for n, a := range img.Symbols {
-		rev[a] = n
-	}
+// disassemble lists the ROM's code, each instruction under every label at
+// its address.
+func disassemble(w io.Writer, img *rom.Image) {
+	rev := labels(img)
 	b := &imgBus{data: img.Data}
 	end, ok := img.Symbol("apps_end")
 	if !ok {
 		end = bus.ROMBase + uint32(len(img.Data))
 	}
 	for addr := uint32(bus.ROMBase); addr < end; {
-		if name, ok := rev[addr]; ok {
-			fmt.Printf("%s:\n", name)
+		for _, name := range rev[addr] {
+			fmt.Fprintf(w, "%s:\n", name)
 		}
 		text, size := m68k.Disassemble(b, addr)
-		fmt.Printf("  %08x  %s\n", addr, text)
+		fmt.Fprintf(w, "  %08x  %s\n", addr, text)
 		addr += size
 	}
 }

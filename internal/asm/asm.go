@@ -2,6 +2,12 @@
 // instruction set, sufficient to build the synthetic Palm OS ROM, the
 // applications it contains, and the instrumentation hack stubs.
 //
+// It accepts only the instruction forms those sources use: a form stays
+// only if a source in internal/rom, internal/hack or internal/exp
+// assembles it. A source that needs another form adds that form's encoder
+// and a round-trip row (roundtrip_test.go) in the same change. The
+// disassembler in internal/m68k covers the full 68000.
+//
 // The accepted syntax is classic Motorola style:
 //
 //	; full-line comment

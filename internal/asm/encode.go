@@ -55,9 +55,6 @@ func (a *assembler) instruction(mnemonic, field string) error {
 	if cc, ok := dbCond(base); ok {
 		return a.encDBcc(cc, ops)
 	}
-	if cc, ok := sccCond(base); ok {
-		return a.encScc(cc, ops)
-	}
 
 	switch base {
 	case "move":
@@ -74,80 +71,34 @@ func (a *assembler) instruction(mnemonic, field string) error {
 		return a.encPea(ops)
 	case "clr":
 		return a.encSingle(0x4200, size, ops)
-	case "neg":
-		return a.encSingle(0x4400, size, ops)
-	case "negx":
-		return a.encSingle(0x4000, size, ops)
 	case "not":
 		return a.encSingle(0x4600, size, ops)
 	case "tst":
 		return a.encSingle(0x4A00, size, ops)
-	case "tas":
-		return a.encTas(ops)
 	case "ext":
 		return a.encExt(size, sized, ops)
 	case "swap":
 		return a.encSwap(ops)
-	case "exg":
-		return a.encExg(ops)
 	case "add", "addi", "addq", "adda":
 		return a.encAddSub(base, size, ops, true)
 	case "sub", "subi", "subq", "suba":
 		return a.encAddSub(base, size, ops, false)
-	case "addx":
-		return a.encAddSubX(0xD100, size, ops)
-	case "subx":
-		return a.encAddSubX(0x9100, size, ops)
-	case "abcd":
-		return a.encBcd(0xC100, ops)
-	case "sbcd":
-		return a.encBcd(0x8100, ops)
-	case "nbcd":
-		return a.encNbcd(ops)
-	case "movep":
-		return a.encMovep(size, ops)
 	case "cmp", "cmpi", "cmpa":
 		return a.encCmp(base, size, ops)
-	case "cmpm":
-		return a.encCmpm(size, ops)
 	case "and", "andi":
 		return a.encLogic(base, 0xC000, 0x0200, size, ops)
 	case "or", "ori":
 		return a.encLogic(base, 0x8000, 0x0000, size, ops)
-	case "eor", "eori":
-		return a.encEor(base, size, ops)
 	case "mulu":
 		return a.encMulDiv(0xC0C0, ops)
-	case "muls":
-		return a.encMulDiv(0xC1C0, ops)
 	case "divu":
 		return a.encMulDiv(0x80C0, ops)
-	case "divs":
-		return a.encMulDiv(0x81C0, ops)
 	case "btst":
 		return a.encBitOp(0, ops)
-	case "bchg":
-		return a.encBitOp(1, ops)
-	case "bclr":
-		return a.encBitOp(2, ops)
-	case "bset":
-		return a.encBitOp(3, ops)
-	case "asl":
-		return a.encShift(0, true, size, ops)
-	case "asr":
-		return a.encShift(0, false, size, ops)
 	case "lsl":
 		return a.encShift(1, true, size, ops)
 	case "lsr":
 		return a.encShift(1, false, size, ops)
-	case "roxl":
-		return a.encShift(2, true, size, ops)
-	case "roxr":
-		return a.encShift(2, false, size, ops)
-	case "rol":
-		return a.encShift(3, true, size, ops)
-	case "ror":
-		return a.encShift(3, false, size, ops)
 	case "jmp":
 		return a.encJmpJsr(0x4EC0, ops)
 	case "jsr":
@@ -158,33 +109,8 @@ func (a *assembler) instruction(mnemonic, field string) error {
 	case "rte":
 		a.emit16(0x4E73)
 		return nil
-	case "rtr":
-		a.emit16(0x4E77)
-		return nil
-	case "nop":
-		a.emit16(0x4E71)
-		return nil
-	case "reset":
-		a.emit16(0x4E70)
-		return nil
-	case "trapv":
-		a.emit16(0x4E76)
-		return nil
-	case "illegal":
-		a.emit16(0x4AFC)
-		return nil
-	case "trap":
-		return a.encTrap(ops)
 	case "stop":
 		return a.encStop(ops)
-	case "link":
-		return a.encLink(ops)
-	case "unlk":
-		return a.encUnlk(ops)
-	case "chk":
-		return a.encChk(ops)
-	case "dcw": // convenience alias used by generated code
-		return a.dirDC(m68k.Word, true, field)
 	}
 	return a.errf("unknown mnemonic %q", mnemonic)
 }
@@ -240,14 +166,6 @@ func dbCond(base string) (int, bool) {
 		}
 	}
 	return 0, false
-}
-
-func sccCond(base string) (int, bool) {
-	if len(base) < 2 || base[0] != 's' {
-		return 0, false
-	}
-	cc, ok := condCodes[base[1:]]
-	return cc, ok
 }
 
 func sizeBits(size m68k.Size) uint16 {
@@ -502,19 +420,6 @@ func (a *assembler) encSingle(baseOp uint16, size m68k.Size, ops []*opnd) error 
 	return nil
 }
 
-func (a *assembler) encTas(ops []*opnd) error {
-	if err := a.need(ops, 1); err != nil {
-		return err
-	}
-	ea, ext, err := a.encodeEA(ops[0], m68k.Byte, 2)
-	if err != nil {
-		return err
-	}
-	a.emit16(0x4AC0 | uint16(ea))
-	a.emitExt(ext)
-	return nil
-}
-
 func (a *assembler) encExt(size m68k.Size, sized bool, ops []*opnd) error {
 	if err := a.need(ops, 1); err != nil {
 		return err
@@ -538,26 +443,6 @@ func (a *assembler) encSwap(ops []*opnd) error {
 		return a.errf("swap needs a data register")
 	}
 	a.emit16(0x4840 | uint16(ops[0].reg))
-	return nil
-}
-
-func (a *assembler) encExg(ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	x, y := ops[0], ops[1]
-	switch {
-	case x.kind == opDataReg && y.kind == opDataReg:
-		a.emit16(0xC140 | uint16(x.reg)<<9 | uint16(y.reg))
-	case x.kind == opAddrReg && y.kind == opAddrReg:
-		a.emit16(0xC148 | uint16(x.reg)<<9 | uint16(y.reg))
-	case x.kind == opDataReg && y.kind == opAddrReg:
-		a.emit16(0xC188 | uint16(x.reg)<<9 | uint16(y.reg))
-	case x.kind == opAddrReg && y.kind == opDataReg:
-		a.emit16(0xC188 | uint16(y.reg)<<9 | uint16(x.reg))
-	default:
-		return a.errf("exg needs two registers")
-	}
 	return nil
 }
 
@@ -671,22 +556,6 @@ func (a *assembler) encAddSub(base string, size m68k.Size, ops []*opnd, isAdd bo
 	return a.errf("unsupported %s form: %q,%q", base, src.src, dst.src)
 }
 
-func (a *assembler) encAddSubX(op uint16, size m68k.Size, ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	src, dst := ops[0], ops[1]
-	if src.kind == opDataReg && dst.kind == opDataReg {
-		a.emit16(op | uint16(dst.reg)<<9 | sizeBits(size)<<6 | uint16(src.reg))
-		return nil
-	}
-	if src.kind == opPreDec && dst.kind == opPreDec {
-		a.emit16(op | 0x0008 | uint16(dst.reg)<<9 | sizeBits(size)<<6 | uint16(src.reg))
-		return nil
-	}
-	return a.errf("addx/subx need dn,dn or -(an),-(an)")
-}
-
 func (a *assembler) encCmp(base string, size m68k.Size, ops []*opnd) error {
 	if err := a.need(ops, 2); err != nil {
 		return err
@@ -745,17 +614,6 @@ func (a *assembler) encCmp(base string, size m68k.Size, ops []*opnd) error {
 	}
 	a.emit16(0xB000 | uint16(dst.reg)<<9 | sizeBits(size)<<6 | uint16(ea))
 	a.emitExt(ext)
-	return nil
-}
-
-func (a *assembler) encCmpm(size m68k.Size, ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	if ops[0].kind != opPostInc || ops[1].kind != opPostInc {
-		return a.errf("cmpm needs (ay)+,(ax)+")
-	}
-	a.emit16(0xB108 | uint16(ops[1].reg)<<9 | sizeBits(size)<<6 | uint16(ops[0].reg))
 	return nil
 }
 
@@ -828,59 +686,6 @@ func (a *assembler) encLogic(base string, opDn, opImmBase uint16, size m68k.Size
 		return nil
 	}
 	return a.errf("unsupported %s form", base)
-}
-
-func (a *assembler) encEor(base string, size m68k.Size, ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	src, dst := ops[0], ops[1]
-	if src.kind == opImm {
-		switch dst.kind {
-		case opCCR:
-			v, err := a.eval(src.expr)
-			if err != nil {
-				return err
-			}
-			a.emit16(0x0A3C)
-			a.emit16(uint16(v & 0xFF))
-			return nil
-		case opSR:
-			v, err := a.eval(src.expr)
-			if err != nil {
-				return err
-			}
-			a.emit16(0x0A7C)
-			a.emit16(uint16(v))
-			return nil
-		}
-		immLen := uint32(2)
-		if size == m68k.Long {
-			immLen = 4
-		}
-		_, immExt, err := a.encodeEA(src, size, 2)
-		if err != nil {
-			return err
-		}
-		ea, ext, err := a.encodeEA(dst, size, 2+immLen)
-		if err != nil {
-			return err
-		}
-		a.emit16(0x0A00 | sizeBits(size)<<6 | uint16(ea))
-		a.emitExt(immExt)
-		a.emitExt(ext)
-		return nil
-	}
-	if src.kind != opDataReg || !classOK(dst, "dm") {
-		return a.errf("eor needs dn,<ea>")
-	}
-	ea, ext, err := a.encodeEA(dst, size, 2)
-	if err != nil {
-		return err
-	}
-	a.emit16(0xB100 | uint16(src.reg)<<9 | sizeBits(size)<<6 | uint16(ea))
-	a.emitExt(ext)
-	return nil
 }
 
 func (a *assembler) encMulDiv(op uint16, ops []*opnd) error {
@@ -1030,22 +835,6 @@ func (a *assembler) encDBcc(cc int, ops []*opnd) error {
 	return nil
 }
 
-func (a *assembler) encScc(cc int, ops []*opnd) error {
-	if err := a.need(ops, 1); err != nil {
-		return err
-	}
-	if !classOK(ops[0], "dm") {
-		return a.errf("bad scc operand %q", ops[0].src)
-	}
-	ea, ext, err := a.encodeEA(ops[0], m68k.Byte, 2)
-	if err != nil {
-		return err
-	}
-	a.emit16(0x50C0 | uint16(cc)<<8 | uint16(ea))
-	a.emitExt(ext)
-	return nil
-}
-
 func (a *assembler) encJmpJsr(op uint16, ops []*opnd) error {
 	if err := a.need(ops, 1); err != nil {
 		return err
@@ -1059,24 +848,6 @@ func (a *assembler) encJmpJsr(op uint16, ops []*opnd) error {
 	}
 	a.emit16(op | uint16(ea))
 	a.emitExt(ext)
-	return nil
-}
-
-func (a *assembler) encTrap(ops []*opnd) error {
-	if err := a.need(ops, 1); err != nil {
-		return err
-	}
-	if ops[0].kind != opImm {
-		return a.errf("trap needs #vector")
-	}
-	v, err := a.eval(ops[0].expr)
-	if err != nil {
-		return err
-	}
-	if v > 15 {
-		return a.errf("trap vector %d out of range", v)
-	}
-	a.emit16(0x4E40 | uint16(v))
 	return nil
 }
 
@@ -1094,136 +865,6 @@ func (a *assembler) encStop(ops []*opnd) error {
 	a.emit16(0x4E72)
 	a.emit16(uint16(v))
 	return nil
-}
-
-func (a *assembler) encLink(ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	if ops[0].kind != opAddrReg || ops[1].kind != opImm {
-		return a.errf("link needs an,#disp")
-	}
-	v, err := a.eval(ops[1].expr)
-	if err != nil {
-		return err
-	}
-	a.emit16(0x4E50 | uint16(ops[0].reg))
-	a.emit16(uint16(v))
-	return nil
-}
-
-func (a *assembler) encUnlk(ops []*opnd) error {
-	if err := a.need(ops, 1); err != nil {
-		return err
-	}
-	if ops[0].kind != opAddrReg {
-		return a.errf("unlk needs an address register")
-	}
-	a.emit16(0x4E58 | uint16(ops[0].reg))
-	return nil
-}
-
-func (a *assembler) encChk(ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	if ops[1].kind != opDataReg || !classOK(ops[0], "dmpi") {
-		return a.errf("chk needs <ea>,dn")
-	}
-	ea, ext, err := a.encodeEA(ops[0], m68k.Word, 2)
-	if err != nil {
-		return err
-	}
-	a.emit16(0x4180 | uint16(ops[1].reg)<<9 | uint16(ea))
-	a.emitExt(ext)
-	return nil
-}
-
-// encBcd encodes ABCD/SBCD: dn,dn or -(an),-(an), byte-sized only.
-func (a *assembler) encBcd(op uint16, ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	src, dst := ops[0], ops[1]
-	if src.kind == opDataReg && dst.kind == opDataReg {
-		a.emit16(op | uint16(dst.reg)<<9 | uint16(src.reg))
-		return nil
-	}
-	if src.kind == opPreDec && dst.kind == opPreDec {
-		a.emit16(op | 0x0008 | uint16(dst.reg)<<9 | uint16(src.reg))
-		return nil
-	}
-	return a.errf("abcd/sbcd need dn,dn or -(an),-(an)")
-}
-
-// encNbcd encodes NBCD <ea>.
-func (a *assembler) encNbcd(ops []*opnd) error {
-	if err := a.need(ops, 1); err != nil {
-		return err
-	}
-	if !classOK(ops[0], "dm") {
-		return a.errf("bad nbcd operand %q", ops[0].src)
-	}
-	ea, ext, err := a.encodeEA(ops[0], m68k.Byte, 2)
-	if err != nil {
-		return err
-	}
-	a.emit16(0x4800 | uint16(ea))
-	a.emitExt(ext)
-	return nil
-}
-
-// encMovep encodes MOVEP in both directions; the memory operand must be
-// d16(An) (plain (An) is accepted as displacement zero).
-func (a *assembler) encMovep(size m68k.Size, ops []*opnd) error {
-	if err := a.need(ops, 2); err != nil {
-		return err
-	}
-	if size == m68k.Byte {
-		return a.errf("movep.b is invalid")
-	}
-	szBit := uint16(0)
-	if size == m68k.Long {
-		szBit = 0x0040
-	}
-	memOperand := func(o *opnd) (an int, disp uint16, ok bool, err error) {
-		switch o.kind {
-		case opIndirect:
-			return o.reg, 0, true, nil
-		case opDisp:
-			v, e := a.eval(o.expr)
-			if e != nil {
-				return 0, 0, false, e
-			}
-			return o.reg, uint16(v), true, nil
-		}
-		return 0, 0, false, nil
-	}
-	if ops[0].kind == opDataReg { // register to memory
-		an, disp, ok, err := memOperand(ops[1])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return a.errf("movep needs d16(an) as its memory operand")
-		}
-		a.emit16(0x0188 | szBit | uint16(ops[0].reg)<<9 | uint16(an))
-		a.emit16(disp)
-		return nil
-	}
-	if ops[1].kind == opDataReg { // memory to register
-		an, disp, ok, err := memOperand(ops[0])
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return a.errf("movep needs d16(an) as its memory operand")
-		}
-		a.emit16(0x0108 | szBit | uint16(ops[1].reg)<<9 | uint16(an))
-		a.emit16(disp)
-		return nil
-	}
-	return a.errf("movep needs a data register on one side")
 }
 
 // dirDC implements dc.b / dc.w / dc.l with numbers and strings.

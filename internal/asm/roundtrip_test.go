@@ -59,92 +59,44 @@ var roundTripSources = []string{
 	"addq.w\t#1,d0",
 	"addq.l\t#8,(a3)",
 	"addi.w\t#$5,d3",
-	"addx.l\td1,d0",
-	"addx.b\t-(a1),-(a2)",
 	"sub.l\td1,d0",
 	"suba.l\td0,a1",
 	"subq.l\t#1,d0",
 	"subi.l\t#$100,d2",
-	"subx.w\td3,d4",
 	"cmp.l\td1,d0",
 	"cmpa.w\td0,a1",
 	"cmpi.w\t#$2,d3",
-	"cmpm.b\t(a0)+,(a1)+",
 	"and.l\td1,d0",
 	"andi.b\t#$F0,d0",
 	"or.w\t(a2),d5",
 	"ori.w\t#$F,d1",
-	"eor.l\td1,d0",
-	"eori.l\t#$FFFFFFFF,d2",
 	"not.l\td2",
-	"neg.w\td1",
-	"negx.l\td0",
 	"clr.w\td0",
 	"clr.b\t(a4)",
 	"tst.l\td3",
-	"tas\t(a0)",
 	"mulu\td1,d0",
-	"muls\t(a0),d2",
 	"divu\td1,d0",
-	"divs\t#$7,d3",
 	"ext.w\td0",
 	"ext.l\td5",
 	"swap\td0",
-	"exg\td0,d1",
-	"exg\ta0,a1",
-	"exg\td0,a1",
 	"btst\t#3,d0",
 	"btst\td1,d0",
-	"bset\t#4,(a0)",
-	"bclr\td2,(a1)",
-	"bchg\t#1,d0",
 	"lsl.l\t#1,d0",
 	"lsr.w\t#8,d1",
-	"asl.b\t#2,d2",
-	"asr.w\t#2,d1",
-	"rol.w\t#1,d1",
-	"ror.l\t#3,d4",
-	"roxl.w\t#1,d0",
-	"roxr.b\t#4,d6",
 	"lsl.l\td1,d0",
-	"asr.w\td2,d3",
 	"lea\t16(a0),a1",
 	"lea\t$4000.w,a3",
 	"pea\t(a0)",
 	"jmp\t(a0)",
 	"jsr\t$2000.w",
 	"jsr\t$12000.l",
-	"link\ta6,#-8",
-	"unlk\ta6",
-	"trap\t#2",
-	"trapv",
 	"rts",
 	"rte",
-	"rtr",
-	"nop",
-	"reset",
-	"illegal",
 	"stop\t#$2000",
-	"chk\td1,d0",
-	"seq\td0",
-	"sne\t(a2)",
-	"st\td1",
-	"sf\td2",
-	"shi\td3",
 	"movem.l\td0-d2/a0,-(a7)",
 	"movem.l\t(a7)+,d0-d2/a0",
 	"movem.w\td0/d4-d5,(a1)",
 	"movem.w\t(a2),d1/a3",
-	"abcd\td1,d0",
-	"abcd\t-(a1),-(a0)",
-	"sbcd\td3,d2",
-	"sbcd\t-(a4),-(a5)",
-	"nbcd\td0",
-	"nbcd\t(a2)",
-	"movep.w\td0,2(a0)",
-	"movep.l\td2,0(a1)",
-	"movep.w\t2(a0),d1",
-	"movep.l\t6(a3),d4",
 }
 
 // TestAssembleDisassembleRoundTrip assembles each instruction, runs the

@@ -74,6 +74,10 @@ type Machine struct {
 	obsTickSyncs  *obs.Counter
 	obsLateInputs *obs.Counter
 
+	// pub is the statistics copy the func metrics read (see obs.go); nil
+	// unless RegisterObs attached a registry.
+	pub *published
+
 	// ctx, when non-nil, is polled at tick-sync granularity by the run
 	// loops so a cancelled machine stops within one tick boundary. The
 	// nil default costs the hot loop one predicated nil compare per
@@ -249,6 +253,7 @@ func (m *Machine) PendingInputs() int { return len(m.schedule) - m.schedIdx }
 // Boot runs the machine until the ROM finishes booting and the launcher
 // first dozes waiting for input.
 func (m *Machine) Boot() error {
+	defer m.runReturned()
 	const bootCap = 20_000_000 // instructions; the boot needs ~50k
 	for i := 0; i < bootCap; i++ {
 		if err := m.canceled(); err != nil {
@@ -295,6 +300,9 @@ func (m *Machine) tickSync() {
 	m.HW.Sync()
 	m.deliverDue()
 	m.nextTickCycle = (m.CPU.Cycles/hw.CyclesPerTick + 1) * hw.CyclesPerTick
+	if m.pub != nil {
+		m.publish(false)
+	}
 }
 
 // deliverDue pushes every scheduled input whose tick has arrived.
@@ -344,6 +352,7 @@ func (m *Machine) skipTo(tick uint32) {
 // dictates) until the tick counter reaches target or nothing further can
 // happen. It returns an error only for fatal CPU states.
 func (m *Machine) RunUntilTick(target uint32) error {
+	defer m.runReturned()
 	// Ticks() < target ⟺ Cycles < target·CyclesPerTick; comparing cycles
 	// avoids a 64-bit division per executed instruction.
 	targetCycles := uint64(target) * hw.CyclesPerTick
@@ -388,6 +397,7 @@ func (m *Machine) RunUntilTick(target uint32) error {
 // RunUntilIdle runs until every scheduled input has been delivered and the
 // machine has settled back into a doze (or maxInstr is exceeded).
 func (m *Machine) RunUntilIdle(maxInstr uint64) error {
+	defer m.runReturned()
 	start := m.CPU.Instructions
 	for {
 		if err := m.canceled(); err != nil {

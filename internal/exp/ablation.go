@@ -33,14 +33,17 @@ func RunProfilingAblation(ctx context.Context, s user.Session) (*ProfilingAblati
 	if err != nil {
 		return nil, err
 	}
+	col.Release() // the replays need only the collection's copies
 	on, err := sim.Replay(ctx, col.Initial, col.Log, sim.ReplayOptions{Profiling: true, CollectTrace: true})
 	if err != nil {
 		return nil, err
 	}
+	on.Release()
 	off, err := sim.Replay(ctx, col.Initial, col.Log, sim.ReplayOptions{Profiling: false, CollectTrace: true})
 	if err != nil {
 		return nil, err
 	}
+	off.Release()
 	cfgs := cache.PaperSweep()
 	rOn, err := sweep.RunTrace(ctx, cfgs, on.Trace, sweep.Options{})
 	if err != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"palmsim/internal/cache"
+	"palmsim/internal/emu"
 	"palmsim/internal/m68k"
 	"palmsim/internal/sim"
 	"palmsim/internal/simerr"
@@ -126,6 +128,40 @@ func TestTable1Shape(t *testing.T) {
 	if !(e(3) > e(0) && e(0) > e(1) && e(1) > e(2)) {
 		t.Errorf("event count ordering %d,%d,%d,%d does not match Table 1's 1243,933,755,1622",
 			e(0), e(1), e(2), e(3))
+	}
+}
+
+// TestRunSessionReleasesMachines: RunSession returns both machines'
+// memory images to the pool, so its Playback holds no machine and the next
+// run builds on a recycled image, while the trace, its kinds and the
+// statistics stay valid.
+func TestRunSessionReleasesMachines(t *testing.T) {
+	s := user.Session{Name: "release", Seed: 7, Script: func(b *user.Builder) {
+		b.IdleSeconds(1)
+		b.WriteMemo("hi")
+		b.Notify(1)
+	}}
+	first, err := RunSession(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Play.M != nil {
+		t.Error("RunSession returned a live replay machine")
+	}
+	if n := len(first.Play.Trace); n == 0 || len(first.Play.TraceKinds) != n || first.Play.Stats.Machine.Instructions == 0 {
+		t.Fatalf("released run: %d refs, %d kinds, %d instructions",
+			n, len(first.Play.TraceKinds), first.Play.Stats.Machine.Instructions)
+	}
+	before := emu.ImageReuses()
+	second, err := RunSession(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emu.ImageReuses() <= before {
+		t.Error("the second RunSession built no machine on a recycled image")
+	}
+	if !slices.Equal(first.Play.Trace, second.Play.Trace) || !slices.Equal(first.Play.TraceKinds, second.Play.TraceKinds) {
+		t.Error("a rerun of the session on recycled images traced differently")
 	}
 }
 

@@ -24,30 +24,36 @@ type SessionRow struct {
 	AvgMemCycles   float64
 }
 
-// SessionRun bundles a collection and its trace-producing replay. The
-// trace is Play.Trace; Play.TraceKinds holds each entry's access kind, so
-// session traces can feed write-policy (kinded) sweeps.
+// SessionRun is one session's trace-producing replay. The trace is
+// Play.Trace; Play.TraceKinds holds each entry's access kind, so session
+// traces can feed write-policy (kinded) sweeps. Both machines are released:
+// Play.M is nil.
 type SessionRun struct {
 	Row  SessionRow
-	Col  *sim.Collection
 	Play *sim.Playback
 }
 
 // RunSession collects one session and replays it with trace collection —
 // the full §2 pipeline for one Table 1 row. Access kinds are collected
 // alongside addresses so the trace works for write-policy sweeps and
-// Dinero export without a second replay.
+// Dinero export without a second replay. It returns both machines' memory
+// images to the pool, so a batch of sessions holds no machine between
+// runs.
 func RunSession(ctx context.Context, s user.Session) (*SessionRun, error) {
 	col, err := sim.Collect(ctx, s)
 	if err != nil {
 		return nil, fmt.Errorf("collect %s: %w", s.Name, err)
 	}
+	// The replay needs only the collection's extracted copies, so its
+	// machine can build on the collection machine's memory image.
+	col.Release()
 	opts := sim.DefaultReplayOptions()
 	opts.CollectKinds = true
 	play, err := sim.Replay(ctx, col.Initial, col.Log, opts)
 	if err != nil {
 		return nil, fmt.Errorf("replay %s: %w", s.Name, err)
 	}
+	play.Release()
 	elapsed := float64(col.Log.ElapsedTicks()) / 100.0
 	row := SessionRow{
 		Name:           s.Name,
@@ -57,7 +63,7 @@ func RunSession(ctx context.Context, s user.Session) (*SessionRun, error) {
 		ElapsedSeconds: elapsed,
 		AvgMemCycles:   play.Stats.Bus.AvgMemCycles(),
 	}
-	return &SessionRun{Row: row, Col: col, Play: play}, nil
+	return &SessionRun{Row: row, Play: play}, nil
 }
 
 // Table1 runs all four paper sessions.

@@ -38,7 +38,10 @@
 // simply degrades to a lookup, never to stale code.
 package m68k
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 const (
 	blockTableBits = 13
@@ -224,6 +227,9 @@ type BlockEngine struct {
 	wake *uint32
 	fm   fastMem
 
+	// scratch is translate's working array, maxBlockOps long.
+	scratch []specOp
+
 	// Sinks for nil binding pointers. Per-engine (not package-level) so
 	// parallel tests under -race never share a plain uint64.
 	dummy    uint64
@@ -234,10 +240,11 @@ type BlockEngine struct {
 func NewBlockEngine(c *CPU, bind BlockBinding) *BlockEngine {
 	opTableOnce.Do(buildOpTable)
 	e := &BlockEngine{
-		c:     c,
-		bind:  bind,
-		table: make([]*block, blockTableSize),
-		chain: true,
+		c:       c,
+		bind:    bind,
+		table:   make([]*block, blockTableSize),
+		chain:   true,
+		scratch: make([]specOp, 0, maxBlockOps),
 	}
 	norm := func(p *uint64) *uint64 {
 		if p == nil {
@@ -401,7 +408,12 @@ func (e *BlockEngine) translate(pc uint32) *block {
 	r := &e.bind.Regions[ri]
 	mem := r.Mem
 	off := uint64(pc - r.Base)
-	for len(b.sops) < maxBlockOps {
+	// The ops are specialized into the engine's scratch array and copied
+	// out once the block's length is known, so each block costs one
+	// allocation. specialize overwrites each op whole, so the scratch
+	// needs no clearing.
+	sops := e.scratch[:0]
+	for len(sops) < maxBlockOps {
 		if off+2 > uint64(len(mem)) {
 			break
 		}
@@ -414,8 +426,8 @@ func (e *BlockEngine) translate(pc uint32) *block {
 		if off+ilen > uint64(len(mem)) {
 			break
 		}
-		b.sops = append(b.sops, specOp{})
-		s := &b.sops[len(b.sops)-1]
+		sops = sops[:len(sops)+1]
+		s := &sops[len(sops)-1]
 		specialize(s, ent, op, r.Base+uint32(off), mem, r.Base)
 		if s.gad == 0 {
 			e.Stats.SpecOps++
@@ -425,9 +437,10 @@ func (e *BlockEngine) translate(pc uint32) *block {
 			break
 		}
 	}
-	if b.sops == nil {
+	if len(sops) == 0 {
 		return b
 	}
+	b.sops = slices.Clone(sops)
 	b.end = r.Base + uint32(off)
 	b.region = int8(ri)
 	b.watched = r.Watched
@@ -500,10 +513,9 @@ func (e *BlockEngine) execSpec(b *block, limit uint64) {
 		// count and the spec/adapter split, flushed after the loop. The
 		// final sums are exact: handlers' own extension-word fetches RMW the
 		// same counters directly and addition commutes, and nothing inside a
-		// block reads them; only a mid-quantum metrics poll could see the
-		// lag, and obs snapshots are documented as approximate while the
-		// machine runs. Cycles cannot batch — the limit check needs them
-		// exact per instruction.
+		// block reads them (the machine publishes its metrics between
+		// quanta). Cycles cannot batch — the limit check needs them exact
+		// per instruction.
 		var n, gn uint64
 		broke := false
 		// Same order as execOne: the opcode fetch (and its accounting,

@@ -66,6 +66,46 @@ func TestDisassembleCoreInstructions(t *testing.T) {
 		{[]uint16{0x4E60}, "move\ta0,usp", 2},
 		{[]uint16{0x4AFC}, "illegal", 2},
 		{[]uint16{0x4E72, 0x2000}, "stop\t#$2000", 4},
+		// Forms internal/asm does not accept: these rows pin the
+		// disassembler where the assembler round trip cannot.
+		{[]uint16{0xD509}, "addx.b\t-(a1),-(a2)", 2},
+		{[]uint16{0x9943}, "subx.w\td3,d4", 2},
+		{[]uint16{0xB380}, "eor.l\td1,d0", 2},
+		{[]uint16{0x0A82, 0xFFFF, 0xFFFF}, "eori.l\t#$FFFFFFFF,d2", 6},
+		{[]uint16{0x4441}, "neg.w\td1", 2},
+		{[]uint16{0x4080}, "negx.l\td0", 2},
+		{[]uint16{0x4AD0}, "tas\t(a0)", 2},
+		{[]uint16{0xC5D0}, "muls\t(a0),d2", 2},
+		{[]uint16{0x87FC, 0x0007}, "divs\t#$7,d3", 4},
+		{[]uint16{0xC149}, "exg\ta0,a1", 2},
+		{[]uint16{0xC189}, "exg\td0,a1", 2},
+		{[]uint16{0x08D0, 0x0004}, "bset\t#4,(a0)", 4},
+		{[]uint16{0x0591}, "bclr\td2,(a1)", 2},
+		{[]uint16{0x0840, 0x0001}, "bchg\t#1,d0", 4},
+		{[]uint16{0xE502}, "asl.b\t#2,d2", 2},
+		{[]uint16{0xE359}, "rol.w\t#1,d1", 2},
+		{[]uint16{0xE69C}, "ror.l\t#3,d4", 2},
+		{[]uint16{0xE350}, "roxl.w\t#1,d0", 2},
+		{[]uint16{0xE816}, "roxr.b\t#4,d6", 2},
+		{[]uint16{0xE463}, "asr.w\td2,d3", 2},
+		{[]uint16{0x4E76}, "trapv", 2},
+		{[]uint16{0x4E77}, "rtr", 2},
+		{[]uint16{0x4E70}, "reset", 2},
+		{[]uint16{0x4181}, "chk\td1,d0", 2},
+		{[]uint16{0x56D2}, "sne\t(a2)", 2},
+		{[]uint16{0x50C1}, "st\td1", 2},
+		{[]uint16{0x51C2}, "sf\td2", 2},
+		{[]uint16{0x52C3}, "shi\td3", 2},
+		{[]uint16{0xC101}, "abcd\td1,d0", 2},
+		{[]uint16{0xC109}, "abcd\t-(a1),-(a0)", 2},
+		{[]uint16{0x8503}, "sbcd\td3,d2", 2},
+		{[]uint16{0x8B0C}, "sbcd\t-(a4),-(a5)", 2},
+		{[]uint16{0x4800}, "nbcd\td0", 2},
+		{[]uint16{0x4812}, "nbcd\t(a2)", 2},
+		{[]uint16{0x0188, 0x0002}, "movep.w\td0,2(a0)", 4},
+		{[]uint16{0x05C9, 0x0000}, "movep.l\td2,0(a1)", 4},
+		{[]uint16{0x0308, 0x0002}, "movep.w\t2(a0),d1", 4},
+		{[]uint16{0x094B, 0x0006}, "movep.l\t6(a3),d4", 4},
 	}
 	for _, c := range cases {
 		got, size := disasmOf(t, c.words...)

@@ -2,8 +2,11 @@ package sim
 
 import (
 	"context"
+	"strings"
+	"sync"
 	"testing"
 
+	"palmsim/internal/obs"
 	"palmsim/internal/user"
 )
 
@@ -99,5 +102,76 @@ func TestReplayOptionsIndependence(t *testing.T) {
 	}
 	if pb.Stats.Machine.Instructions == 0 {
 		t.Error("stats missing")
+	}
+}
+
+// TestSnapshotDuringReplay scrapes the registry in a loop while a replay
+// runs, as the progress reporter and the metrics endpoint do. Under -race
+// it fails if a func metric reads a counter the machine is writing. The
+// machine's counts never move backwards mid-run and read the exact run
+// statistics once the replay returns.
+func TestSnapshotDuringReplay(t *testing.T) {
+	col, err := Collect(context.Background(), tinySession("scrape", 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := []string{"emu.instructions", "emu.skipped_cycles", "bus.fetches", "bus.writes", "kernel.trap_dispatches"}
+	reg := obs.NewRegistry()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var scrapes int
+	var backwards []string
+	go func() {
+		defer wg.Done()
+		last := map[string]float64{}
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			got := map[string]float64{}
+			for _, s := range reg.Snapshot() {
+				got[s.Name] = s.Value
+			}
+			for _, name := range counts {
+				if got[name] < last[name] {
+					backwards = append(backwards, name)
+				}
+				last[name] = got[name]
+			}
+			scrapes++
+		}
+	}()
+	pb, err := Replay(context.Background(), col.Initial, col.Log,
+		ReplayOptions{Profiling: true, CollectTrace: true, CountOpcodes: true, Obs: reg})
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scrapes == 0 {
+		t.Fatal("no snapshot ran during the replay")
+	}
+	if len(backwards) > 0 {
+		t.Errorf("counts moved backwards mid-run: %v", backwards)
+	}
+	got := map[string]float64{}
+	var groups float64
+	for _, s := range reg.Snapshot() {
+		got[s.Name] = s.Value
+		if strings.HasPrefix(s.Name, "m68k.group.") {
+			groups += s.Value
+		}
+	}
+	st := pb.Stats
+	for i, want := range []uint64{st.Machine.Instructions, st.Machine.SkippedCycles, st.Bus.Fetches, st.Bus.Writes, st.Kernel.TrapDispatches} {
+		if got[counts[i]] != float64(want) {
+			t.Errorf("%s = %v after the replay, want %d", counts[i], got[counts[i]], want)
+		}
+	}
+	if groups != float64(st.Machine.Instructions) {
+		t.Errorf("m68k.group.* sum to %v, want %d instructions", groups, st.Machine.Instructions)
 	}
 }
