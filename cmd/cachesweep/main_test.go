@@ -103,10 +103,8 @@ func writeIndexedPackedTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	for i := uint32(0); i < 6000; i++ {
-		for _, a := range []uint32{0x10000 + 4*i, 0x400000 + 64*(i%512), 0x10F00000 + 8*(i%64)} {
-			if err := w.WriteRef(a, 0); err != nil {
-				t.Fatal(err)
-			}
+		if err := w.WriteRefs([]uint32{0x10000 + 4*i, 0x400000 + 64*(i%512), 0x10F00000 + 8*(i%64)}, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {

@@ -12,7 +12,7 @@
 // Usage:
 //
 //	experiments -run all -jobs 4
-//	experiments -run pen|fig3|table1|fig5|fig6|fig7|validate-log|validate-state
+//	experiments -run pen|fig3|table1|fig5|fig6|fig7|validate-log|validate-state|validate-chain|opcodes|profiling|energy|writepolicy
 //	experiments -run fig5 -session 2
 //
 // Exit codes: 0 success, 1 experiment failure, 2 bad usage,
@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strings"
 	"syscall"
 	"time"
 
@@ -41,8 +42,50 @@ import (
 	"palmsim/internal/user"
 )
 
+// experiment is one entry of the dispatch table: a name for -run and the
+// function that prints its report, given the -session number.
+type experiment struct {
+	name string
+	run  func(ctx context.Context, w io.Writer, session int) error
+}
+
+// experiments is the dispatch table, in the order -run all prints them.
+var experiments = []experiment{
+	{"pen", runPen},
+	{"fig3", runFig3},
+	{"table1", runTable1},
+	{"fig5", func(ctx context.Context, w io.Writer, session int) error {
+		return runCacheFigures(ctx, w, session, true, false)
+	}},
+	{"fig6", func(ctx context.Context, w io.Writer, session int) error {
+		return runCacheFigures(ctx, w, session, false, true)
+	}},
+	{"fig7", runFig7},
+	{"validate-log", func(ctx context.Context, w io.Writer, _ int) error { return runValidation(ctx, w, true, false) }},
+	{"validate-state", func(ctx context.Context, w io.Writer, _ int) error { return runValidation(ctx, w, false, true) }},
+	{"validate-chain", runValidateChain},
+	{"opcodes", runOpcodes},
+	{"profiling", runProfilingAblation},
+	{"energy", runEnergy},
+	{"writepolicy", runWritePolicy},
+}
+
+// experimentNames lists the dispatch table's names, in order.
+func experimentNames() []string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.name
+	}
+	return names
+}
+
+// runHelp is the -run flag's help.
+func runHelp() string {
+	return "experiment: " + strings.Join(experimentNames(), ", ") + ", all"
+}
+
 func main() {
-	run := flag.String("run", "all", "experiment: pen, fig3, table1, fig5, fig6, fig7, validate-log, validate-state, all")
+	run := flag.String("run", "all", runHelp())
 	session := flag.Int("session", 1, "paper session number (1-4) for the cache study")
 	jobs := flag.Int("jobs", 1, "concurrent experiments for -run all (0 = GOMAXPROCS)")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-experiment deadline for -run all (0 = none)")
@@ -62,59 +105,39 @@ func runMain(ctx context.Context, stdout, stderr io.Writer, run string, session,
 		return obs.ExitUsage
 	}
 
-	experiments := map[string]func(ctx context.Context, w io.Writer) error{
-		"pen":            runPen,
-		"fig3":           runFig3,
-		"table1":         runTable1,
-		"fig5":           func(ctx context.Context, w io.Writer) error { return runCacheFigures(ctx, w, session, true, false) },
-		"fig6":           func(ctx context.Context, w io.Writer) error { return runCacheFigures(ctx, w, session, false, true) },
-		"fig7":           runFig7,
-		"validate-log":   func(ctx context.Context, w io.Writer) error { return runValidation(ctx, w, true, false) },
-		"validate-state": func(ctx context.Context, w io.Writer) error { return runValidation(ctx, w, false, true) },
-		"validate-chain": runValidateChain,
-		"opcodes":        func(ctx context.Context, w io.Writer) error { return runOpcodes(ctx, w, session) },
-		"profiling":      runProfilingAblation,
-		"energy":         func(ctx context.Context, w io.Writer) error { return runEnergy(ctx, w, session) },
-		"writepolicy":    func(ctx context.Context, w io.Writer) error { return runWritePolicy(ctx, w, session) },
-	}
-	order := []string{"pen", "fig3", "table1", "fig5", "fig6", "fig7",
-		"validate-log", "validate-state", "validate-chain", "opcodes",
-		"profiling", "energy", "writepolicy"}
-
 	if run == "all" {
-		return runAll(ctx, stdout, stderr, experiments, order, jobs, jobTimeout, keepGoing)
+		return runAll(ctx, stdout, stderr, session, jobs, jobTimeout, keepGoing)
 	}
-	f, ok := experiments[run]
-	if !ok {
-		fmt.Fprintf(stderr, "experiments: unknown experiment %q\n", run)
-		return obs.ExitUsage
+	for _, e := range experiments {
+		if e.name == run {
+			if err := e.run(ctx, stdout, session); err != nil {
+				return report1(stderr, err)
+			}
+			return obs.ExitOK
+		}
 	}
-	if err := f(ctx, stdout); err != nil {
-		return report1(stderr, err)
-	}
-	return obs.ExitOK
+	fmt.Fprintf(stderr, "experiments: unknown experiment %q\n", run)
+	return obs.ExitUsage
 }
 
 // runAll schedules every experiment through the batch runner, buffering
 // each job's output and printing the buffers in canonical order.
-func runAll(ctx context.Context, stdout, stderr io.Writer, experiments map[string]func(context.Context, io.Writer) error,
-	order []string, workers int, jobTimeout time.Duration, keepGoing bool) int {
-	bufs := make([]bytes.Buffer, len(order))
-	batch := make([]job.Job, len(order))
-	for i, name := range order {
-		f := experiments[name]
+func runAll(ctx context.Context, stdout, stderr io.Writer, session, workers int, jobTimeout time.Duration, keepGoing bool) int {
+	bufs := make([]bytes.Buffer, len(experiments))
+	batch := make([]job.Job, len(experiments))
+	for i, e := range experiments {
 		w := &bufs[i]
 		batch[i] = job.Job{
-			Name:    name,
+			Name:    e.name,
 			Timeout: jobTimeout,
-			Run:     func(ctx context.Context) error { return f(ctx, w) },
+			Run:     func(ctx context.Context) error { return e.run(ctx, w, session) },
 		}
 	}
 	results, err := job.Run(ctx, batch, job.Options{
 		Workers:  workers,
 		FailFast: !keepGoing,
 	})
-	for i, name := range order {
+	for i, name := range experimentNames() {
 		fmt.Fprintf(stdout, "==== %s ====\n", name)
 		stdout.Write(bufs[i].Bytes())
 		if r := results[i]; r.State != job.Succeeded {
@@ -142,7 +165,7 @@ func report1(stderr io.Writer, err error) int {
 }
 
 // runPen is E1: the §2.3.3 pen-sampling overhead check.
-func runPen(ctx context.Context, w io.Writer) error {
+func runPen(ctx context.Context, w io.Writer, _ int) error {
 	res, err := exp.PenSampling(ctx, 10)
 	if err != nil {
 		return err
@@ -155,7 +178,7 @@ func runPen(ctx context.Context, w io.Writer) error {
 }
 
 // runFig3 is E2: average overhead per hack call vs. activity-log size.
-func runFig3(ctx context.Context, w io.Writer) error {
+func runFig3(ctx context.Context, w io.Writer, _ int) error {
 	pts, err := exp.HackOverhead(ctx, nil)
 	if err != nil {
 		return err
@@ -183,7 +206,7 @@ func runFig3(ctx context.Context, w io.Writer) error {
 }
 
 // runTable1 is E3: the volunteer-user session data.
-func runTable1(ctx context.Context, w io.Writer) error {
+func runTable1(ctx context.Context, w io.Writer, _ int) error {
 	runs, err := exp.Table1(ctx)
 	if err != nil {
 		return err
@@ -217,7 +240,7 @@ func runCacheFigures(ctx context.Context, w io.Writer, session int, miss, teff b
 }
 
 // runFig7 is E6: the desktop-trace comparison.
-func runFig7(ctx context.Context, w io.Writer) error {
+func runFig7(ctx context.Context, w io.Writer, _ int) error {
 	fmt.Fprintln(w, "sweeping the synthetic desktop address trace (Figure 7 stand-in)...")
 	results, err := exp.DesktopStudy(ctx, 0)
 	if err != nil {
@@ -292,7 +315,7 @@ func runValidation(ctx context.Context, w io.Writer, logs, states bool) error {
 
 // runValidateChain reproduces the §3.1 chained setup: each workload's
 // initial state is the previous one's final state.
-func runValidateChain(ctx context.Context, w io.Writer) error {
+func runValidateChain(ctx context.Context, w io.Writer, _ int) error {
 	results, err := exp.ValidateChain(ctx, exp.ValidationWorkloads())
 	if err != nil {
 		return err
@@ -327,7 +350,7 @@ func runOpcodes(ctx context.Context, w io.Writer, session int) error {
 }
 
 // runProfilingAblation quantifies §2.4.2's completeness argument.
-func runProfilingAblation(ctx context.Context, w io.Writer) error {
+func runProfilingAblation(ctx context.Context, w io.Writer, _ int) error {
 	ab, err := exp.RunProfilingAblation(ctx, exp.ValidationWorkloads()[0])
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -126,5 +127,23 @@ func TestRunAllCanceled(t *testing.T) {
 	}
 	if !strings.HasPrefix(stderr, "experiments: ") {
 		t.Errorf("stderr %q does not report the interruption", stderr)
+	}
+}
+
+// TestHelpNamesEveryExperiment: the -run help and the package doc's usage
+// line name every experiment of the dispatch table, in its order.
+func TestHelpNamesEveryExperiment(t *testing.T) {
+	help := runHelp()
+	for _, e := range experiments {
+		if !strings.Contains(help, e.name+",") {
+			t.Errorf("-run help %q does not name %q", help, e.name)
+		}
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "//\texperiments -run " + strings.Join(experimentNames(), "|") + "\n"; !strings.Contains(string(src), want) {
+		t.Errorf("main.go's package doc lacks the usage line %q", want)
 	}
 }

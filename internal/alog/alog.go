@@ -91,7 +91,9 @@ func (l *Log) Marshal() []byte {
 
 // Unmarshal parses a serialized activity log. A malformed log — short
 // header, bad magic or version, a body shorter or longer than its record
-// count — fails with simerr.ErrCorruptState.
+// count, or a record whose tick is below the one before it (the device
+// appends records as its traps run, so ticks never decrease) — fails
+// with simerr.ErrCorruptState.
 func Unmarshal(data []byte) (*Log, error) {
 	corrupt := func(format string, args ...any) error {
 		return simerr.New(simerr.ErrCorruptState, "alog: unmarshal", fmt.Errorf(format, args...))
@@ -117,6 +119,9 @@ func Unmarshal(data []byte) (*Log, error) {
 		r, err := DecodeRecord(data[16+i*RecordSize:])
 		if err != nil {
 			return nil, err
+		}
+		if i > 0 && r.Tick < l.Records[i-1].Tick {
+			return nil, corrupt("record %d at tick %d precedes record %d's tick %d", i, r.Tick, i-1, l.Records[i-1].Tick)
 		}
 		l.Append(r)
 	}

@@ -1,10 +1,13 @@
 package alog
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -151,9 +154,16 @@ func TestToReplaySplitsThreeGroups(t *testing.T) {
 	}
 }
 
-// Property: marshal/unmarshal round trips arbitrary records.
+// Property: marshal/unmarshal round trips arbitrary records in tick
+// order, and rejects them out of order.
 func TestLogRoundTripQuick(t *testing.T) {
 	f := func(recs []Record) bool {
+		if !slices.IsSortedFunc(recs, byTick) {
+			if _, err := Unmarshal((&Log{Records: recs}).Marshal()); !errors.Is(err, simerr.ErrCorruptState) {
+				return false
+			}
+			slices.SortStableFunc(recs, byTick)
+		}
 		l := &Log{Records: recs}
 		got, err := Unmarshal(l.Marshal())
 		if err != nil {
@@ -193,6 +203,7 @@ func TestAlogHostileHeaders(t *testing.T) {
 	}{
 		{"2^32-1 records in a 16-byte file",
 			binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(fileMagic[:], 1), math.MaxUint32)},
+		{"a tick that decreases at the last record", decreasingTickLog()},
 	} {
 		var err error
 		alloc := alloctest.Allocated(func() { _, err = Unmarshal(tc.data) })
@@ -200,6 +211,30 @@ func TestAlogHostileHeaders(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorruptState", tc.name, err)
 		}
 		alloctest.CheckAllocs(t, tc.name, len(tc.data), alloc, allocPerByte, allocFixed)
+	}
+}
+
+func byTick(a, b Record) int { return cmp.Compare(a.Tick, b.Tick) }
+
+// decreasingTickLog is sampleLog marshaled with its last record's tick
+// set below the one before it.
+func decreasingTickLog() []byte {
+	l := sampleLog()
+	l.Records[len(l.Records)-1].Tick = l.Records[len(l.Records)-2].Tick - 1
+	return l.Marshal()
+}
+
+// TestUnmarshalRejectsDecreasingTick: a record whose tick is below its
+// predecessor's is corrupt state, and the error names the record.
+func TestUnmarshalRejectsDecreasingTick(t *testing.T) {
+	_, err := Unmarshal(decreasingTickLog())
+	if !errors.Is(err, simerr.ErrCorruptState) || !strings.Contains(err.Error(), "record 6 at tick 149") {
+		t.Errorf("err = %v, want ErrCorruptState naming record 6 at tick 149", err)
+	}
+	equal := sampleLog()
+	equal.Records[1].Tick = equal.Records[0].Tick
+	if _, err := Unmarshal(equal.Marshal()); err != nil {
+		t.Errorf("equal ticks rejected: %v", err)
 	}
 }
 
@@ -214,6 +249,7 @@ func FuzzAlogUnmarshal(f *testing.F) {
 	f.Add(data[:20])
 	f.Add(data[:len(data)-1])
 	f.Add(append(append([]byte(nil), data...), 0xFF))
+	f.Add(decreasingTickLog())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var l *Log
 		var err error

@@ -6,12 +6,16 @@
 package dtrace
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"palmsim/internal/alloctest"
 	"palmsim/internal/simerr"
@@ -275,11 +279,29 @@ const (
 	allocFixed   = 64<<10 + 4<<10
 )
 
+// refillReaders are the readers the streaming decoder is checked
+// through: the whole input at once, a 16-byte buffer, so that records
+// straddle its refills, and one byte per read, so that almost every record
+// takes the record-at-a-time path.
+var refillReaders = []struct {
+	name string
+	open func(data []byte) io.Reader
+}{
+	{"bytes.Reader", func(data []byte) io.Reader { return bytes.NewReader(data) }},
+	{"16-byte bufio.Reader", func(data []byte) io.Reader { return bufio.NewReaderSize(bytes.NewReader(data), 16) }},
+	{"iotest.OneByteReader", func(data []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(data)) }},
+}
+
 // stream opens data as a PackedSource and reads it to its end through
 // NextChunk, or through NextChunkKinded when kinds is non-nil, returning
 // how many references it read.
 func stream(data []byte, buf []uint32, kinds []uint8) (int, error) {
-	src, err := NewPackedSource(bytes.NewReader(data))
+	return streamFrom(bytes.NewReader(data), buf, kinds)
+}
+
+// streamFrom is stream over any reader.
+func streamFrom(r io.Reader, buf []uint32, kinds []uint8) (int, error) {
+	src, err := NewPackedSource(r)
 	if err != nil {
 		return 0, err
 	}
@@ -323,16 +345,33 @@ func TestPackedHostileHeaders(t *testing.T) {
 }
 
 // TestPackedWriterRejectsInvalidKind: the writer must refuse kinds outside
-// the m68k.Access range rather than minting traces readers reject.
+// the m68k.Access range rather than minting traces readers reject. It
+// keeps the references before the invalid one and stays usable, also when
+// the invalid kind would have opened a block.
 func TestPackedWriterRejectsInvalidKind(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewPackedWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRef(0x100, 3); err == nil {
-		t.Error("WriteRef accepted kind 3")
+	if err := w.WriteRefs([]uint32{0x100}, []uint8{7}); err == nil {
+		t.Error("WriteRefs accepted kind 7")
 	}
+	if err := w.WriteRefs([]uint32{0x100, 0x102, 0x104}, []uint8{0, 1, 3}); err == nil {
+		t.Error("WriteRefs accepted kind 3")
+	} else if w.Refs() != 2 {
+		t.Errorf("WriteRefs wrote %d refs before the invalid kind, want 2", w.Refs())
+	}
+	if err := w.WriteRefs([]uint32{0x100, 0x102}, []uint8{0}); err == nil {
+		t.Error("WriteRefs accepted 1 kind for 2 refs")
+	}
+	if err := w.WriteRefs([]uint32{0x200}, []uint8{2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	decodeBoth(t, buf.Bytes(), []uint32{0x100, 0x102, 0x200}, []uint8{0, 1, 2})
 	if _, err := PackTrace([]uint32{1, 2}, []uint8{0, 7}); err == nil {
 		t.Error("PackTrace accepted kind 7")
 	}
@@ -347,10 +386,8 @@ func TestPackedWriterBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range addrs {
-		if err := w.WriteRef(addrs[i], kinds[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.WriteRefs(addrs, kinds); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -395,7 +432,7 @@ func FuzzUnpackTrace(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		buf := make([]uint32, 333)
+		buf, kbuf := make([]uint32, 333), make([]uint8, 333)
 		var gotAddrs []uint32
 		var gotKinds []uint8
 		var err error
@@ -411,6 +448,13 @@ func FuzzUnpackTrace(f *testing.F) {
 			if err == nil {
 				t.Fatalf("UnpackTrace accepted what PackedSource rejected: %v", serr)
 			}
+			// A rejection is the same error, at the same reference,
+			// whatever the refills.
+			for _, rr := range refillReaders[1:] {
+				if _, rerr := streamFrom(rr.open(data), buf, kbuf); rerr == nil || rerr.Error() != serr.Error() {
+					t.Fatalf("PackedSource over %s: err = %v, want %v", rr.name, rerr, serr)
+				}
+			}
 			return
 		}
 		if err != nil {
@@ -418,6 +462,26 @@ func FuzzUnpackTrace(f *testing.F) {
 		}
 		if streamed != len(gotAddrs) {
 			t.Fatalf("PackedSource streamed %d refs, UnpackTrace decoded %d", streamed, len(gotAddrs))
+		}
+		// Through small and one-byte refills, the decoder must decode the
+		// same references and kinds.
+		for _, rr := range refillReaders[1:] {
+			var addrs []uint32
+			var kinds []uint8
+			src, err := NewPackedSource(rr.open(data))
+			for err == nil {
+				var n int
+				if n, err = src.NextChunkKinded(buf, kbuf); n == 0 {
+					break
+				}
+				addrs, kinds = append(addrs, buf[:n]...), append(kinds, kbuf[:n]...)
+			}
+			if err != nil {
+				t.Fatalf("PackedSource over %s rejected what it accepted whole: %v", rr.name, err)
+			}
+			if !slices.Equal(addrs, gotAddrs) || !slices.Equal(kinds, gotKinds) {
+				t.Fatalf("PackedSource over %s decoded %d refs that differ from UnpackTrace's %d", rr.name, len(addrs), len(gotAddrs))
+			}
 		}
 
 		// Accepted input: the decoded trace must re-encode and round-trip

@@ -86,8 +86,8 @@ func readKinded(t testing.TB, src *PackedSource) ([]uint32, []uint8) {
 }
 
 // decodeBoth decodes data through UnpackTrace and through PackedSource's
-// NextChunkKinded and fails unless both yield addrs and kinds (nil kinds
-// meaning all fetches).
+// NextChunkKinded, reading through each of refillReaders, and fails
+// unless all yield addrs and kinds (nil kinds meaning all fetches).
 func decodeBoth(t testing.TB, data []byte, addrs []uint32, kinds []uint8) {
 	t.Helper()
 	want := kinds
@@ -101,13 +101,15 @@ func decodeBoth(t testing.TB, data []byte, addrs []uint32, kinds []uint8) {
 	if !slices.Equal(gotA, addrs) || !slices.Equal(gotK, want) {
 		t.Fatalf("UnpackTrace decoded %d refs that differ from the %d packed", len(gotA), len(addrs))
 	}
-	src, err := NewPackedSource(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("NewPackedSource: %v", err)
-	}
-	gotA, gotK = readKinded(t, src)
-	if !slices.Equal(gotA, addrs) || !slices.Equal(gotK, want) {
-		t.Fatalf("PackedSource decoded %d refs that differ from the %d packed", len(gotA), len(addrs))
+	for _, rr := range refillReaders {
+		src, err := NewPackedSource(rr.open(data))
+		if err != nil {
+			t.Fatalf("NewPackedSource over %s: %v", rr.name, err)
+		}
+		gotA, gotK = readKinded(t, src)
+		if !slices.Equal(gotA, addrs) || !slices.Equal(gotK, want) {
+			t.Fatalf("PackedSource over %s decoded %d refs that differ from the %d packed", rr.name, len(gotA), len(addrs))
+		}
 	}
 }
 
@@ -134,7 +136,7 @@ func TestIndexedStreamingWriterMatchesPackTraceIndexed(t *testing.T) {
 			w.NoteTick(marks[mi].Tick)
 			mi++
 		}
-		if err := w.WriteRef(addrs[i], kinds[i]); err != nil {
+		if err := w.WriteRefs(addrs[i:i+1], kinds[i:i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}

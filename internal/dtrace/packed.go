@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"palmsim/internal/obs"
 	"palmsim/internal/simerr"
@@ -83,6 +84,66 @@ func (st *packedState) encode(addr uint32, kind uint8) uint64 {
 	return rec
 }
 
+// maxRecordBytes bounds one encoded record: the uvarint record word plus
+// the kind byte.
+const maxRecordBytes = binary.MaxVarintLen64 + 1
+
+// appendRecords is the block encoder: it appends the records of addrs
+// (kinds parallel to it, or nil for all fetches) to dst, exactly as
+// encode, binary.AppendUvarint and the kind byte would record by record.
+// Like encode it takes the lowest-index context with the smallest zigzag
+// residual; it computes all four residuals and picks with conditional
+// moves, since which context wins is too irregular to predict. It
+// returns the extended slice and how many references it encoded, which
+// is fewer than len(addrs) only when kinds[i] is not a valid access kind;
+// the records before that one are appended.
+func (st *packedState) appendRecords(dst []byte, addrs []uint32, kinds []uint8) ([]byte, int) {
+	dst = slices.Grow(dst, maxRecordBytes*len(addrs))
+	out := dst[len(dst):cap(dst)]
+	pa, ps := st.prevAddr, st.prevStride
+	w := 0
+	for i, addr := range addrs {
+		var kind uint8
+		if kinds != nil {
+			if kind = kinds[i]; kind > maxKind {
+				st.prevAddr, st.prevStride = pa, ps
+				return dst[:len(dst)+w], i
+			}
+		}
+		a := int64(addr)
+		z1, z2, z3 := zigzag(a-pa[1]-ps[1]), zigzag(a-pa[2]-ps[2]), zigzag(a-pa[3]-ps[3])
+		best, bestZZ := 0, zigzag(a-pa[0]-ps[0])
+		if z1 < bestZZ {
+			best, bestZZ = 1, z1
+		}
+		if z2 < bestZZ {
+			best, bestZZ = 2, z2
+		}
+		if z3 < bestZZ {
+			best, bestZZ = 3, z3
+		}
+		ps[best] = a - pa[best]
+		pa[best] = a
+		rec := bestZZ<<3 | uint64(best)
+		hasKind := 0
+		if kind != 0 {
+			rec |= 4
+			hasKind = 1
+		}
+		for rec >= 0x80 {
+			out[w] = byte(rec) | 0x80
+			rec >>= 7
+			w++
+		}
+		// The kind byte is stored either way and kept only when set.
+		out[w] = byte(rec)
+		out[w+1] = kind
+		w += 1 + hasKind
+	}
+	st.prevAddr, st.prevStride = pa, ps
+	return dst[:len(dst)+w], len(addrs)
+}
+
 // decode applies one record word and returns the address plus whether a
 // kind byte follows.
 func (st *packedState) decode(rec uint64) (addr uint32, hasKind bool) {
@@ -92,6 +153,71 @@ func (st *packedState) decode(rec uint64) (addr uint32, hasKind bool) {
 	st.prevStride[ctx] = stride
 	st.prevAddr[ctx] = a
 	return uint32(a), rec&4 != 0
+}
+
+// maxRunVarint is the longest record word decodeRecords reads itself: nine
+// bytes hold 63 bits, so it never meets the overflow binary.ReadUvarint
+// reports for a tenth byte above 1. Real records take at most six.
+const maxRunVarint = binary.MaxVarintLen64 - 1
+
+// decodeRecords is the block decoder: it decodes records from src into
+// addrs (and their kinds into kinds, when non-nil) until addrs is full or
+// the next record is not one it may decode alone, and returns how many
+// references it decoded and how many bytes of src they took. It stops
+// before a record that does not lie wholly in src, whose record word is
+// longer than maxRunVarint bytes, or whose kind byte is not a valid kind:
+// those are left to the record-at-a-time path, which reads across a
+// refill and reports every error. Each record it takes it decodes exactly
+// as binary.Uvarint and decode would.
+func (st *packedState) decodeRecords(src []byte, addrs []uint32, kinds []uint8) (n, used int) {
+	pa, ps := st.prevAddr, st.prevStride
+	r := 0
+records:
+	for n < len(addrs) {
+		if r >= len(src) {
+			break
+		}
+		j := r
+		rec := uint64(src[j])
+		j++
+		if rec >= 0x80 {
+			rec &= 0x7f
+			for shift := uint(7); ; shift += 7 {
+				if j >= len(src) || j-r == maxRunVarint {
+					break records
+				}
+				b := src[j]
+				j++
+				if b < 0x80 {
+					rec |= uint64(b) << shift
+					break
+				}
+				rec |= uint64(b&0x7f) << shift
+			}
+		}
+		var kind uint8
+		if rec&4 != 0 {
+			if j >= len(src) {
+				break
+			}
+			if kind = src[j]; kind == 0 || kind > maxKind {
+				break
+			}
+			j++
+		}
+		c := rec & 3
+		stride := ps[c] + unzigzag(rec>>3)
+		ps[c] = stride
+		pa[c] += stride
+		addrs[n] = uint32(pa[c])
+		if kinds != nil {
+			kinds[n] = kind
+		}
+		n++
+		r = j
+	}
+	st.prevAddr, st.prevStride = pa, ps
+	return n, r
 }
 
 // TickMark annotates a reference ordinal with the emulated tick current
@@ -130,7 +256,7 @@ func NewPackedWriter(w io.Writer) (*PackedWriter, error) {
 		return nil, err
 	}
 	return &PackedWriter{w: bw, bytes: uint64(len(PackedMagic)),
-		block: make([]byte, 0, 2*blockRefs)}, nil
+		block: make([]byte, 0, maxRecordBytes*blockRefs)}, nil
 }
 
 // NoteTick records the current emulated tick for the footer: blocks
@@ -144,32 +270,51 @@ func (p *PackedWriter) NoteTick(tick uint64) {
 	}
 }
 
-// WriteRef appends one reference. kind carries an m68k.Access value
-// (fetch 0, read 1, write 2); callers without kinds pass 0.
-func (p *PackedWriter) WriteRef(addr uint32, kind uint8) error {
-	if kind > maxKind {
-		return fmt.Errorf("dtrace: invalid access kind %d (max %d)", kind, maxKind)
+// WriteRefs appends a run of references. kinds is parallel to addrs and
+// carries m68k.Access values (fetch 0, read 1, write 2); callers without
+// kinds pass nil. An invalid kind is an error: the references before it
+// have been written, and the writer stays usable.
+func (p *PackedWriter) WriteRefs(addrs []uint32, kinds []uint8) error {
+	if kinds != nil && len(kinds) != len(addrs) {
+		return fmt.Errorf("dtrace: run has %d refs but %d kinds", len(addrs), len(kinds))
 	}
-	if p.blockCount == 0 {
-		// Snapshot the predictor state as it stands before this block's
-		// first record; p.bytes is exactly where the block header will
-		// land, since everything before it has been accounted.
-		p.entries = append(p.entries, IndexEntry{
-			Offset:     p.bytes,
-			StartRef:   p.refs,
-			StartTick:  p.tick,
-			PrevAddr:   p.st.prevAddr,
-			PrevStride: p.st.prevStride,
-		})
-	}
-	p.block = binary.AppendUvarint(p.block, p.st.encode(addr, kind))
-	if kind != 0 {
-		p.block = append(p.block, kind)
-	}
-	p.blockCount++
-	p.refs++
-	if p.blockCount == blockRefs {
-		return p.flushBlock()
+	for len(addrs) > 0 {
+		if p.blockCount == 0 {
+			// Snapshot the predictor state as it stands before this block's
+			// first record; p.bytes is exactly where the block header will
+			// land, since everything before it has been accounted.
+			p.entries = append(p.entries, IndexEntry{
+				Offset:     p.bytes,
+				StartRef:   p.refs,
+				StartTick:  p.tick,
+				PrevAddr:   p.st.prevAddr,
+				PrevStride: p.st.prevStride,
+			})
+		}
+		run := min(len(addrs), blockRefs-p.blockCount)
+		var k []uint8
+		if kinds != nil {
+			k = kinds[:run]
+		}
+		var n int
+		p.block, n = p.st.appendRecords(p.block, addrs[:run], k)
+		p.blockCount += n
+		p.refs += uint64(n)
+		if n < run {
+			if p.blockCount == 0 {
+				p.entries = p.entries[:len(p.entries)-1] // the block holds no record
+			}
+			return fmt.Errorf("dtrace: invalid access kind %d (max %d)", k[n], maxKind)
+		}
+		if p.blockCount == blockRefs {
+			if err := p.flushBlock(); err != nil {
+				return err
+			}
+		}
+		addrs = addrs[run:]
+		if kinds != nil {
+			kinds = kinds[run:]
+		}
 	}
 	return nil
 }
@@ -305,6 +450,23 @@ func (s *PackedSource) next(buf []uint32, kinds []uint8) (int, error) {
 				break
 			}
 			s.blockLeft = count
+			continue
+		}
+		// Decode what the reader holds buffered in one run; a record the
+		// run stops short of (one that straddles a refill, or one to
+		// reject) takes the record-at-a-time path below.
+		run := min(uint64(len(buf)-n), s.blockLeft)
+		var runKinds []uint8
+		if kinds != nil {
+			runKinds = kinds[n : n+int(run)]
+		}
+		held, _ := s.r.r.Peek(s.r.r.Buffered())
+		if got, used := s.st.decodeRecords(held, buf[n:n+int(run)], runKinds); got > 0 {
+			s.r.r.Discard(used) // used <= Buffered(), so this cannot fail
+			s.r.n += uint64(used)
+			n += got
+			s.refs += uint64(got)
+			s.blockLeft -= uint64(got)
 			continue
 		}
 		rec, err := binary.ReadUvarint(s.r)
@@ -448,19 +610,26 @@ func PackTraceIndexed(addrs []uint32, kinds []uint8, marks []TickMark) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
+	// Write the runs between tick marks, noting each mark's tick before
+	// its first reference.
 	mi := 0
-	for i, a := range addrs {
+	for i := 0; i < len(addrs); {
 		for mi < len(marks) && marks[mi].Ref <= uint64(i) {
 			w.NoteTick(marks[mi].Tick)
 			mi++
 		}
-		var k uint8
-		if kinds != nil {
-			k = kinds[i]
+		j := len(addrs)
+		if mi < len(marks) && marks[mi].Ref < uint64(j) {
+			j = int(marks[mi].Ref)
 		}
-		if err := w.WriteRef(a, k); err != nil {
+		var k []uint8
+		if kinds != nil {
+			k = kinds[i:j]
+		}
+		if err := w.WriteRefs(addrs[i:j], k); err != nil {
 			return nil, err
 		}
+		i = j
 	}
 	if err := w.Close(); err != nil {
 		return nil, err

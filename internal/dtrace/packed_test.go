@@ -2,8 +2,14 @@ package dtrace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+
+	"palmsim/internal/simerr"
 )
 
 // packedTestTrace mixes the access patterns the format is tuned for:
@@ -80,8 +86,10 @@ func TestPackedWriterMatchesPackTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range addrs {
-		if err := w.WriteRef(addrs[i], kinds[i]); err != nil {
+	// Uneven runs, so runs straddle block boundaries.
+	for lo := 0; lo < len(addrs); lo += 777 {
+		hi := min(lo+777, len(addrs))
+		if err := w.WriteRefs(addrs[lo:hi], kinds[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,4 +222,88 @@ func TestPackedSmallerThanRaw(t *testing.T) {
 	}
 	t.Logf("desktop trace: raw %d bytes, packed %d bytes (%.2fx)",
 		raw, len(packed), float64(raw)/float64(len(packed)))
+}
+
+// TestPackedSourceRefillSplits: a record whose bytes straddle a refill of
+// the reader's buffer decodes as it does whole, wherever the refill
+// falls. Each trace holds a 10-byte record word (a valid, non-canonical
+// spelling) and its kind byte between two short records; the input is
+// split into two reads at every offset. A valid trace must decode to
+// UnpackTrace's references, kinds and byte count; a corrupt one must fail
+// with UnpackTrace's ordinal and the unsplit stream's exact error.
+func TestPackedSourceRefillSplits(t *testing.T) {
+	var st packedState
+	head := craftRecord(&st, 0x1000, 0)
+	// zigzag(0)<<3 | hasKind | ctx 1, spelled in ten bytes.
+	long := []byte{0x80 | 5, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}
+	trace := func(word []byte, kind byte) []byte {
+		out := append([]byte(PackedMagic), 3)
+		out = append(out, head...)
+		out = append(out, word...)
+		out = append(out, kind)
+		return append(out, 0x00, 0) // a one-byte record (dd 0, context 0), then the end marker
+	}
+	overflow := append(bytes.Clone(long[:9]), 0x02)
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		wantErr string
+	}{
+		{"valid", trace(long, 2), ""},
+		{"invalid kind byte", trace(long, 3), "invalid kind byte 3"},
+		{"record word overflows", trace(overflow, 1), "overflows"},
+	} {
+		wantA, wantK, uerr := UnpackTrace(tc.data)
+		whole, werr := streamKinded(bytes.NewReader(tc.data))
+		if (uerr == nil) != (tc.wantErr == "") || (werr == nil) != (tc.wantErr == "") {
+			t.Fatalf("%s: UnpackTrace err = %v, PackedSource err = %v", tc.name, uerr, werr)
+		}
+		var ue *simerr.Error
+		if uerr != nil && !errors.As(uerr, &ue) {
+			t.Fatalf("%s: UnpackTrace err = %v, want a simerr.Error", tc.name, uerr)
+		}
+		for at := 0; at <= len(tc.data); at++ {
+			got, err := streamKinded(io.MultiReader(bytes.NewReader(tc.data[:at]), bytes.NewReader(tc.data[at:])))
+			if tc.wantErr != "" {
+				var se *simerr.Error
+				if err == nil || err.Error() != werr.Error() || !strings.Contains(err.Error(), tc.wantErr) ||
+					!errors.As(err, &se) || se.Ref != ue.Ref {
+					t.Errorf("%s, split at %d: err = %v, want %v at ref %d", tc.name, at, err, werr, ue.Ref)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, split at %d: %v", tc.name, at, err)
+			}
+			if !slices.Equal(got.addrs, wantA) || !slices.Equal(got.kinds, wantK) || got.bytes != whole.bytes {
+				t.Errorf("%s, split at %d: %x/%v after %d bytes, want %x/%v after %d",
+					tc.name, at, got.addrs, got.kinds, got.bytes, wantA, wantK, whole.bytes)
+			}
+		}
+	}
+}
+
+// decoded is what a PackedSource yielded, and the bytes it consumed.
+type decoded struct {
+	addrs []uint32
+	kinds []uint8
+	bytes uint64
+}
+
+// streamKinded decodes r to its end through NextChunkKinded, two
+// references at a time.
+func streamKinded(r io.Reader) (decoded, error) {
+	var d decoded
+	src, err := NewPackedSource(r)
+	if err != nil {
+		return d, err
+	}
+	buf, kinds := make([]uint32, 2), make([]uint8, 2)
+	for {
+		n, err := src.NextChunkKinded(buf, kinds)
+		d.addrs, d.kinds, d.bytes = append(d.addrs, buf[:n]...), append(d.kinds, kinds[:n]...), src.r.n
+		if err != nil || n == 0 {
+			return d, err
+		}
+	}
 }

@@ -226,10 +226,12 @@ func (m *Machine) canceled() error {
 }
 
 // Schedule queues an external input for delivery at the given tick. Inputs
-// must be scheduled in nondecreasing tick order (activity logs are ordered).
+// must be scheduled in nondecreasing tick order (activity logs are
+// ordered); an input out of order fails with simerr.ErrCorruptState.
 func (m *Machine) Schedule(tick uint32, ev hw.InputEvent) error {
 	if n := len(m.schedule); n > 0 && m.schedule[n-1].Tick > tick {
-		return fmt.Errorf("emu: input scheduled at tick %d after tick %d", tick, m.schedule[n-1].Tick)
+		return simerr.New(simerr.ErrCorruptState, "emu: schedule",
+			fmt.Errorf("input scheduled at tick %d after tick %d", tick, m.schedule[n-1].Tick))
 	}
 	m.schedule = append(m.schedule, ScheduledInput{Tick: tick, Ev: ev})
 	m.nextTickCycle = 0 // the input may already be due: sync on next step

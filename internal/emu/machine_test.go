@@ -1,11 +1,13 @@
 package emu
 
 import (
+	"errors"
 	"testing"
 
 	"palmsim/internal/hw"
 	"palmsim/internal/m68k"
 	"palmsim/internal/palmos"
+	"palmsim/internal/simerr"
 )
 
 func newBooted(t *testing.T) *Machine {
@@ -48,6 +50,21 @@ func TestBootSettlesInLauncher(t *testing.T) {
 		if _, ok := m.Store.Lookup(name); !ok {
 			t.Errorf("system database %q missing after boot", name)
 		}
+	}
+}
+
+// TestScheduleRejectsOutOfOrderInput: an input scheduled before the last
+// one fails with ErrCorruptState and leaves the schedule as it was.
+func TestScheduleRejectsOutOfOrderInput(t *testing.T) {
+	m := newBooted(t)
+	tick := m.Ticks() + 10
+	must(t, m.Schedule(tick, hw.InputEvent{Type: hw.EvKey, A: 'a'}))
+	must(t, m.Schedule(tick, hw.InputEvent{Type: hw.EvKey, A: 'b'}))
+	if err := m.Schedule(tick-1, hw.InputEvent{Type: hw.EvKey, A: 'c'}); !errors.Is(err, simerr.ErrCorruptState) {
+		t.Errorf("out-of-order input: err = %v, want ErrCorruptState", err)
+	}
+	if n := m.PendingInputs(); n != 2 {
+		t.Errorf("%d inputs pending, want 2", n)
 	}
 }
 

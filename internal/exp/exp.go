@@ -40,6 +40,7 @@ func PenSampling(ctx context.Context, seconds int) (*PenSamplingResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	m.BindContext(ctx)
 	if err := m.Boot(); err != nil {
 		return nil, err
@@ -143,6 +144,7 @@ func runTrigger(ctx context.Context, trig hackTrigger, prefill int, withHack boo
 	if err != nil {
 		return 0, 0, err
 	}
+	defer m.Release()
 	m.BindContext(ctx)
 	if err := m.Boot(); err != nil {
 		return 0, 0, err
@@ -309,6 +311,7 @@ func TightLoop(ctx context.Context, prefill, iterations int) (*TightLoopResult, 
 	if err != nil {
 		return nil, err
 	}
+	defer m.Release()
 	m.BindContext(ctx)
 	if err := m.Boot(); err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -162,6 +163,41 @@ func TestRunSessionReleasesMachines(t *testing.T) {
 	}
 	if !slices.Equal(first.Play.Trace, second.Play.Trace) || !slices.Equal(first.Play.TraceKinds, second.Play.TraceKinds) {
 		t.Error("a rerun of the session on recycled images traced differently")
+	}
+}
+
+// TestDriversReleaseMachines: PenSampling, TightLoop and HackOverhead's
+// runTrigger return their machines' memory images to the pool, so a
+// second call builds on a recycled image. Two collections empty the pool
+// before each try, so only the first call's image can be reused. The race
+// detector makes sync.Pool drop a quarter of what is put back, so a
+// driver gets several tries.
+func TestDriversReleaseMachines(t *testing.T) {
+	ctx := context.Background()
+	for _, d := range []struct {
+		name string
+		run  func() error
+	}{
+		{"PenSampling", func() error { _, err := PenSampling(ctx, 1); return err }},
+		{"TightLoop", func() error { _, err := TightLoop(ctx, 0, 10); return err }},
+		{"runTrigger", func() error { _, _, err := runTrigger(ctx, hackTriggers()[0], 0, true); return err }},
+	} {
+		reused := false
+		for try := 0; try < 8 && !reused; try++ {
+			runtime.GC()
+			runtime.GC()
+			if err := d.run(); err != nil {
+				t.Fatalf("%s: %v", d.name, err)
+			}
+			before := emu.ImageReuses()
+			if err := d.run(); err != nil {
+				t.Fatalf("%s: %v", d.name, err)
+			}
+			reused = emu.ImageReuses() > before
+		}
+		if !reused {
+			t.Errorf("the second %s built no machine on a recycled image", d.name)
+		}
 	}
 }
 

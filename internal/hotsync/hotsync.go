@@ -34,12 +34,13 @@ func Backup(m *emu.Machine) (*State, error) {
 
 // Restore imports the state into a machine. Matching the paper's §3.4
 // observation, imported databases read back with zeroed creation, backup
-// and modification dates until replay itself modifies them.
+// and modification dates until replay itself modifies them. A database
+// the machine cannot import fails with simerr.ErrCorruptState.
 func Restore(m *emu.Machine, st *State) error {
 	m.HW.SetRTCBase(st.RTCBase)
 	for _, db := range st.Databases {
 		if _, err := m.Store.Import(db); err != nil {
-			return fmt.Errorf("hotsync: importing %q: %w", db.Name, err)
+			return simerr.New(simerr.ErrCorruptState, "hotsync: restore", fmt.Errorf("importing %q: %w", db.Name, err))
 		}
 	}
 	return nil

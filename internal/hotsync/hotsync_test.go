@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"palmsim/internal/alloctest"
@@ -13,6 +14,7 @@ import (
 	"palmsim/internal/palmos"
 	"palmsim/internal/pdb"
 	"palmsim/internal/simerr"
+	"palmsim/internal/storage"
 )
 
 func booted(t *testing.T) *emu.Machine {
@@ -77,6 +79,17 @@ func TestRestoreRoundTrip(t *testing.T) {
 	}
 	if dst.HW.RTCBase() != st.RTCBase {
 		t.Error("RTC base not restored")
+	}
+}
+
+// TestRestoreRejectsUnimportableState: a database the machine cannot
+// import, here one larger than the storage heap, fails the restore with
+// ErrCorruptState naming the database.
+func TestRestoreRejectsUnimportableState(t *testing.T) {
+	st := &State{Databases: []*pdb.Database{{Name: "HugeDB", Records: []pdb.Record{{Data: make([]byte, storage.HeapSize+2)}}}}}
+	err := Restore(booted(t), st)
+	if !errors.Is(err, simerr.ErrCorruptState) || !strings.Contains(err.Error(), `"HugeDB"`) {
+		t.Errorf("err = %v, want ErrCorruptState naming HugeDB", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"palmsim/internal/alog"
 	"palmsim/internal/bus"
@@ -15,9 +16,11 @@ import (
 	"palmsim/internal/emu"
 	"palmsim/internal/hack"
 	"palmsim/internal/hotsync"
+	"palmsim/internal/hw"
 	"palmsim/internal/m68k"
 	"palmsim/internal/obs"
 	"palmsim/internal/palmos"
+	"palmsim/internal/sweep"
 	"palmsim/internal/user"
 )
 
@@ -255,37 +258,97 @@ func (p *Playback) Release() {
 	}
 }
 
-// traceSink collects RAM/flash reference addresses (and, optionally, each
-// access's kind for Dinero export, plus sparse tick marks for indexing).
-type traceSink struct {
-	buf   []uint32
-	kinds []uint8
-	want  bool
+// chunkRefs is the trace sink's chunk size, the sweep's chunk: the unit a
+// replay will hand to a streaming consumer.
+const chunkRefs = sweep.DefaultChunkRefs
 
-	// m and marks drive CollectTicks: one TickMark per emulated tick
-	// that records references. The tick comparison is one load and one
-	// compare per reference, paid only when marks is wanted.
-	m        *Machine
-	marks    []dtrace.TickMark
-	lastTick uint32
-	mark     bool
+// traceSink collects RAM/flash reference addresses (and, optionally, each
+// access's kind for Dinero export, plus sparse tick marks for indexing)
+// into fixed-size chunks that never grow or move; finish assembles them
+// into the Playback's slices once the replay ends.
+type traceSink struct {
+	addrs []uint32 // the chunk being filled, chunk entries long
+	kinds []uint8  // its kinds, when want
+	n     int      // entries of addrs (and kinds) filled
+	want  bool
+	chunk int
+
+	fullAddrs [][]uint32 // filled chunks, in order
+	fullKinds [][]uint8
+
+	// marks drive CollectTicks: one TickMark per emulated tick that
+	// records references, the tick being cycles/CyclesPerTick at the
+	// reference. A reference whose cycle count lies in [tickStart,
+	// tickEnd), the span of the tick last seen, is at that tick, so the
+	// per-reference cost is one load and two compares; the division runs
+	// only when the clock has left the span.
+	mark               bool
+	cycles             *uint64
+	tickStart, tickEnd uint64
+	lastTick           uint32
+	marks              []dtrace.TickMark
+}
+
+func newTraceSink(m *Machine, opt ReplayOptions, chunk int) *traceSink {
+	return &traceSink{want: opt.CollectKinds, chunk: chunk, mark: opt.CollectTicks, cycles: &m.CPU.Cycles}
 }
 
 // ref is the machine's bus.Tracer: it keeps the RAM and flash references
 // (bus.Mapped).
 func (t *traceSink) ref(addr uint32, _ m68k.Size, kind m68k.Access) {
-	if bus.Mapped(addr) {
-		if t.mark {
-			if tk := t.m.Ticks(); tk != t.lastTick || len(t.marks) == 0 {
-				t.marks = append(t.marks, dtrace.TickMark{Ref: uint64(len(t.buf)), Tick: uint64(tk)})
-				t.lastTick = tk
-			}
-		}
-		t.buf = append(t.buf, addr)
-		if t.want {
-			t.kinds = append(t.kinds, uint8(kind))
+	if !bus.Mapped(addr) {
+		return
+	}
+	if t.mark {
+		if c := *t.cycles; c < t.tickStart || c >= t.tickEnd {
+			t.noteTick(c)
 		}
 	}
+	if t.n == len(t.addrs) {
+		t.nextChunk()
+	}
+	t.addrs[t.n] = addr
+	if t.want {
+		t.kinds[t.n] = uint8(kind)
+	}
+	t.n++
+}
+
+// noteTick handles a reference at cycle count c outside the last tick's
+// span: it marks the reference when its tick differs from the previous
+// reference's, or when it is the first.
+func (t *traceSink) noteTick(c uint64) {
+	tk := c / hw.CyclesPerTick
+	t.tickStart, t.tickEnd = tk*hw.CyclesPerTick, (tk+1)*hw.CyclesPerTick
+	if uint32(tk) != t.lastTick || len(t.marks) == 0 {
+		ref := uint64(len(t.fullAddrs)*t.chunk + t.n)
+		t.marks = append(t.marks, dtrace.TickMark{Ref: ref, Tick: uint64(uint32(tk))})
+		t.lastTick = uint32(tk)
+	}
+}
+
+// nextChunk retires the filled chunk, if any, and starts an empty one.
+func (t *traceSink) nextChunk() {
+	if t.addrs != nil {
+		t.fullAddrs = append(t.fullAddrs, t.addrs)
+		t.fullKinds = append(t.fullKinds, t.kinds)
+	}
+	t.addrs, t.n = make([]uint32, t.chunk), 0
+	if t.want {
+		t.kinds = make([]uint8, t.chunk)
+	}
+}
+
+// finish assembles the chunks into one address slice and, when kinds
+// were wanted, one kind slice (both nil for an empty trace), and drops
+// the chunks.
+func (t *traceSink) finish() (addrs []uint32, kinds []uint8) {
+	addrs = slices.Concat(append(t.fullAddrs, t.addrs[:t.n])...)
+	if t.want {
+		kinds = slices.Concat(append(t.fullKinds, t.kinds[:t.n])...)
+	}
+	t.addrs, t.kinds, t.n, t.fullAddrs, t.fullKinds = nil, nil, 0, nil, nil
+	return addrs, kinds
 }
 
 // Replay restores the initial state into a fresh machine and replays the
@@ -327,31 +390,16 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 		}
 	}
 
-	replay := log.ToReplay()
-	m.Kernel.Replay = replay.Queues()
-
 	var sink *traceSink
 	if opt.CollectTrace || opt.CollectKinds || opt.CollectTicks {
-		sink = &traceSink{want: opt.CollectKinds, m: m, mark: opt.CollectTicks}
+		sink = newTraceSink(m, opt, chunkRefs)
 		if opt.SeekTick == 0 {
 			m.SetTracer(sink.ref)
 		}
 	}
-	var end uint32
-	for _, ev := range replay.Synchronous {
-		tick := ev.Tick
-		if tick < m.Ticks() {
-			// An event logged before this machine's boot settled (can
-			// happen if the collection machine booted faster); deliver
-			// as soon as possible.
-			tick = m.Ticks()
-		}
-		if err := m.Schedule(tick, ev.Ev); err != nil {
-			return nil, err
-		}
-		if tick > end {
-			end = tick
-		}
+	end, err := scheduleLog(m, log)
+	if err != nil {
+		return nil, err
 	}
 	if sink != nil && opt.SeekTick > 0 {
 		// Fast-forward: emulate the prefix untraced, then attach the
@@ -371,8 +419,7 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 
 	out := &Playback{Stats: statsOf(m), M: m}
 	if sink != nil {
-		out.Trace = sink.buf
-		out.TraceKinds = sink.kinds
+		out.Trace, out.TraceKinds = sink.finish()
 		out.TraceTicks = sink.marks
 	}
 	if opt.CountOpcodes {
@@ -397,6 +444,29 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 	}
 	out.Final = final
 	return out, nil
+}
+
+// scheduleLog hands the log's replay queues to the kernel and schedules
+// its synchronous events, returning the last event's tick.
+func scheduleLog(m *Machine, log *Log) (end uint32, err error) {
+	replay := log.ToReplay()
+	m.Kernel.Replay = replay.Queues()
+	for _, ev := range replay.Synchronous {
+		tick := ev.Tick
+		if tick < m.Ticks() {
+			// An event logged before this machine's boot settled (can
+			// happen if the collection machine booted faster); deliver
+			// as soon as possible.
+			tick = m.Ticks()
+		}
+		if err := m.Schedule(tick, ev.Ev); err != nil {
+			return 0, err
+		}
+		if tick > end {
+			end = tick
+		}
+	}
+	return end, nil
 }
 
 func statsOf(m *Machine) RunStats {

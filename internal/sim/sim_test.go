@@ -2,10 +2,17 @@ package sim
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"palmsim/internal/bus"
+	"palmsim/internal/dtrace"
+	"palmsim/internal/emu"
+	"palmsim/internal/hotsync"
+	"palmsim/internal/hw"
+	"palmsim/internal/m68k"
 	"palmsim/internal/obs"
 	"palmsim/internal/user"
 )
@@ -173,5 +180,109 @@ func TestSnapshotDuringReplay(t *testing.T) {
 	}
 	if groups != float64(st.Machine.Instructions) {
 		t.Errorf("m68k.group.* sum to %v, want %d instructions", groups, st.Machine.Instructions)
+	}
+}
+
+// TestTraceTicksPerReference pins the chunked sink to its definition. A
+// reference's tick is Cycles/CyclesPerTick when it is made, and
+// TraceTicks marks the first reference and every reference whose tick
+// differs from the one before it. The same replay runs through Replay
+// and through a sink with 1,000-reference chunks that also logs each
+// reference's tick; both must equal the marks the log defines. The
+// session dozes through idle ticks, so some ticks have no references.
+func TestTraceTicksPerReference(t *testing.T) {
+	ctx := context.Background()
+	col, err := Collect(ctx, tinySession("ticks", 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Release()
+	opt := ReplayOptions{Profiling: true, CollectTrace: true, CollectKinds: true, CollectTicks: true}
+	pb, err := Replay(ctx, col.Initial, col.Log, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb.Release()
+
+	m, err := emu.New(emu.Options{Profiling: true, TraceNative: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	if err := m.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := hotsync.Restore(m, col.Initial); err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 1000
+	sink := newTraceSink(m, opt, chunk)
+	var ticks []uint32
+	m.SetTracer(func(addr uint32, size m68k.Size, kind m68k.Access) {
+		sink.ref(addr, size, kind)
+		if bus.Mapped(addr) {
+			ticks = append(ticks, uint32(m.CPU.Cycles/hw.CyclesPerTick))
+		}
+	})
+	end, err := scheduleLog(m, col.Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunUntilTick(end + settleTicks); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RunUntilIdle(2_000_000_000); err != nil {
+		t.Fatal(err)
+	}
+	addrs, kinds := sink.finish()
+
+	var want []dtrace.TickMark
+	for i, tk := range ticks {
+		if i == 0 || tk != ticks[i-1] {
+			want = append(want, dtrace.TickMark{Ref: uint64(i), Tick: uint64(tk)})
+		}
+	}
+	if len(addrs) != len(ticks) || len(addrs) < 3*chunk {
+		t.Fatalf("sink kept %d refs, the tracer saw %d; want the same, over 3 chunks", len(addrs), len(ticks))
+	}
+	if !slices.Equal(sink.marks, want) {
+		t.Errorf("chunked sink: %d tick marks differ from the %d per-reference marks", len(sink.marks), len(want))
+	}
+	if !slices.Equal(pb.TraceTicks, want) || !slices.Equal(pb.Trace, addrs) || !slices.Equal(pb.TraceKinds, kinds) {
+		t.Errorf("Replay's trace or its %d tick marks differ from the per-reference replay's", len(pb.TraceTicks))
+	}
+	if m.Stats.SkippedCycles == 0 {
+		t.Error("the replay never dozed")
+	}
+	gap := false
+	for i := 1; i < len(want); i++ {
+		gap = gap || want[i].Tick > want[i-1].Tick+1
+	}
+	if !gap {
+		t.Error("no tick without references")
+	}
+}
+
+// TestTraceSinkTickSpanEdges drives the sink's tick marks with cycle
+// counts at the edges of a tick's span: its first and last cycle, a jump
+// over idle ticks, a count that moves backwards and the tick counter's
+// wrap at 2^32. Each reference is marked exactly when its tick differs
+// from the previous reference's.
+func TestTraceSinkTickSpanEdges(t *testing.T) {
+	var cycles uint64
+	sink := &traceSink{mark: true, chunk: 2, cycles: &cycles}
+	const cpt = hw.CyclesPerTick
+	var want []dtrace.TickMark
+	var prev uint32
+	for i, c := range []uint64{7, cpt - 1, cpt, cpt, 2*cpt - 1, 5 * cpt, 5*cpt + 1, 3 * cpt, (1<<32 - 1) * cpt, 1 << 32 * cpt} {
+		cycles = c
+		sink.ref(0x1000, m68k.Word, m68k.Read)
+		if tk := uint32(c / cpt); i == 0 || tk != prev {
+			want = append(want, dtrace.TickMark{Ref: uint64(i), Tick: uint64(tk)})
+			prev = tk
+		}
+	}
+	if !slices.Equal(sink.marks, want) {
+		t.Errorf("marks %v, want %v", sink.marks, want)
 	}
 }
