@@ -1,7 +1,7 @@
 // Interruption-contract tests: SIGINT mid-sweep must land on the
-// documented exit code (3), record "status":"interrupted" in the run
-// manifest, and — with -checkpoint — leave a resumable sidecar behind.
-// Uses the same re-exec pattern as main_test.go.
+// documented exit code (3) and record "status":"interrupted" in the run
+// manifest, and running the sweep again must print the table of an
+// uninterrupted run. Uses the same re-exec pattern as main_test.go.
 package main
 
 import (
@@ -123,19 +123,21 @@ func TestSigintWritesInterruptedManifest(t *testing.T) {
 	}
 }
 
-// TestSigintCheckpointThenResume interrupts a checkpointed sweep, then
-// re-runs with -resume over the same trace and expects a clean exit with
-// the full results table.
+// TestSigintCheckpointThenResume interrupts a sweep, which exits 3, then
+// runs it again and expects a clean exit, an "ok" manifest and output
+// identical to an uninterrupted run's.
 func TestSigintCheckpointThenResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweeps in -short mode")
 	}
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "sweep.ckpt")
-	manifest := filepath.Join(dir, "resume.json")
-	base := fmt.Sprintf("-desktop -refs 4000000 -checkpoint %s", ckpt)
+	const args = "-desktop -refs 6000000 -workers 2"
+	manifest := filepath.Join(t.TempDir(), "run.json")
+	want, err := runCachesweep(t, args+" -manifest "+manifest)
+	if err != nil {
+		t.Fatalf("uninterrupted run failed: %v\n%s", err, want)
+	}
 
-	s := startCachesweep(t, base, "sweep:")
+	s := startCachesweep(t, args, "sweep:")
 	if err := s.cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
@@ -143,28 +145,25 @@ func TestSigintCheckpointThenResume(t *testing.T) {
 	if code := exitCode(t, err); code != 3 {
 		t.Fatalf("interrupted run: exit code = %d, want 3\n%s", code, out)
 	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint sidecar after SIGINT: %v", err)
-	}
-	if !strings.Contains(out, "re-run with -resume") {
-		t.Errorf("interrupted run does not advertise -resume:\n%s", out)
+	if strings.Contains(out, "56-configuration sweep") {
+		t.Errorf("interrupted run printed a results table:\n%s", out)
 	}
 
-	full, err := runCachesweep(t, base+" -resume -manifest "+manifest)
-	if err != nil {
-		t.Fatalf("resumed run failed: %v\n%s", err, full)
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(full, "56-configuration sweep") {
-		t.Errorf("resumed run did not print the results table:\n%s", full)
+	got, err := runCachesweep(t, args+" -manifest "+manifest)
+	if err != nil {
+		t.Fatalf("rerun failed: %v\n%s", err, got)
+	}
+	if got != want {
+		t.Errorf("rerun output differs from the uninterrupted run's:\n%s\nwant:\n%s", got, want)
 	}
 	man, rerr := os.ReadFile(manifest)
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
 	if !strings.Contains(string(man), `"status": "ok"`) {
-		t.Errorf("resumed run's manifest is not ok:\n%s", man)
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Errorf("sidecar survived a completed sweep")
+		t.Errorf("rerun's manifest is not ok:\n%s", man)
 	}
 }

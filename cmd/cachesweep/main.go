@@ -8,18 +8,16 @@
 //
 // SIGINT/SIGTERM cancel the sweep at the next chunk boundary: the run
 // manifest (when -manifest is given) is still written, with
-// "status":"interrupted", and the process exits with code 3. With
-// -checkpoint the interrupted sweep's aggregation state is saved to a
-// sidecar file; re-running with -resume picks up where it stopped and
-// produces results bit-identical to an uninterrupted run.
+// "status":"interrupted", and the process exits with code 3. An
+// interrupted sweep is simply run again; the paper's largest sweep
+// reruns in minutes.
 //
 // Usage:
 //
 //	cachesweep -session 1
 //	cachesweep -trace out/session1.ptrace -workers 8
 //	cachesweep -desktop
-//	cachesweep -desktop -refs 500000000 -checkpoint sweep.ckpt
-//	cachesweep -desktop -refs 500000000 -checkpoint sweep.ckpt -resume
+//	cachesweep -desktop -refs 500000000
 //	cachesweep -session 1 -algo direct                (per-config simulation)
 //	cachesweep -session 1 -crossvalidate              (stack vs direct diff)
 //	cachesweep -session 1 -policy FIFO    (ablation beyond the paper)
@@ -45,7 +43,11 @@
 // kinds; an address-only packed trace, as dtrace.PackTrace(addrs, nil)
 // writes, reads as all instruction fetches.
 //
-// Every flag is checked before a trace is opened or a session collected.
+// Every flag is checked before anything is printed, a trace file read or
+// a session collected: exactly one trace source, -refs only with
+// -desktop, -l2-line, -l2-assoc and -hierarchy only with -l2-sizes, and
+// no -write-policy over the kindless desktop trace. A -trace or -din
+// file that cannot be opened fails before any output too.
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
@@ -83,17 +85,14 @@ func main() {
 	flag.StringVar(&c.writePolicy, "write-policy", "", "write policy: ignore (default), through or back; requires a kind-carrying trace")
 	flag.StringVar(&c.l2Sizes, "l2-sizes", "", "comma-separated L2 sizes in KB; pairs every L1 grid point with every L2 candidate (hierarchy sweep)")
 	flag.IntVar(&c.l2Line, "l2-line", 0, "L2 line size in bytes (0 = match each L1's line size)")
-	flag.StringVar(&c.l2Assoc, "l2-assoc", "4", "comma-separated L2 associativities")
-	flag.StringVar(&c.hierarchy, "hierarchy", "nine", "multi-level content policy: nine (non-inclusive), inclusive or exclusive")
+	flag.StringVar(&c.l2Assoc, "l2-assoc", defaultL2Assoc, "comma-separated L2 associativities")
+	flag.StringVar(&c.hierarchy, "hierarchy", defaultHierarchy, "multi-level content policy: nine (non-inclusive), inclusive or exclusive")
 	flag.BoolVar(&c.planOnly, "plan", false, "print the resolved sweep plan and exit without simulating")
 	flag.BoolVar(&c.pareto, "pareto", false, "print the energy/latency Pareto front over all swept configurations")
 	flag.StringVar(&c.algo, "algo", "auto", "sweep engine: auto, direct or stack")
 	flag.BoolVar(&c.crossValidate, "crossvalidate", false, "run both engines over the trace and verify bit-identical results")
 	flag.IntVar(&c.workers, "workers", 0, "concurrent sweep workers (0 = one per core, 1 = serial)")
 	flag.IntVar(&c.chunk, "chunk", 0, "references per streamed chunk (0 = default)")
-	flag.StringVar(&c.checkpoint, "checkpoint", "", "checkpoint sidecar file: saved periodically and on interrupt")
-	flag.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "chunks between checkpoint saves (0 = default)")
-	flag.BoolVar(&c.resume, "resume", false, "resume from an existing -checkpoint sidecar")
 	profiler := prof.AddFlags()
 	c.obsFlags = obs.AddFlags()
 	flag.Parse()
@@ -103,16 +102,20 @@ func main() {
 	os.Exit(c.obsFlags.Run("cachesweep", profiler, func() error { return sweepMain(ctx, c) }))
 }
 
+// The -l2-assoc and -hierarchy defaults; a flat sweep accepts no other.
+const (
+	defaultL2Assoc   = "4"
+	defaultHierarchy = "nine"
+)
+
 type config struct {
 	traceFile, dinFile               string
 	sessionNum, refs, workers, chunk int
-	desktop, crossValidate, resume   bool
-	policy, algo                     string
-	writePolicy, checkpoint          string
+	desktop, crossValidate           bool
+	policy, algo, writePolicy        string
 	l2Sizes, l2Assoc, hierarchy      string
 	l2Line                           int
 	planOnly, pareto                 bool
-	checkpointEvery                  int
 	obsFlags                         *obs.Flags
 }
 
@@ -124,7 +127,8 @@ type config struct {
 func sweepMain(ctx context.Context, c *config) error {
 	reg := c.obsFlags.Registry()
 
-	// Every flag, before a trace is opened or a session collected.
+	// Every flag, before any output, a trace file read or a session
+	// collected.
 	var pols []cache.Policy
 	var polLabels []string
 	for _, name := range strings.Split(c.policy, ",") {
@@ -151,11 +155,25 @@ func sweepMain(ctx context.Context, c *config) error {
 	default:
 		return obs.Usage(fmt.Errorf("unknown engine %q (want auto, direct or stack)", c.algo))
 	}
-	if c.dinFile == "" && c.traceFile == "" && !c.desktop && (c.sessionNum < 1 || c.sessionNum > 4) {
-		return obs.Usage(fmt.Errorf("need one of -trace, -din, -session or -desktop"))
+	sources := 0
+	for _, set := range []bool{c.traceFile != "", c.dinFile != "", c.sessionNum != 0, c.desktop} {
+		if set {
+			sources++
+		}
 	}
-	if c.resume && c.checkpoint == "" {
-		return obs.Usage(fmt.Errorf("-resume requires -checkpoint"))
+	switch {
+	case sources != 1:
+		return obs.Usage(fmt.Errorf("need exactly one of -trace, -din, -session or -desktop"))
+	case c.sessionNum < 0 || c.sessionNum > 4:
+		return obs.Usage(fmt.Errorf("-session %d: want 1 to 4", c.sessionNum))
+	case c.refs != 0 && !c.desktop:
+		return obs.Usage(fmt.Errorf("-refs sets the synthetic trace's length and needs -desktop"))
+	case c.refs < 0:
+		return obs.Usage(fmt.Errorf("-refs %d: want a positive length", c.refs))
+	case c.desktop && wp != cache.WriteIgnore:
+		return obs.Usage(fmt.Errorf("-write-policy %s needs access kinds, and the synthetic desktop trace carries no access kinds", c.writePolicy))
+	case c.l2Sizes == "" && (c.l2Line != 0 || c.l2Assoc != defaultL2Assoc || c.hierarchy != defaultHierarchy):
+		return obs.Usage(fmt.Errorf("-l2-line, -l2-assoc and -hierarchy shape the L2 and need -l2-sizes"))
 	}
 	var cfgs []cache.Config
 	for _, p := range pols {
@@ -193,6 +211,10 @@ func sweepMain(ctx context.Context, c *config) error {
 			}
 			return attachSourceObs(exp.NewDineroSource(f), reg), f, nil
 		}
+		// A file that cannot be opened fails here, before any output.
+		if err := probe(newSource); err != nil {
+			return err
+		}
 		fmt.Printf("streaming din references from %s\n", c.dinFile)
 	case c.traceFile != "":
 		newSource = func() (sweep.Source, io.Closer, error) {
@@ -203,11 +225,9 @@ func sweepMain(ctx context.Context, c *config) error {
 			return attachSourceObs(src, reg), f, nil
 		}
 		// A file that is not a packed trace fails here, before any output.
-		_, f, err := newSource()
-		if err != nil {
+		if err := probe(newSource); err != nil {
 			return err
 		}
-		f.Close()
 		fmt.Printf("streaming packed references from %s\n", c.traceFile)
 	case c.desktop:
 		cfg := dtrace.DefaultConfig()
@@ -235,15 +255,7 @@ func sweepMain(ctx context.Context, c *config) error {
 	}
 
 	// Plan and describe the sweep; -plan stops here.
-	opts := sweep.Options{
-		Workers:               c.workers,
-		ChunkRefs:             c.chunk,
-		Engine:                eng,
-		Obs:                   reg,
-		CheckpointPath:        c.checkpoint,
-		CheckpointEveryChunks: c.checkpointEvery,
-		Resume:                c.resume,
-	}
+	opts := sweep.Options{Workers: c.workers, ChunkRefs: c.chunk, Engine: eng, Obs: reg}
 	info, err := sweep.PlanHierarchies(opts, hs)
 	if err != nil {
 		return obs.Usage(err)
@@ -273,18 +285,10 @@ func sweepMain(ctx context.Context, c *config) error {
 
 	results, err := runHierOnce(ctx, hs, newSource, opts)
 	if err != nil {
-		if c.checkpoint != "" && simerr.IsCanceled(err) {
-			fmt.Fprintf(os.Stderr, "cachesweep: checkpoint saved to %s; re-run with -resume to continue\n", c.checkpoint)
-		}
 		return err
 	}
 	if c.crossValidate {
-		// Checkpointing applies to the headline sweep only; the
-		// verification pass is always a full second run.
-		vopts := opts
-		vopts.CheckpointPath = ""
-		vopts.Resume = false
-		if err := crossValidateEngines(ctx, hs, newSource, vopts, results); err != nil {
+		if err := crossValidateEngines(ctx, hs, newSource, opts, results); err != nil {
 			return err
 		}
 		c.obsFlags.Note("crossvalidate", "OK")
@@ -463,6 +467,16 @@ func openTraceFile(path string) (sweep.Source, *os.File, error) {
 		return nil, nil, err
 	}
 	return src, f, nil
+}
+
+// probe opens a pass over a trace file and closes it again, so a file
+// that is missing or has a bad header fails before any output.
+func probe(open openFunc) error {
+	_, f, err := open()
+	if err == nil {
+		f.Close()
+	}
+	return err
 }
 
 // runHierOnce opens a fresh source, sweeps it, and closes its file on

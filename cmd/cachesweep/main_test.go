@@ -137,15 +137,15 @@ func TestPolicyGridWithOPTAndPareto(t *testing.T) {
 }
 
 // TestWritePolicyRejectsAddressOnlyTrace: the synthetic desktop trace
-// carries no access kinds, so a write-policy sweep over it exits 1 and
-// says why.
+// carries no access kinds, so a write-policy sweep over it is a usage
+// error: it exits 2 and says why.
 func TestWritePolicyRejectsAddressOnlyTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
 	}
 	out, err := runCachesweep(t, "-desktop -refs 10000 -write-policy back")
-	if code := exitCode(t, err); code != 1 {
-		t.Fatalf("write-policy sweep over the kindless desktop trace exited %d, want 1:\n%s", code, out)
+	if code := exitCode(t, err); code != 2 {
+		t.Fatalf("write-policy sweep over the kindless desktop trace exited %d, want 2:\n%s", code, out)
 	}
 	if !strings.Contains(out, "carries no access kinds") {
 		t.Errorf("error does not explain the missing kinds:\n%s", out)
@@ -342,8 +342,9 @@ func TestPlanDryRun(t *testing.T) {
 // TestPartitionedOptExitsUsage: an indexed packed trace sweeps, exit 0,
 // under OPT — which buffers the whole trace — and as a hierarchy sweep;
 // -partitions, whose range decoders are gone, -trace-format, since a
-// -trace file is always packed, and -policies, whose list -policy takes,
-// are undefined flags and exit 2 (usage).
+// -trace file is always packed, -policies, whose list -policy takes, and
+// -checkpoint, -checkpoint-every and -resume, since an interrupted sweep
+// is simply run again, are undefined flags and exit 2 (usage).
 func TestPartitionedOptExitsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
@@ -364,7 +365,8 @@ func TestPartitionedOptExitsUsage(t *testing.T) {
 		t.Errorf("hierarchy sweep output missing results:\n%s", out)
 	}
 
-	for _, flag := range []string{"-partitions 2", "-trace-format raw", "-policies LRU"} {
+	for _, flag := range []string{"-partitions 2", "-trace-format raw", "-policies LRU",
+		"-checkpoint x", "-checkpoint-every 1", "-resume"} {
 		out, err = runCachesweep(t, "-trace "+trace+" "+flag)
 		ee, ok := err.(*exec.ExitError)
 		if !ok {
@@ -380,23 +382,37 @@ func TestPartitionedOptExitsUsage(t *testing.T) {
 	}
 }
 
-// TestUsageErrorsBeforeAnyWork: a flag that cannot run is rejected
-// before the session is collected, so sweepMain prints nothing.
+// TestUsageErrorsBeforeAnyWork: a flag that cannot run, or that the
+// sweep would drop, is rejected before the session is collected, so
+// sweepMain prints nothing; so is a -din or -trace file that cannot be
+// opened, as a plain failure.
 func TestUsageErrorsBeforeAnyWork(t *testing.T) {
+	trace := writeTestTrace(t)
+	missing := filepath.Join(t.TempDir(), "missing")
 	for _, tc := range []struct {
-		name string
-		set  func(*config)
+		name  string
+		set   func(*config)
+		usage bool
 	}{
-		{"resume without checkpoint", func(c *config) { c.resume = true }},
-		{"zero L2 size", func(c *config) { c.l2Sizes = "0" }},
-		{"crossvalidate over hierarchies", func(c *config) { c.l2Sizes, c.crossValidate = "16", true }},
+		{"zero L2 size", func(c *config) { c.l2Sizes = "0" }, true},
+		{"crossvalidate over hierarchies", func(c *config) { c.l2Sizes, c.crossValidate = "16", true }, true},
+		{"-hierarchy and -l2-assoc without -l2-sizes", func(c *config) { c.hierarchy, c.l2Assoc = "inclusive", "8" }, true},
+		{"-l2-line without -l2-sizes", func(c *config) { c.l2Line = 64 }, true},
+		{"-refs without -desktop", func(c *config) { c.refs = 1000 }, true},
+		{"-desktop and -trace", func(c *config) { c.sessionNum, c.desktop, c.traceFile = 0, true, trace }, true},
+		{"-session and -din", func(c *config) { c.dinFile = missing }, true},
+		{"no trace source", func(c *config) { c.sessionNum = 0 }, true},
+		{"-session 5", func(c *config) { c.sessionNum = 5 }, true},
+		{"-write-policy over -desktop", func(c *config) { c.sessionNum, c.desktop, c.writePolicy = 0, true, "back" }, true},
+		{"missing -din file", func(c *config) { c.sessionNum, c.dinFile = 0, missing }, false},
+		{"missing -trace file", func(c *config) { c.sessionNum, c.traceFile = 0, missing }, false},
 	} {
 		c := config{sessionNum: 4, policy: "LRU", algo: "auto", l2Assoc: "4", hierarchy: "nine", obsFlags: &obs.Flags{}}
 		tc.set(&c)
 		var err error
 		stdout := captureStdout(t, func() { err = sweepMain(context.Background(), &c) })
-		if !obs.IsUsage(err) {
-			t.Errorf("%s: err = %v, want a usage error", tc.name, err)
+		if err == nil || obs.IsUsage(err) != tc.usage {
+			t.Errorf("%s: err = %v, want an error that is a usage error: %v", tc.name, err, tc.usage)
 		}
 		if stdout != "" {
 			t.Errorf("%s: printed before rejecting the flags:\n%s", tc.name, stdout)

@@ -16,7 +16,8 @@
 //	palmsim -session 1 -out ./out
 //	palmsim -list
 //
-// Every flag is checked before the session is collected or -out created.
+// Every flag is checked before the session is collected or -out created;
+// -dinero and -screenshot need -out, and -dinero needs the trace.
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
@@ -86,6 +87,12 @@ func pipeline(ctx context.Context, c *config) error {
 	s := sessions[c.sessionNum-1]
 	if _, err := m68k.ParseDispatch(c.dispatch); err != nil {
 		return obs.Usage(err)
+	}
+	switch {
+	case c.outDir == "" && (c.dinero || c.screenshot):
+		return obs.Usage(fmt.Errorf("-dinero and -screenshot write files and need -out"))
+	case c.dinero && !c.withTrace:
+		return obs.Usage(fmt.Errorf("-dinero writes the trace, so it cannot go with -trace=false"))
 	}
 
 	fmt.Printf("collecting %s on the instrumented device...\n", s.Name)
@@ -176,7 +183,7 @@ func pipeline(ctx context.Context, c *config) error {
 				return err
 			}
 		}
-		if writeTrace && c.dinero {
+		if c.dinero {
 			din, err := exp.MarshalDinero(pb.Trace, pb.TraceKinds)
 			if err != nil {
 				return err

@@ -39,6 +39,36 @@ func TestBadTraceFormatBeforeAnyWork(t *testing.T) {
 	}
 }
 
+// TestOutputFlagsBeforeAnyWork: an output flag the run would drop —
+// -dinero or -screenshot without -out, or -dinero without the trace it
+// copies — is a usage error raised before the session is collected, so
+// the pipeline prints nothing and never creates -out.
+func TestOutputFlagsBeforeAnyWork(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(c *config, out string)
+	}{
+		{"-dinero without -out", func(c *config, _ string) { c.dinero = true }},
+		{"-screenshot without -out", func(c *config, _ string) { c.screenshot = true }},
+		{"-dinero -trace=false", func(c *config, out string) { c.outDir, c.dinero, c.withTrace = out, true, false }},
+	} {
+		out := filepath.Join(t.TempDir(), "out")
+		c := &config{sessionNum: 4, withTrace: true, dispatch: "auto", obsFlags: &obs.Flags{}}
+		tc.set(c, out)
+		var err error
+		stdout := captureStdout(t, func() { err = pipeline(context.Background(), c) })
+		if !obs.IsUsage(err) {
+			t.Errorf("%s: err = %v, want a usage error", tc.name, err)
+		}
+		if stdout != "" {
+			t.Errorf("%s: printed before rejecting the flags:\n%s", tc.name, stdout)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%s: -out %s exists after a usage error (stat err %v)", tc.name, out, err)
+		}
+	}
+}
+
 // TestPalmsimTraceCarriesKinds: the .ptrace palmsim writes without
 // -dinero carries the replay's access kinds, so a write-back sweep over
 // the file counts the same writebacks as one over the replay's own

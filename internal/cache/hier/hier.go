@@ -42,9 +42,6 @@ func NewMissStream(c *cache.Cache) *MissStream {
 	return &MissStream{c: c}
 }
 
-// Cache returns the underlying level.
-func (m *MissStream) Cache() *cache.Cache { return m.c }
-
 // Filter advances the level over one chunk (kinds may be nil for an
 // address-only trace) and returns the filtered miss stream, which
 // always carries kinds.
@@ -210,22 +207,3 @@ func (s *Sim) Results() cache.HierarchyResult {
 	}
 	return r
 }
-
-// fields lists the simulator's mutable state in blob order: the
-// hierarchy counters, then each level as a nested, length-prefixed
-// cache blob. The hierarchy definition itself is not encoded; the sweep
-// checkpointer guards it with a fingerprint.
-func (s *Sim) fields() []any {
-	fs := []any{&s.backInval, &s.backInvalDirty}
-	for _, c := range s.levels {
-		fs = append(fs, c)
-	}
-	return fs
-}
-
-// AppendState serializes the simulator's complete mutable state onto b.
-func (s *Sim) AppendState(b []byte) []byte { return cache.AppendFields(b, s.fields()...) }
-
-// RestoreState loads state previously produced by AppendState for the
-// same hierarchy.
-func (s *Sim) RestoreState(b []byte) error { return cache.RestoreFields(b, s.fields()...) }

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -357,52 +358,57 @@ func TestExclusionInvariant(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip checkpoints a Sim mid-trace, restores into a fresh
-// Sim, finishes the trace in both, and requires identical results.
-func TestStateRoundTrip(t *testing.T) {
-	refs, kinds := synthTrace(20000, 21)
-	hs := []cache.Hierarchy{
+// stateHierarchies are one hierarchy per content policy, with
+// write-back levels, so dirty victims, back-invalidations and line
+// migration all carry across piece boundaries.
+func stateHierarchies() []cache.Hierarchy {
+	return []cache.Hierarchy{
 		{Levels: []cache.Config{mkcfg(1024, 16, 2, cache.LRU, cache.WriteBack), mkcfg(8192, 32, 4, cache.PLRU, cache.WriteBack)}},
 		{Levels: []cache.Config{mkcfg(512, 16, 2, cache.FIFO, cache.WriteThrough), mkcfg(4096, 32, 2, cache.LRU, cache.WriteBack)}, Content: cache.Inclusive},
 		{Levels: []cache.Config{mkcfg(512, 16, 2, cache.LRU, cache.WriteBack), mkcfg(4096, 16, 2, cache.LRU, cache.WriteBack)}, Content: cache.Exclusive},
 	}
-	for _, h := range hs {
+}
+
+// TestStateRoundTrip cuts the trace once at every 97th position and
+// feeds a fresh Sim the two pieces; each must end with the results of a
+// Sim fed the trace whole.
+func TestStateRoundTrip(t *testing.T) {
+	refs, kinds := synthTrace(20000, 21)
+	for _, h := range stateHierarchies() {
 		ref, err := New(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ref.AccessAllKinded(refs, kinds)
-
-		half, _ := New(h)
-		half.AccessAllKinded(refs[:10000], kinds[:10000])
-		blob := half.AppendState(nil)
-
-		restored, _ := New(h)
-		if err := restored.RestoreState(blob); err != nil {
-			t.Fatalf("%s: restore: %v", h, err)
+		for cut := 0; cut <= len(refs); cut += 97 {
+			split, _ := New(h)
+			split.AccessAllKinded(refs[:cut], kinds[:cut])
+			split.AccessAllKinded(refs[cut:], kinds[cut:])
+			compareHier(t, fmt.Sprintf("%s cut at %d", h, cut), split.Results(), ref.Results())
 		}
-		restored.AccessAllKinded(refs[10000:], kinds[10000:])
-		compareHier(t, h.String(), restored.Results(), ref.Results())
 	}
 }
 
+// TestRestoreStateRejectsBadBlobs feeds the degenerate pieces: one
+// reference at a time with an empty piece after each, over a kinded
+// trace and over the same trace with nil kinds. Both must match one
+// whole pass.
 func TestRestoreStateRejectsBadBlobs(t *testing.T) {
-	h := cache.Hierarchy{Levels: []cache.Config{
-		mkcfg(1024, 16, 2, cache.LRU, cache.WriteBack),
-		mkcfg(8192, 32, 4, cache.LRU, cache.WriteBack),
-	}}
-	s, _ := New(h)
-	good := s.AppendState(nil)
-	bad := [][]byte{
-		nil,
-		good[:8],
-		good[:len(good)-3],
-		append(append([]byte{}, good...), 0xFF),
-	}
-	for i, b := range bad {
-		fresh, _ := New(h)
-		if err := fresh.RestoreState(b); err == nil {
-			t.Errorf("bad blob %d accepted", i)
+	refs, kinds := synthTrace(5000, 22)
+	for _, h := range stateHierarchies() {
+		for _, k := range [][]uint8{kinds, nil} {
+			ref, _ := New(h)
+			ref.AccessAllKinded(refs, k)
+			split, _ := New(h)
+			for i := range refs {
+				var one []uint8
+				if k != nil {
+					one = k[i : i+1]
+				}
+				split.AccessAllKinded(refs[i:i+1], one)
+				split.AccessAllKinded(refs[i+1:i+1], nil)
+			}
+			compareHier(t, fmt.Sprintf("%s one at a time, kinds %v", h, k != nil), split.Results(), ref.Results())
 		}
 	}
 }

@@ -294,9 +294,11 @@ func TestFamilyChunkedMatchesWhole(t *testing.T) {
 	}
 }
 
-// TestStateRoundTrip interrupts family and direct runs mid-trace,
-// serializes, restores into fresh instances, and requires bit-identical
-// completion — including the kinded write-back state.
+// TestStateRoundTrip feeds kinded write-back OPT families, and the
+// direct OPT simulator that no chunked test covers, the trace in random
+// pieces (empty and one-reference pieces included) and requires the
+// results of one whole pass. Each unit keeps its own trace position
+// across pieces, so the annotation lines up wherever a piece ends.
 func TestStateRoundTrip(t *testing.T) {
 	const n = 30000
 	trace := mixedTrace(n, 21)
@@ -311,7 +313,6 @@ func TestStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	whole, err := NewEngine(cfgs, anns)
 	if err != nil {
 		t.Fatal(err)
@@ -319,57 +320,38 @@ func TestStateRoundTrip(t *testing.T) {
 	for _, f := range whole.Families() {
 		f.AccessAllKinded(trace, kinds)
 	}
+	want := whole.Results()
 
-	cut := n / 3
-	first, err := NewEngine(cfgs, anns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var blobs [][]byte
-	for _, f := range first.Families() {
-		f.AccessAllKinded(trace[:cut], kinds[:cut])
-		blobs = append(blobs, f.AppendState(nil))
-	}
-	resumed, err := NewEngine(cfgs, anns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range resumed.Families() {
-		if err := f.RestoreState(blobs[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.RestoreState(blobs[i][:len(blobs[i])-1]); err == nil {
-			t.Fatal("short family blob accepted")
-		}
-		f.AccessAllKinded(trace[cut:], kinds[cut:])
-	}
-	want, got := whole.Results(), resumed.Results()
-	for i := range cfgs {
-		if got[i] != want[i] {
-			t.Errorf("%v: resumed %+v != whole %+v", cfgs[i], got[i], want[i])
+	rng := rand.New(rand.NewSource(23))
+	feed := func(access func(refs []uint32, kinds []uint8), max int) {
+		for lo := 0; lo < n; {
+			hi := min(n, lo+rng.Intn(max+1))
+			access(trace[lo:hi], kinds[lo:hi])
+			lo = hi
 		}
 	}
-
-	// Direct simulator state round-trip.
-	for _, cfg := range cfgs {
-		w, err := NewDirect(cfg, anns[cfg.LineBytes])
+	for _, max := range []int{1, 7, 5000} {
+		split, err := NewEngine(cfgs, anns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.AccessAllKinded(trace, kinds)
-		d1, _ := NewDirect(cfg, anns[cfg.LineBytes])
-		d1.AccessAllKinded(trace[:cut], kinds[:cut])
-		blob := d1.AppendState(nil)
-		d2, _ := NewDirect(cfg, anns[cfg.LineBytes])
-		if err := d2.RestoreState(blob); err != nil {
-			t.Fatal(err)
+		for _, f := range split.Families() {
+			feed(f.AccessAllKinded, max)
 		}
-		if err := d2.RestoreState(blob[:len(blob)-1]); err == nil {
-			t.Fatal("short direct blob accepted")
+		for i, got := range split.Results() {
+			if got != want[i] {
+				t.Errorf("%v pieces of up to %d: %+v != whole %+v", cfgs[i], max, got, want[i])
+			}
 		}
-		d2.AccessAllKinded(trace[cut:], kinds[cut:])
-		if d2.Result() != w.Result() {
-			t.Errorf("%v: direct resumed %+v != whole %+v", cfg, d2.Result(), w.Result())
+		for i, cfg := range cfgs {
+			d, err := NewDirect(cfg, anns[cfg.LineBytes])
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed(d.AccessAllKinded, max)
+			if d.Result() != want[i] {
+				t.Errorf("%v direct, pieces of up to %d: %+v != whole %+v", cfg, max, d.Result(), want[i])
+			}
 		}
 	}
 }

@@ -211,44 +211,6 @@ func TestWriteTrafficBytes(t *testing.T) {
 	}
 }
 
-// TestKindedStateRoundTrip interrupts a kinded write-back PLRU run
-// mid-trace, round-trips the state blob, and requires the resumed cache
-// to finish bit-identical to an uninterrupted one.
-func TestKindedStateRoundTrip(t *testing.T) {
-	refs, kinds := randKinded(40000, 5)
-	for _, pol := range []Policy{LRU, FIFO, Random, PLRU} {
-		c := Config{SizeBytes: 2048, LineBytes: 16, Ways: 4, Policy: pol, Write: WriteBack}
-		whole, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		whole.AccessAllKinded(refs, kinds)
-
-		first, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := len(refs) / 3
-		first.AccessAllKinded(refs[:cut], kinds[:cut])
-		blob := first.AppendState(nil)
-
-		resumed, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resumed.RestoreState(blob); err != nil {
-			t.Fatal(err)
-		}
-		resumed.AccessAllKinded(refs[cut:], kinds[cut:])
-		if resumed.Result() != whole.Result() {
-			t.Errorf("%v: resumed %+v != whole %+v", c, resumed.Result(), whole.Result())
-		}
-		if err := resumed.RestoreState(blob[:len(blob)-1]); err == nil {
-			t.Error("short blob accepted")
-		}
-	}
-}
-
 // TestOPTRejectedByDirectCache: the direct simulator cannot implement
 // OPT (it has no future knowledge); construction must fail loudly.
 func TestOPTRejectedByDirectCache(t *testing.T) {

@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -168,54 +169,36 @@ func TestFamilyChunkedMatchesWhole(t *testing.T) {
 	}
 }
 
-// TestFamilyAndRefinementStateRoundTrip interrupts kinded write-back
-// runs mid-trace, round-trips every unit's state blob, and requires
-// bit-identical completion. Covers the refinement's wmax/wbHist
-// serialization and the family layout.
+// TestFamilyAndRefinementStateRoundTrip feeds every unit of kinded
+// write-back LRU, FIFO and PLRU engines the trace in random pieces,
+// empty and one-reference pieces included, and requires the results of
+// one whole pass. Covers the refinement's wmax and writeback histogram,
+// which no address-only chunked test reaches, and the family layout.
 func TestFamilyAndRefinementStateRoundTrip(t *testing.T) {
 	const n = 30_000
 	trace := mixedTrace(n, 21)
 	kinds := kindsFor(n, 22)
+	rng := rand.New(rand.NewSource(23))
 	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.PLRU} {
 		cfgs := policySweep(pol, cache.WriteBack)
 		whole, err := SweepKinded(cfgs, trace, kinds)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		first, err := New(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cut := n / 3
-		resumed, err := New(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		firstUnits, resumedUnits := first.Units(), resumed.Units()
-		for i, u := range firstUnits {
-			type kinded interface {
-				AccessAllKinded([]uint32, []uint8)
-			}
-			type stateful interface {
-				AppendState([]byte) []byte
-				RestoreState([]byte) error
-			}
-			u.(kinded).AccessAllKinded(trace[:cut], kinds[:cut])
-			blob := u.(stateful).AppendState(nil)
-			ru := resumedUnits[i]
-			if err := ru.(stateful).RestoreState(blob); err != nil {
+		for _, max := range []int{1, 7, 5000} {
+			e, err := New(cfgs)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ru.(stateful).RestoreState(blob[:len(blob)-1]); err == nil {
-				t.Fatalf("%s unit %d: short blob accepted", pol, i)
+			for lo := 0; lo < n; {
+				hi := min(n, lo+rng.Intn(max+1))
+				for _, u := range e.Units() {
+					u.AccessAllKinded(trace[lo:hi], kinds[lo:hi])
+				}
+				lo = hi
 			}
-			if err := ru.(stateful).RestoreState(blob); err != nil {
-				t.Fatal(err)
-			}
-			ru.(kinded).AccessAllKinded(trace[cut:], kinds[cut:])
+			assertIdentical(t, fmt.Sprintf("%s pieces of up to %d", pol, max), e.Results(), whole)
 		}
-		assertIdentical(t, pol.String()+" resumed", resumed.Results(), whole)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"palmsim/internal/alog"
@@ -74,6 +75,12 @@ func (c *Collection) Release() {
 // settleTicks is the margin run after the last scheduled input.
 const settleTicks = 200
 
+// settleEnd is the tick a run settles to after its last input at end:
+// settleTicks later, or the top of the tick range when that would wrap.
+func settleEnd(end uint32) uint32 {
+	return uint32(min(uint64(end)+settleTicks, math.MaxUint32))
+}
+
 // Collect boots an instrumented device, captures the initial state,
 // replays the synthetic user's inputs in simulated real time and returns
 // the activity log plus final state — the §2 collection pipeline. The
@@ -134,8 +141,7 @@ func CollectObserved(ctx context.Context, prior *State, s Session, reg *obs.Regi
 			return nil, err
 		}
 	}
-	end := schedule[len(schedule)-1].Tick + settleTicks
-	if err := m.RunUntilTick(end); err != nil {
+	if err := m.RunUntilTick(settleEnd(schedule[len(schedule)-1].Tick)); err != nil {
 		return nil, err
 	}
 	if err := m.RunUntilIdle(2_000_000_000); err != nil {
@@ -410,7 +416,7 @@ func Replay(ctx context.Context, initial *State, log *Log, opt ReplayOptions) (*
 		}
 		m.SetTracer(sink.ref)
 	}
-	if err := m.RunUntilTick(end + settleTicks); err != nil {
+	if err := m.RunUntilTick(settleEnd(end)); err != nil {
 		return nil, err
 	}
 	if err := m.RunUntilIdle(2_000_000_000); err != nil {

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"palmsim/internal/alog"
 	"palmsim/internal/bus"
 	"palmsim/internal/dtrace"
 	"palmsim/internal/emu"
@@ -26,6 +29,58 @@ func tinySession(name string, seed int64) Session {
 		b.Home()
 		b.Notify(1)
 	}}
+}
+
+// TestSettleAtTopOfTickRange moves a tiny session's last synchronous
+// record to within settleTicks of the top of the 32-bit tick range. The
+// settle window must saturate there, not wrap to a tick already passed:
+// each replay finishes in bounded time, delivers every input and logs as
+// many synchronous records as it was given. After a record at 2^32-200,
+// whose window end would wrap to 0, the run settles to the top of the
+// range and rests at tick 2^32-1. A record at 2^32-1 is delivered as its
+// tick starts and handled across the boundary, so that run ends in tick
+// 2^32 of the 64-bit cycle count, where the 32-bit tick counter wraps
+// to 0.
+func TestSettleAtTopOfTickRange(t *testing.T) {
+	col, err := Collect(context.Background(), tinySession("top", 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col.Release()
+	syncs := func(l *alog.Log) int { return len(l.ToReplay().Synchronous) }
+	last := -1
+	for i := range col.Log.Records {
+		one := &alog.Log{Records: col.Log.Records[i : i+1]}
+		if syncs(one) == 1 {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("the session logged no synchronous record")
+	}
+	for _, tc := range []struct {
+		tick uint32
+		end  uint64
+	}{{math.MaxUint32 - settleTicks + 1, math.MaxUint32}, {math.MaxUint32, math.MaxUint32 + 1}} {
+		log := &alog.Log{Records: slices.Clone(col.Log.Records)}
+		log.Records[last].Tick = tc.tick
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		pb, err := Replay(ctx, col.Initial, log, ReplayOptions{Profiling: true, WithHacks: true})
+		cancel()
+		if err != nil {
+			t.Fatalf("last input at tick %d: %v", tc.tick, err)
+		}
+		if end := pb.M.CPU.Cycles / hw.CyclesPerTick; end != tc.end {
+			t.Errorf("last input at tick %d: replay ended in tick %d, want %d", tc.tick, end, tc.end)
+		}
+		if n := pb.M.PendingInputs(); n != 0 {
+			t.Errorf("last input at tick %d: %d inputs never delivered", tc.tick, n)
+		}
+		if got, want := syncs(pb.Log), syncs(log); got != want {
+			t.Errorf("last input at tick %d: replay logged %d synchronous records, want %d", tc.tick, got, want)
+		}
+		pb.Release()
+	}
 }
 
 func TestCollectRejectsEmptySession(t *testing.T) {
@@ -228,7 +283,7 @@ func TestTraceTicksPerReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.RunUntilTick(end + settleTicks); err != nil {
+	if err := m.RunUntilTick(settleEnd(end)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.RunUntilIdle(2_000_000_000); err != nil {

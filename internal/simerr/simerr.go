@@ -45,11 +45,6 @@ var (
 	// truncated, has bad magic or bounds, or carries bytes past its end.
 	ErrCorruptState = errors.New("corrupt state")
 
-	// ErrBadCheckpoint reports a sweep checkpoint that cannot be
-	// resumed: wrong magic, checksum mismatch, or a configuration set
-	// that differs from the one that wrote it.
-	ErrBadCheckpoint = errors.New("bad checkpoint")
-
 	// ErrMetricConflict reports two subsystems registering the same
 	// metric name with incompatible kinds or layouts.
 	ErrMetricConflict = errors.New("metric conflict")

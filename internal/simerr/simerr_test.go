@@ -18,7 +18,6 @@ func TestSentinelMatching(t *testing.T) {
 		{CanceledChunk(nil, "sweep: produce", 7), ErrCanceled},
 		{CorruptTrace("dtrace: unpack", 100, errors.New("bad byte")), ErrCorruptTrace},
 		{New(ErrDivergence, "crossvalidate", nil), ErrDivergence},
-		{New(ErrBadCheckpoint, "sweep: resume", nil), ErrBadCheckpoint},
 		{New(ErrCorruptState, "alog: unmarshal", errors.New("bad magic")), ErrCorruptState},
 	}
 	for _, tc := range cases {

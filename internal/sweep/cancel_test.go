@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -75,9 +74,9 @@ func TestCancelMidSweepNoGoroutineLeak(t *testing.T) {
 
 // TestCancelSerialSweep cancels one-worker sweeps, which run the same
 // fan-out as every other worker count: the cancellation is structured
-// and carries its chunk, no goroutine outlives the run, and the sidecar
-// saved at cancel time resumes at one worker to the serial cache.Sweep
-// results.
+// and carries its chunk, no goroutine outlives the run, and a one-worker
+// rerun of a sweep canceled after three chunks gives the serial
+// cache.Sweep results.
 func TestCancelSerialSweep(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -99,20 +98,16 @@ func TestCancelSerialSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "serial.ckpt")
-	interruptRun(t, path, cfgs, trace, 3, 1, 1024, EngineAuto)
-	got, err := Run(context.Background(), cfgs, NewSliceSource(trace), Options{
-		Workers: 1, ChunkRefs: 1024, CheckpointPath: path, Resume: true,
-	})
+	opts := Options{Workers: 1, ChunkRefs: 1024}
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	interruptRun(t, ctx, singles(cfgs), &cancelAfter{Source: NewSliceSource(trace), after: 3, cancel: cancel},
+		opts, simerr.ErrCanceled, 3)
+	got, err := Run(context.Background(), cfgs, NewSliceSource(trace), opts)
 	if err != nil {
-		t.Fatalf("resume: %v", err)
+		t.Fatalf("rerun: %v", err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("%v diverged after a one-worker resume: got %+v want %+v", cfgs[i], got[i], want[i])
-		}
-	}
-	settleGoroutines(t, base)
+	compareResults(t, "one-worker rerun", cfgs, got, want)
 }
 
 // TestPreCancelledContext returns immediately without touching the trace.

@@ -81,22 +81,6 @@ func (u *sharedL1Unit) AccessAllKinded(refs []uint32, kinds []uint8) {
 	}
 }
 
-// fields lists the group's state in blob order: the L1's, then every
-// inner unit's, each as a nested, length-prefixed blob.
-func (u *sharedL1Unit) fields() []any {
-	fs := []any{u.stream.Cache()}
-	for _, iu := range u.inner.units {
-		fs = append(fs, iu)
-	}
-	return fs
-}
-
-// AppendState serializes the group's state onto b.
-func (u *sharedL1Unit) AppendState(b []byte) []byte { return cache.AppendFields(b, u.fields()...) }
-
-// RestoreState loads state previously produced by AppendState.
-func (u *sharedL1Unit) RestoreState(b []byte) error { return cache.RestoreFields(b, u.fields()...) }
-
 // enginePlan is an instantiated sweep: its units, the hierarchy-order
 // result collector, and the structural summary.
 type enginePlan struct {
@@ -193,11 +177,6 @@ func buildHierarchies(hs []cache.Hierarchy, eng Engine, anns map[int]*opt.Annota
 		if err != nil {
 			return nil, err
 		}
-		for i, iu := range inner.units {
-			if _, ok := iu.(cache.Stateful); !ok {
-				return nil, fmt.Errorf("sweep: shared-L1 inner unit %d (%T) is not checkpointable", i, iu)
-			}
-		}
 		u := &sharedL1Unit{stream: hier.NewMissStream(l1), inner: inner}
 		p.units = append(p.units, u)
 		p.info.SharedL1Groups++
@@ -237,10 +216,9 @@ func PlanHierarchies(opts Options, hs []cache.Hierarchy) (PlanInfo, error) {
 }
 
 // RunHierarchies sweeps every hierarchy over the trace from src and
-// returns results in hierarchy order: cancellation within one chunk,
-// checkpoint/resume via the sidecar (fingerprinted over the hierarchy
-// set), and deterministic results for any worker count. It is the one
-// run path; Run is this over one-level hierarchies.
+// returns results in hierarchy order: cancellation within one chunk and
+// deterministic results for any worker count. It is the one run path;
+// Run is this over one-level hierarchies.
 func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts Options) ([]cache.HierarchyResult, error) {
 	for _, h := range hs {
 		if err := h.Validate(); err != nil {
@@ -256,8 +234,7 @@ func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts 
 	}
 	// OPT needs the whole trace up front: the backward next-use pass
 	// cannot stream. Materialize once, annotate per line size, and swap
-	// in a slice source so the rest of the machinery — checkpointing,
-	// resume's skipRefs, the worker fan-out — runs unchanged.
+	// in a slice source so the worker fan-out runs unchanged.
 	var anns map[int]*opt.Annotation
 	if lines := hierOptLineSizes(hs); len(lines) > 0 {
 		trace, kinds, err := materialize(ctx, src, ks, opts.chunkRefs())
@@ -279,7 +256,9 @@ func RunHierarchies(ctx context.Context, hs []cache.Hierarchy, src Source, opts 
 	if err != nil {
 		return nil, err
 	}
-	if err := runEngine(ctx, p, src, ks, opts, hierarchyHash(hs, opts.engine())); err != nil {
+	registerPlan(opts.Obs, p.info)
+	w := opts.workers(len(p.units))
+	if err := fanOut(ctx, p.units, src, ks, w, opts.chunkRefs(), newObsMetrics(opts.Obs, w, len(p.units))); err != nil {
 		return nil, err
 	}
 	results := p.collect()

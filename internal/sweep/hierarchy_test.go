@@ -2,9 +2,7 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -263,10 +261,10 @@ func TestPlanHierarchies(t *testing.T) {
 	}
 }
 
-// TestHierarchySweepCheckpointResume interrupts a hierarchy sweep
-// mid-trace, resumes from the sidecar, and requires results
-// bit-identical to an uninterrupted run — per-level state including the
-// shared L1 and its inner units round-tripping through the sidecar.
+// TestHierarchySweepCheckpointResume cancels a hierarchy sweep of
+// shared-L1 groups and a fused inclusive hierarchy after six chunks,
+// and fails one after three, then requires a rerun on a fresh source
+// bit-identical to an uninterrupted run, at every level.
 func TestHierarchySweepCheckpointResume(t *testing.T) {
 	trace, kinds := kindedFixedTrace(64_000)
 	hs := hierGrid(cache.LRU, cache.WriteBack, cache.NonInclusive, []int{8, 32})
@@ -280,51 +278,19 @@ func TestHierarchySweepCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate the interrupted prefix: advance a fresh plan over the
-	// first chunks and write its sidecar directly.
-	p, err := buildHierarchies(hs, EngineStack, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const prefix = 24_576
-	for lo := 0; lo < prefix; lo += 4096 {
-		for _, u := range p.units {
-			u.AccessAllKinded(trace[lo:lo+4096], kinds[lo:lo+4096])
-		}
-	}
-	path := filepath.Join(t.TempDir(), "hier.ckpt")
-	ck, err := newCheckpointer(path, 1, p.units, hierarchyHash(hs, EngineStack))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck.consumed(prefix)
-	if err := ck.save(); err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{Workers: 2, ChunkRefs: 4096}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	interruptRun(t, ctx, hs, &kindedCountingSource{inner: NewKindedSliceSource(trace, kinds), after: 6, cancel: cancel},
+		opts, simerr.ErrCanceled, 6)
+	interruptRun(t, context.Background(), hs, &failSource{inner: NewKindedSliceSource(trace, kinds), after: 4},
+		opts, simerr.ErrCorruptTrace, 3)
 
-	got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds), Options{
-		Workers: 2, ChunkRefs: 4096, CheckpointPath: path, Resume: true,
-	})
+	got, err := RunHierarchies(context.Background(), hs, NewKindedSliceSource(trace, kinds), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareHierResults(t, "resume", hs, got, want)
-
-	// A sidecar from a different hierarchy set must be rejected.
-	ck2, err := newCheckpointer(path, 1, p.units, hierarchyHash(hs, EngineStack))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ck2.consumed(prefix)
-	if err := ck2.save(); err != nil {
-		t.Fatal(err)
-	}
-	_, err = RunHierarchies(context.Background(), hs[:len(hs)-1], NewKindedSliceSource(trace, kinds), Options{
-		Workers: 2, CheckpointPath: path, Resume: true,
-	})
-	if !errors.Is(err, simerr.ErrBadCheckpoint) {
-		t.Errorf("foreign sidecar: err = %v, want ErrBadCheckpoint", err)
-	}
+	compareHierResults(t, "rerun", hs, got, want)
 }
 
 // TestPartitionedHierarchySweep drives the write-back inclusive and

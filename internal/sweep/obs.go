@@ -15,12 +15,11 @@ import (
 // obsMetrics carries the sweep's live counters. The nil *obsMetrics is
 // the disabled state; every method no-ops on it.
 type obsMetrics struct {
-	chunks      *obs.Counter   // chunks produced by the trace reader
-	refs        *obs.Counter   // references streamed
-	consumed    *obs.Counter   // chunk consumptions summed over workers
-	inflight    *obs.Gauge     // chunks published, not yet retired by all workers
-	checkpoints *obs.Counter   // checkpoint sidecar saves
-	workers     []*obs.Counter // per-worker completed unit·chunk applications
+	chunks   *obs.Counter   // chunks produced by the trace reader
+	refs     *obs.Counter   // references streamed
+	consumed *obs.Counter   // chunk consumptions summed over workers
+	inflight *obs.Gauge     // chunks published, not yet retired by all workers
+	workers  []*obs.Counter // per-worker completed unit·chunk applications
 }
 
 // newObsMetrics builds the bundle, or returns nil when r is nil.
@@ -29,11 +28,10 @@ func newObsMetrics(r *obs.Registry, nworkers, nunits int) *obsMetrics {
 		return nil
 	}
 	m := &obsMetrics{
-		chunks:      r.Counter("sweep.chunks_produced"),
-		refs:        r.Counter("sweep.refs_streamed"),
-		consumed:    r.Counter("sweep.chunks_consumed"),
-		inflight:    r.Gauge("sweep.chunks_inflight"),
-		checkpoints: r.Counter("sweep.checkpoints_saved"),
+		chunks:   r.Counter("sweep.chunks_produced"),
+		refs:     r.Counter("sweep.refs_streamed"),
+		consumed: r.Counter("sweep.chunks_consumed"),
+		inflight: r.Gauge("sweep.chunks_inflight"),
 	}
 	r.Gauge("sweep.workers").Set(int64(nworkers))
 	r.Gauge("sweep.units").Set(int64(nunits))
@@ -68,14 +66,6 @@ func (m *obsMetrics) retired() {
 		return
 	}
 	m.inflight.Add(-1)
-}
-
-// checkpointed records one checkpoint sidecar save.
-func (m *obsMetrics) checkpointed() {
-	if m == nil {
-		return
-	}
-	m.checkpoints.Inc()
 }
 
 // registerPlan publishes the engine plan's structure — most importantly

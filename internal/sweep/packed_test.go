@@ -1,7 +1,7 @@
 // Packed-trace sweeps: the engine reading a PALMPKD1 trace through
 // dtrace.PackedSource — the decoder cachesweep -trace and the benchmark
 // use — must match the per-configuration oracles for every engine,
-// worker count and chunk size, and must fail, cancel and resume cleanly.
+// worker count and chunk size, and must fail and cancel cleanly.
 // The Partitioned test names date from a range-partitioned decoder these
 // tests once covered; it is gone, and the names stay so -run 'Partition'
 // selections keep matching.
@@ -12,8 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -185,11 +183,11 @@ func TestPartitionedSourceCloseEarly(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestRunPartitionedCheckpointResume: a checkpointed sweep over a packed
-// trace, canceled after 5000 references, resumes over a fresh decoder at
-// a chunk size that does not divide that prefix — so the resume skip
-// ends on a partial chunk — bit-identical to an uninterrupted run. A
-// resume over a trace cut inside the skipped prefix fails as corruption.
+// TestRunPartitionedCheckpointResume: a sweep over a packed trace,
+// canceled after five chunks of 1000 references, stops at chunk 5 with
+// no goroutine left. Run again over a trace cut inside its first block
+// it fails as corruption; run again over a fresh decoder, at a chunk
+// size that does not divide the first run's, it matches the serial loop.
 func TestRunPartitionedCheckpointResume(t *testing.T) {
 	trace, data := packFixed(t, 120_000)
 	cfgs := cache.PaperSweep()[:8]
@@ -197,36 +195,21 @@ func TestRunPartitionedCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "packed.ckpt")
-
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{Workers: 2, ChunkRefs: 1000,
-		CheckpointPath: ckpt, CheckpointEveryChunks: 2}
-	_, err = Run(ctx, cfgs, &cancelAfter{Source: packedSource(t, data), after: 5, cancel: cancel}, opts)
-	if !errors.Is(err, simerr.ErrCanceled) {
-		t.Fatalf("interrupted sweep: err = %v, want ErrCanceled", err)
-	}
+	interruptRun(t, ctx, singles(cfgs), &cancelAfter{Source: packedSource(t, data), after: 5, cancel: cancel},
+		Options{Workers: 2, ChunkRefs: 1000}, simerr.ErrCanceled, 5)
 
-	opts.ChunkRefs = 4096
-	opts.Resume = true
+	opts := Options{Workers: 2, ChunkRefs: 4096}
 	_, err = Run(context.Background(), cfgs, packedSource(t, truncateInBlock(t, trace, data, 0)), opts)
 	if !errors.Is(err, simerr.ErrCorruptTrace) {
-		t.Fatalf("resume over a trace cut inside the prefix: err = %v, want ErrCorruptTrace", err)
+		t.Fatalf("rerun over a trace cut inside the first block: err = %v, want ErrCorruptTrace", err)
 	}
-
 	got, err := Run(context.Background(), cfgs, packedSource(t, data), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("resumed packed sweep diverged at %v:\n got %+v\nwant %+v", cfgs[i], got[i], want[i])
-		}
-	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Errorf("sidecar not removed after the resumed sweep: %v", err)
-	}
+	compareResults(t, "rerun", cfgs, got, want)
 }
 
 // cancelAfter wraps a Source and fires cancel after a set number of

@@ -24,9 +24,9 @@
 // OPT (Belady) configurations are served by internal/cache/opt under
 // either engine: the run materializes the trace, computes the
 // per-line-size next-use annotation, and then streams the buffered trace
-// through the normal fan-out, so checkpointing and cancellation compose
-// with OPT unchanged. Every unit observes the full trace in order, read
-// from one Source by one producer, so both engines produce results
+// through the normal fan-out, so cancellation composes with OPT
+// unchanged. Every unit observes the full trace in order, read from one
+// Source by one producer, so both engines produce results
 // bit-identical to the serial cache.Sweep loop for any worker count —
 // determinism is an invariant here, not a best effort.
 //
@@ -88,10 +88,9 @@ func (s *SliceSource) NextChunk(buf []uint32) (int, error) {
 
 // KindedSource is a Source that also knows each reference's access kind
 // (cache.KindFetch/KindRead/KindWrite). Both methods advance the same
-// stream position, so a consumer may mix them — resume's skipRefs uses
-// the address-only path even on kinded sweeps. Write-policy sweeps
-// require a KindedSource; address-only sources are rejected with a
-// clear error rather than silently treating every reference as a read.
+// stream position. Write-policy sweeps require a KindedSource;
+// address-only sources are rejected with a clear error rather than
+// silently treating every reference as a read.
 type KindedSource interface {
 	Source
 	// NextChunkKinded fills refs and kinds in lockstep with up to
@@ -204,25 +203,6 @@ type Options struct {
 	// per-worker completions, queue depth) and post-run cache aggregates.
 	// Nil (the default) adds no allocations and no atomic traffic.
 	Obs *obs.Registry
-
-	// CheckpointPath, when non-empty, enables checkpointing: every
-	// CheckpointEveryChunks chunks (and on cancellation) the engine
-	// quiesces its workers and atomically writes every unit's
-	// aggregation state plus the consumed-reference count to this
-	// sidecar file. A sweep that dies — SIGKILL, power loss, a
-	// deliberate cancel — resumes from the sidecar via Resume and
-	// produces results bit-identical to an uninterrupted run. The file
-	// is removed when the sweep completes.
-	CheckpointPath string
-	// CheckpointEveryChunks is the checkpoint cadence in produced
-	// chunks; zero or negative selects DefaultCheckpointEveryChunks.
-	CheckpointEveryChunks int
-	// Resume, with CheckpointPath set, loads an existing sidecar before
-	// sweeping: unit states are restored and the already-consumed
-	// prefix of the trace is skipped. A missing sidecar starts from
-	// scratch; a sidecar written by a different configuration set or
-	// engine fails with simerr.ErrBadCheckpoint.
-	Resume bool
 }
 
 func (o Options) workers(nunits int) int {
@@ -429,10 +409,9 @@ func Plan(opts Options, cfgs []cache.Config) (PlanInfo, error) {
 // Run streams the trace from src through every configuration and returns
 // the results in configuration order. The context is polled at every
 // chunk boundary: cancelling it stops the sweep within one chunk, shuts
-// every worker down without leaking a goroutine, writes a final
-// checkpoint when checkpointing is enabled, and returns a
-// simerr.ErrCanceled error with the failing chunk attached. A nil ctx
-// never cancels. Run is RunHierarchies over one-level hierarchies.
+// every worker down without leaking a goroutine, and returns a
+// simerr.ErrCanceled error with the failing chunk attached; an
+// interrupted sweep is simply run again. A nil ctx never cancels. Run is RunHierarchies over one-level hierarchies.
 func Run(ctx context.Context, cfgs []cache.Config, src Source, opts Options) ([]cache.Result, error) {
 	hrs, err := RunHierarchies(ctx, singles(cfgs), src, opts)
 	if err != nil {
@@ -497,8 +476,8 @@ type chunk struct {
 	pending int32
 }
 
-// readChunk is the one step every trace consumer — the producer, OPT's
-// materialize and resume's skipRefs — reads the trace with. It polls ctx
+// readChunk is the one step every trace consumer — the producer and
+// OPT's materialize — reads the trace with. It polls ctx
 // (a nil ctx never cancels, for one compare per chunk), reporting
 // cancellation under op at the consumer's chunk count; reads one chunk
 // into buf, through the kinded face filling kbuf too when ks is non-nil;
@@ -520,42 +499,6 @@ func readChunk(ctx context.Context, op string, chunks int64, src Source, ks Kind
 		return nil, nil, false, err
 	}
 	return buf[:n], kinds, n == 0 || err == io.EOF, nil
-}
-
-// runEngine drives an instantiated plan's units over the trace:
-// checkpointer setup and resume skip, plan observability, the fan-out,
-// and sidecar removal on success. hash fingerprints whatever was built
-// so a sidecar never resumes a different sweep.
-func runEngine(ctx context.Context, p *enginePlan, src Source, ks KindedSource, opts Options, hash uint64) error {
-	var ck *checkpointer
-	if opts.CheckpointPath != "" {
-		var err error
-		ck, err = newCheckpointer(opts.CheckpointPath, opts.checkpointEvery(), p.units, hash)
-		if err != nil {
-			return err
-		}
-		if opts.Resume {
-			skip, found, err := ck.load()
-			if err != nil {
-				return err
-			}
-			if found && skip > 0 {
-				if err := skipRefs(ctx, src, skip, opts.chunkRefs()); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	registerPlan(opts.Obs, p.info)
-	w := opts.workers(len(p.units))
-	m := newObsMetrics(opts.Obs, w, len(p.units))
-	if err := fanOut(ctx, p.units, src, ks, w, opts.chunkRefs(), m, ck); err != nil {
-		return err
-	}
-	if ck != nil {
-		ck.removeSidecar()
-	}
-	return nil
 }
 
 // materialize drains src into memory, returning the full trace and —
@@ -608,7 +551,7 @@ func materialize(ctx context.Context, src Source, ks KindedSource, chunkRefs int
 // stops producing, closes the queues, and waits for the workers to
 // drain what was already published — bounded by workers·queueDepth
 // chunks — so no goroutine or pooled buffer leaks.
-func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics, ck *checkpointer) error {
+func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, workers, chunkRefs int, m *obsMetrics) error {
 	pool := sync.Pool{New: func() any { return make([]uint32, chunkRefs) }}
 	kpool := sync.Pool{New: func() any { return make([]uint8, chunkRefs) }}
 	// release returns a chunk's buffers to their pools.
@@ -623,10 +566,7 @@ func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, work
 		queues[w] = make(chan *chunk, queueDepth)
 	}
 
-	// workerWG tracks worker goroutines; inflight tracks published
-	// chunks not yet retired by every worker, which is what a
-	// checkpoint must wait out to observe quiescent units.
-	var workerWG, inflight sync.WaitGroup
+	var workerWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		shard := units[w*len(units)/workers : (w+1)*len(units)/workers]
 		q := queues[w]
@@ -642,7 +582,6 @@ func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, work
 				if atomic.AddInt32(&c.pending, -1) == 0 {
 					m.retired()
 					release(c.refs, c.kinds)
-					inflight.Done()
 				}
 			}
 		}()
@@ -663,20 +602,8 @@ func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, work
 		}
 		c := &chunk{refs: refs, kinds: kinds, pending: int32(workers)}
 		m.produced(len(refs))
-		inflight.Add(1)
 		for _, q := range queues {
 			q <- c
-		}
-		if ck != nil {
-			ck.consumed(len(refs))
-			if ck.due() {
-				inflight.Wait() // quiesce: every published chunk retired
-				if err := ck.save(); err != nil {
-					runErr = err
-					break
-				}
-				m.checkpointed()
-			}
 		}
 		if done {
 			break
@@ -686,13 +613,5 @@ func fanOut(ctx context.Context, units []unit, src Source, ks KindedSource, work
 		close(q)
 	}
 	workerWG.Wait()
-	if ck != nil && simerr.IsCanceled(runErr) {
-		// Every produced chunk is consumed, so a save now lets the
-		// canceled sweep resume exactly where it stopped.
-		if err := ck.save(); err != nil {
-			return err
-		}
-		m.checkpointed()
-	}
 	return runErr
 }
