@@ -2,16 +2,17 @@
 // evaluation. Each experiment prints the same rows/series the paper
 // reports; EXPERIMENTS.md records paper-versus-measured values.
 //
-// With -run all the experiments are scheduled through the internal/job
-// batch runner: -jobs bounds concurrency, -job-timeout bounds each
-// experiment, and -keep-going runs everything even after a failure
-// (the default stops at the first one). Each job writes to its own
-// buffer; output is printed in the canonical order regardless of
-// completion order, so the report reads identically to a serial run.
+// -run all runs the experiments one after another, in the order of the
+// usage line below, and writes each one's section to stdout as it runs:
+// a "==== name ====" header, the experiment's output and a blank line.
+// A failure ends its section with "(name: failed: <error>)" and an
+// interrupt ends the running one with "(name: canceled: <error>)"; either
+// way the suite stops there, and every later section reads
+// "(name: canceled: <reason>)". The whole suite reruns in seconds.
 //
 // Usage:
 //
-//	experiments -run all -jobs 4
+//	experiments -run all
 //	experiments -run pen|fig3|table1|fig5|fig6|fig7|validate-log|validate-state|validate-chain|opcodes|profiling|energy|writepolicy
 //	experiments -run fig5 -session 2
 //
@@ -20,7 +21,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -30,11 +30,9 @@ import (
 	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"palmsim/internal/cache"
 	"palmsim/internal/exp"
-	"palmsim/internal/job"
 	"palmsim/internal/obs"
 	"palmsim/internal/report"
 	"palmsim/internal/sim"
@@ -87,28 +85,25 @@ func runHelp() string {
 func main() {
 	run := flag.String("run", "all", runHelp())
 	session := flag.Int("session", 1, "paper session number (1-4) for the cache study")
-	jobs := flag.Int("jobs", 1, "concurrent experiments for -run all (0 = GOMAXPROCS)")
-	jobTimeout := flag.Duration("job-timeout", 0, "per-experiment deadline for -run all (0 = none)")
-	keepGoing := flag.Bool("keep-going", false, "with -run all, run remaining experiments after a failure")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(runMain(ctx, os.Stdout, os.Stderr, *run, *session, *jobs, *jobTimeout, *keepGoing))
+	os.Exit(runMain(ctx, os.Stdout, os.Stderr, experiments, *run, *session))
 }
 
-// runMain runs one experiment, or all of them, printing reports to stdout
-// and failures to stderr, and returns the exit code.
-func runMain(ctx context.Context, stdout, stderr io.Writer, run string, session, jobs int, jobTimeout time.Duration, keepGoing bool) int {
+// runMain runs one experiment of table, or all of them, printing reports
+// to stdout and failures to stderr, and returns the exit code.
+func runMain(ctx context.Context, stdout, stderr io.Writer, table []experiment, run string, session int) int {
 	if session < 1 || session > 4 {
 		fmt.Fprintf(stderr, "experiments: session %d out of range 1-4\n", session)
 		return obs.ExitUsage
 	}
 
 	if run == "all" {
-		return runAll(ctx, stdout, stderr, session, jobs, jobTimeout, keepGoing)
+		return runAll(ctx, stdout, stderr, table, session)
 	}
-	for _, e := range experiments {
+	for _, e := range table {
 		if e.name == run {
 			if err := e.run(ctx, stdout, session); err != nil {
 				return report1(stderr, err)
@@ -120,37 +115,37 @@ func runMain(ctx context.Context, stdout, stderr io.Writer, run string, session,
 	return obs.ExitUsage
 }
 
-// runAll schedules every experiment through the batch runner, buffering
-// each job's output and printing the buffers in canonical order.
-func runAll(ctx context.Context, stdout, stderr io.Writer, session, workers int, jobTimeout time.Duration, keepGoing bool) int {
-	bufs := make([]bytes.Buffer, len(experiments))
-	batch := make([]job.Job, len(experiments))
-	for i, e := range experiments {
-		w := &bufs[i]
-		batch[i] = job.Job{
-			Name:    e.name,
-			Timeout: jobTimeout,
-			Run:     func(ctx context.Context) error { return e.run(ctx, w, session) },
+// runAll runs table's experiments in order, each writing its section
+// straight to stdout. The first failure cancels the context the later
+// experiments would get, so they, like every experiment after an
+// interrupt, print only why they did not run.
+func runAll(ctx context.Context, stdout, stderr io.Writer, table []experiment, session int) int {
+	runCtx, abort := context.WithCancel(ctx)
+	defer abort()
+	var failure error
+	for _, e := range table {
+		fmt.Fprintf(stdout, "==== %s ====\n", e.name)
+		err := runCtx.Err()
+		if err == nil {
+			err = e.run(runCtx, stdout, session)
 		}
-	}
-	results, err := job.Run(ctx, batch, job.Options{
-		Workers:  workers,
-		FailFast: !keepGoing,
-	})
-	for i, name := range experimentNames() {
-		fmt.Fprintf(stdout, "==== %s ====\n", name)
-		stdout.Write(bufs[i].Bytes())
-		if r := results[i]; r.State != job.Succeeded {
-			fmt.Fprintf(stdout, "(%s: %s", name, r.State)
-			if r.Err != nil {
-				fmt.Fprintf(stdout, ": %v", r.Err)
-			}
-			fmt.Fprintln(stdout, ")")
+		switch {
+		case err == nil:
+		case runCtx.Err() != nil:
+			fmt.Fprintf(stdout, "(%s: canceled: %v)\n", e.name, err)
+		default:
+			fmt.Fprintf(stdout, "(%s: failed: %v)\n", e.name, err)
+			failure = fmt.Errorf("%s: %v", e.name, err)
+			abort()
 		}
 		fmt.Fprintln(stdout)
 	}
-	if err != nil {
-		return report1(stderr, err)
+	if err := ctx.Err(); err != nil {
+		return report1(stderr, simerr.New(simerr.ErrCanceled, "run all", err))
+	}
+	if failure != nil {
+		fmt.Fprintln(stderr, "experiments:", failure)
+		return obs.ExitFailure
 	}
 	return obs.ExitOK
 }

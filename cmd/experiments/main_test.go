@@ -12,11 +12,17 @@ import (
 	"palmsim/internal/obs"
 )
 
-// runExperiments drives runMain as main does, with one job and no
-// per-job timeout, and returns its exit code and output.
+// runExperiments drives runMain as main does, over the dispatch table,
+// and returns its exit code and output.
 func runExperiments(ctx context.Context, run string, session int) (code int, stdout, stderr string) {
+	return runTable(ctx, experiments, run, session)
+}
+
+// runTable drives runMain over table and returns its exit code and
+// output.
+func runTable(ctx context.Context, table []experiment, run string, session int) (code int, stdout, stderr string) {
 	var out, errOut bytes.Buffer
-	code = runMain(ctx, &out, &errOut, run, session, 1, 0, false)
+	code = runMain(ctx, &out, &errOut, table, run, session)
 	return code, out.String(), errOut.String()
 }
 

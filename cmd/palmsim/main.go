@@ -7,6 +7,13 @@
 // carrying addresses, access kinds and tick marks (cachesweep -trace
 // reads it); -dinero adds a Dinero .din copy.
 //
+// That trace comes from the validation replay, which runs with the five
+// hacks installed, so it holds the hacks' own references too. The case
+// study (cachesweep -session, cmd/experiments) replays with the hacks
+// out. For session 1 the .ptrace holds 2,903,678 references against the
+// case study's 2,846,112, and a sweep over it reads 5.90% misses for
+// 1KB/16B/1-way/LRU where cachesweep -session 1 reads 5.88%.
+//
 // SIGINT/SIGTERM cancel the pipeline at the next tick-sync boundary; the
 // run manifest (when -manifest is given) records "status":"interrupted"
 // and the process exits with code 3.
@@ -17,7 +24,8 @@
 //	palmsim -list
 //
 // Every flag is checked before the session is collected or -out created;
-// -dinero and -screenshot need -out, and -dinero needs the trace.
+// -dinero and -screenshot need -out, and -dinero and -seek-tick need the
+// written trace.
 // Exit codes: 0 success, 1 failure, 2 bad usage, 3 interrupted.
 package main
 
@@ -88,11 +96,17 @@ func pipeline(ctx context.Context, c *config) error {
 	if _, err := m68k.ParseDispatch(c.dispatch); err != nil {
 		return obs.Usage(err)
 	}
+	// The trace is collected only to be written. Its .ptrace carries the
+	// access kinds write-policy sweeps need, and a PALMIDX1 footer whose
+	// per-block starting ticks come from the tick marks.
+	writeTrace := c.outDir != "" && c.withTrace
 	switch {
 	case c.outDir == "" && (c.dinero || c.screenshot):
 		return obs.Usage(fmt.Errorf("-dinero and -screenshot write files and need -out"))
 	case c.dinero && !c.withTrace:
 		return obs.Usage(fmt.Errorf("-dinero writes the trace, so it cannot go with -trace=false"))
+	case c.seekTick > 0 && !writeTrace:
+		return obs.Usage(fmt.Errorf("-seek-tick fast-forwards the written trace, so it needs -out and the trace"))
 	}
 
 	fmt.Printf("collecting %s on the instrumented device...\n", s.Name)
@@ -104,10 +118,6 @@ func pipeline(ctx context.Context, c *config) error {
 		col.Log.Len(), palmsim.FormatElapsed(col.Stats.ElapsedSeconds))
 	fmt.Printf("  collection: %s\n", col.Stats.Bus.String())
 
-	// The trace is collected only to be written. Its .ptrace carries the
-	// access kinds write-policy sweeps need, and a PALMIDX1 footer whose
-	// per-block starting ticks come from the tick marks.
-	writeTrace := c.outDir != "" && c.withTrace
 	fmt.Println("replaying on a fresh machine (hacks installed for validation)...")
 	if c.seekTick > 0 {
 		fmt.Printf("  fast-forward: tracing starts at tick %d\n", c.seekTick)

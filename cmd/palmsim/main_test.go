@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"palmsim"
@@ -40,9 +41,10 @@ func TestBadTraceFormatBeforeAnyWork(t *testing.T) {
 }
 
 // TestOutputFlagsBeforeAnyWork: an output flag the run would drop —
-// -dinero or -screenshot without -out, or -dinero without the trace it
-// copies — is a usage error raised before the session is collected, so
-// the pipeline prints nothing and never creates -out.
+// -dinero or -screenshot without -out, or -dinero or -seek-tick without
+// the written trace they act on — is a usage error raised before the
+// session is collected, so the pipeline prints nothing and never creates
+// -out.
 func TestOutputFlagsBeforeAnyWork(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -51,6 +53,8 @@ func TestOutputFlagsBeforeAnyWork(t *testing.T) {
 		{"-dinero without -out", func(c *config, _ string) { c.dinero = true }},
 		{"-screenshot without -out", func(c *config, _ string) { c.screenshot = true }},
 		{"-dinero -trace=false", func(c *config, out string) { c.outDir, c.dinero, c.withTrace = out, true, false }},
+		{"-seek-tick without -out", func(c *config, _ string) { c.seekTick = 1000 }},
+		{"-seek-tick -trace=false", func(c *config, out string) { c.outDir, c.seekTick, c.withTrace = out, 1000, false }},
 	} {
 		out := filepath.Join(t.TempDir(), "out")
 		c := &config{sessionNum: 4, withTrace: true, dispatch: "auto", obsFlags: &obs.Flags{}}
@@ -129,6 +133,55 @@ func TestPalmsimTraceCarriesKinds(t *testing.T) {
 	}
 	if writebacks == 0 {
 		t.Error("write-back sweep over the written .ptrace counted no writebacks")
+	}
+}
+
+// TestPalmsimTraceIsTheValidationReplay: the .ptrace palmsim writes is
+// the trace of its validation replay, which runs with the hacks
+// installed. It decodes to a WithHacks replay's addresses and kinds, and
+// differs from the hacks-out replay the case study runs
+// (DefaultReplayOptions), so a sweep over the file reads slightly
+// different miss rates than a sweep over the session.
+func TestPalmsimTraceIsTheValidationReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("collects a session twice and replays it three times")
+	}
+	ctx := context.Background()
+	out := t.TempDir()
+	c := &config{sessionNum: 2, outDir: out, withTrace: true, dispatch: "auto", obsFlags: &obs.Flags{}}
+	var err error
+	captureStdout(t, func() { err = pipeline(ctx, c) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(out, "session2.ptrace"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs, kinds, err := dtrace.UnpackTrace(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	col, err := palmsim.Collect(ctx, palmsim.PaperSessions()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hacksIn, err := palmsim.Replay(ctx, col.Initial, col.Log, palmsim.ReplayOptions{
+		Profiling: true, WithHacks: true, CollectTrace: true, CollectKinds: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(addrs, hacksIn.Trace) || !slices.Equal(kinds, hacksIn.TraceKinds) {
+		t.Errorf(".ptrace holds %d references, not the %d of the hacks-in replay", len(addrs), len(hacksIn.Trace))
+	}
+	hacksOut, err := palmsim.Replay(ctx, col.Initial, col.Log, palmsim.DefaultReplayOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hacksOut.Trace) >= len(addrs) {
+		t.Errorf("hacks-out replay has %d references, want fewer than the .ptrace's %d", len(hacksOut.Trace), len(addrs))
 	}
 }
 

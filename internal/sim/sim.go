@@ -207,7 +207,9 @@ type ReplayOptions struct {
 	// only then attaches the trace sink, so Trace (and TraceTicks)
 	// covers ticks >= SeekTick. The prefix is still emulated — replay
 	// correctness needs every instruction — but skips all trace memory
-	// and per-reference sink work.
+	// and per-reference sink work. It needs a trace: without
+	// CollectTrace, CollectKinds or CollectTicks there is no sink to
+	// attach late, and SeekTick is ignored.
 	SeekTick uint32
 
 	// Obs, when non-nil, binds the replay machine's metrics into this

@@ -1,8 +1,8 @@
 // Package simerr is the simulator's structured error taxonomy. Every
 // long-running pipeline in the tree — collection, replay, the sweep
-// engines, the batch runner — reports failures through a small set of
-// sentinel kinds plus an *Error carrier that records where the failure
-// happened (the emulated tick, the sweep chunk, the trace reference).
+// engines — reports failures through a small set of sentinel kinds plus
+// an *Error carrier that records where the failure happened (the
+// emulated tick, the sweep chunk, the trace reference).
 // Callers branch with errors.Is on the sentinels and recover the
 // position with errors.As:
 //
@@ -52,10 +52,6 @@ var (
 	// ErrMissingSymbol reports an assembly symbol that was required but
 	// never defined.
 	ErrMissingSymbol = errors.New("missing symbol")
-
-	// ErrJobFailed reports a batch run in which at least one job
-	// exhausted its retries (or failed permanently).
-	ErrJobFailed = errors.New("job failed")
 )
 
 // Error is the structured carrier: a sentinel kind, the operation that
