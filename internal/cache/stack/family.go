@@ -19,13 +19,17 @@
 //     i.e. their line numbers differ inside the family's minimum
 //     set mask. B's activity then cannot evict A or touch A's PLRU
 //     tree, so the return to A is a hit with idempotent state
-//     everywhere. (Disabled while any variant tracks dirty bits:
-//     the marking below needs an exact per-variant probe trail.)
+//     everywhere.
 //
 //     Surviving references are packed into a record buffer: line number
-//     plus flash/write flags. For write-back variants, shortcut writes
-//     emit a marker record so each variant can dirty the slot its last
-//     real probe landed on — the repeated line sits exactly there.
+//     plus flash/write flags. Each variant keeps two slot registers,
+//     the landing slots of the last two distinct lines (the filter's
+//     last and last2), and every probe record names the register it
+//     fills. An A-B-A shortcut swaps last and last2, so the filter
+//     flips its current register (carried across chunks) and emits
+//     nothing. A shortcut write, same-line or A-B-A, emits a marker
+//     naming the current register: in every write-back variant the
+//     repeated line sits exactly in the slot that register holds.
 //
 //  2. Each variant then consumes the whole record buffer sequentially,
 //     so its lines/rr/plru arrays stay hot in cache instead of being
@@ -49,9 +53,12 @@ import (
 // Record layout for the stage-1 buffer: line number in the low 32 bits,
 // flags above.
 const (
-	recFlash uint64 = 1 << 32 // reference is ROM/flash-side
-	recWrite uint64 = 1 << 33 // reference is a write
-	recMRU   uint64 = 1 << 34 // shortcut write: dirty the last probed slot
+	recFlash uint64 = 1 << 32          // reference is ROM/flash-side
+	recWrite uint64 = 1 << 33          // reference is a write
+	recMark  uint64 = 1 << 34          // shortcut write: dirty the named register's slot
+	recReg1  uint64 = 1 << recRegShift // the record names slot register 1, else 0
+
+	recRegShift = 35
 )
 
 // familyVariant is one configuration's state within a Family.
@@ -64,8 +71,10 @@ type familyVariant struct {
 	rr      []uint8  // FIFO: per-set round-robin insertion pointer
 	plru    []uint8  // PLRU: per-set tree bits
 	dirty   []bool   // WriteBack: per-line dirty bits
-	lastIdx int32    // lines index of the previous probe's landing spot
-	res     cache.Result
+	// slot holds the two slot registers: the lines indices where the
+	// filter's last two distinct lines landed.
+	slot [2]int32
+	res  cache.Result
 }
 
 // Family simulates every FIFO or PLRU configuration of one line size in
@@ -75,8 +84,11 @@ type Family struct {
 	lineBytes int
 	lineShift uint
 	// last and last2 are the two most recent distinct line keys
-	// (line+1; 0 = none) feeding the stage-1 shortcuts.
+	// (line+1; 0 = none) feeding the stage-1 shortcuts; reg names the
+	// slot register holding last's landing spot (0 or recReg1), and
+	// last2's is the other.
 	last, last2 uint32
+	reg         uint64
 	// minSetMask is the smallest variant set mask: two lines differing
 	// inside it map to different sets in every variant.
 	minSetMask uint32
@@ -86,7 +98,7 @@ type Family struct {
 	totRAM, totFlash, totWrites uint64
 	buf                         []uint64 // stage-1 record buffer, reused across chunks
 	variants                    []*familyVariant
-	dirtyVariants               []*familyVariant // variants tracking dirty bits
+	hasDirty                    bool // some variant tracks dirty bits
 }
 
 // Policy returns the replacement policy every member shares.
@@ -101,7 +113,6 @@ func (f *Family) Configs() int { return len(f.variants) }
 // AccessAll advances every variant over the chunk.
 func (f *Family) AccessAll(refs []uint32) {
 	buf := f.buf[:0]
-	alternate := len(f.dirtyVariants) == 0
 	for _, addr := range refs {
 		isFlash := addr-bus.ROMBase < bus.ROMSize
 		if isFlash {
@@ -114,12 +125,16 @@ func (f *Family) AccessAll(refs []uint32) {
 		if key == f.last {
 			continue
 		}
-		if key == f.last2 && alternate && (line^(f.last-1))&f.minSetMask != 0 {
-			f.last2, f.last = f.last, key
+		// An A-B-A return and a new line both swap the registers' roles:
+		// A's slot is already in last2's register, and a new line's
+		// record overwrites last2's.
+		aba := key == f.last2 && (line^(f.last-1))&f.minSetMask != 0
+		f.last2, f.last = f.last, key
+		f.reg ^= recReg1
+		if aba {
 			continue
 		}
-		f.last2, f.last = f.last, key
-		rec := uint64(line)
+		rec := uint64(line) | f.reg
 		if isFlash {
 			rec |= recFlash
 		}
@@ -139,7 +154,7 @@ func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) {
 		return
 	}
 	buf := f.buf[:0]
-	hasDirty := len(f.dirtyVariants) > 0
+	hasDirty := f.hasDirty
 	for i, addr := range refs {
 		write := cache.IsWrite(kinds[i])
 		if write {
@@ -153,27 +168,27 @@ func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) {
 		}
 		line := addr >> f.lineShift
 		key := line + 1
-		if key == f.last {
-			if write && hasDirty {
-				// The repeated line sits exactly where each variant's
-				// previous probe left it — no access has intervened.
-				buf = append(buf, recMRU)
-			}
-			continue
-		}
-		if key == f.last2 && !hasDirty && (line^(f.last-1))&f.minSetMask != 0 {
+		if key != f.last {
+			aba := key == f.last2 && (line^(f.last-1))&f.minSetMask != 0
 			f.last2, f.last = f.last, key
-			continue
+			f.reg ^= recReg1
+			if !aba {
+				rec := uint64(line) | f.reg
+				if isFlash {
+					rec |= recFlash
+				}
+				if write {
+					rec |= recWrite
+				}
+				buf = append(buf, rec)
+				continue
+			}
 		}
-		f.last2, f.last = f.last, key
-		rec := uint64(line)
-		if isFlash {
-			rec |= recFlash
+		// A same-line or A-B-A shortcut: the line is now last, and reg
+		// names the register holding its slot.
+		if write && hasDirty {
+			buf = append(buf, recMark|f.reg)
 		}
-		if write {
-			rec |= recWrite
-		}
-		buf = append(buf, rec)
 	}
 	f.buf = buf
 	for _, v := range f.variants {
@@ -189,9 +204,10 @@ func (v *familyVariant) run(buf []uint64) {
 	mask := v.setMask
 	ways := v.ways
 	for _, rec := range buf {
-		if rec&recMRU != 0 {
-			if v.dirty != nil && v.lastIdx >= 0 {
-				v.dirty[v.lastIdx] = true
+		r := rec >> recRegShift & 1
+		if rec&recMark != 0 {
+			if v.dirty != nil {
+				v.dirty[v.slot[r]] = true
 			}
 			continue
 		}
@@ -203,7 +219,7 @@ func (v *familyVariant) run(buf []uint64) {
 		hit := false
 		for w := range set {
 			if set[w] == key {
-				v.lastIdx = int32(base + w)
+				v.slot[r] = int32(base + w)
 				if v.plru != nil {
 					v.plru[si] = cache.PLRUTouch(v.plru[si], ways, w)
 				}
@@ -248,7 +264,7 @@ func (v *familyVariant) run(buf []uint64) {
 			v.dirty[base+vic] = rec&recWrite != 0
 		}
 		set[vic] = key
-		v.lastIdx = int32(base + vic)
+		v.slot[r] = int32(base + vic)
 		if v.plru != nil {
 			v.plru[si] = cache.PLRUTouch(v.plru[si], ways, vic)
 		}
@@ -278,7 +294,6 @@ func newFamilyVariant(index int, cfg cache.Config) *familyVariant {
 		setMask: uint32(sets - 1),
 		ways:    cfg.Ways,
 		lines:   make([]uint32, sets*cfg.Ways),
-		lastIdx: -1,
 	}
 	switch cfg.Policy {
 	case cache.FIFO:

@@ -45,6 +45,68 @@ func kindsFor(n int, seed int64) []uint8 {
 	return kinds
 }
 
+// palmTrace is a kinded trace shaped like the ROM's drawing loops: a
+// flash fetch stream that advances slowly through short loop bodies,
+// interleaved with RAM reads and writes that walk source and
+// destination buffers two bytes at a time, and stack pushes and pops
+// that repeat one line. mixedTrace's uniform addresses almost never
+// repeat a line or return to the one before it; this trace mostly
+// does, so it reaches the family filter's same-line and A-B-A
+// shortcuts, writes included.
+func palmTrace(n int, seed int64) ([]uint32, []uint8) {
+	rng := rand.New(rand.NewSource(seed))
+	trace := make([]uint32, 0, n+2)
+	kinds := make([]uint8, 0, n+2)
+	emit := func(addr uint32, kind uint8) {
+		trace = append(trace, addr)
+		kinds = append(kinds, kind)
+	}
+	for len(trace) < n {
+		// One routine: a loop body somewhere in flash run over a
+		// stripe of a source buffer, a destination buffer and the stack.
+		pc := 0x10000000 + uint32(rng.Intn(1<<17))&^1
+		body := 2 + rng.Intn(7)
+		src := uint32(rng.Intn(1<<17)) &^ 1
+		dst := 0x30000 + uint32(rng.Intn(1<<15))&^1
+		sp := 0x3F000 + uint32(rng.Intn(1<<10))&^3
+		for iter := 1 + rng.Intn(60); iter > 0 && len(trace) < n; iter-- {
+			for k := 0; k < body; k++ {
+				emit(pc+uint32(2*k), cache.KindFetch)
+				switch rng.Intn(6) {
+				case 0:
+					emit(src, cache.KindRead)
+					src += 2
+				case 1:
+					emit(dst, cache.KindWrite)
+					dst += 2
+				case 2:
+					emit(sp, cache.KindWrite)
+					emit(sp, cache.KindRead)
+				}
+			}
+		}
+	}
+	return trace[:n], kinds[:n]
+}
+
+// kindedInput is one trace of the kinded differential tests.
+type kindedInput struct {
+	name  string
+	trace []uint32
+	kinds []uint8
+}
+
+// kindedInputs returns mixedTrace, which reaches misses and writebacks
+// at every geometry, and palmTrace, which reaches the family filter's
+// shortcuts, each n references long.
+func kindedInputs(n int, seed int64) []kindedInput {
+	palm, palmKinds := palmTrace(n, seed+100)
+	return []kindedInput{
+		{"uniform", mixedTrace(n, seed), kindsFor(n, seed+1)},
+		{"palm", palm, palmKinds},
+	}
+}
+
 // TestFamilySweepMatchesDirect: the single-pass FIFO and PLRU family
 // engines must be bit-identical to per-config direct simulation over
 // the full 56-config paper grid on several random traces.
@@ -69,31 +131,91 @@ func TestFamilySweepMatchesDirect(t *testing.T) {
 // TestKindedSweepMatchesDirect covers every (policy, write policy)
 // pair: refinement wmax write-back accounting for LRU, family dirty
 // tracking for FIFO/PLRU, and the direct fallback for Random — all
-// bit-identical to the kinded direct simulator.
+// bit-identical to the kinded direct simulator, on both kinded inputs,
+// over the paper grid, wider multi-set geometries and fully associative
+// ones.
 func TestKindedSweepMatchesDirect(t *testing.T) {
-	const n = 60_000
-	trace := mixedTrace(n, 7)
-	kinds := kindsFor(n, 8)
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Random, cache.PLRU} {
-		for _, wp := range []cache.WritePolicy{cache.WriteIgnore, cache.WriteThrough, cache.WriteBack} {
-			cfgs := policySweep(pol, wp)
-			want := directKindedSweep(t, cfgs, trace, kinds)
-			got, err := SweepKinded(cfgs, trace, kinds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := pol.String() + "/" + wp.String()
-			assertIdentical(t, name, got, want)
-			if wp == cache.WriteBack {
-				sawWB := false
-				for _, r := range got {
-					if r.Writebacks > 0 {
-						sawWB = true
+	for _, in := range kindedInputs(60_000, 7) {
+		if in.name == "palm" {
+			assertReachesShortcuts(t, in)
+		}
+		for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Random, cache.PLRU} {
+			for _, wp := range []cache.WritePolicy{cache.WriteIgnore, cache.WriteThrough, cache.WriteBack} {
+				for _, grid := range []struct {
+					name string
+					cfgs []cache.Config
+				}{
+					{"paper", policySweep(pol, wp)},
+					{"wide", relabel(wideGeometries, pol, wp)},
+					{"fully associative", relabel(fullyAssociative, pol, wp)},
+				} {
+					want := directKindedSweep(t, grid.cfgs, in.trace, in.kinds)
+					got, err := SweepKinded(grid.cfgs, in.trace, in.kinds)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := in.name + " " + grid.name + " " + pol.String() + "/" + wp.String()
+					assertIdentical(t, name, got, want)
+					if wp == cache.WriteBack {
+						sawWB := false
+						for _, r := range got {
+							if r.Writebacks > 0 {
+								sawWB = true
+							}
+						}
+						if !sawWB {
+							t.Errorf("%s: no writebacks anywhere in the sweep", name)
+						}
 					}
 				}
-				if !sawWB {
-					t.Errorf("%s: no writebacks anywhere in the sweep", name)
-				}
+			}
+		}
+	}
+}
+
+// wideGeometries have more ways than the paper grid's 8, where a PLRU
+// tree outgrows its uint8, but several sets each, so the family
+// filter's A-B-A shortcut stays live.
+var wideGeometries = []cache.Config{
+	{SizeBytes: 4 << 10, LineBytes: 16, Ways: 16},
+	{SizeBytes: 16 << 10, LineBytes: 32, Ways: 16},
+	{SizeBytes: 8 << 10, LineBytes: 16, Ways: 32},
+	{SizeBytes: 64 << 10, LineBytes: 16, Ways: 128},
+}
+
+// fullyAssociative geometries have one set: their family's minimum set
+// mask is 0, which turns the A-B-A shortcut off.
+var fullyAssociative = []cache.Config{
+	{SizeBytes: 1 << 10, LineBytes: 16, Ways: 64},
+	{SizeBytes: 4 << 10, LineBytes: 32, Ways: 128},
+}
+
+// relabel copies geometries with a policy and write policy.
+func relabel(geoms []cache.Config, pol cache.Policy, wp cache.WritePolicy) []cache.Config {
+	cfgs := append([]cache.Config(nil), geoms...)
+	for i := range cfgs {
+		cfgs[i].Policy = pol
+		cfgs[i].Write = wp
+	}
+	return cfgs
+}
+
+// assertReachesShortcuts requires the write-back families' filter to
+// drop at least half of the input's references: the records and write
+// markers it passes to the variants, in one whole-trace chunk, must
+// stay under half the trace.
+func assertReachesShortcuts(t *testing.T, in kindedInput) {
+	t.Helper()
+	for _, pol := range []cache.Policy{cache.FIFO, cache.PLRU} {
+		e, err := New(policySweep(pol, cache.WriteBack))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range e.Families() {
+			f.AccessAllKinded(in.trace, in.kinds)
+			if share := float64(len(f.buf)) / float64(len(in.trace)); share > 0.5 {
+				t.Errorf("%s %v %dB family: %.1f%% of references reach the variants, want at most 50%%",
+					in.name, pol, f.LineBytes(), 100*share)
 			}
 		}
 	}
@@ -170,34 +292,36 @@ func TestFamilyChunkedMatchesWhole(t *testing.T) {
 }
 
 // TestFamilyAndRefinementStateRoundTrip feeds every unit of kinded
-// write-back LRU, FIFO and PLRU engines the trace in random pieces,
-// empty and one-reference pieces included, and requires the results of
-// one whole pass. Covers the refinement's wmax and writeback histogram,
-// which no address-only chunked test reaches, and the family layout.
+// write-back LRU, FIFO and PLRU engines each kinded input in random
+// pieces, empty and one-reference pieces included, and requires the
+// results of one whole pass. Covers the refinement's wmax and writeback
+// histogram, which no address-only chunked test reaches, and the
+// family's filter state (last, last2 and the current slot register),
+// which crosses chunk boundaries.
 func TestFamilyAndRefinementStateRoundTrip(t *testing.T) {
 	const n = 30_000
-	trace := mixedTrace(n, 21)
-	kinds := kindsFor(n, 22)
 	rng := rand.New(rand.NewSource(23))
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.PLRU} {
-		cfgs := policySweep(pol, cache.WriteBack)
-		whole, err := SweepKinded(cfgs, trace, kinds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, max := range []int{1, 7, 5000} {
-			e, err := New(cfgs)
+	for _, in := range kindedInputs(n, 21) {
+		for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.PLRU} {
+			cfgs := policySweep(pol, cache.WriteBack)
+			whole, err := SweepKinded(cfgs, in.trace, in.kinds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for lo := 0; lo < n; {
-				hi := min(n, lo+rng.Intn(max+1))
-				for _, u := range e.Units() {
-					u.AccessAllKinded(trace[lo:hi], kinds[lo:hi])
+			for _, max := range []int{1, 7, 5000} {
+				e, err := New(cfgs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				lo = hi
+				for lo := 0; lo < n; {
+					hi := min(n, lo+rng.Intn(max+1))
+					for _, u := range e.Units() {
+						u.AccessAllKinded(in.trace[lo:hi], in.kinds[lo:hi])
+					}
+					lo = hi
+				}
+				assertIdentical(t, fmt.Sprintf("%s %s pieces of up to %d", in.name, pol, max), e.Results(), whole)
 			}
-			assertIdentical(t, fmt.Sprintf("%s pieces of up to %d", pol, max), e.Results(), whole)
 		}
 	}
 }

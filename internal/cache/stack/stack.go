@@ -336,7 +336,7 @@ func New(cfgs []cache.Config) (*Engine, error) {
 			}
 			f.variants = append(f.variants, v)
 			if v.dirty != nil {
-				f.dirtyVariants = append(f.dirtyVariants, v)
+				f.hasDirty = true
 			}
 		case cache.OPT:
 			return nil, fmt.Errorf("stack: %v needs whole-trace annotation; the sweep layer serves OPT through the opt package", cfg)

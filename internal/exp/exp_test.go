@@ -122,6 +122,11 @@ func TestTable1Shape(t *testing.T) {
 		if len(run.Play.Trace) < 1_000_000 {
 			t.Errorf("%s: trace only %d refs", row.Name, len(run.Play.Trace))
 		}
+		// The counts are the trace's, so Equation 3 and the sweeps see
+		// the same references.
+		if n := row.RAMRefs + row.FlashRefs; n != uint64(len(run.Play.Trace)) {
+			t.Errorf("%s: %d RAM + flash references, trace has %d", row.Name, n, len(run.Play.Trace))
+		}
 	}
 	// Relative ordering of event counts matches the paper:
 	// session4 > session1 > session2 > session3.

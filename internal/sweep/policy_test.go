@@ -294,13 +294,18 @@ func TestPlanReportsFallbackAndGauges(t *testing.T) {
 // FuzzPolicyVsDirect derives a trace, access kinds, a policy and a write
 // policy from fuzz input and demands the parallel sweep engines agree
 // with the direct oracle on every counter. Crashes and divergences both
-// count as failures.
+// count as failures. The top bit of workersB selects a derivation that
+// repeats and alternates lines (A, B, A, A, ...), the patterns the FIFO
+// and PLRU families' filter shortcuts take.
 func FuzzPolicyVsDirect(f *testing.F) {
 	f.Add([]byte("palm os cache"), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 250, 251, 252}, uint8(1), uint8(1), uint8(2))
 	f.Add([]byte("write-back dirty line eviction"), uint8(2), uint8(2), uint8(3))
 	f.Add([]byte{0xff, 0xfe, 0x00, 0x10, 0x80}, uint8(3), uint8(1), uint8(1))
 	f.Add([]byte("belady next use tie break"), uint8(4), uint8(2), uint8(4))
+	f.Add([]byte("fetch data fetch"), uint8(1), uint8(0), uint8(0x80))
+	f.Add([]byte("draw loop stores"), uint8(2), uint8(1), uint8(0x81))
+	f.Add([]byte("dirty a-b-a write"), uint8(2), uint8(2), uint8(0x82))
 	f.Fuzz(func(t *testing.T, data []byte, polB, wpB, workersB uint8) {
 		if len(data) == 0 {
 			return
@@ -316,6 +321,7 @@ func FuzzPolicyVsDirect(f *testing.F) {
 		if n > 8192 {
 			n = 8192
 		}
+		alternate := workersB&0x80 != 0
 		trace := make([]uint32, n)
 		kinds := make([]uint8, n)
 		h := uint32(2166136261)
@@ -324,6 +330,16 @@ func FuzzPolicyVsDirect(f *testing.F) {
 			addr := h % (1 << 13)
 			if h&0x70000 == 0 {
 				addr |= 0x10000000 // occasional flash-side reference
+			}
+			if alternate && i >= 2 {
+				// Half the references return, at another offset, to the
+				// previous reference's line or to the one before it.
+				switch h >> 20 & 3 {
+				case 0:
+					addr = trace[i-1] ^ h>>8&0xF
+				case 1:
+					addr = trace[i-2] ^ h>>8&0xF
+				}
 			}
 			trace[i] = addr
 			kinds[i] = uint8(h>>24) % 3
