@@ -395,6 +395,7 @@ func TestUsageErrorsBeforeAnyWork(t *testing.T) {
 		usage bool
 	}{
 		{"zero L2 size", func(c *config) { c.l2Sizes = "0" }, true},
+		{"256-way L2", func(c *config) { c.l2Sizes, c.l2Assoc = "64", "256" }, true},
 		{"crossvalidate over hierarchies", func(c *config) { c.l2Sizes, c.crossValidate = "16", true }, true},
 		{"-hierarchy and -l2-assoc without -l2-sizes", func(c *config) { c.hierarchy, c.l2Assoc = "inclusive", "8" }, true},
 		{"-l2-line without -l2-sizes", func(c *config) { c.l2Line = 64 }, true},

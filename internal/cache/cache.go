@@ -136,6 +136,11 @@ func (c Config) String() string {
 	return s
 }
 
+// MaxWays is the widest associativity a configuration may have: the
+// engines keep per-line ranks, FIFO insertion pointers and LRU
+// write-back depth bounds in one byte each.
+const MaxWays = 128
+
 // Validate checks the configuration for coherence.
 func (c Config) Validate() error {
 	switch {
@@ -147,6 +152,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
 	case bits.OnesCount(uint(c.Ways)) != 1:
 		return fmt.Errorf("cache: associativity %d not a power of two", c.Ways)
+	case c.Ways > MaxWays:
+		return fmt.Errorf("cache: associativity %d exceeds the %d-way limit", c.Ways, MaxWays)
 	case c.SizeBytes < c.LineBytes*c.Ways:
 		return fmt.Errorf("cache: %v has fewer than one set", c)
 	case c.Policy > OPT:

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +34,15 @@ func TestConfigValidation(t *testing.T) {
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%v accepted", c)
+		}
+	}
+	// Past MaxWays a byte no longer holds a way's rank or depth bound.
+	if err := cfg(65536, 16, MaxWays).Validate(); err != nil {
+		t.Errorf("%d ways rejected: %v", MaxWays, err)
+	}
+	for _, c := range []Config{cfg(65536, 16, 256), cfg(65536, 16, 512)} {
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "128-way limit") {
+			t.Errorf("%v: err = %v, want the 128-way limit named", c, err)
 		}
 	}
 }

@@ -22,14 +22,16 @@
 //     everywhere.
 //
 //     Surviving references are packed into a record buffer: line number
-//     plus flash/write flags. Each variant keeps two slot registers,
-//     the landing slots of the last two distinct lines (the filter's
-//     last and last2), and every probe record names the register it
-//     fills. An A-B-A shortcut swaps last and last2, so the filter
-//     flips its current register (carried across chunks) and emits
-//     nothing. A shortcut write, same-line or A-B-A, emits a marker
-//     naming the current register: in every write-back variant the
-//     repeated line sits exactly in the slot that register holds.
+//     plus flash/write flags. Each write-back variant keeps two slot
+//     registers, the landing slots of the last two distinct lines (the
+//     filter's last and last2), and every probe record names the
+//     register it fills. An A-B-A shortcut swaps last and last2, so the
+//     filter flips its current register (carried across chunks) and
+//     emits nothing. A shortcut write, same-line or A-B-A, emits a
+//     marker naming the current register: in every write-back variant
+//     the repeated line sits exactly in the slot that register holds.
+//     Only dirty bits read the registers, so a family without them
+//     neither flips nor fills one.
 //
 //  2. Each variant then consumes the whole record buffer sequentially,
 //     so its lines/rr/plru arrays stay hot in cache instead of being
@@ -72,7 +74,7 @@ type familyVariant struct {
 	plru    []uint8  // PLRU: per-set tree bits
 	dirty   []bool   // WriteBack: per-line dirty bits
 	// slot holds the two slot registers: the lines indices where the
-	// filter's last two distinct lines landed.
+	// filter's last two distinct lines landed (kept only with dirty).
 	slot [2]int32
 	res  cache.Result
 }
@@ -86,7 +88,7 @@ type Family struct {
 	// last and last2 are the two most recent distinct line keys
 	// (line+1; 0 = none) feeding the stage-1 shortcuts; reg names the
 	// slot register holding last's landing spot (0 or recReg1), and
-	// last2's is the other.
+	// last2's is the other. It stays 0 unless hasDirty.
 	last, last2 uint32
 	reg         uint64
 	// minSetMask is the smallest variant set mask: two lines differing
@@ -130,7 +132,9 @@ func (f *Family) AccessAll(refs []uint32) {
 		// record overwrites last2's.
 		aba := key == f.last2 && (line^(f.last-1))&f.minSetMask != 0
 		f.last2, f.last = f.last, key
-		f.reg ^= recReg1
+		if f.hasDirty {
+			f.reg ^= recReg1
+		}
 		if aba {
 			continue
 		}
@@ -171,7 +175,9 @@ func (f *Family) AccessAllKinded(refs []uint32, kinds []uint8) {
 		if key != f.last {
 			aba := key == f.last2 && (line^(f.last-1))&f.minSetMask != 0
 			f.last2, f.last = f.last, key
-			f.reg ^= recReg1
+			if hasDirty {
+				f.reg ^= recReg1
+			}
 			if !aba {
 				rec := uint64(line) | f.reg
 				if isFlash {
@@ -203,11 +209,11 @@ func (v *familyVariant) run(buf []uint64) {
 	lines := v.lines
 	mask := v.setMask
 	ways := v.ways
+	dirty := v.dirty
 	for _, rec := range buf {
-		r := rec >> recRegShift & 1
 		if rec&recMark != 0 {
-			if v.dirty != nil {
-				v.dirty[v.slot[r]] = true
+			if dirty != nil {
+				dirty[v.slot[rec>>recRegShift&1]] = true
 			}
 			continue
 		}
@@ -219,12 +225,14 @@ func (v *familyVariant) run(buf []uint64) {
 		hit := false
 		for w := range set {
 			if set[w] == key {
-				v.slot[r] = int32(base + w)
 				if v.plru != nil {
 					v.plru[si] = cache.PLRUTouch(v.plru[si], ways, w)
 				}
-				if v.dirty != nil && rec&recWrite != 0 {
-					v.dirty[base+w] = true
+				if dirty != nil {
+					v.slot[rec>>recRegShift&1] = int32(base + w)
+					if rec&recWrite != 0 {
+						dirty[base+w] = true
+					}
 				}
 				hit = true
 				break
@@ -257,14 +265,14 @@ func (v *familyVariant) run(buf []uint64) {
 				vic = cache.PLRUVictim(v.plru[si], ways)
 			}
 		}
-		if v.dirty != nil {
-			if set[vic] != 0 && v.dirty[base+vic] {
+		if dirty != nil {
+			if set[vic] != 0 && dirty[base+vic] {
 				v.res.Writebacks++
 			}
-			v.dirty[base+vic] = rec&recWrite != 0
+			dirty[base+vic] = rec&recWrite != 0
+			v.slot[rec>>recRegShift&1] = int32(base + vic)
 		}
 		set[vic] = key
-		v.slot[r] = int32(base + vic)
 		if v.plru != nil {
 			v.plru[si] = cache.PLRUTouch(v.plru[si], ways, vic)
 		}

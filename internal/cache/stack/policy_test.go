@@ -2,6 +2,7 @@ package stack
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -138,6 +139,7 @@ func TestKindedSweepMatchesDirect(t *testing.T) {
 	for _, in := range kindedInputs(60_000, 7) {
 		if in.name == "palm" {
 			assertReachesShortcuts(t, in)
+			assertWalksStopEarly(t, in)
 		}
 		for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.Random, cache.PLRU} {
 			for _, wp := range []cache.WritePolicy{cache.WriteIgnore, cache.WriteThrough, cache.WriteBack} {
@@ -217,6 +219,96 @@ func assertReachesShortcuts(t *testing.T, in kindedInput) {
 				t.Errorf("%s %v %dB family: %.1f%% of references reach the variants, want at most 50%%",
 					in.name, pol, f.LineBytes(), 100*share)
 			}
+		}
+	}
+}
+
+// assertWalksStopEarly requires the LRU walks to stop at their
+// smallest-set refinement, where the reference is already MRU, for at
+// least half of the input's references.
+func assertWalksStopEarly(t *testing.T, in kindedInput) {
+	t.Helper()
+	e, err := New(policySweep(cache.LRU, cache.WriteBack))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range e.walks {
+		w.AccessAllKinded(in.trace, in.kinds)
+		first := w.exits[0][0] + w.exits[1][0]
+		if share := float64(first) / float64(len(in.trace)); share < 0.5 {
+			t.Errorf("%s %dB walk: %.1f%% of references stop at the first refinement, want at least 50%%",
+				in.name, w.levels[0].LineBytes(), 100*share)
+		}
+	}
+}
+
+// mixedWritePlan is one line size's LRU grid, depths 1 to 8, with write
+// policies mixed within refinements and between them: at 1, 8, 64, ...
+// sets write-back joins write-through, at 4, 32, 256, ... sets
+// write-back joins write-ignore, and the refinements in between track
+// no dirty bits at all, so a write's walk crosses refinements without
+// wmax between ones with it.
+func mixedWritePlan(line int) []cache.Config {
+	var cfgs []cache.Config
+	for _, c := range cache.PaperSweep() {
+		if c.LineBytes != line {
+			continue
+		}
+		switch bits.TrailingZeros(uint(c.Sets())) % 3 {
+		case 0:
+			c.Write = cache.WriteBack
+			if c.Ways == 1 {
+				c.Write = cache.WriteThrough
+			}
+		case 1:
+			c.Write = cache.WriteThrough
+			if c.Ways >= 4 {
+				c.Write = cache.WriteIgnore
+			}
+		case 2:
+			c.Write = cache.WriteIgnore
+			if c.Ways >= 4 {
+				c.Write = cache.WriteBack
+			}
+		}
+		cfgs = append(cfgs, c)
+	}
+	return cfgs
+}
+
+// TestWalkMixedWritePolicies runs the mixed-policy plan through one walk
+// in chunks of 1, 7 and 1024 references, on both kinded inputs, and
+// requires every counter of the direct simulator.
+func TestWalkMixedWritePolicies(t *testing.T) {
+	cfgs := mixedWritePlan(16)
+	for _, in := range kindedInputs(40_000, 31) {
+		want := directKindedSweep(t, cfgs, in.trace, in.kinds)
+		for _, chunk := range []int{1, 7, 1024} {
+			e, err := New(cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(e.walks) != 1 {
+				t.Fatalf("%d walks for one line size, want 1", len(e.walks))
+			}
+			tracked, untracked := 0, 0
+			for _, r := range e.Refinements() {
+				if r.wmax != nil {
+					tracked++
+				} else {
+					untracked++
+				}
+			}
+			if tracked == 0 || untracked == 0 {
+				t.Fatalf("plan has %d refinements with wmax and %d without, want both", tracked, untracked)
+			}
+			for lo := 0; lo < len(in.trace); lo += chunk {
+				hi := min(len(in.trace), lo+chunk)
+				for _, u := range e.Units() {
+					u.AccessAllKinded(in.trace[lo:hi], in.kinds[lo:hi])
+				}
+			}
+			assertIdentical(t, fmt.Sprintf("%s mixed write policies, chunks of %d", in.name, chunk), e.Results(), want)
 		}
 	}
 }

@@ -107,8 +107,9 @@ func TestSweepChunkedMatchesWhole(t *testing.T) {
 // TestRefinementTreeGeometry checks the PaperSweep grouping invariants
 // against the built tree: every LRU configuration lands in exactly one
 // refinement whose geometry (line size, set count, index shift) matches
-// the configuration's own precomputations, and each refinement's depth is
-// the deepest associativity it serves.
+// the configuration's own precomputations, each refinement's depth is
+// the deepest associativity it serves, and the 20 refinements form two
+// units, one walk per line size.
 func TestRefinementTreeGeometry(t *testing.T) {
 	cfgs := cache.PaperSweep()
 	e, err := New(cfgs)
@@ -123,6 +124,10 @@ func TestRefinementTreeGeometry(t *testing.T) {
 	// 7 sizes x 4 ways collapses 28 configs to 10 geometries).
 	if len(refs) != 20 {
 		t.Fatalf("%d refinements for the paper sweep, want 20", len(refs))
+	}
+	// One walk per line size advances them.
+	if n := len(e.Units()); n != 2 {
+		t.Fatalf("the paper sweep plans into %d units, want 2 (one per line size)", n)
 	}
 	served := 0
 	for _, r := range refs {

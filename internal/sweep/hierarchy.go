@@ -10,7 +10,7 @@
 // hierarchies sharing an L1 are grouped — the L1 simulates once per
 // chunk and its miss stream fans out to every candidate lower level,
 // which reuses the ordinary single-level engines (the stack engine's
-// single-pass LRU refinements and FIFO/PLRU families included) on the
+// single-pass LRU walks and FIFO/PLRU families included) on the
 // filtered stream. Grouping applies recursively, so three-level sweeps
 // share L2s within an L1 group the same way.
 //
@@ -92,7 +92,7 @@ type enginePlan struct {
 // buildHierarchies is the sweep planner: it instantiates units for a
 // validated hierarchy set. Single-level hierarchies pool into one
 // buildLevel call (so the paper sweep as 56 one-level hierarchies plans
-// into the paper sweep's 20 stack units). Multi-level
+// into the stack engine's 2 units, one LRU walk per line size). Multi-level
 // non-inclusive hierarchies group by shared first level under the stack
 // engine; inclusive/exclusive hierarchies — and every multi-level
 // hierarchy under EngineDirect — get one fused hier.Sim each. anns may

@@ -18,9 +18,12 @@
 // cache.Cache per configuration — 56 independent caches. The stack
 // engine (internal/cache/stack) exploits the LRU inclusion property to
 // collapse all configurations sharing a (line size, set count) geometry
-// into one single-pass refinement — 20 units for the paper sweep —
-// serves FIFO and PLRU through single-pass per-line-size families, and
-// falls back to direct simulation only for Random (private PRNG state).
+// into one single-pass refinement, and advances each line size's
+// refinements with one walk that stops where a reference is already MRU
+// — 20 refinements in 2 units for the paper sweep, so its LRU grid
+// spreads over at most two workers. It serves FIFO and PLRU through
+// single-pass per-line-size families, and falls back to direct
+// simulation only for Random (private PRNG state).
 // OPT (Belady) configurations are served by internal/cache/opt under
 // either engine: the run materializes the trace, computes the
 // per-line-size next-use annotation, and then streams the buffered trace
@@ -234,7 +237,7 @@ func (o Options) engine() Engine {
 }
 
 // unit is one independently advanceable simulation shard: a direct
-// cache.Cache, a stack-engine refinement or family, an OPT simulator or
+// cache.Cache, a stack-engine LRU walk or family, an OPT simulator or
 // family, a fused hierarchy, or a shared-L1 group. kinds is nil on
 // address-only sweeps and exactly parallel to refs on kinded ones. No
 // unit is ever touched by two goroutines, and each observes the complete

@@ -109,9 +109,14 @@ func TestSourceErrorPropagates(t *testing.T) {
 // TestInvalidConfigRejected checks configuration validation happens before
 // any trace is consumed.
 func TestInvalidConfigRejected(t *testing.T) {
-	bad := []cache.Config{{SizeBytes: 3000, LineBytes: 16, Ways: 1}}
-	if _, err := RunTrace(context.Background(), bad, fixedTrace(10), Options{}); err == nil {
-		t.Error("invalid config accepted")
+	for _, bad := range []cache.Config{
+		{SizeBytes: 3000, LineBytes: 16, Ways: 1},
+		{SizeBytes: 64 << 10, LineBytes: 16, Ways: 256, Write: cache.WriteBack},
+		{SizeBytes: 64 << 10, LineBytes: 16, Ways: 512, Policy: cache.FIFO},
+	} {
+		if _, err := RunTrace(context.Background(), []cache.Config{bad}, fixedTrace(10), Options{}); err == nil {
+			t.Errorf("invalid config %v accepted", bad)
+		}
 	}
 }
 
