@@ -92,7 +92,6 @@ func main() {
 	flag.StringVar(&c.algo, "algo", "auto", "sweep engine: auto, direct or stack")
 	flag.BoolVar(&c.crossValidate, "crossvalidate", false, "run both engines over the trace and verify bit-identical results")
 	flag.IntVar(&c.workers, "workers", 0, "concurrent sweep workers (0 = one per core, 1 = serial)")
-	flag.IntVar(&c.chunk, "chunk", 0, "references per streamed chunk (0 = default)")
 	profiler := prof.AddFlags()
 	c.obsFlags = obs.AddFlags()
 	flag.Parse()
@@ -109,14 +108,14 @@ const (
 )
 
 type config struct {
-	traceFile, dinFile               string
-	sessionNum, refs, workers, chunk int
-	desktop, crossValidate           bool
-	policy, algo, writePolicy        string
-	l2Sizes, l2Assoc, hierarchy      string
-	l2Line                           int
-	planOnly, pareto                 bool
-	obsFlags                         *obs.Flags
+	traceFile, dinFile          string
+	sessionNum, refs, workers   int
+	desktop, crossValidate      bool
+	policy, algo, writePolicy   string
+	l2Sizes, l2Assoc, hierarchy string
+	l2Line                      int
+	planOnly, pareto            bool
+	obsFlags                    *obs.Flags
 }
 
 // sweepMain runs every sweep, flat or hierarchical, through one
@@ -255,7 +254,7 @@ func sweepMain(ctx context.Context, c *config) error {
 	}
 
 	// Plan and describe the sweep; -plan stops here.
-	opts := sweep.Options{Workers: c.workers, ChunkRefs: c.chunk, Engine: eng, Obs: reg}
+	opts := sweep.Options{Workers: c.workers, Engine: eng, Obs: reg}
 	info, err := sweep.PlanHierarchies(opts, hs)
 	if err != nil {
 		return obs.Usage(err)

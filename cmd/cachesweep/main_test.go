@@ -344,7 +344,8 @@ func TestPlanDryRun(t *testing.T) {
 // -partitions, whose range decoders are gone, -trace-format, since a
 // -trace file is always packed, -policies, whose list -policy takes, and
 // -checkpoint, -checkpoint-every and -resume, since an interrupted sweep
-// is simply run again, are undefined flags and exit 2 (usage).
+// is simply run again, -metrics-addr, whose HTTP exporter is gone, and
+// -chunk, which nothing set, are undefined flags and exit 2 (usage).
 func TestPartitionedOptExitsUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess sweep in -short mode")
@@ -366,7 +367,7 @@ func TestPartitionedOptExitsUsage(t *testing.T) {
 	}
 
 	for _, flag := range []string{"-partitions 2", "-trace-format raw", "-policies LRU",
-		"-checkpoint x", "-checkpoint-every 1", "-resume"} {
+		"-checkpoint x", "-checkpoint-every 1", "-resume", "-metrics-addr x", "-chunk 1"} {
 		out, err = runCachesweep(t, "-trace "+trace+" "+flag)
 		ee, ok := err.(*exec.ExitError)
 		if !ok {

@@ -1,10 +1,9 @@
 // CLI wiring shared by cmd/palmsim and cmd/cachesweep: AddFlags before
 // flag.Parse, then Run, which brackets the command's body with the
-// profiler's and the exporters' Start and Stop and maps its outcome to
-// the exit-code table. Any of -metrics, -metrics-addr, -progress or
-// -manifest enables the registry; with none given Registry() stays nil
-// and every instrumentation site in the process remains on its no-op
-// path.
+// profiler's and the registry's Start and Stop and maps its outcome to
+// the exit-code table. Any of -metrics, -progress or -manifest enables
+// the registry; with none given Registry() stays nil and every
+// instrumentation site in the process remains on its no-op path.
 package obs
 
 import (
@@ -43,27 +42,25 @@ type Profiler interface {
 	Stop() error
 }
 
-// Flags holds the observability flag values and the running exporters.
+// Flags holds the observability flag values, the registry and the
+// running progress reporter.
 type Flags struct {
 	metrics  *bool
-	addr     *string
 	progress *time.Duration
 	manifest *string
 
 	reg      *Registry
-	server   *Server
 	reporter *Reporter
 	man      *Manifest
 	out      io.Writer
 	status   string
 }
 
-// AddFlags registers -metrics, -metrics-addr, -progress and -manifest on
-// the default flag set. Call before flag.Parse.
+// AddFlags registers -metrics, -progress and -manifest on the default
+// flag set. Call before flag.Parse.
 func AddFlags() *Flags {
 	return &Flags{
 		metrics:  flag.Bool("metrics", false, "collect runtime metrics and print a snapshot at exit"),
-		addr:     flag.String("metrics-addr", "", "serve Prometheus text at /metrics and expvar at /debug/vars on this address (implies -metrics)"),
 		progress: flag.Duration("progress", 0, "print a progress line at this interval, e.g. 2s (implies -metrics)"),
 		manifest: flag.String("manifest", "", "write a JSON run manifest (config, duration, metric snapshot) to this file at exit (implies -metrics)"),
 		out:      os.Stderr,
@@ -72,32 +69,24 @@ func AddFlags() *Flags {
 
 // Enabled reports whether any observability flag was set.
 func (f *Flags) Enabled() bool {
-	return *f.metrics || *f.addr != "" || *f.progress > 0 || *f.manifest != ""
+	return *f.metrics || *f.progress > 0 || *f.manifest != ""
 }
 
 // Registry returns the live registry, or nil when observability is
 // disabled (the no-op state every instrumented package understands).
 func (f *Flags) Registry() *Registry { return f.reg }
 
-// Start creates the registry and launches the exporters the flags asked
-// for. Call after flag.Parse; returns without side effects when disabled.
-func (f *Flags) Start() error {
+// Start creates the registry and the manifest and launches the progress
+// reporter if -progress asked for one. Call after flag.Parse; returns
+// without side effects when disabled.
+func (f *Flags) Start() {
 	if !f.Enabled() {
-		return nil
+		return
 	}
 	f.reg = NewRegistry()
 	f.man = NewManifest()
-	if *f.addr != "" {
-		srv, err := f.reg.Serve(*f.addr)
-		if err != nil {
-			return err
-		}
-		f.server = srv
-		fmt.Fprintf(f.out, "obs: serving metrics on http://%s/metrics (Prometheus) and /debug/vars (expvar)\n", srv.Addr)
-	}
 	f.reporter = NewReporter(f.reg, f.out, *f.progress)
 	f.reporter.Start()
-	return nil
 }
 
 // Note forwards to the run manifest (no-op when disabled).
@@ -111,17 +100,13 @@ func (f *Flags) Note(key, value string) {
 // for the manifest written by Stop. Safe to call when disabled.
 func (f *Flags) SetStatus(status string) { f.status = status }
 
-// Stop halts the reporter and server, writes the manifest if requested and
-// prints the final snapshot if -metrics was given. Run calls it after a
-// successful Start.
+// Stop halts the reporter, writes the manifest if requested and prints
+// the final snapshot if -metrics was given. Run calls it after Start.
 func (f *Flags) Stop() error {
 	if f.reg == nil {
 		return nil
 	}
 	f.reporter.Stop()
-	if f.server != nil {
-		_ = f.server.Close()
-	}
 	if f.status != "" {
 		f.man.Status = f.status
 	}
@@ -149,13 +134,13 @@ func (f *Flags) Stop() error {
 	return nil
 }
 
-// Run is a command's run lifecycle. It starts p and the exporters, runs
+// Run is a command's run lifecycle. It starts p and the registry, runs
 // body, records how the run ended for the manifest, stops both on every
 // path and returns the exit code: ExitOK, ExitInterrupted for a
 // cancellation, ExitUsage for an error marked by Usage and ExitFailure
-// for any other. Errors print to stderr after "name: ". A Start that
-// fails exits ExitUsage before body runs; a Stop that fails turns ExitOK
-// into ExitFailure.
+// for any other. Errors print to stderr after "name: ". A profiler that
+// fails to start exits ExitUsage before body runs; a Stop that fails
+// turns ExitOK into ExitFailure.
 func (f *Flags) Run(name string, p Profiler, body func() error) (code int) {
 	report := func(err error) { fmt.Fprintf(f.out, "%s: %v\n", name, err) }
 	stop := func(err error) {
@@ -171,10 +156,7 @@ func (f *Flags) Run(name string, p Profiler, body func() error) (code int) {
 		return ExitUsage
 	}
 	defer func() { stop(p.Stop()) }()
-	if err := f.Start(); err != nil {
-		report(err)
-		return ExitUsage
-	}
+	f.Start()
 	defer func() { stop(f.Stop()) }()
 
 	err := body()

@@ -12,9 +12,11 @@
 //
 // Snapshots are consistent-enough point-in-time reads (each metric is read
 // atomically; the set is not globally fenced, which is fine for progress
-// reporting and exporters). Exporters live in export.go (Prometheus text,
-// expvar, HTTP), the periodic progress reporter in progress.go, the JSON
-// run manifest in manifest.go and the shared CLI flag wiring in flags.go.
+// lines and the end-of-run outputs). Metrics leave the process in three
+// ways, all written to stderr or disk: the -metrics snapshot table that
+// Flags.Stop prints, the periodic progress reporter in progress.go and the
+// JSON run manifest in manifest.go. The shared CLI flag wiring is in
+// flags.go.
 package obs
 
 import (
@@ -146,7 +148,7 @@ func (h *Histogram) Sum() uint64 {
 	return h.sum.Load()
 }
 
-// kind tags a registered metric for snapshots and exporters.
+// kind tags a registered metric for snapshots.
 type kind uint8
 
 const (

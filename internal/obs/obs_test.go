@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
+	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -41,14 +43,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	if r.Snapshot() != nil {
 		t.Fatalf("nil registry snapshot must be nil")
-	}
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil registry must export nothing, got %q err %v", buf.String(), err)
-	}
-	r.PublishExpvar("obs-test-nil")
-	if expvar.Get("obs-test-nil") != nil {
-		t.Fatalf("nil registry must not publish expvar")
 	}
 }
 
@@ -207,62 +201,106 @@ func TestSnapshotSortedByName(t *testing.T) {
 	}
 }
 
+// newTestFlags returns Flags as AddFlags would after parsing the given
+// values, printing to out.
+func newTestFlags(metrics bool, progress time.Duration, manifest string, out io.Writer) *Flags {
+	return &Flags{metrics: &metrics, progress: &progress, manifest: &manifest, out: out}
+}
+
+// TestWritePrometheus pins, byte for byte, the -metrics table Flags.Stop
+// prints: one row per metric in name order, a histogram as its count and
+// sum, every other kind as its value.
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
+	var buf bytes.Buffer
+	f := newTestFlags(true, 0, "", &buf)
+	f.Start()
+	r := f.Registry()
 	r.Counter("emu.instructions").Add(42)
 	r.Gauge("sweep.queue_depth").Set(3)
+	r.Max("hack.max_latency_us").Observe(8)
 	r.Histogram("hack.latency_us", []uint64{100, 10000}).Observe(150)
-	r.Func("bus.reads", func() float64 { return 7 })
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	r.Func("bus.reads", func() float64 { return 7.5 })
+	if err := f.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE palmsim_emu_instructions counter\npalmsim_emu_instructions 42\n",
-		"# TYPE palmsim_sweep_queue_depth gauge\npalmsim_sweep_queue_depth 3\n",
-		"# TYPE palmsim_hack_latency_us histogram\n",
-		`palmsim_hack_latency_us_bucket{le="100"} 0`,
-		`palmsim_hack_latency_us_bucket{le="10000"} 1`,
-		`palmsim_hack_latency_us_bucket{le="+Inf"} 1`,
-		"palmsim_hack_latency_us_sum 150\npalmsim_hack_latency_us_count 1\n",
-		"# TYPE palmsim_bus_reads gauge\npalmsim_bus_reads 7\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, out)
-		}
+	const want = "obs: final metric snapshot:\n" +
+		"  bus.reads                                7.5\n" +
+		"  emu.instructions                         42\n" +
+		"  hack.latency_us                          count=1 sum=150\n" +
+		"  hack.max_latency_us                      8\n" +
+		"  sweep.queue_depth                        3\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("-metrics table:\n%s\nwant:\n%s", got, want)
 	}
 }
 
+// TestServeEndpoints runs a command body through Run with -metrics,
+// -progress and -manifest all set: the body sees one registry, and its
+// counter reaches the snapshot table, the final progress line and the
+// manifest, which records the run as ok. Run leaves no goroutine behind.
 func TestServeEndpoints(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("served").Add(9)
-	srv, err := r.Serve("127.0.0.1:0")
+	manifestPath := filepath.Join(t.TempDir(), "run.json")
+	var buf bytes.Buffer
+	f := newTestFlags(true, time.Millisecond, manifestPath, &buf)
+	before := runtime.NumGoroutine()
+	var reg *Registry
+	code := f.Run("cmd", fakeProfiler{}, func() error {
+		reg = f.Registry()
+		reg.Counter("served").Add(9)
+		return nil
+	})
+	if code != ExitOK {
+		t.Fatalf("exit code %d, want %d\n%s", code, ExitOK, buf.String())
+	}
+	if reg == nil || f.Registry() != reg {
+		t.Fatalf("body saw registry %p, Run kept %p: want one live registry", reg, f.Registry())
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run returned, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"\n  served                                   9\n",
+		"obs: wrote run manifest to " + manifestPath + "\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stderr missing %q:\n%s", want, out)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^\[obs final \S+\] served=9\b`).MatchString(out) {
+		t.Errorf("stderr missing the final progress line:\n%s", out)
+	}
+	data, err := os.ReadFile(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	if !bytes.Contains(data, []byte(`"status": "ok"`)) {
+		t.Errorf("manifest does not record an ok run:\n%s", data)
+	}
+	var m Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Metrics) != 1 || m.Metrics[0].Name != "served" || m.Metrics[0].Value != 9 {
+		t.Errorf("manifest metrics = %+v, want [served=9]", m.Metrics)
+	}
+}
 
-	get := func(path string) string {
-		resp, err := http.Get("http://" + srv.Addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-	if body := get("/metrics"); !strings.Contains(body, "palmsim_served 9") {
-		t.Fatalf("/metrics missing counter:\n%s", body)
-	}
-	if body := get("/debug/vars"); !strings.Contains(body, `"served"`) {
-		t.Fatalf("/debug/vars missing published registry:\n%s", body)
+// TestAddFlagsDefinesOutputFlags: AddFlags, which palmsim and cachesweep
+// share, adds exactly -metrics, -progress and -manifest to the default
+// flag set.
+func TestAddFlagsDefinesOutputFlags(t *testing.T) {
+	saved := flag.CommandLine
+	defer func() { flag.CommandLine = saved }()
+	flag.CommandLine = flag.NewFlagSet("cmd", flag.ContinueOnError)
+	AddFlags()
+	var names []string
+	flag.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) }) // in name order
+	if want := []string{"manifest", "metrics", "progress"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("AddFlags defined %v, want %v", names, want)
 	}
 }
 
@@ -354,9 +392,33 @@ func TestHuman(t *testing.T) {
 	}
 }
 
+// TestPromName: a histogram's buckets, its only per-bound output, reach
+// the run manifest and read back unchanged, the +Inf bucket (Le 0)
+// included.
 func TestPromName(t *testing.T) {
-	if got := promName("hack.latency-us/2"); got != "palmsim_hack_latency_us_2" {
-		t.Fatalf("promName = %q", got)
+	r := NewRegistry()
+	h := r.Histogram("hack.latency_us", []uint64{100, 10000})
+	for _, v := range []uint64{50, 150, 20000} {
+		h.Observe(v)
+	}
+	m := NewManifest()
+	m.Finish(r)
+	path := filepath.Join(t.TempDir(), "manifest.json")
+	if err := m.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Manifest
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	want := []Sample{{Name: "hack.latency_us", Kind: "histogram", Value: 3, Sum: 20200,
+		Buckets: []Bucket{{100, 1}, {10000, 2}, {0, 3}}}}
+	if !reflect.DeepEqual(got.Metrics, want) {
+		t.Fatalf("manifest metrics = %+v, want %+v", got.Metrics, want)
 	}
 }
 
@@ -389,19 +451,11 @@ func BenchmarkHistogramObserve(b *testing.B) {
 // Ensure Flags wiring compiles against a private flag set pattern used in
 // tests: Enabled() false by default, Start a no-op, Stop safe.
 func TestFlagsDisabledIsNoOp(t *testing.T) {
-	f := &Flags{
-		metrics:  new(bool),
-		addr:     new(string),
-		progress: new(time.Duration),
-		manifest: new(string),
-		out:      io.Discard,
-	}
+	f := newTestFlags(false, 0, "", io.Discard)
 	if f.Enabled() {
 		t.Fatalf("zero-value flags must be disabled")
 	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
+	f.Start()
 	if f.Registry() != nil {
 		t.Fatalf("disabled flags must leave registry nil")
 	}
@@ -412,19 +466,10 @@ func TestFlagsDisabledIsNoOp(t *testing.T) {
 }
 
 func TestFlagsEnabledLifecycle(t *testing.T) {
-	enabled := true
 	manifestPath := filepath.Join(t.TempDir(), "run.json")
 	var buf bytes.Buffer
-	f := &Flags{
-		metrics:  &enabled,
-		addr:     new(string),
-		progress: new(time.Duration),
-		manifest: &manifestPath,
-		out:      &buf,
-	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFlags(true, 0, manifestPath, &buf)
+	f.Start()
 	reg := f.Registry()
 	if reg == nil {
 		t.Fatalf("enabled flags must create a registry")
@@ -484,13 +529,7 @@ func TestFlagsRun(t *testing.T) {
 		{"start fails", fakeProfiler{startErr: boom}, nil, ExitUsage, "", "cmd: boom\n"},
 	} {
 		var stderr bytes.Buffer
-		f := &Flags{
-			metrics:  new(bool),
-			addr:     new(string),
-			progress: new(time.Duration),
-			manifest: new(string),
-			out:      &stderr,
-		}
+		f := newTestFlags(false, 0, "", &stderr)
 		ran := false
 		code := f.Run("cmd", tc.prof, func() error {
 			ran = true

@@ -1,7 +1,7 @@
 // The periodic progress reporter: a background goroutine that snapshots
 // the registry on an interval and prints one compact line of everything
-// that moved, with per-second rates — the always-on heartbeat that makes a
-// multi-hour sweep observable from a terminal without attaching Prometheus.
+// that moved, with per-second rates — the heartbeat that makes a long
+// sweep observable from a terminal while it runs.
 package obs
 
 import (
